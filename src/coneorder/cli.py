@@ -506,10 +506,19 @@ def _emit(args, text: str):
         sys.stdout.write(text)
 
 
+def _check_counts(args):
+    """A battery that runs no samples must not pass, so counts are checked first."""
+    if args.samples < 1:
+        raise ParseError(f"--samples must be at least 1, got {args.samples}")
+    if getattr(args, "kmax", 0) < 0:
+        raise ParseError(f"--kmax must be at least 0, got {args.kmax}")
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_counts(args)
         report, code = _HANDLERS[args.command](args)
     except ParseError as exc:
         print(f"conelab: parse error: {exc}", file=sys.stderr)

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
+from operator import mul
 
 from .errors import DimensionMismatch, NotInCone, NotPointed
 from .linalg import (
@@ -25,10 +26,12 @@ from .linalg import (
     ZERO,
     as_vec,
     identity_matrix,
+    int_scaled,
     is_zero_vec,
     mat_rank,
     normalize_ray,
     normalize_sign_free,
+    primitive,
     unit_vec,
     vec_dot,
     vec_neg,
@@ -48,12 +51,28 @@ def double_description(dim: int, constraints) -> tuple[list[Vec], list[Vec]]:
     reduced by one dimension, afterwards the classical positive/negative ray
     combination step applies, with the combinatorial adjacency test on tight
     sets kept as bitmasks.
+
+    The run is fraction-free (Fukuda and Prodon, "Double Description Method
+    Revisited", 1996): each constraint is scaled to integers, the rays stay
+    primitive integer vectors, a combination vp*rq - vq*rp is divided by its
+    gcd, and the rays become Fractions once, on return.  Only the lineality
+    basis, at most dim vectors, is kept in Fraction.
+
+    Before the combinatorial test a pair of rays is rejected when its common
+    tight set has fewer than dim - len(lineality) - 2 members.  This is a
+    necessary condition for adjacency: the processed constraints have rank
+    dim - len(lineality), and two rays are adjacent only if the constraints
+    tight at both have rank exactly two less.
     """
     lineality: list[Vec] = list(identity_matrix(dim))
-    rays: list[Vec] = []
+    rays: list[tuple[int, ...]] = []
     tight: list[int] = []
 
     for i, h in enumerate(constraints):
+        hi = int_scaled(h)
+        if len(hi) != dim:
+            raise ValueError(f"constraint {i} has length {len(hi)}, expected {dim}")
+        bit = 1 << i
         vals = [vec_dot(h, l) for l in lineality]
         k = next((j for j in range(len(lineality)) if vals[j] != 0), None)
         if k is not None:
@@ -64,24 +83,29 @@ def double_description(dim: int, constraints) -> tuple[list[Vec], list[Vec]]:
                 if j != k:
                     new_lin.append(vec_sub(l, vec_scale(vals[j] / c, z)))
             lineality = new_lin
-            rays = [vec_sub(r, vec_scale(vec_dot(h, r) / c, z)) for r in rays]
-            tight = [t | (1 << i) for t in tight]
-            rays.append(z)
-            tight.append((1 << i) - 1)
+            zi = primitive(int_scaled(z))
+            ci = sum(map(mul, hi, zi))
+            rays = [_combine(r, ci, sum(map(mul, hi, r)), zi) for r in rays]
+            tight = [t | bit for t in tight]
+            rays.append(zi)
+            tight.append(bit - 1)
             continue
 
-        vals = [vec_dot(h, r) for r in rays]
+        vals = [sum(map(mul, hi, r)) for r in rays]
         pos = [j for j, v in enumerate(vals) if v > 0]
         zer = [j for j, v in enumerate(vals) if v == 0]
         neg = [j for j, v in enumerate(vals) if v < 0]
         if not neg:
-            tight = [t | (1 << i) if vals[j] == 0 else t for j, t in enumerate(tight)]
+            tight = [t | bit if v == 0 else t for v, t in zip(vals, tight)]
             continue
-        new_rays: list[Vec] = []
+        need = dim - len(lineality) - 2
+        new_rays: list[tuple[int, ...]] = []
         new_tight: list[int] = []
         for p in pos:
             for q in neg:
                 common = tight[p] & tight[q]
+                if common.bit_count() < need:
+                    continue
                 adjacent = True
                 for o in range(len(rays)):
                     if o != p and o != q and (common & ~tight[o]) == 0:
@@ -89,21 +113,24 @@ def double_description(dim: int, constraints) -> tuple[list[Vec], list[Vec]]:
                         break
                 if not adjacent:
                     continue
-                comb = vec_sub(vec_scale(vals[p], rays[q]), vec_scale(vals[q], rays[p]))
-                new_rays.append(normalize_ray(comb))
-                new_tight.append(common | (1 << i))
+                new_rays.append(_combine(rays[q], vals[p], vals[q], rays[p]))
+                new_tight.append(common | bit)
         keep_rays = [rays[j] for j in pos] + [rays[j] for j in zer]
-        keep_tight = [tight[j] for j in pos] + [tight[j] | (1 << i) for j in zer]
+        keep_tight = [tight[j] for j in pos] + [tight[j] | bit for j in zer]
         seen = set()
         rays, tight = [], []
         for r, t in zip(keep_rays + new_rays, keep_tight + new_tight):
-            key = normalize_ray(r)
-            if key not in seen:
-                seen.add(key)
+            if r not in seen:
+                seen.add(r)
                 rays.append(r)
                 tight.append(t)
 
-    return lineality, rays
+    return lineality, [tuple(map(Fraction, r)) for r in rays]
+
+
+def _combine(r, a: int, b: int, z) -> tuple[int, ...]:
+    """The primitive vector on the ray through a*r - b*z."""
+    return primitive([a * x - b * y for x, y in zip(r, z)])
 
 
 def _canonical_rays(rays, lineality) -> tuple[Vec, ...]:
@@ -266,14 +293,22 @@ class PolyhedralCone:
         )
 
 
-def _build(dim: int, facet_system) -> PolyhedralCone:
+def _trivial_facets(dim: int) -> tuple[Vec, ...]:
+    """Canonical facet list of the trivial cone {0}."""
+    return tuple(sorted([unit_vec(dim, i) for i in range(dim)]
+                        + [vec_neg(unit_vec(dim, i)) for i in range(dim)]))
+
+
+def _build(dim: int, facet_system, facets=None) -> PolyhedralCone:
+    """Cone {x : <h, x> >= 0 for h in facet_system}, in canonical form.
+
+    A caller that already holds the canonical facet list passes it as
+    ``facets``; otherwise it is derived from the generators by a second DD.
+    """
     lin, rays = double_description(dim, facet_system)
     generators = _canonical_rays(rays, lin)
-    if generators:
-        facets = _dual_facets(dim, generators)
-    else:
-        facets = tuple(sorted([unit_vec(dim, i) for i in range(dim)]
-                              + [vec_neg(unit_vec(dim, i)) for i in range(dim)]))
+    if facets is None:
+        facets = _dual_facets(dim, generators) if generators else _trivial_facets(dim)
     return PolyhedralCone(
         dim=dim,
         generators=generators,
@@ -304,14 +339,15 @@ def cone_from_generators(dim: int, gens) -> PolyhedralCone:
     """
     gens = [g for g in _validated(dim, gens, "generator") if not is_zero_vec(g)]
     if not gens:
-        facets = tuple(sorted([unit_vec(dim, i) for i in range(dim)]
-                              + [vec_neg(unit_vec(dim, i)) for i in range(dim)]))
-        return PolyhedralCone(dim=dim, generators=(), facets=facets,
+        return PolyhedralCone(dim=dim, generators=(), facets=_trivial_facets(dim),
                               pointed=True, generating=False)
     seen = sorted({normalize_ray(g) for g in gens})
+    # The canonical facet list depends only on the cone: DD's lineality
+    # basis and its ray representatives are fixed by the cone itself.  So
+    # these facets are also those of the minimal generators, and _build
+    # needs no third pass to re-derive them.
     facets = _dual_facets(dim, seen)
-    cone = _build(dim, facets)
-    return cone
+    return _build(dim, facets, facets)
 
 
 def cone_from_facets(dim: int, facets) -> PolyhedralCone:

@@ -66,10 +66,16 @@ def unit_vec(n: int, i: int) -> Vec:
 
 def int_scaled(v: Vec) -> tuple[int, ...]:
     """Integer vector on the same ray through v (positive scaling only)."""
-    den = 1
-    for a in v:
-        den = lcm(den, a.denominator)
+    den = lcm(*(a.denominator for a in v))
     return tuple(a.numerator * (den // a.denominator) for a in v)
+
+
+def primitive(ints) -> tuple[int, ...]:
+    """Coprime integer vector on the ray through a nonzero integer vector."""
+    g = gcd(*ints)
+    if g == 0:
+        raise ValueError("cannot normalize the zero vector")
+    return tuple(ints) if g == 1 else tuple(a // g for a in ints)
 
 
 def normalize_ray(v: Vec) -> Vec:
@@ -78,13 +84,7 @@ def normalize_ray(v: Vec) -> Vec:
     Scales by a positive rational so coordinates are coprime integers.  The
     sign pattern is intrinsic to the ray and never flipped.
     """
-    ints = int_scaled(v)
-    g = 0
-    for a in ints:
-        g = gcd(g, a)
-    if g == 0:
-        raise ValueError("cannot normalize the zero vector")
-    return tuple(Fraction(a // g) for a in ints)
+    return tuple(Fraction(a) for a in primitive(int_scaled(v)))
 
 
 def normalize_sign_free(v: Vec) -> Vec:

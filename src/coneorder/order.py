@@ -96,6 +96,21 @@ def _bound_vertices(cone: PolyhedralCone, points, upper: bool) -> list[Vec]:
     return sorted(verts)
 
 
+def _extremum(cone: PolyhedralCone, points, upper: bool) -> SupResult:
+    """Shared body of supremum (upper=True) and infimum (upper=False)."""
+    pts = [cone._check_dim(as_vec(p)) for p in points]
+    if not pts:
+        raise ValueError(f"{'supremum' if upper else 'infimum'} needs at least one point")
+    if not cone.pointed:
+        raise NotPointed(f"{'suprema' if upper else 'infima'} are computed for pointed cones only")
+    verts = _bound_vertices(cone, pts, upper=upper)
+    if not verts:
+        return SupResult(NO_UPPER_BOUND)
+    if len(verts) == 1:
+        return SupResult(EXISTS, value=verts[0])
+    return SupResult(NO_LEAST_UPPER_BOUND, witnesses=(verts[0], verts[1]))
+
+
 def supremum(cone: PolyhedralCone, points) -> SupResult:
     """Least upper bound of finitely many points, with certificates.
 
@@ -103,32 +118,12 @@ def supremum(cone: PolyhedralCone, points) -> SupResult:
     z + C; otherwise the two lexicographically smallest vertices of the
     upper bound set witness the failure, or the set is empty.
     """
-    pts = [cone._check_dim(as_vec(p)) for p in points]
-    if not pts:
-        raise ValueError("supremum needs at least one point")
-    if not cone.pointed:
-        raise NotPointed("suprema are computed for pointed cones only")
-    verts = _bound_vertices(cone, pts, upper=True)
-    if not verts:
-        return SupResult(NO_UPPER_BOUND)
-    if len(verts) == 1:
-        return SupResult(EXISTS, value=verts[0])
-    return SupResult(NO_LEAST_UPPER_BOUND, witnesses=(verts[0], verts[1]))
+    return _extremum(cone, points, upper=True)
 
 
 def infimum(cone: PolyhedralCone, points) -> SupResult:
     """Greatest lower bound; the exact dual of supremum via the order of -C."""
-    pts = [cone._check_dim(as_vec(p)) for p in points]
-    if not pts:
-        raise ValueError("infimum needs at least one point")
-    if not cone.pointed:
-        raise NotPointed("infima are computed for pointed cones only")
-    verts = _bound_vertices(cone, pts, upper=False)
-    if not verts:
-        return SupResult(NO_UPPER_BOUND)
-    if len(verts) == 1:
-        return SupResult(EXISTS, value=verts[0])
-    return SupResult(NO_LEAST_UPPER_BOUND, witnesses=(verts[0], verts[1]))
+    return _extremum(cone, points, upper=False)
 
 
 def interval_sample(cone: PolyhedralCone, x, y, n: int, seed: int = 0) -> list[Vec]:

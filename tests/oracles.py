@@ -51,6 +51,28 @@ def rays_from_facets_bruteforce(dim, facets) -> list:
     return sorted(out)
 
 
+def cone_bruteforce(dim, constraints) -> tuple[list, list]:
+    """(lineality basis, extreme rays) of {x : <h,x> >= 0} for any system.
+
+    The lineality space is the kernel of the constraint matrix.  The rays
+    are those of the pointed part, the cone cut with the orthogonal
+    complement of the lineality space, found by solving every subset of
+    rank(A) - 1 distinct constraints together with <l, x> = 0.
+    """
+    rows = sorted({tuple(h) for h in constraints if any(c != 0 for c in h)})
+    lin = kernel_basis(rows, dim)
+    rank = dim - len(lin)
+    out = set()
+    for subset in combinations(rows, max(rank - 1, 0)):
+        kern = kernel_basis(list(subset) + lin, dim)
+        if len(kern) != 1:
+            continue
+        for cand in (kern[0], vec_neg(kern[0])):
+            if all(vec_dot(h, cand) >= 0 for h in rows):
+                out.add(normalize_ray(cand))
+    return lin, sorted(out)
+
+
 def facets_from_rays_bruteforce(dim, rays) -> list:
     """Facet normals of a full-dimensional cone(R): extreme rays of the dual."""
     return rays_from_facets_bruteforce(dim, rays)

@@ -227,6 +227,24 @@ class TestPsdCommands:
         assert len(lines) == 5
 
 
+@pytest.mark.parametrize("count", ["0", "-5"])
+def test_nonpositive_samples_exit_2(files, capsys, count):
+    code, out, err = run(capsys, "check-iso", files["orthant2"], files["ident2"],
+                         "--samples", count)
+    assert code == 2 and out == ""
+    assert "--samples" in err
+    code, out, _ = run(capsys, "psd", "supcheck", "--n", "2", "--b", "eye", "--samples", count)
+    assert code == 2 and out == ""
+
+
+@pytest.mark.parametrize("kmax", ["-1", "-5"])
+def test_negative_kmax_exit_2(files, capsys, kmax):
+    code, out, err = run(capsys, "psd", "approx", "--a", "diag:1,1", "--n", "2",
+                         "--kmax", kmax)
+    assert code == 2 and out == ""
+    assert "--kmax" in err
+
+
 def test_out_flag_writes_report(files, capsys, tmp_path):
     path = tmp_path / "report.json"
     code, out, _ = run(capsys, "classify", files["square"], "--out", str(path))

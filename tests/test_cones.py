@@ -3,17 +3,20 @@ from fractions import Fraction
 import pytest
 
 from coneorder.cones import (
+    _dual_facets,
     cone_from_facets,
     cone_from_generators,
+    double_description,
     interval_cone,
     orthant,
     square_cone,
 )
 from coneorder.errors import DimensionMismatch, NotInCone, NotPointed
-from coneorder.linalg import as_vec, mat_rank, vec_add, vec_scale
+from coneorder.linalg import as_vec, mat_rank, normalize_ray, vec_add, vec_dot, vec_neg, vec_scale
 from coneorder.sampling import cone_point, random_pointed_cone, rng_for
 
 from oracles import (
+    cone_bruteforce,
     facets_from_rays_bruteforce,
     is_extreme_among,
     minimal_generators,
@@ -266,3 +269,62 @@ class TestRoundTrip:
                                        require_generating=True)
             assert list(cone.generators) == rays_from_facets_bruteforce(dim, cone.facets)
             assert list(cone.facets) == facets_from_rays_bruteforce(dim, cone.generators)
+
+    def test_double_description_against_bruteforce_on_general_systems(self):
+        # dims up to 6: facet systems of non-generating cones (which carry
+        # +/- pairs), bare systems with lineality, and duplicated +/-h rows
+        rng = rng_for(23, "ddgeneral")
+        for trial in range(60):
+            dim = 2 + trial % 5
+            kind = trial % 3
+            if kind == 0:
+                cone = _random_cone_in_subspace(rng, dim, rng.randint(1, dim - 1))
+                system = list(cone.facets)
+            elif kind == 1:
+                system = [V(*(rng.randint(-2, 2) for _ in range(dim)))
+                          for _ in range(rng.randint(1, dim))]
+            else:
+                cone = random_pointed_cone(rng, dim, rng.randint(dim, dim + 2))
+                while len(cone.facets) > 10:  # bounds the oracle's subset count
+                    cone = random_pointed_cone(rng, dim, dim)
+                system = list(cone.facets)
+                system += [vec_neg(system[0]), vec_scale(2, system[-1]), system[-1]]
+                rng.shuffle(system)
+            lin, rays = double_description(dim, system)
+            lin_o, rays_o = cone_bruteforce(dim, system)
+            assert all(normalize_ray(r) == r for r in rays)  # primitive integer rays
+            # same lineality space: equal dimension, and DD's basis is independent
+            # and annihilated by every constraint
+            assert len(lin) == len(lin_o) == mat_rank(lin)
+            assert all(vec_dot(h, l) == 0 for h in system for l in lin)
+            # same rays modulo lineality: a ray is fixed modulo ker(A) by its
+            # constraint values A r, and the counts rule out repeats
+            def values(r):
+                return normalize_ray(tuple(vec_dot(h, r) for h in system))
+            assert len(rays) == len(rays_o)
+            assert sorted(values(r) for r in rays) == sorted(values(r) for r in rays_o)
+
+    def test_dropped_third_pass_on_non_generating_cones(self):
+        # cone_from_generators reuses the facets of its first DD pass; they
+        # must equal the facets re-derived from the minimal generators
+        rng = rng_for(29, "thirdpass")
+        for trial in range(30):
+            dim = rng.randint(2, 6)
+            cone = _random_cone_in_subspace(rng, dim, rng.randint(1, dim - 1))
+            assert not cone.generating
+            assert cone.facets == _dual_facets(dim, cone.generators)
+
+
+def _random_cone_in_subspace(rng, dim, rank):
+    """Cone from random integer combinations of rank random vectors, so it is
+    not generating; about half of them also get a lineality direction."""
+    while True:
+        basis = [[rng.randint(-2, 2) for _ in range(dim)] for _ in range(rank)]
+        gens = []
+        for _ in range(rng.randint(1, rank + 3)):
+            coeffs = [rng.randint(-2, 2) for _ in range(rank)]
+            gens.append(V(*(sum(c * b[j] for c, b in zip(coeffs, basis)) for j in range(dim))))
+        if rng.random() < 0.5:
+            gens += [gens[0], vec_neg(gens[0])]
+        if any(any(c != 0 for c in g) for g in gens):
+            return cone_from_generators(dim, gens)

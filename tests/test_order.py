@@ -67,8 +67,16 @@ class TestSupremumInfimum:
 
     def test_not_pointed_refused(self):
         half = cone_from_generators(2, [(1, 0), (-1, 0), (0, 1)])
-        with pytest.raises(NotPointed):
+        with pytest.raises(NotPointed, match="^suprema are computed for pointed cones only$"):
             supremum(half, [V(0, 0)])
+        with pytest.raises(NotPointed, match="^infima are computed for pointed cones only$"):
+            infimum(half, [V(0, 0)])
+
+    def test_empty_point_set_refused(self):
+        with pytest.raises(ValueError, match="^supremum needs at least one point$"):
+            supremum(orthant(2), [])
+        with pytest.raises(ValueError, match="^infimum needs at least one point$"):
+            infimum(orthant(2), [])
 
     def test_no_upper_bound_for_non_generating_cone(self):
         ray = cone_from_generators(2, [(1, 0)])
