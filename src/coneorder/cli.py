@@ -6,7 +6,8 @@ total function of the report content:
 
     0  success (classify/hypothesis: hypothesis holds; check-iso: affine)
     1  hypothesis fails, or check-iso passed the battery but is not affine
-    2  parse/input error (bad files, bad flags, violated preconditions)
+    2  parse/input error (bad files, bad flags, an unwritable --out,
+       violated preconditions)
     3  operation needs a pointed cone
     4  check-iso battery violation (witness pair in the report)
     5  requested supremum/infimum/expression value does not exist
@@ -131,8 +132,7 @@ def _certificate_json(cert):
 # check-iso battery
 
 
-def run_full_battery(cone: PolyhedralCone, spec: IsoSpec, samples: int, seed: int,
-                     workers: int = 1) -> dict:
+def run_full_battery(cone: PolyhedralCone, spec: IsoSpec, samples: int, seed: int) -> dict:
     """The full verification battery behind `conelab check-iso`.
 
     Composes the sampled order-isomorphism test with the half-line,
@@ -148,7 +148,7 @@ def run_full_battery(cone: PolyhedralCone, spec: IsoSpec, samples: int, seed: in
     report: dict = {"seed": seed, "samples": samples, "exact": spec.exact}
     violations = 0
 
-    battery = check_order_iso_sampled(spec, samples, seed, workers=workers)
+    battery = check_order_iso_sampled(spec, samples, seed)
     report["battery"] = {
         "verdict": battery.verdict,
         "samples_run": battery.samples_run,
@@ -368,8 +368,7 @@ def _cmd_check_iso(args):
     spec = parse_iso(load_json(args.iso))
     if spec.source_cone != cone:
         raise ParseError("iso source cone does not match the cone file")
-    workers = args.workers if args.parallel else 1
-    report = run_full_battery(cone, spec, args.samples, args.seed, workers=workers)
+    report = run_full_battery(cone, spec, args.samples, args.seed)
     report["command"] = "check-iso"
     return report, report["exit_code"]
 
@@ -428,9 +427,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--samples", type=int, default=10000, help="sampling count")
     common.add_argument("--tol", type=float, default=None, help="tolerance override (psd)")
     common.add_argument("--out", default=None, help="write the JSON report to this path")
-    common.add_argument("--parallel", action="store_true",
-                        help="fan the battery out across worker threads (same report)")
-    common.add_argument("--workers", type=int, default=4, help="worker count for --parallel")
     common.add_argument("--summary", action="store_true",
                         help="also print a human-readable summary to stderr")
 
@@ -498,20 +494,27 @@ _HANDLERS = {
 }
 
 
-def _emit(args, text: str):
-    if args.out:
+def _emit(args, text: str) -> bool:
+    """Write text to --out, or to stdout without it.  An unwritable --out is
+    reported on stderr and gives False, for exit 2."""
+    if not args.out:
+        sys.stdout.write(text)
+        return True
+    try:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        print(f"conelab: cannot write {args.out}: {exc.strerror or exc}", file=sys.stderr)
+        return False
+    return True
 
 
 def _check_counts(args):
     """A battery that runs no samples must not pass, so counts are checked first."""
     if args.samples < 1:
         raise ParseError(f"--samples must be at least 1, got {args.samples}")
-    if getattr(args, "kmax", 0) < 0:
-        raise ParseError(f"--kmax must be at least 0, got {args.kmax}")
+    if getattr(args, "kmax", 1) < 1:
+        raise ParseError(f"--kmax must be at least 1, got {args.kmax}")
 
 
 def main(argv=None) -> int:
@@ -540,10 +543,11 @@ def main(argv=None) -> int:
         return EXIT_PARSE
 
     if args.command == "psd" and getattr(args, "psd_command", None) == "approx" and args.out:
-        _emit(args, report.pop("csv"))
+        if not _emit(args, report.pop("csv")):
+            return EXIT_PARSE
         sys.stdout.write(canonical_dumps(report))
-    else:
-        _emit(args, canonical_dumps(report))
+    elif not _emit(args, canonical_dumps(report)):
+        return EXIT_PARSE
     if args.summary:
         verdict = report.get("verdict")
         if verdict is None and "hypothesis" in report:

@@ -17,8 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
-from operator import mul
+from operator import mul, sub
 
 from .errors import DimensionMismatch, NotInCone, NotPointed
 from .linalg import (
@@ -26,12 +25,12 @@ from .linalg import (
     ZERO,
     as_vec,
     identity_matrix,
-    int_scaled,
     is_zero_vec,
     mat_rank,
     normalize_ray,
     normalize_sign_free,
     primitive,
+    scaled_ints,
     unit_vec,
     vec_dot,
     vec_neg,
@@ -69,7 +68,7 @@ def double_description(dim: int, constraints) -> tuple[list[Vec], list[Vec]]:
     tight: list[int] = []
 
     for i, h in enumerate(constraints):
-        hi = int_scaled(h)
+        hi = scaled_ints(h)[0]
         if len(hi) != dim:
             raise ValueError(f"constraint {i} has length {len(hi)}, expected {dim}")
         bit = 1 << i
@@ -83,7 +82,7 @@ def double_description(dim: int, constraints) -> tuple[list[Vec], list[Vec]]:
                 if j != k:
                     new_lin.append(vec_sub(l, vec_scale(vals[j] / c, z)))
             lineality = new_lin
-            zi = primitive(int_scaled(z))
+            zi = primitive(scaled_ints(z)[0])
             ci = sum(map(mul, hi, zi))
             rays = [_combine(r, ci, sum(map(mul, hi, r)), zi) for r in rays]
             tight = [t | bit for t in tight]
@@ -179,77 +178,28 @@ class PolyhedralCone:
             raise DimensionMismatch(f"expected length {self.dim}, got {len(x)}")
         return tuple(x)
 
-    def _facet_values_int(self, x: Vec) -> list[int]:
-        den = 1
-        for a in x:
-            den = lcm(den, a.denominator)
-        xi = [a.numerator * (den // a.denominator) for a in x]
-        out = []
+    def _in_cone(self, zi) -> bool:
+        """<h, z> >= 0 for every facet normal h; zi are integers on the ray of z."""
         for row in self._facet_ints:
-            s = 0
-            for h, z in zip(row, xi):
-                if h:
-                    s += h * z
-            out.append(s)
-        return out
+            if sum(map(mul, row, zi)) < 0:
+                return False
+        return True
 
     def contains(self, x) -> bool:
         """Exact membership: <h, x> >= 0 for every facet normal h."""
-        x = self._check_dim(x)
-        den = 1
-        for a in x:
-            d = a.denominator
-            if d != 1:
-                den = lcm(den, d)
-        if den == 1:
-            xi = [a.numerator for a in x]
-        else:
-            xi = [a.numerator * (den // a.denominator) for a in x]
-        for row in self._facet_ints:
-            s = 0
-            for h, z in zip(row, xi):
-                if h:
-                    s += h * z
-            if s < 0:
-                return False
-        return True
+        return self._in_cone(scaled_ints(self._check_dim(x))[0])
 
     def leq(self, x, y) -> bool:
         """The induced partial order: x <= y iff y - x in C."""
-        x = self._check_dim(x)
-        y = self._check_dim(y)
-        den = 1
-        for a in x:
-            d = a.denominator
-            if d != 1:
-                den = lcm(den, d)
-        for a in y:
-            d = a.denominator
-            if d != 1:
-                den = lcm(den, d)
-        if den == 1:
-            zi = [b.numerator - a.numerator for a, b in zip(x, y)]
-        else:
-            zi = [
-                b.numerator * (den // b.denominator) - a.numerator * (den // a.denominator)
-                for a, b in zip(x, y)
-            ]
-        for row in self._facet_ints:
-            s = 0
-            for h, z in zip(row, zi):
-                if h:
-                    s += h * z
-            if s < 0:
-                return False
-        return True
+        s = scaled_ints(self._check_dim(x) + self._check_dim(y))[0]
+        return self._in_cone(list(map(sub, s[self.dim:], s)))
 
     def tight_facets(self, x) -> list[int]:
         """Indices of facets satisfied with equality at x (x must be in C)."""
-        x = self._check_dim(x)
-        vals = self._facet_values_int(x)
-        if any(v < 0 for v in vals):
+        xi = scaled_ints(self._check_dim(x))[0]
+        if not self._in_cone(xi):
             raise NotInCone("point is outside the cone")
-        return [i for i, v in enumerate(vals) if v == 0]
+        return [i for i, row in enumerate(self._facet_ints) if not sum(map(mul, row, xi))]
 
     def is_extreme_vector(self, r) -> bool:
         """True iff r spans an extreme ray: its tight facets have rank dim-1."""

@@ -64,10 +64,15 @@ def unit_vec(n: int, i: int) -> Vec:
     return tuple(ONE if j == i else ZERO for j in range(n))
 
 
-def int_scaled(v: Vec) -> tuple[int, ...]:
-    """Integer vector on the same ray through v (positive scaling only)."""
-    den = lcm(*(a.denominator for a in v))
-    return tuple(a.numerator * (den // a.denominator) for a in v)
+def scaled_ints(v) -> tuple[list[int], int]:
+    """(numerators, den) with v == numerators / den, den the lcm of v's
+    denominators.  den is positive, so the numerators lie on v's ray; an
+    all-integer v, the common case, skips the lcm."""
+    for a in v:
+        if a.denominator != 1:
+            den = lcm(*[b.denominator for b in v])
+            return [b.numerator * (den // b.denominator) for b in v], den
+    return [a.numerator for a in v], 1
 
 
 def primitive(ints) -> tuple[int, ...]:
@@ -84,7 +89,7 @@ def normalize_ray(v: Vec) -> Vec:
     Scales by a positive rational so coordinates are coprime integers.  The
     sign pattern is intrinsic to the ray and never flipped.
     """
-    return tuple(Fraction(a) for a in primitive(int_scaled(v)))
+    return tuple(Fraction(a) for a in primitive(scaled_ints(v)[0]))
 
 
 def normalize_sign_free(v: Vec) -> Vec:

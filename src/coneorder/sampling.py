@@ -2,9 +2,8 @@
 
 Every randomized check in the library derives its draws from
 ``random.Random((seed, *salt))`` so that results are a pure function of the
-inputs and the seed, independent of how work is chunked across workers.
-Integer hashing in CPython is stable, so reports are reproducible across
-runs and platforms.
+inputs and the seed.  Integer hashing in CPython is stable, so reports are
+reproducible across runs and platforms.
 """
 from __future__ import annotations
 

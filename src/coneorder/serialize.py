@@ -65,9 +65,20 @@ def vec_to_json(v) -> list[str]:
 
 
 def _reject_unknown(obj: dict, allowed: set[str], what: str):
+    if not isinstance(obj, dict):
+        raise ParseError(f"{what} must be a JSON object")
     unknown = set(obj) - allowed
     if unknown:
         raise ParseError(f"unknown fields in {what}: {sorted(unknown)}")
+
+
+def _field(obj: dict, key: str, what: str, kind: type = object):
+    """obj[key]; ParseError when it is missing or is not a ``kind``."""
+    if key not in obj:
+        raise ParseError(f"{what} needs {key!r}")
+    if not isinstance(obj[key], kind):
+        raise ParseError(f"{key!r} of {what} must be a JSON {kind.__name__}")
+    return obj[key]
 
 
 def parse_cone(obj) -> PolyhedralCone:
@@ -131,14 +142,16 @@ def parse_bijection(obj) -> MonotoneBijection:
     key, val = next(iter(obj.items()))
     if key == "affine":
         _reject_unknown(val, {"slope", "intercept"}, "affine bijection")
-        return AffineMap(parse_rational(val["slope"]),
+        return AffineMap(parse_rational(_field(val, "slope", "affine bijection")),
                          parse_rational(val.get("intercept", 0)))
     if key == "piecewise":
         _reject_unknown(val, {"breakpoints"}, "piecewise bijection")
-        bps = [(parse_rational(a), parse_rational(b)) for a, b in val["breakpoints"]]
+        bps = [parse_vec(bp) for bp in _field(val, "breakpoints", "piecewise bijection", list)]
+        if any(len(bp) != 2 for bp in bps):
+            raise ParseError("each breakpoint must be a [t, value] pair")
         return PiecewiseLinearMap(tuple(bps))
     if key == "odd_power":
-        if not isinstance(val, int):
+        if not isinstance(val, int) or isinstance(val, bool):
             raise ParseError("odd_power takes an integer exponent")
         return OddPowerMap(val)
     raise ParseError(f"unknown bijection kind {key!r}")
@@ -162,23 +175,32 @@ def parse_iso(obj) -> IsoSpec:
         raise ParseError("iso spec must be a single-key object")
     key, val = next(iter(obj.items()))
     if key == "linear":
-        _reject_unknown(val, {"matrix", "source", "target"}, "linear iso")
-        matrix = [parse_vec(r) for r in val["matrix"]]
-        return make_linear_iso(matrix, parse_cone(val["source"]), parse_cone(val["target"]))
+        what = "linear iso"
+        _reject_unknown(val, {"matrix", "source", "target"}, what)
+        matrix = [parse_vec(r) for r in _field(val, "matrix", what, list)]
+        return make_linear_iso(matrix, parse_cone(_field(val, "source", what)),
+                               parse_cone(_field(val, "target", what)))
     if key == "affine":
-        _reject_unknown(val, {"linear", "source_base", "target_base"}, "affine iso")
-        return make_affine_iso(parse_iso(val["linear"]),
-                               parse_vec(val["source_base"]),
-                               parse_vec(val["target_base"]))
+        what = "affine iso"
+        _reject_unknown(val, {"linear", "source_base", "target_base"}, what)
+        return make_affine_iso(parse_iso(_field(val, "linear", what)),
+                               parse_vec(_field(val, "source_base", what)),
+                               parse_vec(_field(val, "target_base", what)))
     if key == "diagonal":
-        _reject_unknown(val, {"source", "target_frame", "maps"}, "diagonal iso")
-        return make_diagonal_iso(parse_cone(val["source"]),
-                                 [parse_vec(w) for w in val["target_frame"]],
-                                 [parse_bijection(m) for m in val["maps"]])
+        what = "diagonal iso"
+        _reject_unknown(val, {"source", "target_frame", "maps"}, what)
+        return make_diagonal_iso(parse_cone(_field(val, "source", what)),
+                                 [parse_vec(w) for w in _field(val, "target_frame", what, list)],
+                                 [parse_bijection(m) for m in _field(val, "maps", what, list)])
     if key == "product_lift":
-        _reject_unknown(val, {"cone", "ray_index", "ray_map", "sub"}, "product lift")
-        return make_product_lift(parse_cone(val["cone"]), val["ray_index"],
-                                 parse_bijection(val["ray_map"]), parse_iso(val["sub"]))
+        what = "product lift"
+        _reject_unknown(val, {"cone", "ray_index", "ray_map", "sub"}, what)
+        ray_index = _field(val, "ray_index", what)
+        if not isinstance(ray_index, int) or isinstance(ray_index, bool):
+            raise ParseError(f"'ray_index' of {what} must be an integer, got {ray_index!r}")
+        return make_product_lift(parse_cone(_field(val, "cone", what)), ray_index,
+                                 parse_bijection(_field(val, "ray_map", what)),
+                                 parse_iso(_field(val, "sub", what)))
     if key == "compose":
         if not isinstance(val, list) or not val:
             raise ParseError("compose needs a nonempty list of specs")

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -46,6 +47,9 @@ def files(tmp_path):
                                "target": {"dim": 1, "generators": [["1"]]}}}}}),
         "tmp": tmp_path,
     }
+
+
+DATA = Path(__file__).parent / "data"
 
 
 def run(capsys, *argv):
@@ -181,12 +185,26 @@ class TestCheckIso:
                          "--samples", "200", "--seed", "10")
         assert out3 != out1
 
-    def test_parallel_flag_does_not_change_report(self, files, capsys):
-        _, out1, _ = run(capsys, "check-iso", files["orthant2"], files["cube"],
-                         "--samples", "200", "--seed", "4")
-        _, out2, _ = run(capsys, "check-iso", files["orthant2"], files["cube"],
-                         "--samples", "200", "--seed", "4", "--parallel")
-        assert out1 == out2
+    def test_parallel_flag_is_gone(self, files, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["check-iso", files["orthant2"], files["cube"], "--parallel"])
+        assert exc.value.code == 2
+        assert "--parallel" in capsys.readouterr().err
+
+    # Report bytes written by `conelab check-iso <cone> <iso> --samples 500`.
+    # A change to them is a change to what the library reports, so they are
+    # regenerated only when that is intended.
+    @pytest.mark.parametrize("cone, iso", [
+        ("square_cone", "square_identity"),
+        ("interval_cone", "interval_pwl_lift"),
+        ("orthant3", "orthant3_cube"),
+    ])
+    def test_report_matches_golden_bytes(self, capsys, cone, iso):
+        code, out, _ = run(capsys, "check-iso", str(DATA / f"{cone}.json"),
+                           str(DATA / f"{iso}.iso.json"), "--samples", "500")
+        golden = (DATA / f"{iso}.report.json").read_bytes()
+        assert out.encode("utf-8") == golden
+        assert code == json.loads(golden)["exit_code"]
 
 
 class TestPsdCommands:
@@ -237,7 +255,7 @@ def test_nonpositive_samples_exit_2(files, capsys, count):
     assert code == 2 and out == ""
 
 
-@pytest.mark.parametrize("kmax", ["-1", "-5"])
+@pytest.mark.parametrize("kmax", ["0", "-1", "-5"])
 def test_negative_kmax_exit_2(files, capsys, kmax):
     code, out, err = run(capsys, "psd", "approx", "--a", "diag:1,1", "--n", "2",
                          "--kmax", kmax)
@@ -250,3 +268,44 @@ def test_out_flag_writes_report(files, capsys, tmp_path):
     code, out, _ = run(capsys, "classify", files["square"], "--out", str(path))
     assert code == 0 and out == ""
     assert json.loads(path.read_text())["hypothesis"]["holds"]
+
+
+ORTHANT1 = {"dim": 1, "generators": [["1"]]}
+LINEAR1 = {"linear": {"matrix": [["1"]], "source": ORTHANT1, "target": ORTHANT1}}
+
+
+@pytest.mark.parametrize("iso, field", [
+    ({"linear": {"source": ORTHANT1, "target": ORTHANT1}}, "matrix"),
+    ({"linear": {"matrix": "1", "source": ORTHANT1, "target": ORTHANT1}}, "matrix"),
+    ({"diagonal": {"source": ORTHANT1, "target_frame": [["1"]],
+                   "maps": [{"affine": {"intercept": "0"}}]}}, "slope"),
+    ({"affine": 5}, "affine iso"),
+])
+def test_incomplete_iso_spec_exit_2(files, capsys, iso, field):
+    path = files["tmp"] / "iso.json"
+    path.write_text(json.dumps(iso))
+    code, out, err = run(capsys, "check-iso", files["orthant2"], str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("conelab: parse error") and field in err
+
+
+@pytest.mark.parametrize("ray_index", ["1", 1.5, True, None])
+def test_non_integer_ray_index_exit_2(files, capsys, ray_index):
+    iso = {"product_lift": {"cone": {"dim": 2, "generators": [["1", "1"], ["-1", "1"]]},
+                            "ray_index": ray_index,
+                            "ray_map": {"affine": {"slope": "2"}}, "sub": LINEAR1}}
+    path = files["tmp"] / "lift.json"
+    path.write_text(json.dumps(iso))
+    code, out, err = run(capsys, "check-iso", files["twonorm"], str(path))
+    assert code == 2 and out == ""
+    assert "ray_index" in err
+
+
+def test_unwritable_out_exit_2(files, capsys, tmp_path):
+    target = tmp_path / "missing" / "r.json"
+    code, out, err = run(capsys, "classify", files["square"], "--out", str(target))
+    assert code == 2 and out == ""
+    assert err.startswith("conelab: cannot write") and not target.exists()
+    code, out, err = run(capsys, "psd", "approx", "--a", "eye", "--n", "2",
+                         "--out", str(target))
+    assert code == 2 and out == ""

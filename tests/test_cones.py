@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, strategies as st
 
 from coneorder.cones import (
     _dual_facets,
@@ -11,8 +12,20 @@ from coneorder.cones import (
     orthant,
     square_cone,
 )
-from coneorder.errors import DimensionMismatch, NotInCone, NotPointed
-from coneorder.linalg import as_vec, mat_rank, normalize_ray, vec_add, vec_dot, vec_neg, vec_scale
+from coneorder.errors import DimensionMismatch, NotConeMap, NotInCone, NotPointed
+from coneorder.iso import LinearIso
+from coneorder.linalg import (
+    as_vec,
+    mat_rank,
+    mat_vec,
+    normalize_ray,
+    vec_add,
+    vec_dot,
+    vec_neg,
+    vec_scale,
+    vec_sub,
+    zero_vec,
+)
 from coneorder.sampling import cone_point, random_pointed_cone, rng_for
 
 from oracles import (
@@ -328,3 +341,72 @@ def _random_cone_in_subspace(rng, dim, rank):
             gens += [gens[0], vec_neg(gens[0])]
         if any(any(c != 0 for c in g) for g in gens):
             return cone_from_generators(dim, gens)
+
+
+# Differential check of the integer-scaled fast paths (contains, leq,
+# tight_facets, LinearIso eval/invert) against plain Fraction arithmetic, on
+# rationals with mixed denominators, zeros, signs and entries above 2**64.
+exact_coord = st.one_of(
+    st.just(Fraction(0)),
+    st.integers(-3, 3).map(Fraction),
+    st.fractions(min_value=-5, max_value=5, max_denominator=12),
+    st.builds(Fraction, st.integers(-2**70, 2**70), st.integers(1, 2**66)),
+)
+
+DIFF_CONES = [
+    square_cone(),
+    interval_cone(),
+    orthant(3),
+    cone_from_generators(3, [(1, 2, 3), (-4, 5, 6), (7, -8, 9), (1, 1, 1)]),
+    cone_from_facets(3, [(1, -2, 0)]),
+    cone_from_generators(2, []),
+]
+
+
+def _vec(data, dim):
+    return tuple(data.draw(st.lists(exact_coord, min_size=dim, max_size=dim)))
+
+
+def _cone_vec(data, cone):
+    """A random vector, or a nonnegative combination of generators, some of
+    whose coefficients are zero so that the point sits on facets."""
+    if not cone.generators or data.draw(st.booleans()):
+        return _vec(data, cone.dim)
+    x = zero_vec(cone.dim)
+    for g in cone.generators:
+        x = vec_add(x, vec_scale(data.draw(st.just(0) | exact_coord.map(abs)), g))
+    return x
+
+
+def _fraction_member(cone, x):
+    return all(vec_dot(h, x) >= 0 for h in cone.facets)
+
+
+@given(st.data())
+def test_integer_scaled_order_matches_fraction_arithmetic(data):
+    cone = data.draw(st.sampled_from(DIFF_CONES))
+    x = _cone_vec(data, cone)
+    y = vec_add(x, _cone_vec(data, cone)) if data.draw(st.booleans()) else _vec(data, cone.dim)
+    assert cone.contains(x) == _fraction_member(cone, x)
+    assert cone.leq(x, y) == _fraction_member(cone, vec_sub(y, x))
+    if _fraction_member(cone, x):
+        assert cone.tight_facets(x) == [i for i, h in enumerate(cone.facets)
+                                        if vec_dot(h, x) == 0]
+    else:
+        with pytest.raises(NotInCone):
+            cone.tight_facets(x)
+
+
+@given(st.data())
+def test_integer_scaled_linear_iso_matches_mat_vec(data):
+    dim = data.draw(st.integers(1, 4))
+    whole = cone_from_facets(dim, [])
+    matrix = [_vec(data, dim) for _ in range(dim)]
+    try:
+        spec = LinearIso(matrix, whole, whole)
+    except NotConeMap:
+        assume(False)
+    x = _vec(data, dim)
+    y = spec.eval(x)
+    assert y == mat_vec(spec.matrix, x)
+    assert spec.invert(y) == mat_vec(spec.inverse, y) == x

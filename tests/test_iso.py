@@ -289,12 +289,6 @@ class TestSampledBattery:
             r1, r2 = forged.invert(y1), forged.invert(y2)
             assert o2.leq(y1, y2) and not o2.leq(r1, r2)
 
-    def test_workers_do_not_change_the_report(self):
-        spec = cube_iso()
-        a = check_order_iso_sampled(spec, 200, seed=3, workers=1)
-        b = check_order_iso_sampled(spec, 200, seed=3, workers=4)
-        assert a == b
-
 
 class TestLemmaIdentities:
     def test_parallelogram_identity_and_examples(self):

@@ -15,6 +15,7 @@ from coneorder.linalg import (
     normalize_ray,
     normalize_sign_free,
     rref,
+    scaled_ints,
     solve,
     transpose,
     vec_dot,
@@ -63,6 +64,17 @@ def test_normalize_ray_scaling_and_sign():
     assert normalize_sign_free(as_vec((-2, 4))) == as_vec((1, -2))
     with pytest.raises(ValueError):
         normalize_ray(as_vec((0, 0)))
+
+
+def test_scaled_ints():
+    assert scaled_ints(()) == ([], 1)
+    assert scaled_ints(as_vec((3, -2, 0))) == ([3, -2, 0], 1)
+    mixed = as_vec((Fraction(1, 2), Fraction(-2, 3), 5, 0, Fraction(-7, 4)))
+    assert scaled_ints(mixed) == ([6, -8, 60, 0, -21], 12)
+    big = as_vec((Fraction(2**70 + 1, 3), Fraction(-1, 2**65)))
+    ints, den = scaled_ints(big)
+    assert den == 3 * 2**65
+    assert tuple(Fraction(a, den) for a in ints) == big
 
 
 def test_independent_subset_greedy():

@@ -111,6 +111,18 @@ class TestBijectionFiles:
         with pytest.raises(ParseError):
             parse_bijection({"cubic": 3})
 
+    @pytest.mark.parametrize("obj", [
+        {"affine": {}},
+        {"affine": 3},
+        {"piecewise": {}},
+        {"piecewise": {"breakpoints": [["0", "0"], ["1"]]}},
+        {"piecewise": {"breakpoints": 2}},
+        {"odd_power": True},
+    ])
+    def test_malformed_fields_are_parse_errors(self, obj):
+        with pytest.raises(ParseError):
+            parse_bijection(obj)
+
 
 class TestIsoFiles:
     def test_all_kinds_roundtrip_through_json(self):
