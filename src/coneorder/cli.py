@@ -374,7 +374,7 @@ def _cmd_check_iso(args):
 
 
 def _cmd_psd(args):
-    tol = psd_mod.PsdTolerance(eig_tol=args.tol, cmp_tol=args.tol) if args.tol else psd_mod.DEFAULT_TOL
+    tol = psd_mod.DEFAULT_TOL if args.tol is None else psd_mod.PsdTolerance(args.tol, args.tol)
     base = {"command": f"psd-{args.psd_command}", "seed": args.seed, "samples": args.samples}
     if args.psd_command == "witness":
         x = np.array([float(c) for c in _parse_vec_arg(args.x, args.n)])

@@ -31,7 +31,6 @@ from .linalg import (
     normalize_sign_free,
     primitive,
     scaled_ints,
-    unit_vec,
     vec_dot,
     vec_neg,
     vec_scale,
@@ -232,21 +231,12 @@ class PolyhedralCone:
             raise NotInCone("decomposition LP infeasible for a cone member")
         return [(c, g) for c, g in zip(coeffs, self.generators) if c != 0]
 
-    def lineality_dim(self) -> int:
-        return self.dim - mat_rank(self.facets)
-
     def __repr__(self) -> str:
         kind = "pointed" if self.pointed else "non-pointed"
         return (
             f"PolyhedralCone(dim={self.dim}, {len(self.generators)} generators, "
             f"{len(self.facets)} facets, {kind})"
         )
-
-
-def _trivial_facets(dim: int) -> tuple[Vec, ...]:
-    """Canonical facet list of the trivial cone {0}."""
-    return tuple(sorted([unit_vec(dim, i) for i in range(dim)]
-                        + [vec_neg(unit_vec(dim, i)) for i in range(dim)]))
 
 
 def _build(dim: int, facet_system, facets=None) -> PolyhedralCone:
@@ -258,13 +248,13 @@ def _build(dim: int, facet_system, facets=None) -> PolyhedralCone:
     lin, rays = double_description(dim, facet_system)
     generators = _canonical_rays(rays, lin)
     if facets is None:
-        facets = _dual_facets(dim, generators) if generators else _trivial_facets(dim)
+        facets = _dual_facets(dim, generators)
     return PolyhedralCone(
         dim=dim,
         generators=generators,
         facets=facets,
         pointed=not lin,
-        generating=mat_rank(generators) == dim if generators else dim == 0,
+        generating=mat_rank(generators) == dim,
     )
 
 
@@ -288,9 +278,6 @@ def cone_from_generators(dim: int, gens) -> PolyhedralCone:
     generator list of a pointed cone is exactly its extreme rays.
     """
     gens = [g for g in _validated(dim, gens, "generator") if not is_zero_vec(g)]
-    if not gens:
-        return PolyhedralCone(dim=dim, generators=(), facets=_trivial_facets(dim),
-                              pointed=True, generating=False)
     seen = sorted({normalize_ray(g) for g in gens})
     # The canonical facet list depends only on the cone: DD's lineality
     # basis and its ray representatives are fixed by the cone itself.  So

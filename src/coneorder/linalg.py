@@ -193,11 +193,6 @@ def invert_matrix(rows) -> Matrix | None:
 
 
 def independent_subset(vectors) -> list[int]:
-    """Indices of a greedy maximal linearly independent subset, in order."""
-    chosen: list[int] = []
-    rows: list[Vec] = []
-    for i, v in enumerate(vectors):
-        if mat_rank(rows + [tuple(v)]) > len(rows):
-            rows.append(tuple(v))
-            chosen.append(i)
-    return chosen
+    """Indices of the greedy maximal linearly independent subset, in order:
+    the pivot columns of the matrix whose columns are the vectors."""
+    return rref(transpose(vectors))[1]

@@ -28,6 +28,7 @@ from .errors import (
 )
 from .linalg import (
     Matrix,
+    ONE,
     Vec,
     ZERO,
     as_vec,
@@ -37,6 +38,7 @@ from .linalg import (
     kernel_basis,
     mat_vec,
     normalize_ray,
+    rref,
     solve,
     transpose,
     unit_vec,
@@ -318,29 +320,38 @@ def classify_engaged(cone: PolyhedralCone) -> list[ExtremeRayReport]:
     """Engaged/disengaged verdict with a verifying certificate per extreme ray.
 
     A ray is engaged when its generator lies in the linear span of the other
-    extreme rays' generators.  Certificates are checked exactly before being
+    extreme rays' generators.  All verdicts come from one reduced echelon
+    form R of the matrix whose columns are the generators.  A non-pivot
+    column i is engaged.  A pivot column i with row p is engaged iff another
+    column k has R[p][k] != 0; the first such k takes i's place in the pivot
+    set.  Either way the certificate solves the dependency
+    g_k = sum over pivots q of R[row q][k] * g_q for g_i (k = i for a
+    non-pivot column), which gives the combination over the greedy basis of
+    the other generators.  Certificates are checked exactly before being
     returned.
     """
     if not cone.pointed:
         raise NotPointed("engagement is defined for pointed cones")
     gens = cone.generators
+    red, pivots = rref(transpose(gens))
+    pivot_row = {c: r for r, c in enumerate(pivots)}
     reports = []
     for i, g in enumerate(gens):
-        others = [gens[j] for j in range(len(gens)) if j != i]
-        other_idx = [j for j in range(len(gens)) if j != i]
-        coeffs = solve(transpose(others), g) if others else None
-        if coeffs is not None:
+        p = pivot_row.get(i)
+        k = i if p is None else next((j for j in range(i + 1, len(gens)) if red[p][j] != 0), None)
+        if k is not None:
+            dep = {q: -red[r][k] for q, r in pivot_row.items()}
+            dep[k] = ONE
+            pairs = tuple((j, -c / dep[i]) for j, c in sorted(dep.items()) if j != i and c != 0)
             recon = [ZERO] * cone.dim
-            pairs = []
-            for j, c in zip(other_idx, coeffs):
-                if c != 0:
-                    pairs.append((j, c))
-                    for k_i, comp in enumerate(gens[j]):
-                        recon[k_i] += c * comp
+            for j, c in pairs:
+                for k_i, comp in enumerate(gens[j]):
+                    recon[k_i] += c * comp
             if tuple(recon) != g:
                 raise InternalInconsistency("combination certificate failed to verify")
-            reports.append(ExtremeRayReport(i, g, True, CombinationCertificate(tuple(pairs))))
+            reports.append(ExtremeRayReport(i, g, True, CombinationCertificate(pairs)))
         else:
+            others = gens[:i] + gens[i + 1:]
             phi = None
             for cand in kernel_basis(others, cone.dim):
                 if vec_dot(cand, g) != 0:
@@ -444,13 +455,9 @@ def hypothesis_check(cone: PolyhedralCone) -> HypothesisVerdict:
     directed = cone.generating
     pointed = cone.pointed
     witness = None
-    all_engaged = True
-    if pointed and cone.generators:
-        for rep in classify_engaged(cone):
-            if not rep.engaged:
-                witness = rep.ray_index
-                all_engaged = False
-                break
+    if pointed:
+        witness = next((r.ray_index for r in classify_engaged(cone) if not r.engaged), None)
+    all_engaged = witness is None
     return HypothesisVerdict(
         directed=directed,
         pointed=pointed,

@@ -40,8 +40,8 @@ class PsdTolerance:
     cmp_tol: float = 1e-9
 
     def __post_init__(self):
-        if self.eig_tol <= 0 or self.cmp_tol <= 0:
-            raise ValueError("tolerances must be positive")
+        if not all(math.isfinite(t) and t > 0 for t in (self.eig_tol, self.cmp_tol)):
+            raise ValueError("tolerances must be finite and positive")
 
 
 DEFAULT_TOL = PsdTolerance()
@@ -73,9 +73,6 @@ class SymMatrix:
 
     def __setattr__(self, name, value):
         raise AttributeError("SymMatrix is immutable")
-
-    def eig(self) -> tuple[np.ndarray, np.ndarray]:
-        return eigh_jacobi(self.array)
 
     def __repr__(self):
         return f"SymMatrix(n={self.n})"

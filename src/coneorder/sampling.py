@@ -24,11 +24,6 @@ def rng_for(seed: int, *salt) -> random.Random:
     return random.Random(mixed & 0xFFFFFFFFFFFFFFFF)
 
 
-def rand_fraction(rng: random.Random, lo, hi, den: int = 1024) -> Fraction:
-    lo, hi = Fraction(lo), Fraction(hi)
-    return lo + (hi - lo) * Fraction(rng.randrange(den + 1), den)
-
-
 def rand_int_vec(rng: random.Random, dim: int, bound: int = 3) -> Vec:
     return as_vec(rng.randint(-bound, bound) for _ in range(dim))
 

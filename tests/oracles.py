@@ -3,8 +3,9 @@
 These deliberately avoid the production algorithms: extremality goes through
 LP feasibility instead of tight-facet ranks, ray/facet enumeration through
 exhaustive subset solving instead of double description, suprema through
-exhaustive vertex enumeration, and eigendecompositions through numpy's
-LAPACK instead of the in-repo Jacobi sweep.
+exhaustive vertex enumeration, engagement through one linear solve per ray
+instead of one row reduction per cone, and eigendecompositions through
+numpy's LAPACK instead of the in-repo Jacobi sweep.
 """
 from __future__ import annotations
 
@@ -18,10 +19,12 @@ from coneorder.linalg import (
     kernel_basis,
     normalize_ray,
     solve,
+    transpose,
     vec_dot,
     vec_neg,
 )
 from coneorder.lp import positive_combination
+from coneorder.order import CombinationCertificate, ExtremeRayReport, SeparatingFunctional
 
 
 def is_extreme_among(gens, i) -> bool:
@@ -101,6 +104,39 @@ def bound_vertices_bruteforce(cone, points, upper=True) -> list:
         if all(vec_dot(rows[i], z) >= rhs[i] for i in range(len(rows))):
             verts.add(z)
     return sorted(verts)
+
+
+def classify_engaged_reference(cone) -> list:
+    """Engagement by one solve per ray: g_i against the other generators.
+
+    A ray is engaged iff the solve succeeds; its certificate is the solve's
+    nonzero coefficients.  A disengaged ray gets the first kernel vector of
+    the others that is nonzero on g_i, normalized.
+    """
+    gens = cone.generators
+    reports = []
+    for i, g in enumerate(gens):
+        others = [gens[j] for j in range(len(gens)) if j != i]
+        other_idx = [j for j in range(len(gens)) if j != i]
+        coeffs = solve(transpose(others), g) if others else None
+        if coeffs is not None:
+            pairs = tuple((j, c) for j, c in zip(other_idx, coeffs) if c != 0)
+            reports.append(ExtremeRayReport(i, g, True, CombinationCertificate(pairs)))
+        else:
+            phi = next(normalize_ray(cand) for cand in kernel_basis(others, cone.dim)
+                       if vec_dot(cand, g) != 0)
+            reports.append(ExtremeRayReport(i, g, False, SeparatingFunctional(phi)))
+    return reports
+
+
+def independent_subset_greedy(vectors) -> list:
+    """Keep each vector that raises the rank of those kept before it."""
+    chosen, rows = [], []
+    for i, v in enumerate(vectors):
+        if mat_rank(rows + [tuple(v)]) > len(rows):
+            rows.append(tuple(v))
+            chosen.append(i)
+    return chosen
 
 
 def eigh_oracle(a):

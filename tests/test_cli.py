@@ -263,6 +263,14 @@ def test_negative_kmax_exit_2(files, capsys, kmax):
     assert "--kmax" in err
 
 
+@pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
+def test_bad_tol_exit_2(files, capsys, tol):
+    code, out, err = run(capsys, "psd", "supcheck", "--n", "2", "--b", "diag:1,0.5",
+                         "--tol", tol)
+    assert code == 2 and out == ""
+    assert "tolerances must be finite and positive" in err
+
+
 def test_out_flag_writes_report(files, capsys, tmp_path):
     path = tmp_path / "report.json"
     code, out, _ = run(capsys, "classify", files["square"], "--out", str(path))

@@ -19,6 +19,7 @@ from coneorder.linalg import (
     mat_rank,
     mat_vec,
     normalize_ray,
+    unit_vec,
     vec_add,
     vec_dot,
     vec_neg,
@@ -69,6 +70,16 @@ class TestConeFromGenerators:
         assert c.pointed and not c.generating
         assert c.contains(V(0, 0)) and not c.contains(V(1, 0))
         assert c.extreme_rays() == ()
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    def test_trivial_cone_from_either_side(self, dim):
+        """The general build path gives {0} from no generators and from +/-e_i."""
+        units = [unit_vec(dim, i) for i in range(dim)]
+        signed = units + [vec_neg(u) for u in units]
+        trivial = cone_from_generators(dim, [])
+        assert cone_from_facets(dim, signed) == trivial
+        assert trivial.generators == () and trivial.facets == tuple(sorted(signed))
+        assert trivial.pointed and not trivial.generating
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):

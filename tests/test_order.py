@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from coneorder.cones import cone_from_generators, interval_cone, orthant, square_cone
 from coneorder.errors import (
@@ -11,7 +12,15 @@ from coneorder.errors import (
     RayIsEngaged,
     UndefinedLattice,
 )
-from coneorder.linalg import as_vec, mat_vec, vec_add, vec_dot, vec_scale
+from coneorder.linalg import (
+    as_vec,
+    independent_subset,
+    mat_vec,
+    vec_add,
+    vec_dot,
+    vec_scale,
+    zero_vec,
+)
 from coneorder.lp import OPTIMAL, solve_lp
 from coneorder.order import (
     CombinationCertificate,
@@ -33,7 +42,11 @@ from coneorder.order import (
 )
 from coneorder.sampling import cone_point, random_pointed_cone, rng_for, unimodular_matrix
 
-from oracles import bound_vertices_bruteforce
+from oracles import (
+    bound_vertices_bruteforce,
+    classify_engaged_reference,
+    independent_subset_greedy,
+)
 
 
 def V(*xs):
@@ -263,6 +276,58 @@ class TestClassification:
             assert verdict.holds == (cone.generating and cone.pointed
                                      and verdict.all_extreme_rays_engaged)
             assert (verdict.disengaged_witness is None) == verdict.all_extreme_rays_engaged
+
+
+def _direct_sum(a, b):
+    gens = [tuple(g) + zero_vec(b.dim) for g in a.generators]
+    gens += [zero_vec(a.dim) + tuple(g) for g in b.generators]
+    return cone_from_generators(a.dim + b.dim, gens)
+
+
+def _random_cone(data, max_dim):
+    dim = data.draw(st.integers(1, max_dim))
+    rng = rng_for(data.draw(st.integers(0, 2**32)), "classify")
+    return random_pointed_cone(rng, dim, data.draw(st.integers(1, 2 * dim + 2)))
+
+
+CLASSIFY_CONES = [orthant(3), interval_cone(), square_cone(),
+                  _direct_sum(square_cone(), interval_cone())]
+
+
+@settings(max_examples=120)
+@given(st.data())
+def test_classification_matches_per_ray_solve(data):
+    """One row reduction per cone gives the per-ray reference's verdicts and
+    certificates, and hypothesis_check names its first disengaged ray.
+    Direct sums of random cones mix engaged and disengaged rays."""
+    kind = data.draw(st.sampled_from(["fixed", "random", "sum"]))
+    if kind == "fixed":
+        cone = data.draw(st.sampled_from(CLASSIFY_CONES))
+    elif kind == "random":
+        cone = _random_cone(data, 6)
+    else:
+        cone = _direct_sum(_random_cone(data, 3), _random_cone(data, 3))
+    reports = classify_engaged(cone)
+    assert reports == classify_engaged_reference(cone)
+    first = next((r.ray_index for r in reports if not r.engaged), None)
+    assert hypothesis_check(cone).disengaged_witness == first
+
+
+@given(st.data())
+def test_independent_subset_matches_greedy_rank_loop(data):
+    dim = data.draw(st.integers(1, 4))
+    entries = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    vectors = []
+    for _ in range(data.draw(st.integers(0, 7))):
+        kind = data.draw(st.sampled_from(["new", "zero", "repeat"]))
+        if kind == "zero":
+            vectors.append(zero_vec(dim))
+        elif kind == "repeat" and vectors:
+            scale = data.draw(entries)
+            vectors.append(vec_scale(scale, data.draw(st.sampled_from(vectors))))
+        else:
+            vectors.append(tuple(data.draw(entries) for _ in range(dim)))
+    assert independent_subset(vectors) == independent_subset_greedy(vectors)
 
 
 class TestDisengagedSplit:

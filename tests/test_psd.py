@@ -325,5 +325,8 @@ class TestInfSupApprox:
 
 
 def test_tolerances_validated():
-    with pytest.raises(ValueError):
-        PsdTolerance(eig_tol=0.0)
+    for bad in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            PsdTolerance(eig_tol=bad)
+        with pytest.raises(ValueError):
+            PsdTolerance(cmp_tol=bad)
