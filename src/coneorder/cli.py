@@ -249,6 +249,11 @@ def run_full_battery(cone: PolyhedralCone, spec: IsoSpec, samples: int, seed: in
             seen.add(p)
             pts.append(p)
     fit = check_affine_on(spec, pts)
+    # Every cone-based map sends the apex to the apex, and a map can be affine
+    # on the sampled points yet not there: a product lift bending its ray
+    # coordinate at t = 1 fits t + 1 when no sample has t < 1.
+    if fit.affine and a not in seen:
+        fit = check_affine_on(spec, pts + [a])
     report["affine"] = {"affine": fit.affine, "max_residual": fmt_rational(fit.max_residual)}
 
     if is_zero_vec(spec.source_base) and is_zero_vec(spec.target_base):

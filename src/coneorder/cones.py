@@ -188,10 +188,14 @@ class PolyhedralCone:
         """Exact membership: <h, x> >= 0 for every facet normal h."""
         return self._in_cone(scaled_ints(self._check_dim(x))[0])
 
+    def _leq_ints(self, xi, yi) -> bool:
+        """x <= y for integer vectors on a common scale."""
+        return self._in_cone(list(map(sub, yi, xi)))
+
     def leq(self, x, y) -> bool:
         """The induced partial order: x <= y iff y - x in C."""
         s = scaled_ints(self._check_dim(x) + self._check_dim(y))[0]
-        return self._in_cone(list(map(sub, s[self.dim:], s)))
+        return self._leq_ints(s, s[self.dim:])
 
     def tight_facets(self, x) -> list[int]:
         """Indices of facets satisfied with equality at x (x must be in C)."""

@@ -18,7 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
-from operator import mul
+from operator import add, mul
+from typing import Callable, NamedTuple
 
 from .cones import PolyhedralCone, cone_from_generators
 from .errors import (
@@ -38,11 +39,11 @@ from .linalg import (
     ZERO,
     as_vec,
     frac,
-    independent_subset,
     invert_matrix,
     is_zero_vec,
     mat_rank,
     mat_vec,
+    rref,
     scaled_ints,
     solve,
     transpose,
@@ -54,7 +55,13 @@ from .linalg import (
     zero_vec,
 )
 from .order import DisengagedSplit, disengaged_split
-from .sampling import cone_point, incomparable_pair, rng_for
+from .sampling import (
+    cone_point,
+    cone_point_ints,
+    incomparable_pair,
+    incomparable_pair_ints,
+    rng_for,
+)
 
 # ---------------------------------------------------------------------------
 # One-dimensional strictly increasing bijections
@@ -547,6 +554,123 @@ def _leq_tol(cone: PolyhedralCone, x, y, tol=_FLOAT_TOL) -> bool:
 _CHUNK = 256
 
 
+class _Leaves(NamedTuple):
+    """The leaf operations of the sampled battery on one vector type.
+
+    src_point/tgt_point draw a point of the source/target domain, and
+    src_step/tgt_step a cone point added to it; src_pair draws an
+    incomparable source pair or None.  fwd/inv map a point and raise
+    OutOfDomain outside the domain.  round_trip(x1, x2, r2) tells whether
+    r2 = inv(fwd(x2)) passes.  point and image give the exact Fraction form
+    of a drawn point and of an image, for the report.
+    """
+
+    src_point: Callable
+    src_step: Callable
+    tgt_point: Callable
+    tgt_step: Callable
+    src_pair: Callable
+    add: Callable
+    fwd: Callable
+    inv: Callable
+    in_target: Callable
+    tgt_leq: Callable
+    src_leq: Callable
+    round_trip: Callable
+    point: Callable
+    image: Callable
+
+
+def _fraction_leaves(spec: IsoSpec) -> _Leaves:
+    """Leaves on exact Fraction vectors through the spec's own eval/invert:
+    the path of every spec kind but LinearIso, and the reference for it."""
+    src, tgt = spec.source_cone, spec.target_cone
+    a, b = spec.source_base, spec.target_base
+    a_zero, b_zero = spec._bases_zero
+    exact = spec.exact
+
+    def src_leq(x, y):
+        return src.leq(x, y) if exact else _leq_tol(src, x, y)
+
+    def src_step(rng):
+        return cone_point(src, rng)
+
+    def tgt_step(rng):
+        return cone_point(tgt, rng)
+
+    def src_point(rng):
+        p = cone_point(src, rng)
+        return p if a_zero else vec_add(a, p)
+
+    def tgt_point(rng):
+        p = cone_point(tgt, rng)
+        return p if b_zero else vec_add(b, p)
+
+    def src_pair(rng):
+        pair = incomparable_pair(src, rng)
+        if pair is None or a_zero:
+            return pair
+        return vec_add(a, pair[0]), vec_add(a, pair[1])
+
+    def round_trip(x1, x2, r2):
+        return r2 == x2 if exact else src_leq(x1, r2)
+
+    def same(v):
+        return v
+
+    return _Leaves(src_point, src_step, tgt_point, tgt_step, src_pair, vec_add,
+                   spec.eval, spec.invert, spec.in_target, tgt.leq, src_leq,
+                   round_trip, same, same)
+
+
+def _int_leaves(spec: LinearIso) -> _Leaves:
+    """Leaves on Python-int vectors for a LinearIso, whose cones are apexed
+    at 0 and whose points are all integer.  With F/f and B/b the integer
+    rows and denominators of the matrix and its inverse, an image is kept as
+    F x (scale f) and a preimage as B y, so the order tests run on integer
+    differences and the round trip B F x2 / (b f) == x2 is B y2 == b f x2.
+    Fractions are built only for a violation's report."""
+    src, tgt = spec.source_cone, spec.target_cone
+    fwd_rows, fwd_den = spec._fwd.rows, spec._fwd.den
+    bwd_rows = spec._bwd.rows
+    scale = spec._bwd.den * fwd_den
+
+    def src_point(rng):
+        return cone_point_ints(src, rng)
+
+    def tgt_point(rng):
+        return cone_point_ints(tgt, rng)
+
+    def src_pair(rng):
+        return incomparable_pair_ints(src, rng)
+
+    def add_ints(x, c):
+        return list(map(add, x, c))
+
+    def fwd(x):
+        if not src._in_cone(x):
+            raise OutOfDomain("point outside the source cone")
+        return [sum(map(mul, row, x)) for row in fwd_rows]
+
+    def inv(y):
+        if not tgt._in_cone(y):
+            raise OutOfDomain("point outside the target cone")
+        return [sum(map(mul, row, y)) for row in bwd_rows]
+
+    def round_trip(x1, x2, r2):
+        return r2 == [scale * c for c in x2]
+
+    def point(v):
+        return tuple(map(Fraction, v))
+
+    def image(v):
+        return tuple(Fraction(c, fwd_den) for c in v)
+
+    return _Leaves(src_point, src_point, tgt_point, tgt_point, src_pair, add_ints,
+                   fwd, inv, tgt._in_cone, tgt._leq_ints, src._leq_ints,
+                   round_trip, point, image)
+
+
 def check_order_iso_sampled(spec: IsoSpec, n: int = 10000, seed: int = 0, *,
                             stop_early: bool = False) -> IsoReport:
     """Sampled order-isomorphism battery.
@@ -559,93 +683,63 @@ def check_order_iso_sampled(spec: IsoSpec, n: int = 10000, seed: int = 0, *,
 
     Sampling is seeded per fixed-size index chunk of 256 samples, so sample
     i draws the same values whatever n is.
+
+    A LinearIso runs on integer vectors from draw to verdict (_int_leaves);
+    every other spec, and a LinearIso wrapped in a ComposeIso, on Fractions
+    (_fraction_leaves).  Both make the same draws and give the same report.
     """
-    src, tgt = spec.source_cone, spec.target_cone
-    a, b = spec.source_base, spec.target_base
-    a_zero, b_zero = spec._bases_zero
-    exact = spec.exact
-
-    def _src_leq(x, y):
-        return src.leq(x, y) if exact else _leq_tol(src, x, y)
-
-    def _src_point(rng):
-        p = cone_point(src, rng)
-        return p if a_zero else vec_add(a, p)
-
-    def _tgt_point(rng):
-        p = cone_point(tgt, rng)
-        return p if b_zero else vec_add(b, p)
-
-    def run_index(i, rng):
-        fwd: list = []
-        inv: list = []
-        mode = i % 3
-        if mode == 0:
-            x1 = _src_point(rng)
-            x2 = vec_add(x1, cone_point(src, rng))
-            try:
-                y1, y2 = spec.eval(x1), spec.eval(x2)
-            except OutOfDomain:
-                fwd.append((x1, x2))
-                return fwd, inv
-            # y2 in the target domain is implied by y1 in it plus y2 - y1 in K
-            if not spec.in_target(y1) or not tgt.leq(y1, y2):
-                fwd.append((x1, x2))
-            else:
-                try:
-                    r2 = spec.invert(y2)
-                except OutOfDomain:
-                    inv.append((y1, y2))
-                    return fwd, inv
-                if exact:
-                    if r2 != x2:
-                        inv.append((y1, y2))
-                elif not _src_leq(x1, r2):
-                    inv.append((y1, y2))
-        elif mode == 1:
-            pair = incomparable_pair(src, rng)
-            if pair is not None:
-                if a_zero:
-                    x1, x2 = pair
-                else:
-                    x1, x2 = vec_add(a, pair[0]), vec_add(a, pair[1])
-                try:
-                    y1, y2 = spec.eval(x1), spec.eval(x2)
-                except OutOfDomain:
-                    fwd.append((x1, x2))
-                    return fwd, inv
-                if tgt.leq(y1, y2) or tgt.leq(y2, y1):
-                    fwd.append((x1, x2))
-        else:
-            y1 = _tgt_point(rng)
-            y2 = vec_add(y1, cone_point(tgt, rng))
-            try:
-                r1, r2 = spec.invert(y1), spec.invert(y2)
-            except OutOfDomain:
-                inv.append((y1, y2))
-                return fwd, inv
-            if not _src_leq(r1, r2):
-                inv.append((y1, y2))
-        return fwd, inv
-
-    def run_chunk(c):
-        rng = rng_for(seed, "battery", c)
-        fwd: list = []
-        inv: list = []
-        for i in range(c * _CHUNK, min((c + 1) * _CHUNK, n)):
-            f, v = run_index(i, rng)
-            fwd.extend(f)
-            inv.extend(v)
-            if stop_early and (fwd or inv):
-                break
-        return fwd, inv
-
+    ops = _int_leaves(spec) if type(spec) is LinearIso else _fraction_leaves(spec)
     fwd_violations: list = []
     inv_violations: list = []
-    for c in range((n + _CHUNK - 1) // _CHUNK):
-        fwd, inv = run_chunk(c)
-        fwd_violations.extend(fwd)
-        inv_violations.extend(inv)
+
+    def run_index(i, rng):
+        mode = i % 3
+        if mode == 0:
+            x1 = ops.src_point(rng)
+            x2 = ops.add(x1, ops.src_step(rng))
+            try:
+                y1, y2 = ops.fwd(x1), ops.fwd(x2)
+            except OutOfDomain:
+                fwd_violations.append((ops.point(x1), ops.point(x2)))
+                return
+            # y2 in the target domain is implied by y1 in it plus y2 - y1 in K
+            if not ops.in_target(y1) or not ops.tgt_leq(y1, y2):
+                fwd_violations.append((ops.point(x1), ops.point(x2)))
+                return
+            try:
+                r2 = ops.inv(y2)
+            except OutOfDomain:
+                inv_violations.append((ops.image(y1), ops.image(y2)))
+                return
+            if not ops.round_trip(x1, x2, r2):
+                inv_violations.append((ops.image(y1), ops.image(y2)))
+        elif mode == 1:
+            pair = ops.src_pair(rng)
+            if pair is None:
+                return
+            x1, x2 = pair
+            try:
+                y1, y2 = ops.fwd(x1), ops.fwd(x2)
+            except OutOfDomain:
+                fwd_violations.append((ops.point(x1), ops.point(x2)))
+                return
+            if ops.tgt_leq(y1, y2) or ops.tgt_leq(y2, y1):
+                fwd_violations.append((ops.point(x1), ops.point(x2)))
+        else:
+            y1 = ops.tgt_point(rng)
+            y2 = ops.add(y1, ops.tgt_step(rng))
+            try:
+                r1, r2 = ops.inv(y1), ops.inv(y2)
+            except OutOfDomain:
+                inv_violations.append((ops.point(y1), ops.point(y2)))
+                return
+            if not ops.src_leq(r1, r2):
+                inv_violations.append((ops.point(y1), ops.point(y2)))
+
+    for i in range(n):
+        if i % _CHUNK == 0:
+            rng = rng_for(seed, "battery", i // _CHUNK)
+        run_index(i, rng)
         if stop_early and (fwd_violations or inv_violations):
             break
     verdict = "Violation" if fwd_violations or inv_violations else "PassedSampling"
@@ -762,6 +856,10 @@ class AffineFit:
         t = solve(transpose(diffs), vec_sub(as_vec(p), self.base_point)) if diffs else ()
         if t is None:
             raise DegenerateSpan("point outside the affine hull of the fit")
+        return self._image_at(t)
+
+    def _image_at(self, t) -> Vec:
+        """The fitted image of the point with coordinates t over the basis."""
         out = list(self.base_image)
         for tj, img in zip(t, self.basis_images):
             if tj:
@@ -786,7 +884,9 @@ def check_affine_on(spec: IsoSpec, points, tolerance=None) -> AffineFit:
     images = [spec.eval(p) for p in pts]
     p0 = pts[0]
     diffs = [vec_sub(p, p0) for p in pts[1:]]
-    sel = independent_subset(diffs)
+    # One elimination: the pivots pick the basis, and column j of the
+    # reduced matrix holds diffs[j]'s coordinates over it.
+    red, sel = rref(transpose(diffs))
     k = len(sel)
     if len(pts) < k + 2:
         raise DegenerateSpan(f"need at least {k + 2} points for affine dimension {k}")
@@ -803,7 +903,7 @@ def check_affine_on(spec: IsoSpec, points, tolerance=None) -> AffineFit:
     for idx, (p, img) in enumerate(zip(pts, images)):
         if idx in basis_set:
             continue
-        pred = fit.predict(p)
+        pred = fit._image_at([row[idx - 1] for row in red[:k]])
         res = max(abs(c) for c in vec_sub(img, pred))
         if res > max_res:
             max_res = res

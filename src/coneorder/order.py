@@ -39,7 +39,6 @@ from .linalg import (
     mat_vec,
     normalize_ray,
     rref,
-    solve,
     transpose,
     unit_vec,
     vec_add,
@@ -157,21 +156,19 @@ def interval_sample(cone: PolyhedralCone, x, y, n: int, seed: int = 0) -> list[V
 
     v0 = verts[0]
     diffs = [vec_sub(v, v0) for v in verts[1:]]
-    chosen = independent_subset(diffs + free_dirs)
-    basis = [(diffs + free_dirs)[i] for i in chosen]
+    # One elimination gives the basis (the pivot columns) and, in row p of
+    # the reduced matrix, every difference's coordinate on basis vector p.
+    cols = diffs + free_dirs
+    red, chosen = rref(transpose(cols))
+    basis = [cols[i] for i in chosen]
     n_diff = sum(1 for i in chosen if i < len(diffs))
     if not basis:
         return [v0] * n
 
-    a_rows = transpose(basis)
-    coords = []
-    for dv in diffs:
-        t = solve(a_rows, dv)
-        coords.append(t)
     ranges = []
-    for j in range(len(basis)):
-        if j < n_diff:
-            vals = [ZERO] + [t[j] for t in coords]
+    for p in range(len(basis)):
+        if p < n_diff:
+            vals = [ZERO] + red[p][:len(diffs)]
             ranges.append((min(vals), max(vals)))
         else:
             ranges.append((Fraction(-3), Fraction(3)))
@@ -400,6 +397,9 @@ def disengaged_split(cone: PolyhedralCone, ray_index: int) -> DisengagedSplit:
     ambient space; verified by mapping all generators through the
     coordinate change.
     """
+    if cone.dim < 2:
+        raise DimensionMismatch(
+            f"splitting along a ray needs a cone of dimension >= 2, got {cone.dim}")
     if not cone.pointed:
         raise NotPointed("splitting needs a pointed cone")
     if not cone.generating:

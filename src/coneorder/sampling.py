@@ -28,11 +28,11 @@ def rand_int_vec(rng: random.Random, dim: int, bound: int = 3) -> Vec:
     return as_vec(rng.randint(-bound, bound) for _ in range(dim))
 
 
-def cone_point(cone: PolyhedralCone, rng: random.Random, coeff_max: int = 4) -> Vec:
+def cone_point_ints(cone: PolyhedralCone, rng: random.Random, coeff_max: int = 4) -> list[int]:
     """Random cone member as an integer nonnegative combination of generators.
 
-    Accumulates in machine integers (the stored generators are integer
-    normalized), which keeps the exact membership tests on the fast path.
+    The stored generators are integer normalized, so the point is an integer
+    vector; each generator takes one ``getrandbits(20)`` draw, in order.
     """
     coords = [0] * cone.dim
     span = coeff_max + 1
@@ -42,7 +42,21 @@ def cone_point(cone: PolyhedralCone, rng: random.Random, coeff_max: int = 4) -> 
             for i, gi in enumerate(g):
                 if gi:
                     coords[i] += c * gi
-    return tuple(Fraction(x) for x in coords)
+    return coords
+
+
+def cone_point(cone: PolyhedralCone, rng: random.Random, coeff_max: int = 4) -> Vec:
+    """``cone_point_ints`` as an exact vector of Fractions."""
+    return tuple(map(Fraction, cone_point_ints(cone, rng, coeff_max)))
+
+
+def _rejection_pair(draw, leq, max_tries: int):
+    for _ in range(max_tries):
+        x = draw()
+        y = draw()
+        if not leq(x, y) and not leq(y, x):
+            return x, y
+    return None
 
 
 def incomparable_pair(cone: PolyhedralCone, rng: random.Random,
@@ -52,12 +66,15 @@ def incomparable_pair(cone: PolyhedralCone, rng: random.Random,
     None is returned when rejection sampling stalls, e.g. on totally
     ordered (one-dimensional) cones where no such pair exists.
     """
-    for _ in range(max_tries):
-        x = cone_point(cone, rng, coeff_max)
-        y = cone_point(cone, rng, coeff_max)
-        if not cone.leq(x, y) and not cone.leq(y, x):
-            return x, y
-    return None
+    return _rejection_pair(lambda: cone_point(cone, rng, coeff_max), cone.leq, max_tries)
+
+
+def incomparable_pair_ints(cone: PolyhedralCone, rng: random.Random,
+                           coeff_max: int = 4, max_tries: int = 200):
+    """``incomparable_pair`` on integer vectors: the same draws in the same
+    order, so the same pair or None."""
+    return _rejection_pair(lambda: cone_point_ints(cone, rng, coeff_max),
+                           cone._leq_ints, max_tries)
 
 
 def unimodular_matrix(rng: random.Random, n: int, steps: int = 8):

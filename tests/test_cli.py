@@ -3,9 +3,11 @@ from pathlib import Path
 
 import pytest
 
-from coneorder.cli import main
+from coneorder.cli import main, run_full_battery
 from coneorder.cones import square_cone
+from coneorder.iso import LinearIso
 from coneorder.linalg import as_vec
+from coneorder.serialize import canonical_dumps
 
 
 @pytest.fixture()
@@ -205,6 +207,39 @@ class TestCheckIso:
         golden = (DATA / f"{iso}.report.json").read_bytes()
         assert out.encode("utf-8") == golden
         assert code == json.loads(golden)["exit_code"]
+
+    def test_forged_rational_linear_report_matches_golden_bytes(self):
+        # A rational map on the square cone, given a wrong inverse, that no
+        # iso-spec file can carry (make_linear_iso validates both maps).  So
+        # it enters check-iso at run_full_battery, as the forged benchmark
+        # jobs do; its report holds violation pairs with denominators.
+        sq = square_cone()
+        m = [as_vec(r) for r in (("1", "1/3", "0"), ("-1/5", "1", "0"), ("0", "0", "3/2"))]
+        wrong = [as_vec(r) for r in (("1", "0", "0"), ("0", "1", "0"), ("0", "0", "2/3"))]
+        report = run_full_battery(sq, LinearIso(m, sq, sq, inverse=wrong), 500, 0)
+        report["command"] = "check-iso"
+        golden = (DATA / "square_rational.report.json").read_bytes()
+        assert canonical_dumps(report).encode("utf-8") == golden
+        assert report["exit_code"] == 4
+
+    def test_product_lift_affine_off_the_apex_is_nonlinear(self, files, capsys):
+        # The PWL-doubling lift on orthant(2) is t + 1 for t >= 1.  With seed
+        # 166666 every affine-fit point has t >= 1, so the fit is exact
+        # there; the apex, which the map fixes, refutes it.
+        iso = files["tmp"] / "lift2.json"
+        iso.write_text(json.dumps({"product_lift": {
+            "cone": {"dim": 2, "generators": [["1", "0"], ["0", "1"]]},
+            "ray_index": 0,
+            "ray_map": {"piecewise": {"breakpoints": [["0", "0"], ["1", "2"]]}},
+            "sub": {"linear": {"matrix": [["1"]],
+                               "source": {"dim": 1, "generators": [["1"]]},
+                               "target": {"dim": 1, "generators": [["1"]]}}}}}))
+        code, out, _ = run(capsys, "check-iso", files["orthant2"], str(iso),
+                           "--samples", "60", "--seed", "166666")
+        rep = json.loads(out)
+        assert rep["affine"]["affine"] is False
+        assert rep["verdict"] == "nonlinear"
+        assert code == rep["exit_code"] == 1
 
 
 class TestPsdCommands:

@@ -1,10 +1,11 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from coneorder.cones import cone_from_generators, interval_cone, orthant, square_cone
 from coneorder.errors import (
+    DimensionMismatch,
     NotColinear,
     NotConeMap,
     NotExtreme,
@@ -37,8 +38,8 @@ from coneorder.iso import (
     make_linear_iso,
     make_product_lift,
 )
-from coneorder.linalg import as_vec, vec_add, vec_scale
-from coneorder.sampling import cone_point, rng_for
+from coneorder.linalg import as_vec, invert_matrix, mat_vec, vec_add, vec_scale
+from coneorder.sampling import cone_point, random_pointed_cone, rng_for, unimodular_matrix
 
 
 def V(*xs):
@@ -214,6 +215,10 @@ class TestProductLift:
         with pytest.raises(NotConeMap):
             make_product_lift(orthant(3), 0, OddPowerMap(3), identity_iso(orthant(1)))
 
+    def test_dimension_one_refused(self):
+        with pytest.raises(DimensionMismatch, match="dimension >= 2, got 1$"):
+            make_product_lift(orthant(1), 0, OddPowerMap(3), identity_iso(orthant(1)))
+
 
 class TestComposeAndAffine:
     def test_compose_roundtrip(self):
@@ -288,6 +293,74 @@ class TestSampledBattery:
         for y1, y2 in report.inverse_violations[:3]:
             r1, r2 = forged.invert(y1), forged.invert(y2)
             assert o2.leq(y1, y2) and not o2.leq(r1, r2)
+
+
+def _linear_candidate(rng, cone, kind):
+    """A LinearIso on cone: the identity, a unimodular map onto the image
+    cone, or a rational matrix near the identity mapping cone to itself,
+    which in general is no order-isomorphism.  ``rational_bad_inverse``
+    pairs that matrix with a wrong inverse, so the round trip fails and
+    the battery records images with denominators."""
+    d = cone.dim
+    if kind == "identity":
+        return identity_iso(cone)
+    if kind == "unimodular":
+        u = unimodular_matrix(rng, d)
+        image = cone_from_generators(d, [mat_vec(u, g) for g in cone.generators])
+        return make_linear_iso(u, cone, image)
+    while True:
+        m = [[Fraction(rng.randint(-3, 3), rng.randint(1, 5)) + (i == j) for j in range(d)]
+             for i in range(d)]
+        if invert_matrix(m) is None:
+            continue
+        if kind == "rational":
+            return LinearIso(m, cone, cone)
+        inv = invert_matrix(m)
+        wrong = [[c * Fraction(rng.randint(2, 5), 3) for c in row] for row in inv]
+        return LinearIso(m, cone, cone, inverse=wrong)
+
+
+def _all_fractions(report):
+    pairs = report.order_preserving_violations + report.inverse_violations
+    return all(type(c) is Fraction for pair in pairs for v in pair for c in v)
+
+
+class TestSampledBatteryIntegerPath:
+    """A LinearIso runs the battery on integers; ComposeIso((spec,)) runs the
+    same spec through the Fraction path.  The reports must be equal."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(cone_seed=st.integers(0, 2**32 - 1),
+           dim=st.integers(1, 6),
+           kind=st.sampled_from(["identity", "unimodular", "rational", "rational_bad_inverse"]),
+           n=st.integers(1, 700).filter(lambda k: k % 256),
+           seed=st.integers(0, 2**20),
+           stop_early=st.booleans())
+    def test_matches_fraction_path(self, cone_seed, dim, kind, n, seed, stop_early):
+        rng = rng_for(cone_seed, "int-battery")
+        cone = random_pointed_cone(rng, dim, rng.randint(1, dim + 3))
+        spec = _linear_candidate(rng, cone, kind)
+        fast = check_order_iso_sampled(spec, n, seed, stop_early=stop_early)
+        ref = check_order_iso_sampled(compose_isos(spec), n, seed, stop_early=stop_early)
+        assert fast == ref
+        assert _all_fractions(fast)
+
+    def test_rational_violations_match(self):
+        # The map scales t by 3/2 but is given the inverse that scales it by
+        # 2/3 and leaves a, b alone, so round trips fail and the inverse
+        # violations are images with denominators.
+        sq = square_cone()
+        m = [V(1, Fraction(1, 3), 0), V(Fraction(-1, 5), 1, 0), V(0, 0, Fraction(3, 2))]
+        wrong = [V(1, 0, 0), V(0, 1, 0), V(0, 0, Fraction(2, 3))]
+        spec = LinearIso(m, sq, sq, inverse=wrong)
+        for stop_early in (False, True):
+            fast = check_order_iso_sampled(spec, 600, 3, stop_early=stop_early)
+            assert fast == check_order_iso_sampled(compose_isos(spec), 600, 3,
+                                                   stop_early=stop_early)
+            assert fast.verdict == "Violation" and _all_fractions(fast)
+            if not stop_early:
+                assert any(c.denominator != 1 for pair in fast.inverse_violations
+                           for v in pair for c in v)
 
 
 class TestLemmaIdentities:

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from coneorder.cones import cone_from_generators, interval_cone, orthant, square_cone
 from coneorder.errors import (
+    DimensionMismatch,
     NotComparable,
     NotGenerating,
     NotOrderUnit,
@@ -351,6 +352,12 @@ class TestDisengagedSplit:
         ray = cone_from_generators(2, [(1, 0)])
         with pytest.raises(NotGenerating):
             disengaged_split(ray, 0)
+
+    def test_dimension_one_refused_up_front(self):
+        # orthant(1)'s only ray is disengaged, but the complement would be a
+        # cone in dimension 0, which does not exist.
+        with pytest.raises(DimensionMismatch, match="dimension >= 2, got 1$"):
+            disengaged_split(orthant(1), 0)
 
     def test_split_is_exact_order_isomorphism_onto_product(self):
         # the coordinate map must preserve and reflect the order against the
