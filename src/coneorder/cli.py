@@ -90,10 +90,19 @@ def _parse_vec_arg(text: str, n: int):
     return [parse_rational(p.strip()) for p in parts]
 
 
+def _floats(values, text: str) -> np.ndarray:
+    """Rationals parsed from text as floats; one beyond the float range is a
+    parse error."""
+    try:
+        return np.array([float(c) for c in values])
+    except OverflowError as exc:
+        raise ParseError(f"{text!r} has an entry beyond the float range") from exc
+
+
 def _parse_matrix_arg(text: str, n: int | None):
     """Inline matrix syntax: 'diag:a,b,...', 'eye', 'proj:<vec>', or a file path."""
     if text.startswith("diag:"):
-        vals = [float(Fraction(p)) for p in text[5:].split(",")]
+        vals = _floats([parse_rational(p) for p in text[5:].split(",")], text)
         if n is not None and len(vals) != n:
             raise ParseError(f"diag has {len(vals)} entries, expected {n}")
         return psd_mod.SymMatrix(np.diag(vals))
@@ -104,7 +113,7 @@ def _parse_matrix_arg(text: str, n: int | None):
     if text.startswith("proj:"):
         if n is None:
             raise ParseError("'proj:' needs --n")
-        v = np.array([float(c) for c in _parse_vec_arg(text[5:], n)])
+        v = _floats(_parse_vec_arg(text[5:], n), text)
         nrm = np.linalg.norm(v)
         if nrm == 0:
             raise ParseError("cannot project on the zero vector")
@@ -382,7 +391,7 @@ def _cmd_psd(args):
     tol = psd_mod.DEFAULT_TOL if args.tol is None else psd_mod.PsdTolerance(args.tol, args.tol)
     base = {"command": f"psd-{args.psd_command}", "seed": args.seed, "samples": args.samples}
     if args.psd_command == "witness":
-        x = np.array([float(c) for c in _parse_vec_arg(args.x, args.n)])
+        x = _floats(_parse_vec_arg(args.x, args.n), args.x)
         nrm = float(np.linalg.norm(x))
         if nrm == 0:
             raise ParseError("witness direction cannot be zero")

@@ -26,7 +26,6 @@ from .linalg import (
     as_vec,
     identity_matrix,
     is_zero_vec,
-    mat_rank,
     normalize_ray,
     normalize_sign_free,
     primitive,
@@ -140,11 +139,14 @@ def _canonical_rays(rays, lineality) -> tuple[Vec, ...]:
     return tuple(sorted(out))
 
 
-def _dual_facets(dim: int, generators) -> tuple[Vec, ...]:
-    """Canonical facet list of cone(generators): extreme rays of the dual
-    cone plus a +/- pair for each direction orthogonal to the span."""
-    lin, rays = double_description(dim, generators)
-    return _canonical_rays(rays, lin)
+def _dual(dim: int, vectors) -> tuple[tuple[Vec, ...], bool]:
+    """Canonical generators of {x : <v, x> >= 0 for v in vectors} (extreme
+    rays plus a +/- pair per lineality direction) and whether it has no
+    lineality: the facets of cone(vectors) and whether that cone is
+    generating, or the generators of a facet system's cone and whether it
+    is pointed."""
+    lin, rays = double_description(dim, vectors)
+    return _canonical_rays(rays, lin), not lin
 
 
 @dataclass(frozen=True)
@@ -171,6 +173,10 @@ class PolyhedralCone:
     @cached_property
     def _gen_ints(self) -> tuple[tuple[int, ...], ...]:
         return tuple(tuple(int(c) for c in g) for g in self.generators)
+
+    @cached_property
+    def _generator_set(self) -> frozenset[Vec]:
+        return frozenset(self.generators)
 
     def _check_dim(self, x) -> Vec:
         if len(x) != self.dim:
@@ -205,14 +211,14 @@ class PolyhedralCone:
         return [i for i, row in enumerate(self._facet_ints) if not sum(map(mul, row, xi))]
 
     def is_extreme_vector(self, r) -> bool:
-        """True iff r spans an extreme ray: its tight facets have rank dim-1."""
+        """True iff r spans an extreme ray.  The generators of a pointed cone
+        are exactly its normalized extreme rays, so this is a set lookup."""
         r = self._check_dim(r)
         if not self.pointed:
             raise NotPointed("extreme vectors are only defined for pointed cones")
         if is_zero_vec(r) or not self.contains(r):
             raise NotInCone("extreme test needs a nonzero vector inside the cone")
-        tight = [self.facets[i] for i in self.tight_facets(r)]
-        return mat_rank(tight) == self.dim - 1
+        return normalize_ray(r) in self._generator_set
 
     def extreme_rays(self) -> tuple[Vec, ...]:
         if not self.pointed:
@@ -243,25 +249,6 @@ class PolyhedralCone:
         )
 
 
-def _build(dim: int, facet_system, facets=None) -> PolyhedralCone:
-    """Cone {x : <h, x> >= 0 for h in facet_system}, in canonical form.
-
-    A caller that already holds the canonical facet list passes it as
-    ``facets``; otherwise it is derived from the generators by a second DD.
-    """
-    lin, rays = double_description(dim, facet_system)
-    generators = _canonical_rays(rays, lin)
-    if facets is None:
-        facets = _dual_facets(dim, generators)
-    return PolyhedralCone(
-        dim=dim,
-        generators=generators,
-        facets=facets,
-        pointed=not lin,
-        generating=mat_rank(generators) == dim,
-    )
-
-
 def _validated(dim: int, vectors, what: str) -> list[Vec]:
     if dim < 1:
         raise DimensionMismatch("ambient dimension must be >= 1")
@@ -285,10 +272,11 @@ def cone_from_generators(dim: int, gens) -> PolyhedralCone:
     seen = sorted({normalize_ray(g) for g in gens})
     # The canonical facet list depends only on the cone: DD's lineality
     # basis and its ray representatives are fixed by the cone itself.  So
-    # these facets are also those of the minimal generators, and _build
-    # needs no third pass to re-derive them.
-    facets = _dual_facets(dim, seen)
-    return _build(dim, facets, facets)
+    # these facets are also those of the minimal generators, and no third
+    # pass is needed to re-derive them.
+    facets, generating = _dual(dim, seen)
+    generators, pointed = _dual(dim, facets)
+    return PolyhedralCone(dim, generators, facets, pointed, generating)
 
 
 def cone_from_facets(dim: int, facets) -> PolyhedralCone:
@@ -299,7 +287,9 @@ def cone_from_facets(dim: int, facets) -> PolyhedralCone:
     """
     fs = [f for f in _validated(dim, facets, "facet normal") if not is_zero_vec(f)]
     system = sorted({normalize_ray(f) for f in fs})
-    return _build(dim, system)
+    generators, pointed = _dual(dim, system)
+    facets, generating = _dual(dim, generators)
+    return PolyhedralCone(dim, generators, facets, pointed, generating)
 
 
 def orthant(dim: int) -> PolyhedralCone:

@@ -43,6 +43,7 @@ from .linalg import (
     is_zero_vec,
     mat_rank,
     mat_vec,
+    normalize_ray,
     rref,
     scaled_ints,
     solve,
@@ -767,16 +768,12 @@ def _require_domain(spec: IsoSpec, *points):
 
 def check_parallelogram(spec: IsoSpec, x, r, s) -> bool:
     """Exact test of f(x+r+s) - f(x+s) == f(x+r) - f(x) for extreme r, s on
-    distinct rays (signs allowed as in the sign-mixed extensions)."""
-    x, r, s = as_vec(x), as_vec(r), as_vec(s)
-    pr = _signed_extreme(spec.source_cone, r)
-    ps = _signed_extreme(spec.source_cone, s)
-    if mat_rank([pr, ps]) < 2:
-        raise SameRay("r and s must span distinct rays")
-    corners = (x, vec_add(x, r), vec_add(x, s), vec_add(vec_add(x, r), s))
-    _require_domain(spec, *corners)
-    f = [spec.eval(c) for c in corners]
-    return vec_sub(f[3], f[2]) == vec_sub(f[1], f[0])
+    distinct rays (signs allowed as in the sign-mixed extensions).
+
+    This is two-vector additivity rearranged, evaluated at the same four
+    points, so it is decided by check_additivity.
+    """
+    return check_additivity(spec, x, [r, s])
 
 
 def check_additivity(spec: IsoSpec, x, s_list) -> bool:
@@ -784,10 +781,10 @@ def check_additivity(spec: IsoSpec, x, s_list) -> bool:
     extreme vectors s_i on pairwise distinct rays."""
     x = as_vec(x)
     ss = [as_vec(s) for s in s_list]
-    reps = [_signed_extreme(spec.source_cone, s) for s in ss]
-    for i in range(len(reps)):
-        for j in range(i + 1, len(reps)):
-            if mat_rank([reps[i], reps[j]]) < 2:
+    rays = [normalize_ray(_signed_extreme(spec.source_cone, s)) for s in ss]
+    for i in range(len(rays)):
+        for j in range(i + 1, len(rays)):
+            if rays[i] == rays[j]:
                 raise SameRay(f"s_{i} and s_{j} lie on the same ray")
     total = x
     for s in ss:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .cones import PolyhedralCone, cone_from_generators, double_description
 from .errors import (
@@ -39,11 +40,11 @@ from .linalg import (
     mat_vec,
     normalize_ray,
     rref,
+    scaled_ints,
     transpose,
     unit_vec,
     vec_add,
     vec_dot,
-    vec_neg,
     vec_scale,
     vec_sub,
 )
@@ -71,6 +72,22 @@ class SupResult:
         return self.outcome == EXISTS
 
 
+def _bound_rows(cone: PolyhedralCone, points, upper: bool) -> list[tuple[int, ...]]:
+    """One homogenized constraint per facet h for the upper bounds z of the
+    points, <h, z> >= max <h, p> (lower bounds: <h, z> <= min <h, p>).
+
+    The points are scaled to integers by one common denominator den, so each
+    row is (den*h, -max <h, p>) in integers: a positive multiple of the
+    Fraction row, which leaves the double description unchanged.
+    """
+    d = cone.dim
+    flat, den = scaled_ints([c for p in points for c in p])
+    pts = [flat[i:i + d] for i in range(0, len(flat), d)]
+    sign, best = (1, max) if upper else (-1, min)
+    return [tuple(sign * den * c for c in h) + (-sign * best(sum(map(mul, h, p)) for p in pts),)
+            for h in cone._facet_ints]
+
+
 def _bound_vertices(cone: PolyhedralCone, points, upper: bool) -> list[Vec]:
     """Sorted vertices of the set of upper (lower) bounds of the points.
 
@@ -78,14 +95,7 @@ def _bound_vertices(cone: PolyhedralCone, points, upper: bool) -> list[Vec]:
     are vertices, rays with zero last coordinate are recession directions.
     """
     d = cone.dim
-    cons = []
-    for h in cone.facets:
-        vals = [vec_dot(h, p) for p in points]
-        if upper:
-            cons.append(tuple(h) + (-max(vals),))
-        else:
-            cons.append(tuple(-c for c in h) + (min(vals),))
-    cons.append(unit_vec(d + 1, d))
+    cons = _bound_rows(cone, points, upper) + [unit_vec(d + 1, d)]
     lin, rays = double_description(d + 1, cons)
     if lin:
         raise InternalInconsistency("bound polyhedron of a pointed cone has lineality")
@@ -141,9 +151,8 @@ def interval_sample(cone: PolyhedralCone, x, y, n: int, seed: int = 0) -> list[V
         return []
     d = cone.dim
     cons = []
-    for h in cone.facets:
-        cons.append(tuple(h) + (-vec_dot(h, x),))
-        cons.append(tuple(vec_neg(h)) + (vec_dot(h, y),))
+    for above_x, below_y in zip(_bound_rows(cone, [x], True), _bound_rows(cone, [y], False)):
+        cons += [above_x, below_y]
     cons.append(unit_vec(d + 1, d))
     lin, rays = double_description(d + 1, cons)
     verts = []
@@ -496,7 +505,8 @@ def extreme_halfline_check(cone: PolyhedralCone, apex, direction,
     [apex, apex + direction], at least two distinct points, and, when the
     direction decomposes over two or more distinct extreme rays, the
     resulting pair of interval points that can never be comparable.  Any
-    disagreement with the exact tight-facet rank test is a bug and raises
+    disagreement with the exact test (is the direction's ray among the
+    cone's canonical extreme generators) is a bug and raises
     InternalInconsistency.
     """
     apex = cone._check_dim(as_vec(apex))

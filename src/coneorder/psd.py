@@ -63,7 +63,10 @@ class SymMatrix:
         n = a.shape[0]
         if not MIN_N <= n <= MAX_N:
             raise DimensionMismatch(f"supported sizes are {MIN_N} <= n <= {MAX_N}")
-        scale = max(1.0, float(np.max(np.abs(a))))
+        peak = float(np.max(np.abs(a)))
+        if not math.isfinite(peak):
+            raise ValueError("matrix entries must be finite")
+        scale = max(1.0, peak)
         if float(np.max(np.abs(a - a.T))) >= 1e-14 * scale:
             raise NotSymmetric("asymmetry exceeds 1e-14 relative tolerance")
         sym = (a + a.T) / 2.0

@@ -252,7 +252,7 @@ def parse_matrix(obj) -> SymMatrix:
         raise ParseError("'rows' must be an n x n array")
     try:
         return SymMatrix(np.asarray(rows, dtype=float))
-    except ValueError as exc:
+    except (ValueError, TypeError, OverflowError) as exc:
         raise ParseError(f"bad matrix rows: {exc}") from exc
 
 

@@ -1,7 +1,9 @@
 """Independent brute-force oracles used to pin expected values.
 
 These deliberately avoid the production algorithms: extremality goes through
-LP feasibility instead of tight-facet ranks, ray/facet enumeration through
+LP feasibility and the tight-facet rank instead of a lookup among the stored
+generators, the parallelogram identity through its own four-corner formula
+instead of two-vector additivity, ray/facet enumeration through
 exhaustive subset solving instead of double description, suprema through
 exhaustive vertex enumeration, engagement through one linear solve per ray
 instead of one row reduction per cone, and eigendecompositions through
@@ -14,14 +16,19 @@ from itertools import combinations
 
 import numpy as np
 
+from coneorder.errors import SameRay
+from coneorder.iso import _require_domain, _signed_extreme
 from coneorder.linalg import (
+    as_vec,
     mat_rank,
     kernel_basis,
     normalize_ray,
     solve,
     transpose,
+    vec_add,
     vec_dot,
     vec_neg,
+    vec_sub,
 )
 from coneorder.lp import positive_combination
 from coneorder.order import CombinationCertificate, ExtremeRayReport, SeparatingFunctional
@@ -31,6 +38,34 @@ def is_extreme_among(gens, i) -> bool:
     """Generator i is extreme iff it is not a nonnegative combination of the others."""
     others = [g for j, g in enumerate(gens) if j != i]
     return positive_combination(others, gens[i]) is None
+
+
+def is_extreme_lp(gens, v) -> bool:
+    """v in a pointed cone(gens) spans an extreme ray iff it is not a
+    nonnegative combination of the generators off its own ray."""
+    ray = normalize_ray(v)
+    others = [g for g in gens if normalize_ray(g) != ray]
+    return positive_combination(others, v) is None
+
+
+def is_extreme_tight_rank(cone, r) -> bool:
+    """r in a pointed cone spans an extreme ray iff the facets tight at r
+    have rank dim - 1."""
+    return mat_rank([cone.facets[i] for i in cone.tight_facets(r)]) == cone.dim - 1
+
+
+def parallelogram_reference(spec, x, r, s) -> bool:
+    """f(x+r+s) - f(x+s) == f(x+r) - f(x) for extreme r, s on distinct rays,
+    with distinctness decided by a rank test."""
+    x, r, s = as_vec(x), as_vec(r), as_vec(s)
+    pr = _signed_extreme(spec.source_cone, r)
+    ps = _signed_extreme(spec.source_cone, s)
+    if mat_rank([pr, ps]) < 2:
+        raise SameRay("r and s must span distinct rays")
+    corners = (x, vec_add(x, r), vec_add(x, s), vec_add(vec_add(x, r), s))
+    _require_domain(spec, *corners)
+    f = [spec.eval(c) for c in corners]
+    return vec_sub(f[3], f[2]) == vec_sub(f[1], f[0])
 
 
 def minimal_generators(gens) -> list:

@@ -1,7 +1,11 @@
+import io
 import json
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 from coneorder.cli import main, run_full_battery
 from coneorder.cones import square_cone
@@ -80,6 +84,18 @@ class TestExtremeRays:
     def test_bad_file_exit_2(self, files, capsys):
         code, _, _ = run(capsys, "extreme-rays", str(files["tmp"] / "missing.json"))
         assert code == 2
+
+
+@pytest.mark.parametrize("cone,command", [
+    ("wedge", "hypothesis"),         # not pointed: a line along the third axis
+    ("flat", "hypothesis"),          # pointed, spans a plane of Q^3
+    ("flat", "extreme-rays"),
+])
+def test_cone_report_matches_golden_bytes(capsys, cone, command):
+    code, out, _ = run(capsys, command, str(DATA / f"{cone}.json"))
+    golden = (DATA / f"{cone}.{command}.report.json").read_bytes()
+    assert out.encode("utf-8") == golden
+    assert code == (0 if command == "extreme-rays" else 1)
 
 
 class TestClassify:
@@ -270,6 +286,21 @@ class TestPsdCommands:
                          "--q", "eye")
         assert code == 6
 
+    def test_diag_division_by_zero_exit_2(self, capsys):
+        code, out, err = run(capsys, "psd", "supcheck", "--n", "2", "--b", "diag:1/0,1")
+        assert code == 2 and out == ""
+        assert "bad rational '1/0'" in err
+
+    @pytest.mark.parametrize("entry", ["NaN", "1e400"])
+    def test_non_finite_matrix_file_exit_2(self, capsys, tmp_path, entry):
+        path = tmp_path / "m.json"
+        path.write_text('{"n":2,"rows":[[1,0],[0,%s]]}' % entry)
+        for argv in (["supcheck", "--b", str(path)],
+                     ["conj", "--n", "2", "--a", "eye", "--q", str(path)]):
+            code, out, err = run(capsys, "psd", *argv, "--samples", "50")
+            assert code == 2 and out == ""
+            assert "matrix entries must be finite" in err
+
     def test_approx_csv_output(self, files, capsys, tmp_path):
         out_path = tmp_path / "table.csv"
         code, _, _ = run(capsys, "psd", "approx", "--a", "diag:1,1", "--n", "2",
@@ -352,3 +383,68 @@ def test_unwritable_out_exit_2(files, capsys, tmp_path):
     code, out, err = run(capsys, "psd", "approx", "--a", "eye", "--n", "2",
                          "--out", str(target))
     assert code == 2 and out == ""
+
+
+# Fuzzing of the psd commands at the CLI boundary: every input gives an exit
+# code from the table in coneorder.cli and never an escaping exception.
+EXIT_CODES = {0, 1, 2, 3, 4, 5, 6}
+
+_json_entry = st.one_of(
+    st.sampled_from(["NaN", "Infinity", "-Infinity", "1e400", "-1e400", "1" + "0" * 400,
+                     "true", "false", "null", '"x"', '"1"', "{}", "[]", "[1]", "1e-400"]),
+    st.integers(-3, 3).map(str),
+    st.floats(-1e3, 1e3).map(repr),
+)
+
+
+def _json_list(items):
+    return "[" + ",".join(items) + "]"
+
+
+_ragged_rows = st.lists(st.lists(_json_entry, max_size=4).map(_json_list), max_size=4)
+_symmetric_rows = st.integers(1, 4).flatmap(lambda n: st.lists(
+    _json_entry, min_size=n * n, max_size=n * n).map(
+    lambda v: [_json_list(v[min(i, j) * n + max(i, j)] for j in range(n)) for i in range(n)]))
+_n_token = st.sampled_from(["2", "3", "4", "0", "-1", "9", "true", "null", '"2"', "2.0"])
+
+
+@st.composite
+def _matrix_text(draw):
+    rows = _json_list(draw(st.one_of(_ragged_rows, _symmetric_rows)))
+    n = draw(st.one_of(_n_token, st.just(str(rows.count("[") - 1))))
+    text = '{"n":%s,"rows":%s}' % (n, rows)
+    if draw(st.booleans()) and draw(st.booleans()):
+        text = text[:draw(st.integers(0, len(text)))]
+    return text
+
+
+_diag_token = st.one_of(
+    st.sampled_from(["1", "0", "-1", "1/2", "3/-4", "1/0", "0/0", "1e400", "-1e400",
+                     "1e-400", "1e308", "nan", "inf", "abc", "", " 2", "2.5", "0x1"]),
+    st.integers(-5, 5).map(str),
+)
+_diag_text = st.lists(_diag_token, max_size=4).map(lambda ts: "diag:" + ",".join(ts))
+
+
+@given(st.data())
+def test_psd_commands_fuzzed_exit_codes(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        def matrix_arg():
+            if data.draw(st.booleans()):
+                return data.draw(_diag_text)
+            path = Path(tmp) / f"m{len(list(Path(tmp).iterdir()))}.json"
+            path.write_text(data.draw(_matrix_text()))
+            return str(path)
+
+        command = data.draw(st.sampled_from(["supcheck", "conj", "approx"]))
+        if command == "supcheck":
+            argv = ["supcheck", "--b", matrix_arg()]
+        elif command == "conj":
+            argv = ["conj", "--a", matrix_arg(), "--q", matrix_arg()]
+        else:
+            argv = ["approx", "--a", matrix_arg(), "--kmax", "2"]
+        if data.draw(st.booleans()):
+            argv += ["--n", str(data.draw(st.integers(1, 4)))]
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            code = main(["psd", *argv, "--samples", "3"])
+    assert code in EXIT_CODES

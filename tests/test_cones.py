@@ -1,10 +1,11 @@
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import assume, given, strategies as st
 
 from coneorder.cones import (
-    _dual_facets,
+    _dual,
     cone_from_facets,
     cone_from_generators,
     double_description,
@@ -33,6 +34,8 @@ from oracles import (
     cone_bruteforce,
     facets_from_rays_bruteforce,
     is_extreme_among,
+    is_extreme_lp,
+    is_extreme_tight_rank,
     minimal_generators,
     rays_from_facets_bruteforce,
 )
@@ -185,18 +188,39 @@ class TestExtremeVectors:
             orthant(2).is_extreme_vector(V(0, 0))
 
     def test_rank_test_agrees_with_lp_oracle_on_random_cones(self):
+        # The generator lookup against the tight-facet rank test and the LP
+        # oracle, on generating and non-generating pointed cones, for the
+        # generators, rational multiples and negations of them, and sums of
+        # two of them.
         rng = rng_for(3, "extreme")
-        for trial in range(25):
-            cone = random_pointed_cone(rng, rng.randint(2, 4), rng.randint(3, 6))
+        checked = 0
+        for trial in range(50):
+            dim = rng.randint(2, 4)
+            if trial % 2:
+                cone = random_pointed_cone(rng, dim, rng.randint(3, 6))
+            else:
+                cone = _random_cone_in_subspace(rng, dim, rng.randint(1, dim - 1))
+                if not cone.pointed:
+                    continue
             gens = cone.generators
+            cands = []
             for i, g in enumerate(gens):
-                assert cone.is_extreme_vector(g), "stored generators are extreme"
                 assert is_extreme_among(gens, i)
-            if len(gens) >= 2:
-                mix = vec_add(gens[0], gens[1])
-                assert cone.is_extreme_vector(mix) == is_extreme_among(
-                    list(gens) + [mix], len(gens)
-                )
+                lam = Fraction(rng.randint(1, 9), rng.randint(1, 9))
+                cands += [g, vec_scale(lam, g), vec_neg(g)]
+            cands += [vec_add(g, h) for g, h in combinations(gens, 2)]
+            for v in cands:
+                if not cone.contains(v):
+                    with pytest.raises(NotInCone):
+                        cone.is_extreme_vector(v)
+                    with pytest.raises(NotInCone):
+                        is_extreme_tight_rank(cone, v)
+                    continue
+                want = is_extreme_lp(gens, v)
+                assert is_extreme_tight_rank(cone, v) == want
+                assert cone.is_extreme_vector(v) == want
+                checked += 1
+        assert checked > 100
 
     def test_scaled_generator_is_still_extreme(self):
         sq = square_cone()
@@ -295,25 +319,7 @@ class TestRoundTrip:
             assert list(cone.facets) == facets_from_rays_bruteforce(dim, cone.generators)
 
     def test_double_description_against_bruteforce_on_general_systems(self):
-        # dims up to 6: facet systems of non-generating cones (which carry
-        # +/- pairs), bare systems with lineality, and duplicated +/-h rows
-        rng = rng_for(23, "ddgeneral")
-        for trial in range(60):
-            dim = 2 + trial % 5
-            kind = trial % 3
-            if kind == 0:
-                cone = _random_cone_in_subspace(rng, dim, rng.randint(1, dim - 1))
-                system = list(cone.facets)
-            elif kind == 1:
-                system = [V(*(rng.randint(-2, 2) for _ in range(dim)))
-                          for _ in range(rng.randint(1, dim))]
-            else:
-                cone = random_pointed_cone(rng, dim, rng.randint(dim, dim + 2))
-                while len(cone.facets) > 10:  # bounds the oracle's subset count
-                    cone = random_pointed_cone(rng, dim, dim)
-                system = list(cone.facets)
-                system += [vec_neg(system[0]), vec_scale(2, system[-1]), system[-1]]
-                rng.shuffle(system)
+        for dim, system in _general_systems():
             lin, rays = double_description(dim, system)
             lin_o, rays_o = cone_bruteforce(dim, system)
             assert all(normalize_ray(r) == r for r in rays)  # primitive integer rays
@@ -328,6 +334,18 @@ class TestRoundTrip:
             assert len(rays) == len(rays_o)
             assert sorted(values(r) for r in rays) == sorted(values(r) for r in rays_o)
 
+    def test_pointed_and_generating_against_rank(self):
+        # The flags read off the two DD passes against mat_rank: {x : Ax >= 0}
+        # is pointed iff rank A = dim, and cone(A) is generating iff rank A = dim.
+        for dim, system in _general_systems():
+            full = mat_rank(system) == dim
+            by_facets = cone_from_facets(dim, system)
+            assert by_facets.pointed == full
+            assert by_facets.generating == (mat_rank(by_facets.generators) == dim)
+            by_gens = cone_from_generators(dim, system)
+            assert by_gens.generating == full
+            assert by_gens.pointed == (mat_rank(by_gens.facets) == dim)
+
     def test_dropped_third_pass_on_non_generating_cones(self):
         # cone_from_generators reuses the facets of its first DD pass; they
         # must equal the facets re-derived from the minimal generators
@@ -336,7 +354,31 @@ class TestRoundTrip:
             dim = rng.randint(2, 6)
             cone = _random_cone_in_subspace(rng, dim, rng.randint(1, dim - 1))
             assert not cone.generating
-            assert cone.facets == _dual_facets(dim, cone.generators)
+            assert cone.facets == _dual(dim, cone.generators)[0]
+
+
+def _general_systems():
+    """(dim, system) pairs for dims 2-6: facet systems of non-generating cones
+    (which carry +/- pairs), bare systems with lineality, and duplicated +/-h
+    rows."""
+    rng = rng_for(23, "ddgeneral")
+    for trial in range(60):
+        dim = 2 + trial % 5
+        kind = trial % 3
+        if kind == 0:
+            cone = _random_cone_in_subspace(rng, dim, rng.randint(1, dim - 1))
+            system = list(cone.facets)
+        elif kind == 1:
+            system = [V(*(rng.randint(-2, 2) for _ in range(dim)))
+                      for _ in range(rng.randint(1, dim))]
+        else:
+            cone = random_pointed_cone(rng, dim, rng.randint(dim, dim + 2))
+            while len(cone.facets) > 10:  # bounds the oracle's subset count
+                cone = random_pointed_cone(rng, dim, dim)
+            system = list(cone.facets)
+            system += [vec_neg(system[0]), vec_scale(2, system[-1]), system[-1]]
+            rng.shuffle(system)
+        yield dim, system
 
 
 def _random_cone_in_subspace(rng, dim, rank):

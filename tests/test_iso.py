@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from coneorder.cones import cone_from_generators, interval_cone, orthant, square_cone
 from coneorder.errors import (
+    ConeOrderError,
     DimensionMismatch,
     NotColinear,
     NotConeMap,
@@ -40,6 +41,8 @@ from coneorder.iso import (
 )
 from coneorder.linalg import as_vec, invert_matrix, mat_vec, vec_add, vec_scale
 from coneorder.sampling import cone_point, random_pointed_cone, rng_for, unimodular_matrix
+
+from oracles import parallelogram_reference
 
 
 def V(*xs):
@@ -389,6 +392,73 @@ class TestLemmaIdentities:
             check_parallelogram(spec, V(0, 0), V(1, 0), V(2, 0))
         with pytest.raises(OutOfDomain):
             check_parallelogram(spec, V(-5, -5), V(1, 0), V(0, 1))
+
+    def test_same_ray_names_the_first_pair(self):
+        # s_0 ~ s_3 and s_1 ~ s_2: the (i, j) loop reaches (0, 3) first
+        spec = identity_iso(orthant(3))
+        e1, e2 = V(1, 0, 0), V(0, 1, 0)
+        with pytest.raises(SameRay, match="s_0 and s_3 lie on the same ray"):
+            check_additivity(spec, V(0, 0, 0), [e1, e2, vec_scale(2, e2), vec_scale(3, e1)])
+        with pytest.raises(SameRay, match="s_0 and s_1 lie on the same ray"):
+            check_parallelogram(spec, V(0, 0, 0), e2, vec_scale(Fraction(1, 2), e2))
+
+    def test_not_extreme_wins_over_same_ray(self):
+        spec = identity_iso(orthant(3))
+        e1 = V(1, 0, 0)
+        with pytest.raises(NotExtreme):
+            check_additivity(spec, V(0, 0, 0), [e1, e1, V(1, 1, 0)])
+        with pytest.raises(NotExtreme):
+            check_parallelogram(spec, V(0, 0, 0), e1, V(0, 1, 1))
+
+    def test_parallelogram_against_four_corner_formula(self):
+        # check_parallelogram goes through two-vector additivity; the reference
+        # evaluates the four corners directly.  Lift, odd-power and linear
+        # specs; extreme, negated, non-extreme and same-ray directions; points
+        # in and out of the domain.
+        ic, o2, o3, sq = interval_cone(), orthant(2), orthant(3), square_cone()
+        pwl = PiecewiseLinearMap(((Fraction(0), Fraction(0)), (Fraction(1), Fraction(2))))
+        m = unimodular_matrix(rng_for(4, "par-diff"), 3)
+        specs = [
+            make_product_lift(ic, 1, pwl, identity_iso(orthant(1))),
+            make_product_lift(o3, 0, OddPowerMap(3), identity_iso(o2)),
+            cube_iso(),
+            cube_iso_3d(),
+            make_linear_iso([[0, -1, 0], [1, 0, 0], [0, 0, 1]], sq, sq),
+            # a forged odd-power map over three of the square's four rays: no
+            # order-isomorphism, so the identity fails on some configurations
+            DiagonalIso(sq, sq.generators[:3], [OddPowerMap(3)] * 3, sq.generators[:3], sq),
+            make_linear_iso(m, o3, cone_from_generators(3, [mat_vec(m, g) for g in o3.generators])),
+        ]
+        rng = rng_for(31, "par-diff")
+        outcomes = set()
+        for trial in range(400):
+            spec = specs[trial % len(specs)]
+            src = spec.source_cone
+            gens = src.generators
+            x = vec_add(spec.source_base, cone_point(src, rng))
+            if rng.random() < 0.2:
+                x = vec_scale(-3, x)
+
+            def direction():
+                g = gens[rng.randrange(len(gens))]
+                pick = rng.random()
+                if pick < 0.15:
+                    return vec_add(g, gens[rng.randrange(len(gens))])
+                sign = -1 if pick < 0.3 else 1
+                return vec_scale(sign * Fraction(rng.randint(1, 6), rng.randint(1, 3)), g)
+
+            r, s = direction(), direction()
+            try:
+                want = parallelogram_reference(spec, x, r, s)
+            except ConeOrderError as exc:
+                want = type(exc)
+            try:
+                got = check_parallelogram(spec, x, r, s)
+            except ConeOrderError as exc:
+                got = type(exc)
+            assert got == want, (trial, x, r, s)
+            outcomes.add(want)
+        assert {True, False, SameRay, NotExtreme, OutOfDomain} <= outcomes
 
     def test_parallelogram_with_negative_extremes(self):
         spec = cube_iso()

@@ -51,6 +51,15 @@ class TestSymMatrix:
         with pytest.raises(NotSymmetric):
             SymMatrix([[1.0, 0.5], [0.6, 2.0]])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_entries_rejected(self, bad):
+        # NaN compares false with everything, so without this check it would
+        # pass the asymmetry test and reach every verdict
+        with pytest.raises(ValueError, match="matrix entries must be finite"):
+            SymMatrix([[1.0, 0.0], [0.0, bad]])
+        with pytest.raises(ValueError, match="matrix entries must be finite"):
+            SymMatrix([[1.0, bad], [bad, 1.0]])
+
     def test_size_limits(self):
         with pytest.raises(DimensionMismatch):
             SymMatrix([[1.0]])
