@@ -99,6 +99,18 @@ def _floats(values, text: str) -> np.ndarray:
         raise ParseError(f"{text!r} has an entry beyond the float range") from exc
 
 
+def _unit(v: np.ndarray, text: str, zero_message: str) -> np.ndarray:
+    """v scaled to norm 1; a zero vector, or one whose norm overflows the
+    float range, is a parse error."""
+    with np.errstate(over="ignore"):
+        nrm = float(np.linalg.norm(v))
+    if nrm == 0:
+        raise ParseError(zero_message)
+    if not np.isfinite(nrm):
+        raise ParseError(f"the norm of {text!r} overflows the float range")
+    return v / nrm
+
+
 def _parse_matrix_arg(text: str, n: int | None):
     """Inline matrix syntax: 'diag:a,b,...', 'eye', 'proj:<vec>', or a file path."""
     if text.startswith("diag:"):
@@ -114,10 +126,7 @@ def _parse_matrix_arg(text: str, n: int | None):
         if n is None:
             raise ParseError("'proj:' needs --n")
         v = _floats(_parse_vec_arg(text[5:], n), text)
-        nrm = np.linalg.norm(v)
-        if nrm == 0:
-            raise ParseError("cannot project on the zero vector")
-        return psd_mod.rank_one_projection(v / nrm)
+        return psd_mod.rank_one_projection(_unit(v, text, "cannot project on the zero vector"))
     return parse_matrix(load_json(text))
 
 
@@ -391,13 +400,11 @@ def _cmd_psd(args):
     tol = psd_mod.DEFAULT_TOL if args.tol is None else psd_mod.PsdTolerance(args.tol, args.tol)
     base = {"command": f"psd-{args.psd_command}", "seed": args.seed, "samples": args.samples}
     if args.psd_command == "witness":
-        x = _floats(_parse_vec_arg(args.x, args.n), args.x)
-        nrm = float(np.linalg.norm(x))
-        if nrm == 0:
-            raise ParseError("witness direction cannot be zero")
-        w = psd_mod.engagement_witness(x / nrm, tol)
+        x = _unit(_floats(_parse_vec_arg(args.x, args.n), args.x), args.x,
+                  "witness direction cannot be zero")
+        w = psd_mod.engagement_witness(x, tol)
         base.update({
-            "x": [float(c) for c in x / nrm],
+            "x": [float(c) for c in x],
             "y": [float(c) for c in w.y],
             "z": [float(c) for c in w.z],
             "w": [float(c) for c in w.w],

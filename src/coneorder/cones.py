@@ -178,6 +178,13 @@ class PolyhedralCone:
     def _generator_set(self) -> frozenset[Vec]:
         return frozenset(self.generators)
 
+    @cached_property
+    def _engagement(self) -> tuple:
+        """The reports of ``order.classify_engaged``, computed once per cone."""
+        from .order import _classify_engaged
+
+        return tuple(_classify_engaged(self))
+
     def _check_dim(self, x) -> Vec:
         if len(x) != self.dim:
             raise DimensionMismatch(f"expected length {self.dim}, got {len(x)}")

@@ -8,6 +8,12 @@ inclusions exactly; the sampled battery can only ever report
 "PassedSampling", never "is an isomorphism", so constructed kinds carry
 their constructive certificate instead.
 
+Every kind and every scalar bijection has one implementation, on scaled
+integers: a vector is a pair (ints, den) of Python ints with den > 0, as
+``linalg.scaled_ints`` makes it, and a scalar a pair (n, d).  ``eval`` and
+``invert`` scale their input, run that core and return Fractions; the
+sampled battery stays on the pairs from draw to verdict.
+
 Two numeric regimes coexist: affine and piecewise-linear components are
 exact rationals end to end, odd-power components have exact forward
 evaluation but approximate inversion, flagged through ``spec.exact`` and
@@ -18,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
+from math import gcd, lcm
 from operator import add, mul
 from typing import Callable, NamedTuple
 
@@ -39,8 +46,10 @@ from .linalg import (
     ZERO,
     as_vec,
     frac,
+    independent_subset,
     invert_matrix,
     is_zero_vec,
+    kernel_basis,
     mat_rank,
     mat_vec,
     normalize_ray,
@@ -49,38 +58,79 @@ from .linalg import (
     solve,
     transpose,
     vec_add,
-    vec_dot,
     vec_neg,
     vec_scale,
     vec_sub,
     zero_vec,
 )
 from .order import DisengagedSplit, disengaged_split
-from .sampling import (
-    cone_point,
-    cone_point_ints,
-    incomparable_pair,
-    incomparable_pair_ints,
-    rng_for,
-)
+# cone_point stays importable from this module, where perfbench's tracer
+# test looks for it as an alias of the sampler.
+from .sampling import cone_point, cone_point_ints, incomparable_pair_ints, rng_for  # noqa: F401
+
+# A vector as scaled integers: (ints, den) stands for ints / den, den > 0.
+Scaled = tuple[list[int], int]
+
+
+def _fractions(v: Scaled) -> Vec:
+    ints, den = v
+    return tuple(Fraction(c, den) for c in ints)
+
+
+def _minus(x: Scaled, a: Scaled) -> Scaled:
+    """x - a on scaled vectors."""
+    (xi, xd), (ai, ad) = x, a
+    if xd == ad:
+        return [p - q for p, q in zip(xi, ai)], xd
+    return [p * ad - q * xd for p, q in zip(xi, ai)], xd * ad
+
+
+def _plus(x: Scaled, a: Scaled) -> Scaled:
+    """x + a on scaled vectors."""
+    (xi, xd), (ai, ad) = x, a
+    if xd == ad:
+        return list(map(add, xi, ai)), xd
+    return [p * ad + q * xd for p, q in zip(xi, ai)], xd * ad
+
 
 # ---------------------------------------------------------------------------
 # One-dimensional strictly increasing bijections
 
 
 class MonotoneBijection:
-    """Strictly increasing bijection of the real line with rational evaluation."""
+    """Strictly increasing bijection of the real line with rational evaluation.
+
+    Each kind implements ``_eval_ints``/``_invert_ints`` on a scalar n/d,
+    d > 0, returning (numerator, positive denominator); calling the map and
+    ``invert`` wrap them for Fractions.
+    """
 
     exact: bool = True
 
-    def __call__(self, t: Fraction) -> Fraction:
+    def _eval_ints(self, n: int, d: int) -> tuple[int, int]:
         raise NotImplementedError
 
-    def invert(self, u: Fraction) -> Fraction:
+    def _invert_ints(self, n: int, d: int) -> tuple[int, int]:
         raise NotImplementedError
+
+    def __call__(self, t: Fraction) -> Fraction:
+        t = frac(t)
+        return Fraction(*self._eval_ints(t.numerator, t.denominator))
+
+    def invert(self, u: Fraction) -> Fraction:
+        u = frac(u)
+        return Fraction(*self._invert_ints(u.numerator, u.denominator))
 
     def fixes_zero(self) -> bool:
         return self(ZERO) == 0
+
+
+def _affine_ints(slope: Fraction, intercept: Fraction) -> tuple[int, int, int]:
+    """(a, b, c) with slope*t + intercept == (a*t + b) / c and a, c > 0, so
+    t = n/d maps to (a*n + b*d) / (c*d) and u = n/d back to
+    (c*n - b*d) / (a*d)."""
+    (a, b), c = scaled_ints((slope, intercept))
+    return a, b, c
 
 
 @dataclass(frozen=True)
@@ -93,15 +143,31 @@ class AffineMap(MonotoneBijection):
         object.__setattr__(self, "intercept", frac(self.intercept))
         if self.slope <= 0:
             raise ValueError("affine bijection needs a positive slope")
+        object.__setattr__(self, "_abc", _affine_ints(self.slope, self.intercept))
 
-    def __call__(self, t):
-        return self.slope * frac(t) + self.intercept
+    def _eval_ints(self, n, d):
+        a, b, c = self._abc
+        return a * n + b * d, c * d
 
-    def invert(self, u):
-        return (frac(u) - self.intercept) / self.slope
+    def _invert_ints(self, n, d):
+        a, b, c = self._abc
+        return c * n - b * d, a * d
 
 
 IDENTITY_MAP = AffineMap(Fraction(1), ZERO)
+
+
+def _piece(n: int, d: int, knots: list[int], kden: int) -> int:
+    """Which piece of a piecewise-linear map holds n/d, for knots/kden
+    strictly increasing: 0 left of the first knot (inclusive), len(knots)
+    right of the last (inclusive), else k for the first segment
+    [knots[k-1], knots[k]] that holds it."""
+    t = n * kden
+    if t <= knots[0] * d:
+        return 0
+    if t >= knots[-1] * d:
+        return len(knots)
+    return next(k for k in range(1, len(knots)) if t <= knots[k] * d)
 
 
 @dataclass(frozen=True)
@@ -123,30 +189,23 @@ class PiecewiseLinearMap(MonotoneBijection):
         for (x0, y0), (x1, y1) in zip(bps, bps[1:]):
             if x1 <= x0 or y1 <= y0:
                 raise ValueError("breakpoints must be strictly increasing in both coordinates")
+        # Piece k is the affine map slope*t + (y0 - slope*x0) through one
+        # breakpoint: the left tail, each segment in order, the right tail.
+        ends = [bps[0]] + list(bps[:-1]) + [bps[-1]]
+        slopes = ([Fraction(1)] + [(y1 - y0) / (x1 - x0) for (x0, y0), (x1, y1)
+                                   in zip(bps, bps[1:])] + [Fraction(1)])
+        object.__setattr__(self, "_pieces", tuple(
+            _affine_ints(s, y0 - s * x0) for s, (x0, y0) in zip(slopes, ends)))
+        object.__setattr__(self, "_xs", scaled_ints([x for x, _ in bps]))
+        object.__setattr__(self, "_ys", scaled_ints([y for _, y in bps]))
 
-    def __call__(self, t):
-        t = frac(t)
-        bps = self.breakpoints
-        if t <= bps[0][0]:
-            return bps[0][1] + (t - bps[0][0])
-        if t >= bps[-1][0]:
-            return bps[-1][1] + (t - bps[-1][0])
-        for (x0, y0), (x1, y1) in zip(bps, bps[1:]):
-            if x0 <= t <= x1:
-                return y0 + (t - x0) * (y1 - y0) / (x1 - x0)
-        raise AssertionError("unreachable")
+    def _eval_ints(self, n, d):
+        a, b, c = self._pieces[_piece(n, d, *self._xs)]
+        return a * n + b * d, c * d
 
-    def invert(self, u):
-        u = frac(u)
-        bps = self.breakpoints
-        if u <= bps[0][1]:
-            return bps[0][0] + (u - bps[0][1])
-        if u >= bps[-1][1]:
-            return bps[-1][0] + (u - bps[-1][1])
-        for (x0, y0), (x1, y1) in zip(bps, bps[1:]):
-            if y0 <= u <= y1:
-                return x0 + (u - y0) * (x1 - x0) / (y1 - y0)
-        raise AssertionError("unreachable")
+    def _invert_ints(self, n, d):
+        a, b, c = self._pieces[_piece(n, d, *self._ys)]
+        return c * n - b * d, a * d
 
 
 def _int_nth_root(m: int, k: int) -> int | None:
@@ -179,20 +238,21 @@ class OddPowerMap(MonotoneBijection):
     def exact(self) -> bool:  # type: ignore[override]
         return self.exponent == 1
 
-    def __call__(self, t):
-        return frac(t) ** self.exponent
+    def _eval_ints(self, n, d):
+        return n ** self.exponent, d ** self.exponent
 
-    def invert(self, u):
-        u = frac(u)
-        if self.exponent == 1:
-            return u
-        sign = -1 if u < 0 else 1
-        p, q = abs(u.numerator), u.denominator
-        rp = _int_nth_root(p, self.exponent)
-        rq = _int_nth_root(q, self.exponent)
-        if rp is not None and rq is not None:
-            return Fraction(sign * rp, rq)
-        return Fraction(sign) * Fraction(float(abs(u)) ** (1.0 / self.exponent))
+    def _invert_ints(self, n, d):
+        k = self.exponent
+        if k == 1:
+            return n, d
+        # Perfect powers are recognised on the reduced fraction only.
+        g = gcd(n, d)
+        p, q = abs(n) // g, d // g
+        rp, rq = _int_nth_root(p, k), _int_nth_root(q, k)
+        if rp is None or rq is None:
+            # p / q is correctly rounded, the same float as float(Fraction(p, q))
+            rp, rq = ((p / q) ** (1.0 / k)).as_integer_ratio()
+        return (-rp if n < 0 else rp), rq
 
 
 # ---------------------------------------------------------------------------
@@ -200,8 +260,8 @@ class OddPowerMap(MonotoneBijection):
 
 
 class _IntMatrix:
-    """Rational matrix stored as integer rows over a common denominator so
-    application to a vector runs in machine/big integers."""
+    """Rational matrix stored as integer rows over a common denominator, so
+    that applied to integers x it gives the integers rows·x over den."""
 
     __slots__ = ("den", "rows")
 
@@ -210,10 +270,48 @@ class _IntMatrix:
         it = iter(ints)
         self.rows = tuple(tuple(islice(it, len(row))) for row in matrix)
 
-    def apply(self, x: Vec) -> Vec:
-        xi, xd = scaled_ints(x)
-        total_den = self.den * xd
-        return tuple(Fraction(sum(map(mul, row, xi)), total_den) for row in self.rows)
+    def apply(self, xi) -> list[int]:
+        return [sum(map(mul, row, xi)) for row in self.rows]
+
+
+def _columns(frame, dim: int) -> _IntMatrix:
+    """The matrix whose columns are the frame's vectors: applied to weights
+    it gives sum weights[k] * frame[k]."""
+    return _IntMatrix([[w[i] for w in frame] for i in range(dim)])
+
+
+class _FrameCoords:
+    """Coordinates over a frame as integer rows.
+
+    For x in the span of the frame, lam = rows·x / den solves
+    sum lam_k frame[k] = x the way ``linalg.solve`` does: a frame vector in
+    the span of the ones before it gets coordinate 0.  x is in the span
+    iff every row of ``normals`` (a basis of its orthogonal complement)
+    vanishes on it.
+    """
+
+    __slots__ = ("coords", "normals")
+
+    def __init__(self, frame, dim: int):
+        keep = independent_subset(frame)
+        basis = [frame[k] for k in keep]
+        # The pivot coordinates of the independent part make an invertible
+        # square block; its inverse reads lam off those coordinates of x.
+        rows = rref(basis)[1]
+        block = invert_matrix([[v[r] for v in basis] for r in rows])
+        coords = [[ZERO] * dim for _ in frame]
+        for j, k in enumerate(keep):
+            for i, r in enumerate(rows):
+                coords[k][r] = block[j][i]
+        self.coords = _IntMatrix(coords)
+        self.normals = _IntMatrix(kernel_basis(basis, dim)).rows
+
+    def solve(self, xi) -> list[int]:
+        """lam * den for integers xi in the span; OutOfDomain off it."""
+        for row in self.normals:
+            if sum(map(mul, row, xi)):
+                raise OutOfDomain("point outside the span of the frame")
+        return self.coords.apply(xi)
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +319,13 @@ class _IntMatrix:
 
 
 class IsoSpec:
-    """Common surface of all candidate order-isomorphism descriptions."""
+    """Common surface of all candidate order-isomorphism descriptions.
+
+    A kind implements ``_eval_ints``/``_invert_ints`` on scaled vectors,
+    raising OutOfDomain outside the domain.  Every kind binds the Fraction
+    wrappers ``eval``/``invert`` in its own namespace, so they can be
+    replaced (traced, stubbed) for one kind alone.
+    """
 
     source_cone: PolyhedralCone
     target_cone: PolyhedralCone
@@ -249,11 +353,19 @@ class IsoSpec:
             return self.target_cone.contains(y)
         return self.target_cone.contains(vec_sub(y, self.target_base))
 
-    def eval(self, x) -> Vec:
+    def _eval_ints(self, x: Scaled) -> Scaled:
         raise NotImplementedError
 
-    def invert(self, y) -> Vec:
+    def _invert_ints(self, y: Scaled) -> Scaled:
         raise NotImplementedError
+
+    def eval(self, x) -> Vec:
+        """Exact image of x; OutOfDomain outside the source domain."""
+        return _fractions(self._eval_ints(scaled_ints(self.source_cone._check_dim(as_vec(x)))))
+
+    def invert(self, y) -> Vec:
+        """Exact preimage (approximate for odd-power components, see exact)."""
+        return _fractions(self._invert_ints(scaled_ints(self.target_cone._check_dim(as_vec(y)))))
 
 
 class LinearIso(IsoSpec):
@@ -272,17 +384,20 @@ class LinearIso(IsoSpec):
         self._fwd = _IntMatrix(self.matrix)
         self._bwd = _IntMatrix(inv)
 
-    def eval(self, x):
-        x = as_vec(x)
-        if not self.in_source(x):
+    def _eval_ints(self, x):
+        xi, xd = x
+        if not self.source_cone._in_cone(xi):
             raise OutOfDomain("point outside the source cone")
-        return self._fwd.apply(x)
+        return [sum(map(mul, row, xi)) for row in self._fwd.rows], self._fwd.den * xd
 
-    def invert(self, y):
-        y = as_vec(y)
-        if not self.in_target(y):
+    def _invert_ints(self, y):
+        yi, yd = y
+        if not self.target_cone._in_cone(yi):
             raise OutOfDomain("point outside the target cone")
-        return self._bwd.apply(y)
+        return [sum(map(mul, row, yi)) for row in self._bwd.rows], self._bwd.den * yd
+
+    eval = IsoSpec.eval
+    invert = IsoSpec.invert
 
 
 class AffineIso(IsoSpec):
@@ -301,18 +416,34 @@ class AffineIso(IsoSpec):
         if len(self.target_base) != self.target_cone.dim:
             raise DimensionMismatch("target base has wrong length")
         self.exact = inner.exact
+        self._src_base = scaled_ints(self.source_base)
+        self._tgt_base = scaled_ints(self.target_base)
 
-    def eval(self, x):
-        x = as_vec(x)
-        if not self.in_source(x):
+    def _eval_ints(self, x):
+        z = _minus(x, self._src_base)
+        if not self.source_cone._in_cone(z[0]):
             raise OutOfDomain("point outside the apexed source domain")
-        return vec_add(self.target_base, self.inner.eval(vec_sub(x, self.source_base)))
+        return _plus(self.inner._eval_ints(z), self._tgt_base)
 
-    def invert(self, y):
-        y = as_vec(y)
-        if not self.in_target(y):
+    def _invert_ints(self, y):
+        z = _minus(y, self._tgt_base)
+        if not self.target_cone._in_cone(z[0]):
             raise OutOfDomain("point outside the apexed target domain")
-        return vec_add(self.source_base, self.inner.invert(vec_sub(y, self.target_base)))
+        return _plus(self.inner._invert_ints(z), self._src_base)
+
+    eval = IsoSpec.eval
+    invert = IsoSpec.invert
+
+
+def _diagonal(x: Scaled, coords: _FrameCoords, maps, frame: _IntMatrix) -> Scaled:
+    """sum maps[k](lam_k) * frame[k] for x = sum lam_k v_k, as one integer
+    product over the lcm of the mapped coordinates' denominators; maps are
+    scalar ``_eval_ints``/``_invert_ints``."""
+    xi, xd = x
+    d = coords.coords.den * xd
+    vals = [m(n, d) for m, n in zip(maps, coords.solve(xi))]
+    den = lcm(*[vd for _, vd in vals])
+    return frame.apply([vn * (den // vd) for vn, vd in vals]), den * frame.den
 
 
 class DiagonalIso(IsoSpec):
@@ -335,50 +466,25 @@ class DiagonalIso(IsoSpec):
         self.source_base = zero_vec(source.dim)
         self.target_base = zero_vec(target.dim)
         self.exact = all(m.exact for m in self.maps)
-        self._src_cols = transpose(self.source_frame)
-        self._tgt_cols = transpose(self.target_frame)
-        self._src_inv = None
-        self._tgt_inv = None
-        if len(self.source_frame) == source.dim:
-            inv = invert_matrix(self._src_cols)
-            self._src_inv = _IntMatrix(inv) if inv is not None else None
-        if len(self.target_frame) == target.dim:
-            inv = invert_matrix(self._tgt_cols)
-            self._tgt_inv = _IntMatrix(inv) if inv is not None else None
+        self._src_coords = _FrameCoords(self.source_frame, source.dim)
+        self._tgt_coords = _FrameCoords(self.target_frame, target.dim)
+        self._src_cols = _columns(self.source_frame, source.dim)
+        self._tgt_cols = _columns(self.target_frame, target.dim)
+        self._fwd_maps = tuple(m._eval_ints for m in self.maps)
+        self._bwd_maps = tuple(m._invert_ints for m in self.maps)
 
-    def _coords(self, x, cols, inv):
-        if inv is not None:
-            return inv.apply(x)
-        sol = solve(cols, x)
-        if sol is None:
-            raise OutOfDomain("point outside the span of the frame")
-        return sol
-
-    def eval(self, x):
-        x = as_vec(x)
-        if not self.in_source(x):
+    def _eval_ints(self, x):
+        if not self.source_cone._in_cone(x[0]):
             raise OutOfDomain("point outside the source cone")
-        lam = self._coords(x, self._src_cols, self._src_inv)
-        out = [ZERO] * self.target_cone.dim
-        for g, l, w in zip(self.maps, lam, self.target_frame):
-            c = g(l)
-            if c:
-                for i, wi in enumerate(w):
-                    out[i] += c * wi
-        return tuple(out)
+        return _diagonal(x, self._src_coords, self._fwd_maps, self._tgt_cols)
 
-    def invert(self, y):
-        y = as_vec(y)
-        if not self.in_target(y):
+    def _invert_ints(self, y):
+        if not self.target_cone._in_cone(y[0]):
             raise OutOfDomain("point outside the target cone")
-        mu = self._coords(y, self._tgt_cols, self._tgt_inv)
-        out = [ZERO] * self.source_cone.dim
-        for g, m, v in zip(self.maps, mu, self.source_frame):
-            c = g.invert(m)
-            if c:
-                for i, vi in enumerate(v):
-                    out[i] += c * vi
-        return tuple(out)
+        return _diagonal(y, self._tgt_coords, self._bwd_maps, self._src_cols)
+
+    eval = IsoSpec.eval
+    invert = IsoSpec.invert
 
 
 class ProductLiftIso(IsoSpec):
@@ -397,22 +503,29 @@ class ProductLiftIso(IsoSpec):
         self.target_base = zero_vec(target.dim)
         self.exact = ray_map.exact and sub.exact
         self._proj = _IntMatrix(split.projection)
+        self._unsplit = _columns(split.basis, cone.dim)
 
-    def eval(self, x):
-        x = as_vec(x)
-        if not self.in_source(x):
+    def _lift(self, x: Scaled, ray, sub) -> Scaled:
+        """unsplit(ray(t), sub(w)) for (t, w) the split coordinates of x."""
+        c = self._proj.apply(x[0])
+        d = self._proj.den * x[1]
+        tn, td = ray(c[0], d)
+        wi, wd = sub((c[1:], d))
+        return (self._unsplit.apply([tn * wd] + [w * td for w in wi]),
+                self._unsplit.den * td * wd)
+
+    def _eval_ints(self, x):
+        if not self.source_cone._in_cone(x[0]):
             raise OutOfDomain("point outside the source cone")
-        c = self._proj.apply(x)
-        t, w = c[0], c[1:]
-        return self.split.unsplit(self.ray_map(t), self.sub.eval(w))
+        return self._lift(x, self.ray_map._eval_ints, self.sub._eval_ints)
 
-    def invert(self, y):
-        y = as_vec(y)
-        if not self.in_target(y):
+    def _invert_ints(self, y):
+        if not self.target_cone._in_cone(y[0]):
             raise OutOfDomain("point outside the target cone")
-        c = self._proj.apply(y)
-        t, w = c[0], c[1:]
-        return self.split.unsplit(self.ray_map.invert(t), self.sub.invert(w))
+        return self._lift(y, self.ray_map._invert_ints, self.sub._invert_ints)
+
+    eval = IsoSpec.eval
+    invert = IsoSpec.invert
 
 
 class ComposeIso(IsoSpec):
@@ -430,15 +543,18 @@ class ComposeIso(IsoSpec):
         self.target_base = parts[-1].target_base
         self.exact = all(p.exact for p in parts)
 
-    def eval(self, x):
+    def _eval_ints(self, x):
         for p in self.parts:
-            x = p.eval(x)
+            x = p._eval_ints(x)
         return x
 
-    def invert(self, y):
+    def _invert_ints(self, y):
         for p in reversed(self.parts):
-            y = p.invert(y)
+            y = p._invert_ints(y)
         return y
+
+    eval = IsoSpec.eval
+    invert = IsoSpec.invert
 
 
 # ---------------------------------------------------------------------------
@@ -556,14 +672,14 @@ _CHUNK = 256
 
 
 class _Leaves(NamedTuple):
-    """The leaf operations of the sampled battery on one vector type.
+    """The leaf operations of the sampled battery on scaled vectors.
 
     src_point/tgt_point draw a point of the source/target domain, and
-    src_step/tgt_step a cone point added to it; src_pair draws an
-    incomparable source pair or None.  fwd/inv map a point and raise
-    OutOfDomain outside the domain.  round_trip(x1, x2, r2) tells whether
-    r2 = inv(fwd(x2)) passes.  point and image give the exact Fraction form
-    of a drawn point and of an image, for the report.
+    src_step/tgt_step a cone point (plain integers) added to it by add;
+    src_pair draws an incomparable source pair or None.  fwd/inv map a
+    point and raise OutOfDomain outside the domain.  round_trip(x1, x2, r2)
+    tells whether r2 = inv(fwd(x2)) passes.  fractions gives the exact
+    Fraction form of a point or image, for the report.
     """
 
     src_point: Callable
@@ -578,98 +694,73 @@ class _Leaves(NamedTuple):
     tgt_leq: Callable
     src_leq: Callable
     round_trip: Callable
-    point: Callable
-    image: Callable
+    fractions: Callable
 
 
-def _fraction_leaves(spec: IsoSpec) -> _Leaves:
-    """Leaves on exact Fraction vectors through the spec's own eval/invert:
-    the path of every spec kind but LinearIso, and the reference for it."""
+def _leq_scaled(cone: PolyhedralCone) -> Callable:
+    """x <= y on scaled vectors: the facet sums of y*dx - x*dy."""
+    def leq(x, y):
+        (xi, xd), (yi, yd) = x, y
+        if xd == yd:
+            return cone._leq_ints(xi, yi)
+        return cone._in_cone([q * xd - p * yd for p, q in zip(xi, yi)])
+    return leq
+
+
+def _leaves(spec: IsoSpec) -> _Leaves:
+    """Leaves on scaled vectors for any spec.  A drawn point is an integer
+    cone point, shifted by the domain's apex; images and preimages are the
+    spec's ``_eval_ints``/``_invert_ints``.  Order tests and exact round
+    trips cross-multiply the denominators.  An inexact spec's source order
+    test takes floats n / d, which equal float(Fraction(n, d)) bit for bit.
+    """
     src, tgt = spec.source_cone, spec.target_cone
-    a, b = spec.source_base, spec.target_base
+    a, b = scaled_ints(spec.source_base), scaled_ints(spec.target_base)
     a_zero, b_zero = spec._bases_zero
-    exact = spec.exact
 
-    def src_leq(x, y):
-        return src.leq(x, y) if exact else _leq_tol(src, x, y)
+    def at(base, zero, p):
+        return (p, 1) if zero else _plus((p, 1), base)
+
+    def src_point(rng):
+        return at(a, a_zero, cone_point_ints(src, rng))
+
+    def tgt_point(rng):
+        return at(b, b_zero, cone_point_ints(tgt, rng))
 
     def src_step(rng):
-        return cone_point(src, rng)
-
-    def tgt_step(rng):
-        return cone_point(tgt, rng)
-
-    def src_point(rng):
-        p = cone_point(src, rng)
-        return p if a_zero else vec_add(a, p)
-
-    def tgt_point(rng):
-        p = cone_point(tgt, rng)
-        return p if b_zero else vec_add(b, p)
-
-    def src_pair(rng):
-        pair = incomparable_pair(src, rng)
-        if pair is None or a_zero:
-            return pair
-        return vec_add(a, pair[0]), vec_add(a, pair[1])
-
-    def round_trip(x1, x2, r2):
-        return r2 == x2 if exact else src_leq(x1, r2)
-
-    def same(v):
-        return v
-
-    return _Leaves(src_point, src_step, tgt_point, tgt_step, src_pair, vec_add,
-                   spec.eval, spec.invert, spec.in_target, tgt.leq, src_leq,
-                   round_trip, same, same)
-
-
-def _int_leaves(spec: LinearIso) -> _Leaves:
-    """Leaves on Python-int vectors for a LinearIso, whose cones are apexed
-    at 0 and whose points are all integer.  With F/f and B/b the integer
-    rows and denominators of the matrix and its inverse, an image is kept as
-    F x (scale f) and a preimage as B y, so the order tests run on integer
-    differences and the round trip B F x2 / (b f) == x2 is B y2 == b f x2.
-    Fractions are built only for a violation's report."""
-    src, tgt = spec.source_cone, spec.target_cone
-    fwd_rows, fwd_den = spec._fwd.rows, spec._fwd.den
-    bwd_rows = spec._bwd.rows
-    scale = spec._bwd.den * fwd_den
-
-    def src_point(rng):
         return cone_point_ints(src, rng)
 
-    def tgt_point(rng):
+    def tgt_step(rng):
         return cone_point_ints(tgt, rng)
 
     def src_pair(rng):
-        return incomparable_pair_ints(src, rng)
+        pair = incomparable_pair_ints(src, rng)
+        if pair is None:
+            return None
+        return at(a, a_zero, pair[0]), at(a, a_zero, pair[1])
 
-    def add_ints(x, c):
-        return list(map(add, x, c))
+    def add_step(x, c):
+        return _plus(x, (c, 1))
 
-    def fwd(x):
-        if not src._in_cone(x):
-            raise OutOfDomain("point outside the source cone")
-        return [sum(map(mul, row, x)) for row in fwd_rows]
+    def in_target(y):
+        return tgt._in_cone(y[0] if b_zero else _minus(y, b)[0])
 
-    def inv(y):
-        if not tgt._in_cone(y):
-            raise OutOfDomain("point outside the target cone")
-        return [sum(map(mul, row, y)) for row in bwd_rows]
+    if spec.exact:
+        src_leq = _leq_scaled(src)
 
-    def round_trip(x1, x2, r2):
-        return r2 == [scale * c for c in x2]
+        def round_trip(x1, x2, r2):
+            (xi, xd), (ri, rd) = x2, r2
+            return [c * xd for c in ri] == [c * rd for c in xi]
+    else:
+        def src_leq(x, y):
+            return _leq_tol(src, [c / x[1] for c in x[0]], [c / y[1] for c in y[0]])
 
-    def point(v):
-        return tuple(map(Fraction, v))
+        def round_trip(x1, x2, r2):
+            return src_leq(x1, r2)
 
-    def image(v):
-        return tuple(Fraction(c, fwd_den) for c in v)
-
-    return _Leaves(src_point, src_point, tgt_point, tgt_point, src_pair, add_ints,
-                   fwd, inv, tgt._in_cone, tgt._leq_ints, src._leq_ints,
-                   round_trip, point, image)
+    return _Leaves(src_point, src_step, tgt_point, tgt_step, src_pair, add_step,
+                   spec._eval_ints, spec._invert_ints, in_target, _leq_scaled(tgt),
+                   src_leq, round_trip, _fractions)
 
 
 def check_order_iso_sampled(spec: IsoSpec, n: int = 10000, seed: int = 0, *,
@@ -685,11 +776,14 @@ def check_order_iso_sampled(spec: IsoSpec, n: int = 10000, seed: int = 0, *,
     Sampling is seeded per fixed-size index chunk of 256 samples, so sample
     i draws the same values whatever n is.
 
-    A LinearIso runs on integer vectors from draw to verdict (_int_leaves);
-    every other spec, and a LinearIso wrapped in a ComposeIso, on Fractions
-    (_fraction_leaves).  Both make the same draws and give the same report.
+    Every spec kind runs on scaled integer vectors from draw to verdict
+    (_leaves): points are integer cone points shifted by the apex, maps are
+    the spec's integer cores, and order tests and round trips
+    cross-multiply denominators.  Fractions are built only for a recorded
+    violation.  tests/oracles.py keeps the Fraction battery this replaced;
+    both make the same draws and give the same report.
     """
-    ops = _int_leaves(spec) if type(spec) is LinearIso else _fraction_leaves(spec)
+    ops = _leaves(spec)
     fwd_violations: list = []
     inv_violations: list = []
 
@@ -701,19 +795,19 @@ def check_order_iso_sampled(spec: IsoSpec, n: int = 10000, seed: int = 0, *,
             try:
                 y1, y2 = ops.fwd(x1), ops.fwd(x2)
             except OutOfDomain:
-                fwd_violations.append((ops.point(x1), ops.point(x2)))
+                fwd_violations.append((ops.fractions(x1), ops.fractions(x2)))
                 return
             # y2 in the target domain is implied by y1 in it plus y2 - y1 in K
             if not ops.in_target(y1) or not ops.tgt_leq(y1, y2):
-                fwd_violations.append((ops.point(x1), ops.point(x2)))
+                fwd_violations.append((ops.fractions(x1), ops.fractions(x2)))
                 return
             try:
                 r2 = ops.inv(y2)
             except OutOfDomain:
-                inv_violations.append((ops.image(y1), ops.image(y2)))
+                inv_violations.append((ops.fractions(y1), ops.fractions(y2)))
                 return
             if not ops.round_trip(x1, x2, r2):
-                inv_violations.append((ops.image(y1), ops.image(y2)))
+                inv_violations.append((ops.fractions(y1), ops.fractions(y2)))
         elif mode == 1:
             pair = ops.src_pair(rng)
             if pair is None:
@@ -722,20 +816,20 @@ def check_order_iso_sampled(spec: IsoSpec, n: int = 10000, seed: int = 0, *,
             try:
                 y1, y2 = ops.fwd(x1), ops.fwd(x2)
             except OutOfDomain:
-                fwd_violations.append((ops.point(x1), ops.point(x2)))
+                fwd_violations.append((ops.fractions(x1), ops.fractions(x2)))
                 return
             if ops.tgt_leq(y1, y2) or ops.tgt_leq(y2, y1):
-                fwd_violations.append((ops.point(x1), ops.point(x2)))
+                fwd_violations.append((ops.fractions(x1), ops.fractions(x2)))
         else:
             y1 = ops.tgt_point(rng)
             y2 = ops.add(y1, ops.tgt_step(rng))
             try:
                 r1, r2 = ops.inv(y1), ops.inv(y2)
             except OutOfDomain:
-                inv_violations.append((ops.point(y1), ops.point(y2)))
+                inv_violations.append((ops.fractions(y1), ops.fractions(y2)))
                 return
             if not ops.src_leq(r1, r2):
-                inv_violations.append((ops.point(y1), ops.point(y2)))
+                inv_violations.append((ops.fractions(y1), ops.fractions(y2)))
 
     for i in range(n):
         if i % _CHUNK == 0:

@@ -334,10 +334,16 @@ def classify_engaged(cone: PolyhedralCone) -> list[ExtremeRayReport]:
     g_k = sum over pivots q of R[row q][k] * g_q for g_i (k = i for a
     non-pivot column), which gives the combination over the greedy basis of
     the other generators.  Certificates are checked exactly before being
-    returned.
+    returned.  The reports are computed once per cone and kept on it; each
+    call returns a fresh list.
     """
     if not cone.pointed:
         raise NotPointed("engagement is defined for pointed cones")
+    return list(cone._engagement)
+
+
+def _classify_engaged(cone: PolyhedralCone) -> list[ExtremeRayReport]:
+    """classify_engaged's reports for a pointed cone, uncached."""
     gens = cone.generators
     red, pivots = rref(transpose(gens))
     pivot_row = {c: r for r, c in enumerate(pivots)}

@@ -17,6 +17,7 @@ full eigendecomposition.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +31,7 @@ from .errors import (
 
 MIN_N = 2
 MAX_N = 8
+_HALF_FLOAT_MAX = sys.float_info.max / 2
 
 
 @dataclass(frozen=True)
@@ -69,6 +71,9 @@ class SymMatrix:
         scale = max(1.0, peak)
         if float(np.max(np.abs(a - a.T))) >= 1e-14 * scale:
             raise NotSymmetric("asymmetry exceeds 1e-14 relative tolerance")
+        if peak > _HALF_FLOAT_MAX:
+            # a + a.T below would overflow
+            raise ValueError("matrix entries overflow the float range when symmetrized")
         sym = (a + a.T) / 2.0
         sym.flags.writeable = False
         object.__setattr__(self, "n", n)

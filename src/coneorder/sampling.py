@@ -72,7 +72,16 @@ def incomparable_pair(cone: PolyhedralCone, rng: random.Random,
 def incomparable_pair_ints(cone: PolyhedralCone, rng: random.Random,
                            coeff_max: int = 4, max_tries: int = 200):
     """``incomparable_pair`` on integer vectors: the same draws in the same
-    order, so the same pair or None."""
+    order, so the same pair or None.
+
+    Any two points of a cone with at most one generator are comparable, so
+    there every try fails: the draws of the tries (one per generator per
+    point) are made without the points and their order tests.
+    """
+    if len(cone._gen_ints) <= 1:
+        for _ in range(2 * max_tries * len(cone._gen_ints)):
+            rng.getrandbits(20)
+        return None
     return _rejection_pair(lambda: cone_point_ints(cone, rng, coeff_max),
                            cone._leq_ints, max_tries)
 

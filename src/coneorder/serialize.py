@@ -115,8 +115,22 @@ def cone_report(cone: PolyhedralCone) -> dict:
     }
 
 
+# Parsing and evaluation recurse per nesting level (eval_infsup takes two
+# frames a level), so the depth is bounded well inside the interpreter's
+# default recursion limit of 1000.
+MAX_EXPR_DEPTH = 400
+
+
 def parse_expr(obj) -> InfSupExpr:
-    """Expression file: nested {"sup": [...]}, {"inf": [...]}, {"leaf": [...]}."""
+    """Expression file: nested {"sup": [...]}, {"inf": [...]}, {"leaf": [...]},
+    with at most MAX_EXPR_DEPTH sup/inf nodes on any path to a leaf."""
+    try:
+        return _parse_expr(obj, MAX_EXPR_DEPTH)
+    except RecursionError as exc:
+        raise ParseError("expression nesting exceeds the recursion limit") from exc
+
+
+def _parse_expr(obj, depth_left: int) -> InfSupExpr:
     if not isinstance(obj, dict) or len(obj) != 1:
         raise ParseError("expression node must be a single-key object")
     key, val = next(iter(obj.items()))
@@ -125,7 +139,9 @@ def parse_expr(obj) -> InfSupExpr:
     if key in ("sup", "inf"):
         if not isinstance(val, list) or not val:
             raise ParseError(f"'{key}' needs a nonempty list of children")
-        children = [parse_expr(c) for c in val]
+        if depth_left == 0:
+            raise ParseError(f"expression nests more than {MAX_EXPR_DEPTH} sup/inf nodes deep")
+        children = [_parse_expr(c, depth_left - 1) for c in val]
         return sup_expr(*children) if key == "sup" else inf_expr(*children)
     raise ParseError(f"unknown expression node {key!r}")
 
@@ -271,3 +287,5 @@ def load_json(path: str):
             return json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
+    except RecursionError as exc:
+        raise ParseError(f"cannot read {path}: JSON nested too deep") from exc

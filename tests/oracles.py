@@ -6,8 +6,10 @@ generators, the parallelogram identity through its own four-corner formula
 instead of two-vector additivity, ray/facet enumeration through
 exhaustive subset solving instead of double description, suprema through
 exhaustive vertex enumeration, engagement through one linear solve per ray
-instead of one row reduction per cone, and eigendecompositions through
-numpy's LAPACK instead of the in-repo Jacobi sweep.
+instead of one row reduction per cone, eigendecompositions through
+numpy's LAPACK instead of the in-repo Jacobi sweep, and iso specs and their
+sampled battery through the per-kind Fraction formulas instead of the
+integer cores.
 """
 from __future__ import annotations
 
@@ -16,11 +18,28 @@ from itertools import combinations
 
 import numpy as np
 
-from coneorder.errors import SameRay
-from coneorder.iso import _require_domain, _signed_extreme
+from coneorder.errors import OutOfDomain, SameRay
+from coneorder.iso import (
+    AffineIso,
+    AffineMap,
+    ComposeIso,
+    DiagonalIso,
+    IsoReport,
+    LinearIso,
+    OddPowerMap,
+    PiecewiseLinearMap,
+    ProductLiftIso,
+    _CHUNK,
+    _int_nth_root,
+    _leq_tol,
+    _require_domain,
+    _signed_extreme,
+)
 from coneorder.linalg import (
+    ZERO,
     as_vec,
     mat_rank,
+    mat_vec,
     kernel_basis,
     normalize_ray,
     solve,
@@ -32,6 +51,7 @@ from coneorder.linalg import (
 )
 from coneorder.lp import positive_combination
 from coneorder.order import CombinationCertificate, ExtremeRayReport, SeparatingFunctional
+from coneorder.sampling import cone_point, incomparable_pair, rng_for
 
 
 def is_extreme_among(gens, i) -> bool:
@@ -180,3 +200,146 @@ def eigh_oracle(a):
 
 def frac_vec(*xs):
     return tuple(Fraction(x) for x in xs)
+
+
+# ---------------------------------------------------------------------------
+# Iso specs on Fractions: the per-kind formulas and the sampled battery that
+# the scaled-integer cores of coneorder.iso replaced.
+
+
+def scalar_eval_reference(m, t):
+    t = Fraction(t)
+    if isinstance(m, AffineMap):
+        return m.slope * t + m.intercept
+    if isinstance(m, OddPowerMap):
+        return t ** m.exponent
+    bps = m.breakpoints
+    if t <= bps[0][0]:
+        return bps[0][1] + (t - bps[0][0])
+    if t >= bps[-1][0]:
+        return bps[-1][1] + (t - bps[-1][0])
+    for (x0, y0), (x1, y1) in zip(bps, bps[1:]):
+        if x0 <= t <= x1:
+            return y0 + (t - x0) * (y1 - y0) / (x1 - x0)
+    raise AssertionError("unreachable")
+
+
+def scalar_invert_reference(m, u):
+    u = Fraction(u)
+    if isinstance(m, AffineMap):
+        return (u - m.intercept) / m.slope
+    if isinstance(m, PiecewiseLinearMap):
+        flipped = PiecewiseLinearMap(tuple((y, x) for x, y in m.breakpoints))
+        return scalar_eval_reference(flipped, u)
+    if m.exponent == 1:
+        return u
+    sign = -1 if u < 0 else 1
+    rp = _int_nth_root(abs(u.numerator), m.exponent)
+    rq = _int_nth_root(u.denominator, m.exponent)
+    if rp is not None and rq is not None:
+        return Fraction(sign * rp, rq)
+    return Fraction(sign) * Fraction(float(abs(u)) ** (1.0 / m.exponent))
+
+
+def _frame_sum(coeffs, frame, dim):
+    out = [ZERO] * dim
+    for c, v in zip(coeffs, frame):
+        for i, vi in enumerate(v):
+            out[i] += c * vi
+    return tuple(out)
+
+
+def _iso_reference(spec, x, forward: bool):
+    x = as_vec(x)
+    if isinstance(spec, ComposeIso):
+        for p in (spec.parts if forward else reversed(spec.parts)):
+            x = _iso_reference(p, x, forward)
+        return x
+    if not (spec.in_source(x) if forward else spec.in_target(x)):
+        raise OutOfDomain("point outside the domain")
+    scalar = scalar_eval_reference if forward else scalar_invert_reference
+    if isinstance(spec, LinearIso):
+        return mat_vec(spec.matrix if forward else spec.inverse, x)
+    if isinstance(spec, AffineIso):
+        a, b = (spec.source_base, spec.target_base)[::1 if forward else -1]
+        return vec_add(b, _iso_reference(spec.inner, vec_sub(x, a), forward))
+    if isinstance(spec, DiagonalIso):
+        frames = (spec.source_frame, spec.target_frame)[::1 if forward else -1]
+        lam = solve(transpose(frames[0]), x)
+        if lam is None:
+            raise OutOfDomain("point outside the span of the frame")
+        dim = (spec.target_cone if forward else spec.source_cone).dim
+        return _frame_sum([scalar(g, l) for g, l in zip(spec.maps, lam)], frames[1], dim)
+    assert isinstance(spec, ProductLiftIso)
+    t, w = spec.split.split(x)
+    return spec.split.unsplit(scalar(spec.ray_map, t), _iso_reference(spec.sub, w, forward))
+
+
+def eval_reference(spec, x):
+    """spec.eval(x) by the Fraction formula of its kind."""
+    return _iso_reference(spec, x, True)
+
+
+def invert_reference(spec, y):
+    """spec.invert(y) by the Fraction formula of its kind."""
+    return _iso_reference(spec, y, False)
+
+
+def battery_reference(spec, n, seed=0, stop_early=False) -> IsoReport:
+    """check_order_iso_sampled on Fraction vectors through eval_reference
+    and invert_reference, with the Fraction samplers and the plain
+    rejection search for incomparable pairs."""
+    src, tgt = spec.source_cone, spec.target_cone
+    a, b = spec.source_base, spec.target_base
+
+    def src_leq(x, y):
+        return src.leq(x, y) if spec.exact else _leq_tol(src, x, y)
+
+    fwd_violations, inv_violations = [], []
+    for i in range(n):
+        if i % _CHUNK == 0:
+            rng = rng_for(seed, "battery", i // _CHUNK)
+        mode = i % 3
+        if mode == 0:
+            x1 = vec_add(a, cone_point(src, rng))
+            x2 = vec_add(x1, cone_point(src, rng))
+            try:
+                y1, y2 = eval_reference(spec, x1), eval_reference(spec, x2)
+            except OutOfDomain:
+                fwd_violations.append((x1, x2))
+            else:
+                if not spec.in_target(y1) or not tgt.leq(y1, y2):
+                    fwd_violations.append((x1, x2))
+                else:
+                    try:
+                        r2 = invert_reference(spec, y2)
+                    except OutOfDomain:
+                        inv_violations.append((y1, y2))
+                    else:
+                        if not (r2 == x2 if spec.exact else src_leq(x1, r2)):
+                            inv_violations.append((y1, y2))
+        elif mode == 1:
+            pair = incomparable_pair(src, rng)
+            if pair is not None:
+                x1, x2 = vec_add(a, pair[0]), vec_add(a, pair[1])
+                try:
+                    y1, y2 = eval_reference(spec, x1), eval_reference(spec, x2)
+                except OutOfDomain:
+                    fwd_violations.append((x1, x2))
+                else:
+                    if tgt.leq(y1, y2) or tgt.leq(y2, y1):
+                        fwd_violations.append((x1, x2))
+        else:
+            y1 = vec_add(b, cone_point(tgt, rng))
+            y2 = vec_add(y1, cone_point(tgt, rng))
+            try:
+                r1, r2 = invert_reference(spec, y1), invert_reference(spec, y2)
+            except OutOfDomain:
+                inv_violations.append((y1, y2))
+            else:
+                if not src_leq(r1, r2):
+                    inv_violations.append((y1, y2))
+        if stop_early and (fwd_violations or inv_violations):
+            break
+    verdict = "Violation" if fwd_violations or inv_violations else "PassedSampling"
+    return IsoReport(tuple(fwd_violations), tuple(inv_violations), n, verdict)

@@ -1,6 +1,7 @@
 import io
 import json
 import tempfile
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -11,7 +12,7 @@ from coneorder.cli import main, run_full_battery
 from coneorder.cones import square_cone
 from coneorder.iso import LinearIso
 from coneorder.linalg import as_vec
-from coneorder.serialize import canonical_dumps
+from coneorder.serialize import MAX_EXPR_DEPTH, canonical_dumps
 
 
 @pytest.fixture()
@@ -153,6 +154,19 @@ class TestEvalExpr:
         rep = json.loads(out)
         assert rep["error"] == "undefined_lattice"
         assert len(rep["witnesses"]) == 2
+
+
+@pytest.mark.parametrize("depth, code", [(MAX_EXPR_DEPTH, 0), (MAX_EXPR_DEPTH + 1, 2), (700, 2)])
+def test_expression_depth_limit(files, capsys, depth, code):
+    path = files["tmp"] / "deep.json"
+    path.write_text('{"sup":[' * depth + '{"leaf":["1","2"]}' + ']}' * depth)
+    got, out, err = run(capsys, "evalexpr", files["orthant2"], str(path))
+    assert got == code
+    if code == 0:
+        assert json.loads(out)["value"] == ["1", "2"]
+    else:
+        assert out == "" and "Traceback" not in err
+        assert err.startswith("conelab: parse error:")
 
 
 class TestUnitNorm:
@@ -300,6 +314,21 @@ class TestPsdCommands:
             code, out, err = run(capsys, "psd", *argv, "--samples", "50")
             assert code == 2 and out == ""
             assert "matrix entries must be finite" in err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["supcheck", "--n", "2", "--b", "diag:1e308,1e308"],
+         "conelab: invalid value: matrix entries overflow the float range when symmetrized"),
+        (["supcheck", "--n", "2", "--b", "proj:1e300,1e300"],
+         "conelab: parse error: the norm of 'proj:1e300,1e300' overflows the float range"),
+        (["witness", "--n", "2", "--x", "1e300,1e300"],
+         "conelab: parse error: the norm of '1e300,1e300' overflows the float range"),
+    ])
+    def test_overflow_is_named_without_warnings(self, capsys, argv, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "psd", *argv, "--samples", "20")
+        assert code == 2 and out == ""
+        assert err == message + "\n"
 
     def test_approx_csv_output(self, files, capsys, tmp_path):
         out_path = tmp_path / "table.csv"

@@ -39,10 +39,25 @@ from coneorder.iso import (
     make_linear_iso,
     make_product_lift,
 )
-from coneorder.linalg import as_vec, invert_matrix, mat_vec, vec_add, vec_scale
-from coneorder.sampling import cone_point, random_pointed_cone, rng_for, unimodular_matrix
+from coneorder.linalg import (
+    as_vec,
+    independent_subset,
+    invert_matrix,
+    mat_vec,
+    vec_add,
+    vec_scale,
+)
+from coneorder.order import classify_engaged, disengaged_split
+from coneorder.sampling import (
+    cone_point,
+    incomparable_pair,
+    incomparable_pair_ints,
+    random_pointed_cone,
+    rng_for,
+    unimodular_matrix,
+)
 
-from oracles import parallelogram_reference
+from oracles import battery_reference, eval_reference, invert_reference, parallelogram_reference
 
 
 def V(*xs):
@@ -323,30 +338,146 @@ def _linear_candidate(rng, cone, kind):
         return LinearIso(m, cone, cone, inverse=wrong)
 
 
+def _rational(rng, bound=3):
+    return Fraction(rng.randint(-bound, bound), rng.randint(1, 4))
+
+
+def _scalar_map(rng, kind, fix_zero=True):
+    """An AffineMap, a PiecewiseLinearMap or an OddPowerMap with rational
+    data; fix_zero=False allows maps that move 0."""
+    if kind == "affine":
+        return AffineMap(Fraction(rng.randint(1, 6), rng.randint(1, 4)),
+                         0 if fix_zero else _rational(rng))
+    if kind == "pwl":
+        xs = sorted({_rational(rng) for _ in range(rng.randint(2, 4))} | {Fraction(0)})
+        if len(xs) < 2:
+            xs.append(xs[-1] + 1)
+        ys, y = [], Fraction(0)
+        for _ in xs:
+            ys.append(y)
+            y += Fraction(rng.randint(1, 5), rng.randint(1, 3))
+        shift = ys[xs.index(0)] if fix_zero else _rational(rng)
+        return PiecewiseLinearMap(tuple(zip(xs, [v - shift for v in ys])))
+    return OddPowerMap(rng.choice([3, 3, 5]))
+
+
+def _simplicial(rng, dim):
+    while True:
+        frame = [tuple(Fraction(rng.randint(-2, 3)) for _ in range(dim)) for _ in range(dim)]
+        if invert_matrix(frame) is not None:
+            return cone_from_generators(dim, frame)
+
+
+def _lift_cone(rng, dim):
+    """A pointed cone with a disengaged ray: a random cone of dimension
+    dim - 1 times a ray, moved by a unimodular map."""
+    sub = random_pointed_cone(rng, dim - 1, rng.randint(dim - 1, dim + 2),
+                              require_generating=True)
+    gens = [g + (Fraction(0),) for g in sub.generators]
+    gens.append((Fraction(0),) * (dim - 1) + (Fraction(1),))
+    u = unimodular_matrix(rng, dim)
+    return cone_from_generators(dim, [mat_vec(u, g) for g in gens])
+
+
+ISO_KINDS = ["affine_rational", "diag_affine", "diag_affine_moved", "diag_pwl", "diag_odd",
+             "forged_partial", "forged_full", "lift", "compose"]
+
+
+def _iso_of_kind(rng, kind):
+    """A spec of the given kind with rational data.  The ``_moved`` and
+    ``forged`` kinds, and ``affine_rational`` around a rational matrix, are
+    no order-isomorphisms, so their batteries reach violations."""
+    dim = rng.randint(2, 4)
+    if kind == "affine_rational":
+        cone = random_pointed_cone(rng, dim, rng.randint(1, dim + 2))
+        inner = _linear_candidate(rng, cone, rng.choice(["identity", "unimodular", "rational"]))
+        return make_affine_iso(inner, [_rational(rng) for _ in range(dim)],
+                               [_rational(rng) for _ in range(dim)])
+    if kind.startswith("diag"):
+        src, tgt = _simplicial(rng, dim), _simplicial(rng, dim)
+        scale = [Fraction(rng.randint(1, 5), rng.randint(1, 4)) for _ in range(dim)]
+        frame = [vec_scale(c, g) for c, g in zip(scale, tgt.generators)]
+        map_kind = {"diag_affine": "affine", "diag_affine_moved": "affine",
+                    "diag_pwl": "pwl", "diag_odd": "odd"}[kind]
+        moved = kind.endswith("moved")
+        maps = [_scalar_map(rng, map_kind if rng.random() < 0.7 else "affine", not moved)
+                for _ in range(dim)]
+        return DiagonalIso(src, src.generators, maps, frame, cone_from_generators(dim, frame))
+    if kind.startswith("forged"):
+        cone = random_pointed_cone(rng, dim, rng.randint(dim, dim + 3), require_generating=True)
+        gens = list(cone.generators)
+        rng.shuffle(gens)
+        frame = [gens[i] for i in independent_subset(gens)]
+        if kind == "forged_partial":
+            frame = frame[:rng.randint(1, dim - 1)]
+        maps = [_scalar_map(rng, rng.choice(["pwl", "odd", "affine"])) for _ in frame]
+        return DiagonalIso(cone, frame, maps, frame, cone)
+    if kind == "lift":
+        cone = _lift_cone(rng, dim)
+        ray = next(r.ray_index for r in classify_engaged(cone) if not r.engaged)
+        split = disengaged_split(cone, ray)
+        sub = identity_iso(split.subcone)
+        if len(split.subcone.generators) == split.subcone.dim:
+            sub = make_diagonal_iso(split.subcone, list(split.subcone.generators),
+                                    [_scalar_map(rng, rng.choice(["pwl", "odd", "affine"]))
+                                     for _ in split.subcone.generators])
+        return make_product_lift(cone, ray, _scalar_map(rng, rng.choice(["pwl", "odd", "affine"])),
+                                 sub)
+    inner = _iso_of_kind(rng, rng.choice(ISO_KINDS[:-1]))
+    b = inner.target_base
+    # The identity on the apexed target domain, so the parts chain.
+    after = make_affine_iso(identity_iso(inner.target_cone), b, b)
+    return compose_isos(compose_isos(inner, after), after)
+
+
 def _all_fractions(report):
     pairs = report.order_preserving_violations + report.inverse_violations
     return all(type(c) is Fraction for pair in pairs for v in pair for c in v)
 
 
-class TestSampledBatteryIntegerPath:
-    """A LinearIso runs the battery on integers; ComposeIso((spec,)) runs the
-    same spec through the Fraction path.  The reports must be equal."""
+def _spec(spec_seed, kind):
+    rng = rng_for(spec_seed, "iso-kind")
+    if kind in ISO_KINDS:
+        return _iso_of_kind(rng, kind)
+    cone = random_pointed_cone(rng, rng.randint(1, 6), rng.randint(1, 6))
+    return _linear_candidate(rng, cone, kind)
 
-    @settings(max_examples=60, deadline=None)
-    @given(cone_seed=st.integers(0, 2**32 - 1),
-           dim=st.integers(1, 6),
-           kind=st.sampled_from(["identity", "unimodular", "rational", "rational_bad_inverse"]),
+
+LINEAR_KINDS = ["identity", "unimodular", "rational", "rational_bad_inverse"]
+
+
+class TestSampledBatteryIntegerPath:
+    """Every spec kind runs the battery on scaled integers.  The Fraction
+    battery of tests/oracles.py, through the per-kind Fraction formulas,
+    is the reference; the reports must be equal."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(spec_seed=st.integers(0, 2**32 - 1),
+           kind=st.sampled_from(LINEAR_KINDS + ISO_KINDS),
            n=st.integers(1, 700).filter(lambda k: k % 256),
            seed=st.integers(0, 2**20),
            stop_early=st.booleans())
-    def test_matches_fraction_path(self, cone_seed, dim, kind, n, seed, stop_early):
-        rng = rng_for(cone_seed, "int-battery")
-        cone = random_pointed_cone(rng, dim, rng.randint(1, dim + 3))
-        spec = _linear_candidate(rng, cone, kind)
+    def test_matches_fraction_path(self, spec_seed, kind, n, seed, stop_early):
+        spec = _spec(spec_seed, kind)
         fast = check_order_iso_sampled(spec, n, seed, stop_early=stop_early)
-        ref = check_order_iso_sampled(compose_isos(spec), n, seed, stop_early=stop_early)
-        assert fast == ref
+        assert fast == battery_reference(spec, n, seed, stop_early)
         assert _all_fractions(fast)
+
+    def test_every_kind_reaches_both_verdicts_and_both_regimes(self):
+        seen = set()
+        for kind in ISO_KINDS:
+            for spec_seed in range(2):
+                spec = _spec(spec_seed, kind)
+                for stop_early in (False, True):
+                    fast = check_order_iso_sampled(spec, 100, spec_seed, stop_early=stop_early)
+                    assert fast == battery_reference(spec, 100, spec_seed, stop_early)
+                    seen.add((spec.exact, fast.verdict))
+                    if fast.verdict == "Violation" and not stop_early:
+                        seen.add((kind, "Violation"))
+        assert seen >= {(True, "Violation"), (True, "PassedSampling"),
+                        (False, "Violation"), (False, "PassedSampling"),
+                        ("forged_partial", "Violation"), ("forged_full", "Violation"),
+                        ("diag_affine_moved", "Violation"), ("compose", "Violation")}
 
     def test_rational_violations_match(self):
         # The map scales t by 3/2 but is given the inverse that scales it by
@@ -358,12 +489,67 @@ class TestSampledBatteryIntegerPath:
         spec = LinearIso(m, sq, sq, inverse=wrong)
         for stop_early in (False, True):
             fast = check_order_iso_sampled(spec, 600, 3, stop_early=stop_early)
-            assert fast == check_order_iso_sampled(compose_isos(spec), 600, 3,
-                                                   stop_early=stop_early)
+            assert fast == battery_reference(spec, 600, 3, stop_early)
             assert fast.verdict == "Violation" and _all_fractions(fast)
             if not stop_early:
                 assert any(c.denominator != 1 for pair in fast.inverse_violations
                            for v in pair for c in v)
+
+    @pytest.mark.parametrize("cone", [orthant(1), cone_from_generators(3, [(1, 2, -1)])],
+                             ids=["orthant1", "ray_in_R3"])
+    def test_totally_ordered_sources_match_reference(self, cone):
+        # Mode 1 finds no incomparable pair on a ray, so its tries are
+        # skipped; the draws they make keep the later samples in step.
+        g = cone.generators[0]
+        spec = DiagonalIso(cone, [g], [AffineMap(1, Fraction(-1, 2))], [g], cone)
+        fast = check_order_iso_sampled(spec, 700, 5)
+        assert fast == battery_reference(spec, 700, 5)
+        assert fast.verdict == "Violation"
+
+    def test_pair_search_on_a_ray_makes_the_reference_draws(self):
+        for cone in (orthant(1), cone_from_generators(3, [(1, 2, -1)]),
+                     cone_from_generators(2, [])):
+            fast, ref = rng_for(7, "pair"), rng_for(7, "pair")
+            assert incomparable_pair_ints(cone, fast) is None
+            assert incomparable_pair(cone, ref) is None
+            assert fast.getstate() == ref.getstate()
+
+    def test_odd_power_inverse_reduces_before_the_root(self):
+        m = OddPowerMap(3)
+        assert m._invert_ints(54, 2) == (3, 1)
+        assert m._invert_ints(-16, 54) == (-2, 3)
+        # Frame coordinates over (0, 2), (2, 0) carry the denominator 2, so
+        # 27 reaches the inverse as 54/2.
+        o2 = orthant(2)
+        spec = make_diagonal_iso(o2, [V(0, 2), V(2, 0)], [OddPowerMap(3), OddPowerMap(3)])
+        assert invert_iso(spec, V(54, 2)) == V(3, 1) == invert_reference(spec, V(54, 2))
+
+
+def _outcome(fn, p):
+    try:
+        return fn(p)
+    except OutOfDomain:
+        return "OutOfDomain"
+
+
+class TestEvalInvertAgainstFractionFormulas:
+    @settings(max_examples=150, deadline=None)
+    @given(spec_seed=st.integers(0, 2**32 - 1),
+           kind=st.sampled_from(LINEAR_KINDS + ISO_KINDS),
+           point_seed=st.integers(0, 2**20))
+    def test_public_eval_and_invert(self, spec_seed, kind, point_seed):
+        spec = _spec(spec_seed, kind)
+        rng = rng_for(point_seed, "points")
+        for _ in range(4):
+            scale = Fraction(rng.randint(1, 7), rng.randint(1, 5))
+            x = vec_add(spec.source_base, vec_scale(scale, cone_point(spec.source_cone, rng)))
+            y = vec_add(spec.target_base, vec_scale(scale, cone_point(spec.target_cone, rng)))
+            wild_x = tuple(_rational(rng, 4) for _ in x)
+            wild_y = tuple(_rational(rng, 4) for _ in y)
+            for p in (x, wild_x):
+                assert _outcome(spec.eval, p) == _outcome(lambda q: eval_reference(spec, q), p)
+            for p in (y, wild_y):
+                assert _outcome(spec.invert, p) == _outcome(lambda q: invert_reference(spec, q), p)
 
 
 class TestLemmaIdentities:

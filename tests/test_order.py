@@ -1,8 +1,11 @@
+import json
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import coneorder.order as order_mod
+from coneorder.cli import main
 from coneorder.cones import cone_from_generators, interval_cone, orthant, square_cone
 from coneorder.errors import (
     DimensionMismatch,
@@ -277,6 +280,26 @@ class TestClassification:
             assert verdict.holds == (cone.generating and cone.pointed
                                      and verdict.all_extreme_rays_engaged)
             assert (verdict.disengaged_witness is None) == verdict.all_extreme_rays_engaged
+
+    def test_classification_is_computed_once_per_cone(self, monkeypatch, tmp_path, capsys):
+        calls = []
+        real = order_mod.rref
+
+        def counting(rows):
+            calls.append(1)
+            return real(rows)
+
+        monkeypatch.setattr(order_mod, "rref", counting)
+        cone = cone_from_generators(3, [(1, 1, 1), (-1, 1, 1), (1, -1, 1), (-1, -1, 1)])
+        classify_engaged(cone).clear()  # each call returns a fresh list
+        assert hypothesis_check(cone).holds
+        assert [r.engaged for r in classify_engaged(cone)] == [True] * 4
+        assert len(calls) == 1
+        path = tmp_path / "cone.json"
+        path.write_text(json.dumps({"dim": 2, "generators": [["1", "0"], ["0", "1"]]}))
+        calls.clear()
+        assert main(["classify", str(path)]) == 1
+        assert len(calls) == 1
 
 
 def _direct_sum(a, b):
