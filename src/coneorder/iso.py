@@ -26,7 +26,7 @@ from fractions import Fraction
 from itertools import islice
 from math import gcd, lcm
 from operator import add, mul
-from typing import Callable, NamedTuple
+from typing import Callable
 
 from .cones import PolyhedralCone, cone_from_generators
 from .errors import (
@@ -388,13 +388,13 @@ class LinearIso(IsoSpec):
         xi, xd = x
         if not self.source_cone._in_cone(xi):
             raise OutOfDomain("point outside the source cone")
-        return [sum(map(mul, row, xi)) for row in self._fwd.rows], self._fwd.den * xd
+        return self._fwd.apply(xi), self._fwd.den * xd
 
     def _invert_ints(self, y):
         yi, yd = y
         if not self.target_cone._in_cone(yi):
             raise OutOfDomain("point outside the target cone")
-        return [sum(map(mul, row, yi)) for row in self._bwd.rows], self._bwd.den * yd
+        return self._bwd.apply(yi), self._bwd.den * yd
 
     eval = IsoSpec.eval
     invert = IsoSpec.invert
@@ -671,32 +671,6 @@ def _leq_tol(cone: PolyhedralCone, x, y, tol=_FLOAT_TOL) -> bool:
 _CHUNK = 256
 
 
-class _Leaves(NamedTuple):
-    """The leaf operations of the sampled battery on scaled vectors.
-
-    src_point/tgt_point draw a point of the source/target domain, and
-    src_step/tgt_step a cone point (plain integers) added to it by add;
-    src_pair draws an incomparable source pair or None.  fwd/inv map a
-    point and raise OutOfDomain outside the domain.  round_trip(x1, x2, r2)
-    tells whether r2 = inv(fwd(x2)) passes.  fractions gives the exact
-    Fraction form of a point or image, for the report.
-    """
-
-    src_point: Callable
-    src_step: Callable
-    tgt_point: Callable
-    tgt_step: Callable
-    src_pair: Callable
-    add: Callable
-    fwd: Callable
-    inv: Callable
-    in_target: Callable
-    tgt_leq: Callable
-    src_leq: Callable
-    round_trip: Callable
-    fractions: Callable
-
-
 def _leq_scaled(cone: PolyhedralCone) -> Callable:
     """x <= y on scaled vectors: the facet sums of y*dx - x*dy."""
     def leq(x, y):
@@ -707,40 +681,36 @@ def _leq_scaled(cone: PolyhedralCone) -> Callable:
     return leq
 
 
-def _leaves(spec: IsoSpec) -> _Leaves:
-    """Leaves on scaled vectors for any spec.  A drawn point is an integer
-    cone point, shifted by the domain's apex; images and preimages are the
-    spec's ``_eval_ints``/``_invert_ints``.  Order tests and exact round
-    trips cross-multiply the denominators.  An inexact spec's source order
-    test takes floats n / d, which equal float(Fraction(n, d)) bit for bit.
+def check_order_iso_sampled(spec: IsoSpec, n: int = 10000, seed: int = 0, *,
+                            stop_early: bool = False) -> IsoReport:
+    """Sampled order-isomorphism battery.
+
+    Draws pairs with known order relation in the source (comparable pairs as
+    x and x + c with c in the cone, incomparable pairs by rejection) and in
+    the target, and asserts that the relation is preserved forward and
+    reflected through the inverse; images must stay inside the target
+    domain.  Sampling can refute but never prove, hence the verdict wording.
+
+    Sampling is seeded per fixed-size index chunk of 256 samples, so sample
+    i draws the same values whatever n is.
+
+    Every spec kind runs on scaled integer vectors from draw to verdict:
+    points are integer cone points shifted by the apex, images and
+    preimages are the spec's ``_eval_ints``/``_invert_ints``, and order
+    tests and exact round trips cross-multiply the denominators.  An
+    inexact spec's source order test takes floats n / d, which equal
+    float(Fraction(n, d)) bit for bit.  Fractions are built only for a
+    recorded violation.  tests/oracles.py keeps the Fraction battery this
+    replaced; both make the same draws and give the same report.
     """
     src, tgt = spec.source_cone, spec.target_cone
     a, b = scaled_ints(spec.source_base), scaled_ints(spec.target_base)
     a_zero, b_zero = spec._bases_zero
+    fwd, inv = spec._eval_ints, spec._invert_ints
+    tgt_leq = _leq_scaled(tgt)
 
     def at(base, zero, p):
         return (p, 1) if zero else _plus((p, 1), base)
-
-    def src_point(rng):
-        return at(a, a_zero, cone_point_ints(src, rng))
-
-    def tgt_point(rng):
-        return at(b, b_zero, cone_point_ints(tgt, rng))
-
-    def src_step(rng):
-        return cone_point_ints(src, rng)
-
-    def tgt_step(rng):
-        return cone_point_ints(tgt, rng)
-
-    def src_pair(rng):
-        pair = incomparable_pair_ints(src, rng)
-        if pair is None:
-            return None
-        return at(a, a_zero, pair[0]), at(a, a_zero, pair[1])
-
-    def add_step(x, c):
-        return _plus(x, (c, 1))
 
     def in_target(y):
         return tgt._in_cone(y[0] if b_zero else _minus(y, b)[0])
@@ -758,78 +728,52 @@ def _leaves(spec: IsoSpec) -> _Leaves:
         def round_trip(x1, x2, r2):
             return src_leq(x1, r2)
 
-    return _Leaves(src_point, src_step, tgt_point, tgt_step, src_pair, add_step,
-                   spec._eval_ints, spec._invert_ints, in_target, _leq_scaled(tgt),
-                   src_leq, round_trip, _fractions)
-
-
-def check_order_iso_sampled(spec: IsoSpec, n: int = 10000, seed: int = 0, *,
-                            stop_early: bool = False) -> IsoReport:
-    """Sampled order-isomorphism battery.
-
-    Draws pairs with known order relation in the source (comparable pairs as
-    x and x + c with c in the cone, incomparable pairs by rejection) and in
-    the target, and asserts that the relation is preserved forward and
-    reflected through the inverse; images must stay inside the target
-    domain.  Sampling can refute but never prove, hence the verdict wording.
-
-    Sampling is seeded per fixed-size index chunk of 256 samples, so sample
-    i draws the same values whatever n is.
-
-    Every spec kind runs on scaled integer vectors from draw to verdict
-    (_leaves): points are integer cone points shifted by the apex, maps are
-    the spec's integer cores, and order tests and round trips
-    cross-multiply denominators.  Fractions are built only for a recorded
-    violation.  tests/oracles.py keeps the Fraction battery this replaced;
-    both make the same draws and give the same report.
-    """
-    ops = _leaves(spec)
     fwd_violations: list = []
     inv_violations: list = []
 
     def run_index(i, rng):
         mode = i % 3
         if mode == 0:
-            x1 = ops.src_point(rng)
-            x2 = ops.add(x1, ops.src_step(rng))
+            x1 = at(a, a_zero, cone_point_ints(src, rng))
+            x2 = _plus(x1, (cone_point_ints(src, rng), 1))
             try:
-                y1, y2 = ops.fwd(x1), ops.fwd(x2)
+                y1, y2 = fwd(x1), fwd(x2)
             except OutOfDomain:
-                fwd_violations.append((ops.fractions(x1), ops.fractions(x2)))
+                fwd_violations.append((_fractions(x1), _fractions(x2)))
                 return
             # y2 in the target domain is implied by y1 in it plus y2 - y1 in K
-            if not ops.in_target(y1) or not ops.tgt_leq(y1, y2):
-                fwd_violations.append((ops.fractions(x1), ops.fractions(x2)))
+            if not in_target(y1) or not tgt_leq(y1, y2):
+                fwd_violations.append((_fractions(x1), _fractions(x2)))
                 return
             try:
-                r2 = ops.inv(y2)
+                r2 = inv(y2)
             except OutOfDomain:
-                inv_violations.append((ops.fractions(y1), ops.fractions(y2)))
+                inv_violations.append((_fractions(y1), _fractions(y2)))
                 return
-            if not ops.round_trip(x1, x2, r2):
-                inv_violations.append((ops.fractions(y1), ops.fractions(y2)))
+            if not round_trip(x1, x2, r2):
+                inv_violations.append((_fractions(y1), _fractions(y2)))
         elif mode == 1:
-            pair = ops.src_pair(rng)
+            pair = incomparable_pair_ints(src, rng)
             if pair is None:
                 return
-            x1, x2 = pair
+            x1, x2 = at(a, a_zero, pair[0]), at(a, a_zero, pair[1])
             try:
-                y1, y2 = ops.fwd(x1), ops.fwd(x2)
+                y1, y2 = fwd(x1), fwd(x2)
             except OutOfDomain:
-                fwd_violations.append((ops.fractions(x1), ops.fractions(x2)))
+                fwd_violations.append((_fractions(x1), _fractions(x2)))
                 return
-            if ops.tgt_leq(y1, y2) or ops.tgt_leq(y2, y1):
-                fwd_violations.append((ops.fractions(x1), ops.fractions(x2)))
+            if tgt_leq(y1, y2) or tgt_leq(y2, y1):
+                fwd_violations.append((_fractions(x1), _fractions(x2)))
         else:
-            y1 = ops.tgt_point(rng)
-            y2 = ops.add(y1, ops.tgt_step(rng))
+            y1 = at(b, b_zero, cone_point_ints(tgt, rng))
+            y2 = _plus(y1, (cone_point_ints(tgt, rng), 1))
             try:
-                r1, r2 = ops.inv(y1), ops.inv(y2)
+                r1, r2 = inv(y1), inv(y2)
             except OutOfDomain:
-                inv_violations.append((ops.fractions(y1), ops.fractions(y2)))
+                inv_violations.append((_fractions(y1), _fractions(y2)))
                 return
-            if not ops.src_leq(r1, r2):
-                inv_violations.append((ops.fractions(y1), ops.fractions(y2)))
+            if not src_leq(r1, r2):
+                inv_violations.append((_fractions(y1), _fractions(y2)))
 
     for i in range(n):
         if i % _CHUNK == 0:

@@ -124,10 +124,7 @@ MAX_EXPR_DEPTH = 400
 def parse_expr(obj) -> InfSupExpr:
     """Expression file: nested {"sup": [...]}, {"inf": [...]}, {"leaf": [...]},
     with at most MAX_EXPR_DEPTH sup/inf nodes on any path to a leaf."""
-    try:
-        return _parse_expr(obj, MAX_EXPR_DEPTH)
-    except RecursionError as exc:
-        raise ParseError("expression nesting exceeds the recursion limit") from exc
+    return _parse_expr(obj, MAX_EXPR_DEPTH)
 
 
 def _parse_expr(obj, depth_left: int) -> InfSupExpr:

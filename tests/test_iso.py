@@ -439,7 +439,8 @@ def _spec(spec_seed, kind):
     rng = rng_for(spec_seed, "iso-kind")
     if kind in ISO_KINDS:
         return _iso_of_kind(rng, kind)
-    cone = random_pointed_cone(rng, rng.randint(1, 6), rng.randint(1, 6))
+    dim = rng.randint(1, 6)
+    cone = random_pointed_cone(rng, dim, rng.randint(1, dim + 3))
     return _linear_candidate(rng, cone, kind)
 
 
@@ -451,13 +452,28 @@ class TestSampledBatteryIntegerPath:
     battery of tests/oracles.py, through the per-kind Fraction formulas,
     is the reference; the reports must be equal."""
 
-    @settings(max_examples=30, deadline=None)
-    @given(spec_seed=st.integers(0, 2**32 - 1),
-           kind=st.sampled_from(LINEAR_KINDS + ISO_KINDS),
+    @settings(max_examples=60, deadline=None)
+    @given(cone_seed=st.integers(0, 2**32 - 1),
+           dim=st.integers(1, 6),
+           kind=st.sampled_from(LINEAR_KINDS),
            n=st.integers(1, 700).filter(lambda k: k % 256),
            seed=st.integers(0, 2**20),
            stop_early=st.booleans())
-    def test_matches_fraction_path(self, spec_seed, kind, n, seed, stop_early):
+    def test_matches_fraction_path(self, cone_seed, dim, kind, n, seed, stop_early):
+        rng = rng_for(cone_seed, "int-battery")
+        cone = random_pointed_cone(rng, dim, rng.randint(1, dim + 3))
+        spec = _linear_candidate(rng, cone, kind)
+        fast = check_order_iso_sampled(spec, n, seed, stop_early=stop_early)
+        assert fast == battery_reference(spec, n, seed, stop_early)
+        assert _all_fractions(fast)
+
+    @settings(max_examples=27, deadline=None)
+    @given(spec_seed=st.integers(0, 2**32 - 1),
+           kind=st.sampled_from(ISO_KINDS),
+           n=st.integers(1, 700).filter(lambda k: k % 256),
+           seed=st.integers(0, 2**20),
+           stop_early=st.booleans())
+    def test_every_iso_kind_matches_fraction_path(self, spec_seed, kind, n, seed, stop_early):
         spec = _spec(spec_seed, kind)
         fast = check_order_iso_sampled(spec, n, seed, stop_early=stop_early)
         assert fast == battery_reference(spec, n, seed, stop_early)
