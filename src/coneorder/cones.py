@@ -22,7 +22,6 @@ from operator import mul, sub
 from .errors import DimensionMismatch, NotInCone, NotPointed
 from .linalg import (
     Vec,
-    ZERO,
     as_vec,
     identity_matrix,
     is_zero_vec,
@@ -30,10 +29,7 @@ from .linalg import (
     normalize_sign_free,
     primitive,
     scaled_ints,
-    vec_dot,
     vec_neg,
-    vec_scale,
-    vec_sub,
 )
 from .lp import positive_combination
 
@@ -50,10 +46,13 @@ def double_description(dim: int, constraints) -> tuple[list[Vec], list[Vec]]:
     sets kept as bitmasks.
 
     The run is fraction-free (Fukuda and Prodon, "Double Description Method
-    Revisited", 1996): each constraint is scaled to integers, the rays stay
-    primitive integer vectors, a combination vp*rq - vq*rp is divided by its
-    gcd, and the rays become Fractions once, on return.  Only the lineality
-    basis, at most dim vectors, is kept in Fraction.
+    Revisited", 1996): each constraint is scaled to integers, and the rays
+    and the lineality basis stay primitive integer vectors, both reduced by
+    the same combination c*r - <h, r>*z divided by its gcd.  Lineality
+    vector j starts as the unit vector of its free coordinate f_j and keeps
+    a positive entry there and 0 at the other free coordinates; divided by
+    that entry on return it is the reduced echelon basis vector, and the
+    rays become Fractions once, on return too.
 
     Before the combinatorial test a pair of rays is rejected when its common
     tight set has fewer than dim - len(lineality) - 2 members.  This is a
@@ -61,7 +60,8 @@ def double_description(dim: int, constraints) -> tuple[list[Vec], list[Vec]]:
     dim - len(lineality), and two rays are adjacent only if the constraints
     tight at both have rank exactly two less.
     """
-    lineality: list[Vec] = list(identity_matrix(dim))
+    lineality = [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
+    free = list(range(dim))  # lineality[j] is positive at free[j]
     rays: list[tuple[int, ...]] = []
     tight: list[int] = []
 
@@ -70,21 +70,17 @@ def double_description(dim: int, constraints) -> tuple[list[Vec], list[Vec]]:
         if len(hi) != dim:
             raise ValueError(f"constraint {i} has length {len(hi)}, expected {dim}")
         bit = 1 << i
-        vals = [vec_dot(h, l) for l in lineality]
-        k = next((j for j in range(len(lineality)) if vals[j] != 0), None)
+        vals = [sum(map(mul, hi, l)) for l in lineality]
+        k = next((j for j, v in enumerate(vals) if v), None)
         if k is not None:
-            z = lineality[k] if vals[k] > 0 else vec_neg(lineality[k])
             c = abs(vals[k])
-            new_lin = []
-            for j, l in enumerate(lineality):
-                if j != k:
-                    new_lin.append(vec_sub(l, vec_scale(vals[j] / c, z)))
-            lineality = new_lin
-            zi = primitive(scaled_ints(z)[0])
-            ci = sum(map(mul, hi, zi))
-            rays = [_combine(r, ci, sum(map(mul, hi, r)), zi) for r in rays]
+            z = lineality[k] if vals[k] > 0 else vec_neg(lineality[k])
+            lineality = [_combine(l, c, v, z)
+                         for j, (l, v) in enumerate(zip(lineality, vals)) if j != k]
+            del free[k]
+            rays = [_combine(r, c, sum(map(mul, hi, r)), z) for r in rays]
             tight = [t | bit for t in tight]
-            rays.append(zi)
+            rays.append(z)
             tight.append(bit - 1)
             continue
 
@@ -122,7 +118,8 @@ def double_description(dim: int, constraints) -> tuple[list[Vec], list[Vec]]:
                 rays.append(r)
                 tight.append(t)
 
-    return lineality, [tuple(map(Fraction, r)) for r in rays]
+    return ([tuple(Fraction(a, l[f]) for a in l) for l, f in zip(lineality, free)],
+            [tuple(map(Fraction, r)) for r in rays])
 
 
 def _combine(r, a: int, b: int, z) -> tuple[int, ...]:
@@ -131,7 +128,7 @@ def _combine(r, a: int, b: int, z) -> tuple[int, ...]:
 
 
 def _canonical_rays(rays, lineality) -> tuple[Vec, ...]:
-    out = {normalize_ray(r) for r in rays}
+    out = set(rays)
     for l in lineality:
         n = normalize_sign_free(l)
         out.add(n)

@@ -100,12 +100,12 @@ def eigh_jacobi(a, max_sweeps: int = 50) -> tuple[np.ndarray, np.ndarray]:
     and the orthogonal matrix of eigenvectors as columns, each column sign
     fixed so its first significant entry is positive.
     """
-    a = np.array(_as_array(a) if isinstance(a, SymMatrix) else a, dtype=float)
-    n = a.shape[0]
-    q = np.eye(n)
-    norm = max(float(np.linalg.norm(a)), 1e-300)
-    m = [list(row) for row in a]
-    v = [list(row) for row in q]
+    # Python floats, not numpy scalars: a square past the float range is a
+    # silent inf, which keeps the sweep going instead of warning.
+    m = np.array(_as_array(a) if isinstance(a, SymMatrix) else a, dtype=float).tolist()
+    n = len(m)
+    v = [[float(i == j) for j in range(n)] for i in range(n)]
+    norm = max(math.hypot(*(x for row in m for x in row)), 1e-300)
     for _ in range(max_sweeps):
         off = 0.0
         for i in range(n - 1):

@@ -4,7 +4,8 @@ These deliberately avoid the production algorithms: extremality goes through
 LP feasibility and the tight-facet rank instead of a lookup among the stored
 generators, the parallelogram identity through its own four-corner formula
 instead of two-vector additivity, ray/facet enumeration through
-exhaustive subset solving instead of double description, suprema through
+exhaustive subset solving instead of double description (and the double
+description itself through its Fraction-lineality form), suprema through
 exhaustive vertex enumeration, engagement through one linear solve per ray
 instead of one row reduction per cone, eigendecompositions through
 numpy's LAPACK instead of the in-repo Jacobi sweep, and iso specs and their
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
+from operator import mul
 
 import numpy as np
 
@@ -32,21 +34,24 @@ from coneorder.iso import (
     _CHUNK,
     _int_nth_root,
     _leq_tol,
-    _require_domain,
     _signed_extreme,
 )
 from coneorder.linalg import (
     ZERO,
     as_vec,
+    identity_matrix,
     mat_rank,
     mat_vec,
     kernel_basis,
     normalize_ray,
+    primitive,
+    scaled_ints,
     solve,
     transpose,
     vec_add,
     vec_dot,
     vec_neg,
+    vec_scale,
     vec_sub,
 )
 from coneorder.lp import positive_combination
@@ -72,6 +77,12 @@ def is_extreme_tight_rank(cone, r) -> bool:
     """r in a pointed cone spans an extreme ray iff the facets tight at r
     have rank dim - 1."""
     return mat_rank([cone.facets[i] for i in cone.tight_facets(r)]) == cone.dim - 1
+
+
+def _require_domain(spec, *points):
+    for p in points:
+        if not spec.in_source(p):
+            raise OutOfDomain("configuration point outside the source domain")
 
 
 def parallelogram_reference(spec, x, r, s) -> bool:
@@ -129,6 +140,78 @@ def cone_bruteforce(dim, constraints) -> tuple[list, list]:
             if all(vec_dot(h, cand) >= 0 for h in rows):
                 out.add(normalize_ray(cand))
     return lin, sorted(out)
+
+
+def double_description_reference(dim: int, constraints) -> tuple[list, list]:
+    """The double description with its lineality basis reduced in Fraction
+    and its rays fraction-free, the form the production DD had before the
+    basis became integer; the production DD must return exactly the same
+    two lists."""
+    def combine(r, a, b, z):
+        return primitive([a * x - b * y for x, y in zip(r, z)])
+
+    lineality = list(identity_matrix(dim))
+    rays = []
+    tight = []
+
+    for i, h in enumerate(constraints):
+        hi = scaled_ints(h)[0]
+        if len(hi) != dim:
+            raise ValueError(f"constraint {i} has length {len(hi)}, expected {dim}")
+        bit = 1 << i
+        vals = [vec_dot(h, l) for l in lineality]
+        k = next((j for j in range(len(lineality)) if vals[j] != 0), None)
+        if k is not None:
+            z = lineality[k] if vals[k] > 0 else vec_neg(lineality[k])
+            c = abs(vals[k])
+            new_lin = []
+            for j, l in enumerate(lineality):
+                if j != k:
+                    new_lin.append(vec_sub(l, vec_scale(vals[j] / c, z)))
+            lineality = new_lin
+            zi = primitive(scaled_ints(z)[0])
+            ci = sum(map(mul, hi, zi))
+            rays = [combine(r, ci, sum(map(mul, hi, r)), zi) for r in rays]
+            tight = [t | bit for t in tight]
+            rays.append(zi)
+            tight.append(bit - 1)
+            continue
+
+        vals = [sum(map(mul, hi, r)) for r in rays]
+        pos = [j for j, v in enumerate(vals) if v > 0]
+        zer = [j for j, v in enumerate(vals) if v == 0]
+        neg = [j for j, v in enumerate(vals) if v < 0]
+        if not neg:
+            tight = [t | bit if v == 0 else t for v, t in zip(vals, tight)]
+            continue
+        need = dim - len(lineality) - 2
+        new_rays = []
+        new_tight = []
+        for p in pos:
+            for q in neg:
+                common = tight[p] & tight[q]
+                if common.bit_count() < need:
+                    continue
+                adjacent = True
+                for o in range(len(rays)):
+                    if o != p and o != q and (common & ~tight[o]) == 0:
+                        adjacent = False
+                        break
+                if not adjacent:
+                    continue
+                new_rays.append(combine(rays[q], vals[p], vals[q], rays[p]))
+                new_tight.append(common | bit)
+        keep_rays = [rays[j] for j in pos] + [rays[j] for j in zer]
+        keep_tight = [tight[j] for j in pos] + [tight[j] | bit for j in zer]
+        seen = set()
+        rays, tight = [], []
+        for r, t in zip(keep_rays + new_rays, keep_tight + new_tight):
+            if r not in seen:
+                seen.add(r)
+                rays.append(r)
+                tight.append(t)
+
+    return lineality, [tuple(map(Fraction, r)) for r in rays]
 
 
 def facets_from_rays_bruteforce(dim, rays) -> list:

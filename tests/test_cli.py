@@ -6,7 +6,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from coneorder.cli import main, run_full_battery
 from coneorder.cones import square_cone
@@ -330,6 +330,17 @@ class TestPsdCommands:
         assert code == 2 and out == ""
         assert err == message + "\n"
 
+    @pytest.mark.parametrize("argv", [
+        ["supcheck", "--n", "2", "--b", "diag:1e200,1e200"],
+        ["conj", "--a", "diag:1e200,1", "--q", "eye"],
+        ["approx", "--a", "diag:1e160,1", "--kmax", "3"],
+    ])
+    def test_huge_finite_entries_exit_0_without_warnings(self, capsys, argv):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "psd", *argv, "--samples", "20")
+        assert code == 0 and out and err == ""
+
     def test_approx_csv_output(self, files, capsys, tmp_path):
         out_path = tmp_path / "table.csv"
         code, _, _ = run(capsys, "psd", "approx", "--a", "diag:1,1", "--n", "2",
@@ -476,4 +487,145 @@ def test_psd_commands_fuzzed_exit_codes(data):
             argv += ["--n", str(data.draw(st.integers(1, 4)))]
         with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
             code = main(["psd", *argv, "--samples", "3"])
+    assert code in EXIT_CODES
+
+
+# Fuzzing of the exact-side commands.  Each input file starts as a valid
+# cone, points, expression or iso-spec document; then one node may be
+# replaced by a malformed value or a key dropped, and the text may be cut
+# short.  Dims, entries and exponents stay small, so that no case allocates
+# much or runs long.
+_small_entry = st.integers(-2, 2).map(str)
+_garbage = st.sampled_from([None, True, False, -1, 0, 1, 3, 2.5, "", "x", "1/0", "0/0",
+                            "1e400", "-1/3", [], [[]], {}, {"x": 1}, ["1"], ["1", "0", "1"]])
+_bijection_doc = st.one_of(
+    st.sampled_from(["1", "2", "1/2", "0", "-1"]).map(lambda s: {"affine": {"slope": s}}),
+    st.just({"piecewise": {"breakpoints": [["0", "0"], ["1", "2"], ["3", "3"]]}}),
+    st.sampled_from([1, 3, 5, 2, 0, -1]).map(lambda e: {"odd_power": e}),
+)
+_LIFT_CONE = {"dim": 2, "generators": [["1", "1"], ["-1", "1"]]}
+_ORTHANT1 = {"dim": 1, "generators": [["1"]]}
+
+
+def _vec_doc(dim):
+    return st.lists(_small_entry, min_size=dim, max_size=dim)
+
+
+@st.composite
+def _random_cone_doc(draw):
+    dim = draw(st.integers(1, 4))
+    key = draw(st.sampled_from(["generators", "facets"]))
+    return {"dim": dim, key: draw(st.lists(_vec_doc(dim), max_size=5))}
+
+
+_cone_doc = st.one_of(_random_cone_doc(), st.sampled_from([
+    _ORTHANT1, _LIFT_CONE,
+    {"dim": 2, "generators": [["1", "0"], ["0", "1"]]},
+    {"dim": 3, "facets": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]},
+    {"dim": 3, "generators": [["1", "1", "1"], ["-1", "1", "1"], ["1", "-1", "1"],
+                              ["-1", "-1", "1"]]},
+]))
+
+
+@st.composite
+def _expr_doc(draw, dim, depth=3):
+    if depth == 0 or draw(st.booleans()):
+        return {"leaf": draw(_vec_doc(dim))}
+    children = st.lists(_expr_doc(dim, depth - 1), min_size=1, max_size=3)
+    return {draw(st.sampled_from(["sup", "inf"])): draw(children)}
+
+
+def _identity_doc(cone):
+    dim = cone["dim"]
+    matrix = [[str(int(i == j)) for j in range(dim)] for i in range(dim)]
+    return {"linear": {"matrix": matrix, "source": cone, "target": cone}}
+
+
+@st.composite
+def _iso_doc(draw, cone):
+    """(iso-spec document, its source cone document)."""
+    dim = cone["dim"]
+    kind = draw(st.sampled_from(["linear", "affine", "diagonal", "product_lift", "compose"]))
+    if kind == "linear":
+        doc = _identity_doc(cone)
+        if draw(st.booleans()):
+            doc["linear"]["matrix"] = draw(st.lists(_vec_doc(dim), min_size=dim, max_size=dim))
+        return doc, cone
+    if kind == "affine":
+        return {"affine": {"linear": _identity_doc(cone), "source_base": draw(_vec_doc(dim)),
+                           "target_base": draw(_vec_doc(dim))}}, cone
+    if kind == "diagonal":
+        frame = cone.get("generators", cone.get("facets"))
+        maps = draw(st.lists(_bijection_doc, min_size=len(frame), max_size=len(frame)))
+        return {"diagonal": {"source": cone, "target_frame": frame, "maps": maps}}, cone
+    if kind == "product_lift":
+        return {"product_lift": {"cone": _LIFT_CONE, "ray_index": draw(st.integers(-1, 2)),
+                                 "ray_map": draw(_bijection_doc),
+                                 "sub": _identity_doc(_ORTHANT1)}}, _LIFT_CONE
+    return {"compose": [_identity_doc(cone), _identity_doc(cone)]}, cone
+
+
+def _nodes(obj, path=()):
+    yield path
+    children = obj.items() if isinstance(obj, dict) else (
+        enumerate(obj) if isinstance(obj, list) else ())
+    for key, value in children:
+        yield from _nodes(value, path + (key,))
+
+
+@st.composite
+def _malformed_text(draw, doc):
+    """doc as JSON text, possibly with one node replaced or one key dropped
+    (on a deep copy), possibly cut short."""
+    doc = json.loads(json.dumps(doc))
+    mode = draw(st.sampled_from(["replace", "drop", "cut"])) if draw(st.booleans()) else "valid"
+    if mode in ("replace", "drop"):
+        path = draw(st.sampled_from(list(_nodes(doc))))
+        if not path:
+            doc = draw(_garbage)
+        else:
+            parent = doc
+            for key in path[:-1]:
+                parent = parent[key]
+            if mode == "drop" and isinstance(parent, dict):
+                del parent[path[-1]]
+            else:
+                parent[path[-1]] = draw(_garbage)
+    text = json.dumps(doc)
+    if mode == "cut":
+        text = text[:draw(st.integers(0, len(text)))]
+    return text
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_exact_commands_fuzzed_exit_codes(data):
+    command = data.draw(st.sampled_from(["extreme-rays", "classify", "hypothesis", "supremum",
+                                         "infimum", "evalexpr", "unitnorm", "check-iso"]))
+    cone = data.draw(_cone_doc)
+    dim = cone["dim"]
+    with tempfile.TemporaryDirectory() as tmp:
+        def write(doc):
+            path = Path(tmp) / f"f{len(list(Path(tmp).iterdir()))}.json"
+            path.write_text(data.draw(_malformed_text(doc)))
+            return str(path)
+
+        if command == "check-iso":
+            iso, source = data.draw(_iso_doc(cone))
+            argv = [command, write(source), write(iso)]
+        else:
+            argv = [command, write(cone)]
+        if command in ("supremum", "infimum"):
+            argv.append(write({"points": data.draw(st.lists(_vec_doc(dim), max_size=3))}))
+        elif command == "evalexpr":
+            argv.append(write(data.draw(_expr_doc(dim))))
+        elif command == "unitnorm":
+            vec_text = st.one_of(
+                st.lists(_small_entry, min_size=max(dim - 1, 0), max_size=dim + 1).map(",".join),
+                st.sampled_from(["e1", "e0", f"e{dim}", "e9", "ex", "1/0", "", "a,b"]))
+            # "-u=..." keeps a value that starts with "-" from reading as a flag
+            argv += [f"-u={data.draw(vec_text)}", f"-x={data.draw(vec_text)}"]
+        argv += ["--samples", "3", "--seed", str(data.draw(st.integers(0, 3)))]
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            code = main(argv)
     assert code in EXIT_CODES

@@ -32,6 +32,7 @@ from coneorder.sampling import cone_point, random_pointed_cone, rng_for
 
 from oracles import (
     cone_bruteforce,
+    double_description_reference,
     facets_from_rays_bruteforce,
     is_extreme_among,
     is_extreme_lp,
@@ -334,6 +335,19 @@ class TestRoundTrip:
             assert len(rays) == len(rays_o)
             assert sorted(values(r) for r in rays) == sorted(values(r) for r in rays_o)
 
+    def test_double_description_equals_fraction_lineality_reference(self):
+        # The integer lineality basis, divided by its free-coordinate entries
+        # on return, must give the Fraction echelon basis exactly, and the
+        # rays must not move.
+        with_lineality = 0
+        systems = list(_dd_reference_systems())
+        for dim, system in systems:
+            lin, rays = double_description(dim, system)
+            assert (lin, rays) == double_description_reference(dim, system)
+            assert all(type(c) is Fraction for v in lin + rays for c in v)
+            with_lineality += bool(lin)
+        assert len(systems) >= 500 and with_lineality >= len(systems) // 4
+
     def test_pointed_and_generating_against_rank(self):
         # The flags read off the two DD passes against mat_rank: {x : Ax >= 0}
         # is pointed iff rank A = dim, and cone(A) is generating iff rank A = dim.
@@ -378,6 +392,43 @@ def _general_systems():
             system = list(cone.facets)
             system += [vec_neg(system[0]), vec_scale(2, system[-1]), system[-1]]
             rng.shuffle(system)
+        yield dim, system
+
+
+def _dd_reference_systems():
+    """(dim, system) pairs for dims 1-8: integer or rational rows, some drawn
+    from a proper subspace (so the cone has lineality), with duplicated,
+    negated, positively scaled and zero rows mixed in."""
+    rng = rng_for(31, "ddreference")
+    for trial in range(560):
+        dim = 1 + trial % 8
+        if trial % 3 == 2:
+            basis = [[rng.randint(-3, 3) for _ in range(dim)]
+                     for _ in range(rng.randint(1, max(dim - 1, 1)))]
+            rows = []
+            for _ in range(rng.randint(1, dim + 2)):
+                coeffs = [rng.randint(-2, 2) for _ in basis]
+                rows.append(V(*(sum(c * b[j] for c, b in zip(coeffs, basis))
+                                for j in range(dim))))
+        elif trial % 3 == 1:
+            rows = [V(*(Fraction(rng.randint(-6, 6), rng.randint(1, 5)) for _ in range(dim)))
+                    for _ in range(rng.randint(1, dim + 2))]
+        else:
+            rows = [V(*(rng.randint(-3, 3) for _ in range(dim)))
+                    for _ in range(rng.randint(1, dim + 3))]
+        extra = []
+        for r in rows:
+            roll = rng.random()
+            if roll < 0.1:
+                extra.append(r)
+            elif roll < 0.2:
+                extra.append(vec_neg(r))
+            elif roll < 0.3:
+                extra.append(vec_scale(Fraction(rng.randint(1, 7), rng.randint(1, 4)), r))
+        if rng.random() < 0.05:
+            extra.append(zero_vec(dim))
+        system = rows + extra
+        rng.shuffle(system)
         yield dim, system
 
 

@@ -612,6 +612,24 @@ class TestLemmaIdentities:
         with pytest.raises(NotExtreme):
             check_parallelogram(spec, V(0, 0, 0), e1, V(0, 1, 1))
 
+    @pytest.mark.parametrize("make_spec, base", [
+        (lambda: identity_iso(orthant(2)), V(0, 0)),
+        (cube_iso, V(0, 0)),
+        (lambda: make_affine_iso(identity_iso(orthant(2)), V(1, -2), V(0, 3)), V(1, -2)),
+        (lambda: make_product_lift(orthant(2), 0, OddPowerMap(3), identity_iso(orthant(1))),
+         V(0, 0)),
+    ])
+    @pytest.mark.parametrize("identity", [
+        # each configuration starts inside the domain and leaves it later
+        lambda spec, b: check_additivity(spec, b, [V(-1, 0), V(0, 1)]),
+        lambda spec, b: extract_g_r(spec, V(1, 0), [vec_add(b, V(0, 1))], [2, -2]),
+        lambda spec, b: halfline_image_check(spec, b, V(1, 0), [1, -1]),
+        lambda spec, b: check_positively_homogeneous(spec, [vec_add(b, V(1, 1))], [-1]),
+    ], ids=["additivity", "extract_g_r", "halfline", "homogeneous"])
+    def test_identities_refuse_points_off_the_domain(self, make_spec, base, identity):
+        with pytest.raises(OutOfDomain):
+            identity(make_spec(), base)
+
     def test_parallelogram_against_four_corner_formula(self):
         # check_parallelogram goes through two-vector additivity; the reference
         # evaluates the four corners directly.  Lift, odd-power and linear

@@ -94,6 +94,15 @@ class TestJacobiEigendecomposition:
         w, q = eigh_jacobi(np.diag([2.0, -1.0]))
         assert np.allclose(w, [-1.0, 2.0])
 
+    def test_entries_near_the_float_range(self):
+        # the squares of 1e200-sized entries overflow; the sweep must still
+        # converge to the scaled eigenpairs, without a numpy warning
+        a = random_sym(np.random.default_rng(3), 4)
+        w, q = eigh_jacobi(a)
+        w_big, q_big = eigh_jacobi(a * 1e200)
+        assert np.allclose(w_big / 1e200, w, rtol=1e-12, atol=1e-12)
+        assert np.allclose(q_big, q, atol=1e-10)
+
 
 class TestLoewnerOrder:
     def test_examples(self):
