@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import asdict
 from fractions import Fraction
 
 import numpy as np
@@ -248,13 +249,12 @@ def run_full_battery(cone: PolyhedralCone, spec: IsoSpec, samples: int, seed: in
             by_lam.setdefault(row.lam, []).append(row.value)
         indep = all(len(set(vals)) == 1 for vals in by_lam.values())
         ident = all(all(v == lam for v in vals) for lam, vals in by_lam.items())
+        entry["basepoint_independent"] = indep
         if engaged.get(i):
-            entry["basepoint_independent"] = indep
             entry["identity"] = ident
             if not (indep and ident):
                 violations += 1
         else:
-            entry["basepoint_independent"] = indep
             entry["identity"] = ident if indep else None
         g_report.append(entry)
     report["g_r"] = g_report
@@ -294,85 +294,50 @@ def run_full_battery(cone: PolyhedralCone, spec: IsoSpec, samples: int, seed: in
 
 
 # ---------------------------------------------------------------------------
-# command handlers: each returns (report_dict, exit_code)
+# command handlers: each returns (payload, exit_code); main adds the envelope
+# of command, seed and samples
 
 
 def _cmd_extreme_rays(args):
     cone = parse_cone(load_json(args.cone))
     if not cone.pointed:
         raise NotPointed("cone is not pointed; extreme rays are undefined")
-    report = {"command": "extreme-rays", "seed": args.seed, "samples": args.samples}
-    report.update(cone_report(cone))
-    return report, EXIT_OK
+    return cone_report(cone), EXIT_OK
 
 
 def _cmd_classify(args):
     cone = parse_cone(load_json(args.cone))
-    reports = classify_engaged(cone)
     verdict = hypothesis_check(cone)
-    payload = {
-        "command": "classify",
-        "seed": args.seed,
-        "samples": args.samples,
-        "rays": [
-            {
-                "ray_index": r.ray_index,
-                "generator": vec_to_json(r.generator),
-                "engaged": r.engaged,
-                "certificate": _certificate_json(r.certificate),
-            }
-            for r in reports
-        ],
-        "hypothesis": {
-            "directed": verdict.directed,
-            "pointed": verdict.pointed,
-            "all_extreme_rays_engaged": verdict.all_extreme_rays_engaged,
-            "holds": verdict.holds,
-            "disengaged_witness": verdict.disengaged_witness,
-        },
-    }
-    return payload, EXIT_OK if verdict.holds else EXIT_NEGATIVE
+    rays = [{"ray_index": r.ray_index, "generator": vec_to_json(r.generator),
+             "engaged": r.engaged, "certificate": _certificate_json(r.certificate)}
+            for r in classify_engaged(cone)]
+    code = EXIT_OK if verdict.holds else EXIT_NEGATIVE
+    return {"rays": rays, "hypothesis": asdict(verdict)}, code
 
 
 def _cmd_hypothesis(args):
-    cone = parse_cone(load_json(args.cone))
-    verdict = hypothesis_check(cone)
-    payload = {
-        "command": "hypothesis",
-        "seed": args.seed,
-        "samples": args.samples,
-        "directed": verdict.directed,
-        "pointed": verdict.pointed,
-        "all_extreme_rays_engaged": verdict.all_extreme_rays_engaged,
-        "holds": verdict.holds,
-        "disengaged_witness": verdict.disengaged_witness,
-    }
-    return payload, EXIT_OK if verdict.holds else EXIT_NEGATIVE
+    verdict = hypothesis_check(parse_cone(load_json(args.cone)))
+    return asdict(verdict), EXIT_OK if verdict.holds else EXIT_NEGATIVE
 
 
-def _cmd_bound(args, kind: str):
+def _cmd_bound(args):
     cone = parse_cone(load_json(args.cone))
     points = parse_points(load_json(args.points))
-    res = supremum(cone, points) if kind == "supremum" else infimum(cone, points)
-    payload = {"command": kind, "seed": args.seed, "samples": args.samples,
-               "result": _sup_result_json(res)}
-    return payload, EXIT_OK if res.exists else EXIT_UNDEFINED
+    res = supremum(cone, points) if args.command == "supremum" else infimum(cone, points)
+    return {"result": _sup_result_json(res)}, EXIT_OK if res.exists else EXIT_UNDEFINED
 
 
 def _cmd_evalexpr(args):
     cone = parse_cone(load_json(args.cone))
     expr = parse_expr(load_json(args.expr))
-    base = {"command": "evalexpr", "seed": args.seed, "samples": args.samples}
     try:
         value = eval_infsup(cone, expr)
     except UndefinedLattice as exc:
-        base["error"] = "undefined_lattice"
-        base["path"] = list(exc.path)
+        payload = {"error": "undefined_lattice", "path": list(exc.path)}
         if exc.witnesses:
-            base["witnesses"] = [vec_to_json(w) for w in exc.witnesses]
-        return base, EXIT_UNDEFINED
-    base["value"] = vec_to_json(value)
-    return base, EXIT_OK
+            payload["witnesses"] = [vec_to_json(w) for w in exc.witnesses]
+        return payload, EXIT_UNDEFINED
+    return {"value": vec_to_json(value)}, EXIT_OK
 
 
 def _cmd_unitnorm(args):
@@ -380,10 +345,8 @@ def _cmd_unitnorm(args):
     u = _parse_vec_arg(args.u, cone.dim)
     x = _parse_vec_arg(args.x, cone.dim)
     value = order_unit_norm(cone, u, x)
-    payload = {"command": "unitnorm", "seed": args.seed, "samples": args.samples,
-               "u": vec_to_json(as_vec(u)), "x": vec_to_json(as_vec(x)),
-               "norm": fmt_rational(value)}
-    return payload, EXIT_OK
+    return {"u": vec_to_json(as_vec(u)), "x": vec_to_json(as_vec(x)),
+            "norm": fmt_rational(value)}, EXIT_OK
 
 
 def _cmd_check_iso(args):
@@ -392,54 +355,71 @@ def _cmd_check_iso(args):
     if spec.source_cone != cone:
         raise ParseError("iso source cone does not match the cone file")
     report = run_full_battery(cone, spec, args.samples, args.seed)
-    report["command"] = "check-iso"
     return report, report["exit_code"]
 
 
-def _cmd_psd(args):
-    tol = psd_mod.DEFAULT_TOL if args.tol is None else psd_mod.PsdTolerance(args.tol, args.tol)
-    base = {"command": f"psd-{args.psd_command}", "seed": args.seed, "samples": args.samples}
-    if args.psd_command == "witness":
-        x = _unit(_floats(_parse_vec_arg(args.x, args.n), args.x), args.x,
-                  "witness direction cannot be zero")
-        w = psd_mod.engagement_witness(x, tol)
-        base.update({
-            "x": [float(c) for c in x],
-            "y": [float(c) for c in w.y],
-            "z": [float(c) for c in w.z],
-            "w": [float(c) for c in w.w],
-            "residual": w.residual,
-        })
-        return base, EXIT_OK
-    if args.psd_command == "supcheck":
-        b = _parse_matrix_arg(args.b, args.n)
-        verdict = psd_mod.identity_sup_check(b.n, b, m=args.samples, seed=args.seed, tol=tol)
-        base.update({
-            "verdict": verdict.verdict,
-            "lambda_min": verdict.lambda_min,
-            "samples_used": verdict.samples,
-        })
-        if verdict.witness is not None:
-            base["witness"] = [float(c) for c in verdict.witness]
-        return base, EXIT_OK if verdict.verdict == psd_mod.CONSISTENT else EXIT_NEGATIVE
-    if args.psd_command == "conj":
-        a = _parse_matrix_arg(args.a, args.n)
-        q = _parse_matrix_arg(args.q, a.n)
-        t = psd_mod.conjugation_iso(a, tol)
-        image = t.apply(q)
-        back = t.invert(image)
-        base.update({
-            "image": [[float(v) for v in row] for row in image.array],
-            "roundtrip_error": float(np.max(np.abs(back.array - q.array))),
-        })
-        return base, EXIT_OK
-    if args.psd_command == "approx":
-        a = _parse_matrix_arg(args.a, args.n)
-        rows = psd_mod.infsup_approx(a, k_max=args.kmax, seed=args.seed)
-        base["table"] = [{"k": r.k, "d_k": r.d_k, "e_k": r.e_k} for r in rows]
-        base["csv"] = "k,d_k,e_k\n" + "".join(f"{r.k},{r.d_k!r},{r.e_k!r}\n" for r in rows)
-        return base, EXIT_OK
-    raise ParseError(f"unknown psd subcommand {args.psd_command!r}")
+def _tolerance(args) -> psd_mod.PsdTolerance:
+    """The validated --tol override, which each psd command builds first."""
+    return psd_mod.DEFAULT_TOL if args.tol is None else psd_mod.PsdTolerance(args.tol, args.tol)
+
+
+def _cmd_psd_witness(args):
+    tol = _tolerance(args)
+    x = _unit(_floats(_parse_vec_arg(args.x, args.n), args.x), args.x,
+              "witness direction cannot be zero")
+    w = psd_mod.engagement_witness(x, tol)
+    return {"x": x.tolist(), "y": w.y.tolist(), "z": w.z.tolist(), "w": w.w.tolist(),
+            "residual": w.residual}, EXIT_OK
+
+
+def _cmd_psd_supcheck(args):
+    tol = _tolerance(args)
+    b = _parse_matrix_arg(args.b, args.n)
+    verdict = psd_mod.identity_sup_check(b.n, b, m=args.samples, seed=args.seed, tol=tol)
+    payload = {
+        "verdict": verdict.verdict,
+        "lambda_min": verdict.lambda_min,
+        "samples_used": verdict.samples,
+    }
+    if verdict.witness is not None:
+        payload["witness"] = verdict.witness.tolist()
+    return payload, EXIT_OK if verdict.verdict == psd_mod.CONSISTENT else EXIT_NEGATIVE
+
+
+def _cmd_psd_conj(args):
+    tol = _tolerance(args)
+    a = _parse_matrix_arg(args.a, args.n)
+    q = _parse_matrix_arg(args.q, a.n)
+    t = psd_mod.conjugation_iso(a, tol)
+    image = t.apply(q)
+    back = t.invert(image)
+    return {
+        "image": image.array.tolist(),
+        "roundtrip_error": float(np.max(np.abs(back.array - q.array))),
+    }, EXIT_OK
+
+
+def _cmd_psd_approx(args):
+    _tolerance(args)
+    a = _parse_matrix_arg(args.a, args.n)
+    rows = psd_mod.infsup_approx(a, k_max=args.kmax, seed=args.seed)
+    return {
+        "table": [{"k": r.k, "d_k": r.d_k, "e_k": r.e_k} for r in rows],
+        "csv": "k,d_k,e_k\n" + "".join(f"{r.k},{r.d_k!r},{r.e_k!r}\n" for r in rows),
+    }, EXIT_OK
+
+
+# One row per exact command: (name, help, positional file arguments, handler).
+_COMMANDS = [
+    ("extreme-rays", "normalized extreme generators and facets", ["cone"], _cmd_extreme_rays),
+    ("classify", "engaged/disengaged report plus hypothesis verdict", ["cone"], _cmd_classify),
+    ("hypothesis", "linearity-theorem hypothesis verdict", ["cone"], _cmd_hypothesis),
+    ("supremum", "least upper bound of a point set", ["cone", "points"], _cmd_bound),
+    ("infimum", "greatest lower bound of a point set", ["cone", "points"], _cmd_bound),
+    ("evalexpr", "evaluate an inf-sup expression", ["cone", "expr"], _cmd_evalexpr),
+    ("unitnorm", "order-unit norm |x|_u", ["cone"], _cmd_unitnorm),
+    ("check-iso", "full order-isomorphism battery", ["cone", "iso"], _cmd_check_iso),
+]
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -454,32 +434,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="conelab",
                                 description="exact cone order laboratory")
     sub = p.add_subparsers(dest="command", required=True)
-
-    s = sub.add_parser("extreme-rays", parents=[common],
-                       help="normalized extreme generators and facets")
-    s.add_argument("cone")
-    s = sub.add_parser("classify", parents=[common],
-                       help="engaged/disengaged report plus hypothesis verdict")
-    s.add_argument("cone")
-    s = sub.add_parser("hypothesis", parents=[common],
-                       help="linearity-theorem hypothesis verdict")
-    s.add_argument("cone")
-    s = sub.add_parser("supremum", parents=[common], help="least upper bound of a point set")
-    s.add_argument("cone")
-    s.add_argument("points")
-    s = sub.add_parser("infimum", parents=[common], help="greatest lower bound of a point set")
-    s.add_argument("cone")
-    s.add_argument("points")
-    s = sub.add_parser("evalexpr", parents=[common], help="evaluate an inf-sup expression")
-    s.add_argument("cone")
-    s.add_argument("expr")
-    s = sub.add_parser("unitnorm", parents=[common], help="order-unit norm |x|_u")
-    s.add_argument("cone")
+    for name, help_text, positionals, handler in _COMMANDS:
+        s = sub.add_parser(name, parents=[common], help=help_text)
+        for arg in positionals:
+            s.add_argument(arg)
+        s.set_defaults(handler=handler)
+    s = sub.choices["unitnorm"]
     s.add_argument("-u", required=True, help="order unit, e.g. '1,1' or 'e1'")
     s.add_argument("-x", required=True, help="vector to measure")
-    s = sub.add_parser("check-iso", parents=[common], help="full order-isomorphism battery")
-    s.add_argument("cone")
-    s.add_argument("iso")
 
     s = sub.add_parser("psd", help="PSD cone demonstrations")
     ps = s.add_subparsers(dest="psd_command", required=True)
@@ -487,32 +449,23 @@ def _build_parser() -> argparse.ArgumentParser:
                       help="engagement identity P_x = P_y + P_z - P_w")
     w.add_argument("--n", type=int, required=True)
     w.add_argument("--x", required=True)
+    w.set_defaults(handler=_cmd_psd_witness)
     sc = ps.add_parser("supcheck", parents=[common],
                        help="identity-as-supremum consistency check")
     sc.add_argument("--n", type=int, default=None)
     sc.add_argument("--b", required=True)
+    sc.set_defaults(handler=_cmd_psd_supcheck)
     cj = ps.add_parser("conj", parents=[common], help="conjugation isomorphism T_A(Q)")
     cj.add_argument("--n", type=int, default=None)
     cj.add_argument("--a", required=True)
     cj.add_argument("--q", required=True)
+    cj.set_defaults(handler=_cmd_psd_conj)
     ap = ps.add_parser("approx", parents=[common], help="inf/sup convergence table (CSV)")
     ap.add_argument("--n", type=int, default=None)
     ap.add_argument("--a", required=True)
     ap.add_argument("--kmax", type=int, default=16)
+    ap.set_defaults(handler=_cmd_psd_approx)
     return p
-
-
-_HANDLERS = {
-    "extreme-rays": _cmd_extreme_rays,
-    "classify": _cmd_classify,
-    "hypothesis": _cmd_hypothesis,
-    "supremum": lambda a: _cmd_bound(a, "supremum"),
-    "infimum": lambda a: _cmd_bound(a, "infimum"),
-    "evalexpr": _cmd_evalexpr,
-    "unitnorm": _cmd_unitnorm,
-    "check-iso": _cmd_check_iso,
-    "psd": _cmd_psd,
-}
 
 
 def _emit(args, text: str) -> bool:
@@ -543,7 +496,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         _check_counts(args)
-        report, code = _HANDLERS[args.command](args)
+        payload, code = args.handler(args)
     except ParseError as exc:
         print(f"conelab: parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
@@ -563,21 +516,22 @@ def main(argv=None) -> int:
         print(f"conelab: invalid value: {exc}", file=sys.stderr)
         return EXIT_PARSE
 
-    if args.command == "psd" and getattr(args, "psd_command", None) == "approx" and args.out:
+    command = f"psd-{args.psd_command}" if args.command == "psd" else args.command
+    report = {**payload, "command": command, "seed": args.seed, "samples": args.samples}
+    if args.out and "csv" in report:
         if not _emit(args, report.pop("csv")):
             return EXIT_PARSE
         sys.stdout.write(canonical_dumps(report))
     elif not _emit(args, canonical_dumps(report)):
         return EXIT_PARSE
     if args.summary:
-        verdict = report.get("verdict")
-        if verdict is None and "hypothesis" in report:
-            verdict = "hypothesis holds" if report["hypothesis"]["holds"] else "hypothesis fails"
-        if verdict is None and "holds" in report:
-            verdict = "hypothesis holds" if report["holds"] else "hypothesis fails"
-        if verdict is None:
-            verdict = report.get("result", {}).get("outcome", "ok")
-        print(f"conelab {args.command}: {verdict} (exit {code})", file=sys.stderr)
+        hypothesis = report.get("hypothesis", report)
+        if "holds" in hypothesis:
+            verdict = "hypothesis holds" if hypothesis["holds"] else "hypothesis fails"
+        else:
+            verdict = (report.get("verdict") or report.get("error")
+                       or report.get("result", {}).get("outcome", "ok"))
+        print(f"conelab {command}: {verdict} (exit {code})", file=sys.stderr)
     return code
 
 

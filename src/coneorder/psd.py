@@ -32,6 +32,10 @@ from .errors import (
 MIN_N = 2
 MAX_N = 8
 _HALF_FLOAT_MAX = sys.float_info.max / 2
+# Above this peak entry, eigh_jacobi and _psd_cholesky work on the matrix
+# divided by a power of two, because sums of squares and products of entries
+# would leave the float range; at or below it they run unscaled.
+_RESCALE_PEAK = 2.0 ** 500
 
 
 @dataclass(frozen=True)
@@ -92,20 +96,39 @@ def _as_array(m) -> np.ndarray:
     return SymMatrix(m).array
 
 
+def _rescale_exponent(peak: float) -> int:
+    """0 for a peak entry up to _RESCALE_PEAK; above it, the even k with
+    1 <= peak / 2**k < 4.  Dividing by an even power of two divides square
+    roots by a power of two as well, so each float operation of the sweep and
+    the factorization is the unscaled one times a power of two."""
+    if not _RESCALE_PEAK < peak < math.inf:
+        return 0
+    k = math.frexp(peak)[1] - 1
+    return k - k % 2
+
+
 def eigh_jacobi(a, max_sweeps: int = 50) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition by cyclic Jacobi rotations.
 
     Sweeps until the off-diagonal Frobenius norm drops below 1e-14 times the
     matrix norm (at most max_sweeps sweeps).  Returns eigenvalues ascending
     and the orthogonal matrix of eigenvectors as columns, each column sign
-    fixed so its first significant entry is positive.
+    fixed so its first significant entry is positive.  A matrix with an entry
+    above 2**500 is swept divided by a power of two, and an eigenvalue beyond
+    the float range comes back as inf.
     """
     # Python floats, not numpy scalars: a square past the float range is a
     # silent inf, which keeps the sweep going instead of warning.
     m = np.array(_as_array(a) if isinstance(a, SymMatrix) else a, dtype=float).tolist()
     n = len(m)
     v = [[float(i == j) for j in range(n)] for i in range(n)]
-    norm = max(math.hypot(*(x for row in m for x in row)), 1e-300)
+    norm = math.hypot(*(x for row in m for x in row))
+    # the peak entry is at most the norm, so only a large norm asks for it
+    e = _rescale_exponent(max(abs(x) for row in m for x in row)) if norm > _RESCALE_PEAK else 0
+    if e:
+        m = [[math.ldexp(x, -e) for x in row] for row in m]
+        norm = math.hypot(*(x for row in m for x in row))
+    norm = max(norm, 1e-300)
     for _ in range(max_sweeps):
         off = 0.0
         for i in range(n - 1):
@@ -136,7 +159,8 @@ def eigh_jacobi(a, max_sweeps: int = 50) -> tuple[np.ndarray, np.ndarray]:
                     vkp, vkr = v[k][p], v[k][r]
                     v[k][p] = c * vkp - s * vkr
                     v[k][r] = s * vkp + c * vkr
-    evals = np.array([m[i][i] for i in range(n)])
+    # a product past the float range is inf, as a Python float, without a warning
+    evals = np.array([m[i][i] * 2.0 ** e for i in range(n)])
     vecs = np.array(v)
     order = np.argsort(evals, kind="stable")
     evals = evals[order]
@@ -162,7 +186,12 @@ def _psd_cholesky(m: np.ndarray, pivot_tol: float) -> bool:
     pivot_tol on the diagonal."""
     a = np.array(m, dtype=float)
     n = a.shape[0]
-    scale = max(1.0, float(np.max(np.abs(a))))
+    peak = float(np.max(np.abs(a)))
+    e = _rescale_exponent(peak)
+    if e:
+        a = np.ldexp(a, -e)
+        peak = math.ldexp(peak, -e)
+    scale = max(1.0, peak)
     for k in range(n):
         d = a[k, k]
         if d < -pivot_tol * scale:

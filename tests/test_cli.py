@@ -1,10 +1,12 @@
 import io
 import json
+import math
 import tempfile
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -87,16 +89,84 @@ class TestExtremeRays:
         assert code == 2
 
 
-@pytest.mark.parametrize("cone,command", [
-    ("wedge", "hypothesis"),         # not pointed: a line along the third axis
-    ("flat", "hypothesis"),          # pointed, spans a plane of Q^3
-    ("flat", "extreme-rays"),
-])
-def test_cone_report_matches_golden_bytes(capsys, cone, command):
-    code, out, _ = run(capsys, command, str(DATA / f"{cone}.json"))
-    golden = (DATA / f"{cone}.{command}.report.json").read_bytes()
-    assert out.encode("utf-8") == golden
-    assert code == (0 if command == "extreme-rays" else 1)
+# One run of each command, and of each of its exits that has its own report
+# shape: (golden report name, argv, exit code, --summary line).  Arguments
+# ending in .json name files in tests/data.  The psd inputs are diagonal
+# matrices and basis vectors, so that their float output depends as little as
+# it can on the summation order of the BLAS underneath.  A golden file changes
+# only when a change to what a command reports is intended.
+GOLDEN_RUNS = [
+    ("flat.extreme-rays", ["extreme-rays", "flat.json"], 0,
+     "conelab extreme-rays: ok (exit 0)"),
+    ("square_cone.classify", ["classify", "square_cone.json"], 0,
+     "conelab classify: hypothesis holds (exit 0)"),
+    ("orthant3.classify", ["classify", "orthant3.json"], 1,
+     "conelab classify: hypothesis fails (exit 1)"),
+    # not pointed: a line along the third axis
+    ("wedge.hypothesis", ["hypothesis", "wedge.json"], 1,
+     "conelab hypothesis: hypothesis fails (exit 1)"),
+    # pointed, spans a plane of Q^3
+    ("flat.hypothesis", ["hypothesis", "flat.json"], 1,
+     "conelab hypothesis: hypothesis fails (exit 1)"),
+    ("square_pair.supremum", ["supremum", "square_cone.json", "square_pair.points.json"], 0,
+     "conelab supremum: exists (exit 0)"),
+    ("square_apart.supremum", ["supremum", "square_cone.json", "square_apart.points.json"], 5,
+     "conelab supremum: no_least_upper_bound (exit 5)"),
+    ("square_pair.infimum", ["infimum", "square_cone.json", "square_pair.points.json"], 0,
+     "conelab infimum: exists (exit 0)"),
+    ("orthant3.evalexpr", ["evalexpr", "orthant3.json", "orthant3.expr.json"], 0,
+     "conelab evalexpr: ok (exit 0)"),
+    ("square_apart.evalexpr", ["evalexpr", "square_cone.json", "square_apart.expr.json"], 5,
+     "conelab evalexpr: undefined_lattice (exit 5)"),
+    ("square_cone.unitnorm", ["unitnorm", "square_cone.json", "-u", "0,0,1", "-x", "1,0,0"], 0,
+     "conelab unitnorm: ok (exit 0)"),
+    ("square_identity", ["check-iso", "square_cone.json", "square_identity.iso.json",
+                         "--samples", "500"], 0,
+     "conelab check-iso: affine (exit 0)"),
+    ("e1.psd-witness", ["psd", "witness", "--n", "3", "--x", "e1"], 0,
+     "conelab psd-witness: ok (exit 0)"),
+    ("diag2_3.psd-supcheck", ["psd", "supcheck", "--n", "2", "--b", "diag:2,3",
+                              "--samples", "50"], 0,
+     "conelab psd-supcheck: CONSISTENT (exit 0)"),
+    ("diag1_half.psd-supcheck", ["psd", "supcheck", "--n", "2", "--b", "diag:1,0.5",
+                                 "--samples", "50"], 1,
+     "conelab psd-supcheck: NOT_UPPER_BOUND (exit 1)"),
+    ("diag4_1.psd-conj", ["psd", "conj", "--n", "2", "--a", "diag:4,1", "--q", "proj:e1"], 0,
+     "conelab psd-conj: ok (exit 0)"),
+    ("diag2_1.psd-approx", ["psd", "approx", "--n", "2", "--a", "diag:2,1", "--kmax", "3"], 0,
+     "conelab psd-approx: ok (exit 0)"),
+]
+
+
+def _data_argv(argv):
+    return [str(DATA / a) if a.endswith(".json") else a for a in argv]
+
+
+@pytest.mark.parametrize("golden, argv, code, summary", GOLDEN_RUNS,
+                         ids=[run[0] for run in GOLDEN_RUNS])
+def test_command_report_matches_golden_bytes(capsys, golden, argv, code, summary):
+    got, out, err = run(capsys, *_data_argv(argv))
+    assert out.encode("utf-8") == (DATA / f"{golden}.report.json").read_bytes()
+    assert got == code and err == ""
+
+
+@pytest.mark.parametrize("golden, argv, code, summary", GOLDEN_RUNS,
+                         ids=[run[0] for run in GOLDEN_RUNS])
+def test_summary_line(capsys, golden, argv, code, summary):
+    got, out, err = run(capsys, *_data_argv(argv), "--summary")
+    assert out.encode("utf-8") == (DATA / f"{golden}.report.json").read_bytes()
+    assert got == code and err == summary + "\n"
+
+
+def test_approx_out_matches_golden_bytes(capsys, tmp_path):
+    # With --out the CSV table goes to the file and the rest of the report
+    # to stdout.
+    table = tmp_path / "table.csv"
+    code, out, err = run(capsys, "psd", "approx", "--n", "2", "--a", "diag:2,1", "--kmax", "3",
+                         "--out", str(table))
+    assert code == 0 and err == ""
+    assert out.encode("utf-8") == (DATA / "diag2_1.psd-approx.out.report.json").read_bytes()
+    assert table.read_bytes() == (DATA / "diag2_1.psd-approx.csv").read_bytes()
 
 
 class TestClassify:
@@ -340,6 +410,28 @@ class TestPsdCommands:
             warnings.simplefilter("error")
             code, out, err = run(capsys, "psd", *argv, "--samples", "20")
         assert code == 0 and out and err == ""
+
+    def test_peak_entry_near_the_float_limit(self, capsys, tmp_path):
+        # A matrix file with entries up to 8e307 gets the verdict, witness
+        # and scaled lambda_min of the same matrix at peak 1, with no warning.
+        rng = np.random.default_rng(1)
+        a = rng.normal(size=(8, 8))
+        a = (a + a.T) / 2
+        a /= np.max(np.abs(a))
+        reports = []
+        for scale in (1.0, 8e307):
+            path = tmp_path / f"m{scale}.json"
+            path.write_text(json.dumps({"n": 8, "rows": (a * scale).tolist()}))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code, out, err = run(capsys, "psd", "supcheck", "--b", str(path),
+                                     "--samples", "20")
+            assert err == ""
+            reports.append((code, json.loads(out)))
+        (code, small), (code_big, big) = reports
+        assert code_big == code == 1 and big["verdict"] == small["verdict"] == "NOT_UPPER_BOUND"
+        assert np.allclose(big["witness"], small["witness"], atol=1e-10)
+        assert math.isclose(big["lambda_min"] / 8e307, small["lambda_min"], rel_tol=1e-12)
 
     def test_approx_csv_output(self, files, capsys, tmp_path):
         out_path = tmp_path / "table.csv"

@@ -103,6 +103,16 @@ class TestJacobiEigendecomposition:
         assert np.allclose(w_big / 1e200, w, rtol=1e-12, atol=1e-12)
         assert np.allclose(q_big, q, atol=1e-10)
 
+    def test_peak_entry_near_the_float_limit(self):
+        # the Frobenius norm of an 8x8 matrix with entries up to 8e307
+        # overflows; the sweep runs on the matrix divided by a power of two
+        a = random_sym(np.random.default_rng(1), 8)
+        scale = 8e307 / np.max(np.abs(a))
+        w, q = eigh_jacobi(a)
+        w_big, q_big = eigh_jacobi(SymMatrix(a * scale))
+        assert np.allclose(w_big / scale, w, rtol=1e-12, atol=1e-12 * np.max(np.abs(w)))
+        assert np.allclose(q_big, q, atol=1e-10)
+
 
 class TestLoewnerOrder:
     def test_examples(self):
