@@ -181,62 +181,54 @@ def run_full_battery(cone: PolyhedralCone, spec: IsoSpec, samples: int, seed: in
     if battery.verdict != "PassedSampling":
         violations += 1
 
-    n_cfg = max(5, min(50, samples // 100))
-    engaged = {i: rep.engaged for i, rep in enumerate(classify_engaged(src))}
+    def point(rng):
+        return vec_add(a, cone_point(src, rng))
 
-    halfline = {"checked": 0, "passed": 0, "failures": []}
+    failures = []
     lams = [Fraction(0), Fraction(1, 2), Fraction(1), Fraction(2)]
     for i, r in enumerate(gens):
-        apex = vec_add(a, cone_point(src, rng_for(seed, "hl", i)))
-        halfline["checked"] += 1
         try:
-            ok = halfline_image_check(spec, apex, r, lams)
+            if not halfline_image_check(spec, point(rng_for(seed, "hl", i)), r, lams):
+                failures.append(i)
         except ConeOrderError:
-            ok = False
-        if ok:
-            halfline["passed"] += 1
-        else:
-            halfline["failures"].append(i)
-    report["halfline"] = halfline
-    if halfline["failures"]:
+            failures.append(i)
+    report["halfline"] = {"checked": len(gens), "passed": len(gens) - len(failures),
+                          "failures": failures}
+    if failures:
         violations += 1
 
-    par = {"checked": 0, "passed": 0, "witness": None}
-    add = {"checked": 0, "passed": 0, "witness": None}
-    if len(gens) >= 2:
-        for i in range(n_cfg):
-            rng = rng_for(seed, "par", i)
-            x = vec_add(a, cone_point(src, rng))
-            ri, si = rng.sample(range(len(gens)), 2)
-            r = vec_scale(rng.randint(1, 3), gens[ri])
-            s = vec_scale(rng.randint(1, 3), gens[si])
-            par["checked"] += 1
-            if check_parallelogram(spec, x, r, s):
-                par["passed"] += 1
-            elif par["witness"] is None:
-                par["witness"] = [vec_to_json(x), vec_to_json(r), vec_to_json(s)]
-            rng2 = rng_for(seed, "add", i)
-            x2 = vec_add(a, cone_point(src, rng2))
-            count = rng2.randint(2, min(4, len(gens)))
-            idx = rng2.sample(range(len(gens)), count)
-            ss = [vec_scale(rng2.randint(1, 3), gens[j]) for j in idx]
-            add["checked"] += 1
-            if check_additivity(spec, x2, ss):
-                add["passed"] += 1
-            elif add["witness"] is None:
-                add["witness"] = [vec_to_json(x2)] + [vec_to_json(s) for s in ss]
-    report["parallelogram"] = par
-    report["additivity"] = add
+    n_cfg = max(5, min(50, samples // 100)) if len(gens) >= 2 else 0
+    par = report["parallelogram"] = {"checked": n_cfg, "passed": 0, "witness": None}
+    add = report["additivity"] = {"checked": n_cfg, "passed": 0, "witness": None}
+    for i in range(n_cfg):
+        rng = rng_for(seed, "par", i)
+        x = point(rng)
+        ri, si = rng.sample(range(len(gens)), 2)
+        r = vec_scale(rng.randint(1, 3), gens[ri])
+        s = vec_scale(rng.randint(1, 3), gens[si])
+        if check_parallelogram(spec, x, r, s):
+            par["passed"] += 1
+        elif par["witness"] is None:
+            par["witness"] = [vec_to_json(x), vec_to_json(r), vec_to_json(s)]
+        rng2 = rng_for(seed, "add", i)
+        x2 = point(rng2)
+        count = rng2.randint(2, min(4, len(gens)))
+        idx = rng2.sample(range(len(gens)), count)
+        ss = [vec_scale(rng2.randint(1, 3), gens[j]) for j in idx]
+        if check_additivity(spec, x2, ss):
+            add["passed"] += 1
+        elif add["witness"] is None:
+            add["witness"] = [vec_to_json(x2)] + [vec_to_json(s) for s in ss]
     if par["witness"] is not None or add["witness"] is not None:
         violations += 1
 
-    g_report = []
+    g_report = report["g_r"] = []
     g_lams = [Fraction(0), Fraction(1, 2), Fraction(1), Fraction(2), Fraction(3)]
-    for i, r in enumerate(gens):
-        basepoints = [vec_add(a, cone_point(src, rng_for(seed, "gr", i, t))) for t in range(3)]
-        entry = {"ray_index": i, "engaged": engaged.get(i)}
+    for ray in classify_engaged(src):
+        basepoints = [point(rng_for(seed, "gr", ray.ray_index, t)) for t in range(3)]
+        entry = {"ray_index": ray.ray_index, "engaged": ray.engaged}
         try:
-            rows = extract_g_r(spec, r, basepoints, g_lams)
+            rows = extract_g_r(spec, ray.generator, basepoints, g_lams)
         except ConeOrderError as exc:
             entry["colinear"] = False
             entry["error"] = type(exc).__name__
@@ -250,32 +242,25 @@ def run_full_battery(cone: PolyhedralCone, spec: IsoSpec, samples: int, seed: in
         indep = all(len(set(vals)) == 1 for vals in by_lam.values())
         ident = all(all(v == lam for v in vals) for lam, vals in by_lam.items())
         entry["basepoint_independent"] = indep
-        if engaged.get(i):
+        if ray.engaged:
             entry["identity"] = ident
             if not (indep and ident):
                 violations += 1
         else:
             entry["identity"] = ident if indep else None
         g_report.append(entry)
-    report["g_r"] = g_report
 
-    pts = []
-    seen = set()
-    for t in range(4 * src.dim + 12):
-        p = vec_add(a, cone_point(src, rng_for(seed, "aff", t)))
-        if p not in seen:
-            seen.add(p)
-            pts.append(p)
+    pts = list(dict.fromkeys(point(rng_for(seed, "aff", t)) for t in range(4 * src.dim + 12)))
     fit = check_affine_on(spec, pts)
     # Every cone-based map sends the apex to the apex, and a map can be affine
     # on the sampled points yet not there: a product lift bending its ray
     # coordinate at t = 1 fits t + 1 when no sample has t < 1.
-    if fit.affine and a not in seen:
+    if fit.affine and a not in pts:
         fit = check_affine_on(spec, pts + [a])
     report["affine"] = {"affine": fit.affine, "max_residual": fmt_rational(fit.max_residual)}
 
     if is_zero_vec(spec.source_base) and is_zero_vec(spec.target_base):
-        hom_samples = [vec_add(a, cone_point(src, rng_for(seed, "hom", t))) for t in range(8)]
+        hom_samples = [point(rng_for(seed, "hom", t)) for t in range(8)]
         report["homogeneous"] = check_positively_homogeneous(
             spec, hom_samples, [Fraction(1, 2), Fraction(2), Fraction(3)])
     else:

@@ -46,7 +46,6 @@ from .linalg import (
     vec_add,
     vec_dot,
     vec_scale,
-    vec_sub,
 )
 from .sampling import rng_for
 
@@ -88,23 +87,22 @@ def _bound_rows(cone: PolyhedralCone, points, upper: bool) -> list[tuple[int, ..
             for h in cone._facet_ints]
 
 
-def _bound_vertices(cone: PolyhedralCone, points, upper: bool) -> list[Vec]:
-    """Sorted vertices of the set of upper (lower) bounds of the points.
+def _vertices(dim: int, rows) -> tuple[list[Vec], list[Vec], list[Vec]]:
+    """Sorted vertices, lineality basis and recession directions of
+    {z : <h, (z, 1)> >= 0 for every row h}, read off one double description
+    of its homogenization with t >= 0 added: a ray with last coordinate
+    t > 0 is t times a vertex, one with t = 0 a recession direction."""
+    lin, rays = double_description(dim + 1, rows + [unit_vec(dim + 1, dim)])
+    verts = sorted(tuple(c / r[dim] for c in r[:dim]) for r in rays if r[dim])
+    return verts, [l[:dim] for l in lin], [r[:dim] for r in rays if not r[dim]]
 
-    Works in the homogenization R^(d+1); rays with positive last coordinate
-    are vertices, rays with zero last coordinate are recession directions.
-    """
-    d = cone.dim
-    cons = _bound_rows(cone, points, upper) + [unit_vec(d + 1, d)]
-    lin, rays = double_description(d + 1, cons)
+
+def _bound_vertices(cone: PolyhedralCone, points, upper: bool) -> list[Vec]:
+    """Sorted vertices of the set of upper (lower) bounds of the points."""
+    verts, lin, _ = _vertices(cone.dim, _bound_rows(cone, points, upper))
     if lin:
         raise InternalInconsistency("bound polyhedron of a pointed cone has lineality")
-    verts = []
-    for r in rays:
-        t = r[d]
-        if t > 0:
-            verts.append(tuple(c / t for c in r[:d]))
-    return sorted(verts)
+    return verts
 
 
 def _extremum(cone: PolyhedralCone, points, upper: bool) -> SupResult:
@@ -140,9 +138,11 @@ def infimum(cone: PolyhedralCone, points) -> SupResult:
 def interval_sample(cone: PolyhedralCone, x, y, n: int, seed: int = 0) -> list[Vec]:
     """n deterministic points of the order interval [x, y].
 
-    Rejection sampling runs inside the affine hull of the interval, so
-    degenerate intervals (for example [0, r] on an extreme ray, which is
-    just a segment) are sampled correctly instead of never being hit.
+    The interval is the convex hull of its vertices plus the cone's
+    lineality space (Minkowski-Weyl).  Each point is a convex combination of
+    the vertices with positive integer weights plus a multiple in [-3, 3],
+    in steps of 1/1024, of each lineality direction, so every draw lies in
+    [x, y], degenerate intervals such as a segment [0, r] included.
     """
     x, y = cone._check_dim(as_vec(x)), cone._check_dim(as_vec(y))
     if not cone.leq(x, y):
@@ -150,56 +150,23 @@ def interval_sample(cone: PolyhedralCone, x, y, n: int, seed: int = 0) -> list[V
     if n <= 0:
         return []
     d = cone.dim
-    cons = []
-    for above_x, below_y in zip(_bound_rows(cone, [x], True), _bound_rows(cone, [y], False)):
-        cons += [above_x, below_y]
-    cons.append(unit_vec(d + 1, d))
-    lin, rays = double_description(d + 1, cons)
-    verts = []
-    for r in rays:
-        if r[d] == 0:
-            raise InternalInconsistency("order interval with unbounded recession")
-        verts.append(tuple(c / r[d] for c in r[:d]))
-    verts.sort()
-    free_dirs = [l[:d] for l in lin]
-
-    v0 = verts[0]
-    diffs = [vec_sub(v, v0) for v in verts[1:]]
-    # One elimination gives the basis (the pivot columns) and, in row p of
-    # the reduced matrix, every difference's coordinate on basis vector p.
-    cols = diffs + free_dirs
-    red, chosen = rref(transpose(cols))
-    basis = [cols[i] for i in chosen]
-    n_diff = sum(1 for i in chosen if i < len(diffs))
-    if not basis:
-        return [v0] * n
-
-    ranges = []
-    for p in range(len(basis)):
-        if p < n_diff:
-            vals = [ZERO] + red[p][:len(diffs)]
-            ranges.append((min(vals), max(vals)))
-        else:
-            ranges.append((Fraction(-3), Fraction(3)))
-
+    pairs = zip(_bound_rows(cone, [x], True), _bound_rows(cone, [y], False))
+    verts, free_dirs, recession = _vertices(d, [row for pair in pairs for row in pair])
+    if recession:
+        raise InternalInconsistency("order interval with unbounded recession")
+    flat, scale = scaled_ints([c for v in verts + free_dirs for c in v])
+    cols = list(zip(*(flat[i:i + d] for i in range(0, len(flat), d))))
     rng = rng_for(seed, "interval")
     den = 1 << 10
     out: list[Vec] = []
-    attempts = 0
-    limit = 2000 * n + 4000
-    while len(out) < n:
-        attempts += 1
-        if attempts > limit:
-            raise InternalInconsistency("interval rejection sampling stalled")
-        z = list(v0)
-        for (lo, hi), b in zip(ranges, basis):
-            t = lo + (hi - lo) * Fraction(rng.randrange(den + 1), den)
-            if t:
-                for i, bi in enumerate(b):
-                    z[i] += t * bi
-        zt = tuple(z)
-        if cone.leq(x, zt) and cone.leq(zt, y):
-            out.append(zt)
+    for _ in range(n):
+        weights = [rng.randint(1, den) for _ in verts]
+        total = sum(weights)
+        # z = sum(w v) / total + sum(t l) / den over the common denominator
+        coeffs = [den * w for w in weights]
+        coeffs += [total * rng.randrange(-3 * den, 3 * den + 1) for _ in free_dirs]
+        out.append(tuple(Fraction(sum(map(mul, coeffs, col)), den * total * scale)
+                         for col in cols))
     return out
 
 

@@ -332,12 +332,20 @@ class ConjugationMap:
         self.inv_sqrt = inv_sqrt
 
     def apply(self, q) -> SymMatrix:
-        q = _as_array(q)
-        return SymMatrix(self.sqrt @ q @ self.sqrt)
+        return _congruence(self.sqrt, _as_array(q))
 
     def invert(self, q) -> SymMatrix:
-        q = _as_array(q)
-        return SymMatrix(self.inv_sqrt @ q @ self.inv_sqrt)
+        return _congruence(self.inv_sqrt, _as_array(q))
+
+
+def _congruence(s: np.ndarray, q: np.ndarray) -> SymMatrix:
+    """s q s for symmetric s and q.  The float product is symmetric only up
+    to rounding, so it is symmetrized here instead of being checked like
+    outside input; a product past the float range is still refused by
+    SymMatrix as non-finite."""
+    m = s @ q @ s
+    with np.errstate(over="ignore"):
+        return SymMatrix((m + m.T) / 2)
 
 
 def conjugation_iso(a, tol: PsdTolerance = DEFAULT_TOL) -> ConjugationMap:
@@ -381,7 +389,13 @@ def infsup_approx(a, k_max: int = 16, seed: int = 0) -> list[ConvergenceRow]:
         nrm = float(np.linalg.norm(v))
         if nrm > 1e-8:
             dirs.append(v / nrm)
-    s = conjugation_iso(a + np.eye(n)).sqrt
+    try:
+        s = conjugation_iso(a + np.eye(n)).sqrt
+    except NotPositiveDefinite:
+        if psd_leq(np.zeros((n, n)), a):
+            raise ValueError("A + I is not positive definite in float precision: "
+                             "the entries of A are too large for the added I") from None
+        raise
     rows: list[ConvergenceRow] = []
     basis = np.zeros((n, 0))
     for k in range(1, k_max + 1):

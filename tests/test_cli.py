@@ -392,6 +392,8 @@ class TestPsdCommands:
          "conelab: parse error: the norm of 'proj:1e300,1e300' overflows the float range"),
         (["witness", "--n", "2", "--x", "1e300,1e300"],
          "conelab: parse error: the norm of '1e300,1e300' overflows the float range"),
+        (["conj", "--n", "2", "--a", "diag:4,4", "--q", "diag:3e307,3e307"],
+         "conelab: invalid value: matrix entries must be finite"),
     ])
     def test_overflow_is_named_without_warnings(self, capsys, argv, message):
         with warnings.catch_warnings():
@@ -432,6 +434,38 @@ class TestPsdCommands:
         assert code_big == code == 1 and big["verdict"] == small["verdict"] == "NOT_UPPER_BOUND"
         assert np.allclose(big["witness"], small["witness"], atol=1e-10)
         assert math.isclose(big["lambda_min"] / 8e307, small["lambda_min"], rel_tol=1e-12)
+
+    def test_conj_image_of_a_symmetric_input_is_symmetric(self, capsys):
+        # The float product A^(1/2) Q A^(1/2) of these inputs is asymmetric
+        # past 1e-14 relative; it is symmetrized, not refused as input.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "psd", "conj",
+                                 "--a", str(DATA / "ill_conditioned.conj-a.json"),
+                                 "--q", str(DATA / "ill_conditioned.conj-q.json"))
+        assert code == 0 and err == ""
+        image = np.array(json.loads(out)["image"])
+        assert np.array_equal(image, image.T)
+
+    @pytest.mark.parametrize("entry", [1e20, 1e300, 8.9e307])
+    def test_approx_of_a_large_psd_matrix_names_float_precision(self, capsys, tmp_path,
+                                                                 entry):
+        # A rank-one PSD matrix with every entry huge: A + I rounds back to A,
+        # which is singular, so the conjugation by A + I cannot be formed.
+        path = tmp_path / "a.json"
+        path.write_text(json.dumps({"n": 8, "rows": [[entry] * 8] * 8}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "psd", "approx", "--a", str(path), "--kmax", "2")
+        assert code == 2 and out == ""
+        assert "A + I is not positive definite in float precision" in err
+
+    def test_approx_of_a_non_psd_matrix_exit_6(self, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "psd", "approx", "--a", "diag:-2,1")
+        assert code == 6 and out == ""
+        assert err == "conelab: lambda_min = -1.0\n"
 
     def test_approx_csv_output(self, files, capsys, tmp_path):
         out_path = tmp_path / "table.csv"

@@ -20,9 +20,12 @@ from coneorder.linalg import (
     as_vec,
     independent_subset,
     mat_vec,
+    unit_vec,
     vec_add,
     vec_dot,
+    vec_neg,
     vec_scale,
+    vec_sub,
     zero_vec,
 )
 from coneorder.lp import OPTIMAL, solve_lp
@@ -44,7 +47,13 @@ from coneorder.order import (
     sup_expr,
     supremum,
 )
-from coneorder.sampling import cone_point, random_pointed_cone, rng_for, unimodular_matrix
+from coneorder.sampling import (
+    cone_point,
+    rand_int_vec,
+    random_pointed_cone,
+    rng_for,
+    unimodular_matrix,
+)
 
 from oracles import (
     bound_vertices_bruteforce,
@@ -164,6 +173,52 @@ class TestIntervalSampling:
         assert len(pts) == 8
         assert all(0 <= p[1] <= 2 for p in pts)
         assert len({p[0] for p in pts}) > 1  # the free direction is exercised
+
+    def test_thin_full_dimensional_interval(self):
+        # A thin interval of full dimension: drawing from a bounding box of
+        # the interval and rejecting misses gave up on this one.
+        cone = cone_from_generators(4, [(0, -2, 3, -3), (0, -1, 3, -3), (0, 0, -1, 0),
+                                        (1, 2, 3, -2), (3, -2, 1, -1), (3, 2, 3, 2)])
+        x, y = V(18, -2, 25, -14), V(37, -10, 63, -45)
+        pts = interval_sample(cone, x, y, 8, seed=144)
+        assert len(pts) == 8
+        assert all(cone.leq(x, z) and cone.leq(z, y) for z in pts)
+
+    def test_samples_lie_in_the_interval_and_halfline_check_agrees(self):
+        # Seeded property loop: pointed cones of dimensions 1-6 and
+        # non-pointed cones of dimensions 2-5.  Every sample lies in [x, y],
+        # and the sampled half-line battery agrees with the exact extremality
+        # test for an extreme and (when there is one) a non-extreme direction.
+        checked = {"pointed": 0, "non_pointed": 0, "non_extreme": 0}
+        for i in range(260):
+            rng = rng_for(i, "interval-property")
+            if i % 5 == 4:
+                dim = 2 + i % 4
+                gens = [rand_int_vec(rng, dim, 2) for _ in range(dim + 1)]
+                gens = [g for g in gens if any(g)] or [unit_vec(dim, 0)]
+                cone = cone_from_generators(dim, gens + [vec_neg(gens[0])])
+                assert not cone.pointed
+            else:
+                dim = 1 + i % 6
+                cone = random_pointed_cone(rng, dim, dim + 2, bound=2)
+            x = rand_int_vec(rng, dim)
+            y = vec_add(x, cone_point(cone, rng, coeff_max=2))
+            n = rng.randint(1, 8)
+            pts = interval_sample(cone, x, y, n, seed=i)
+            assert len(pts) == n
+            assert all(cone.leq(x, z) and cone.leq(z, y) for z in pts)
+            if not cone.pointed:
+                checked["non_pointed"] += 1
+                continue
+            checked["pointed"] += 1
+            extreme = vec_scale(rng.randint(1, 3), rng.choice(cone.generators))
+            assert extreme_halfline_check(cone, x, extreme, seed=i)
+            d = vec_sub(y, x)
+            if any(d) and not cone.is_extreme_vector(d):
+                checked["non_extreme"] += 1
+                assert not extreme_halfline_check(cone, x, d, seed=i)
+        assert checked["pointed"] >= 200 and checked["non_pointed"] >= 50
+        assert checked["non_extreme"] >= 100
 
     def test_totally_ordered_helper(self):
         o2 = orthant(2)

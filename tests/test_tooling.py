@@ -3,6 +3,7 @@ tracer in perfbench/ rebinds library functions by name; a rename or deletion
 in src/ must show up here, not only in a traced benchmark run.  Every conelab
 command must have a golden report."""
 import argparse
+import ast
 import importlib
 import importlib.util
 import json
@@ -48,3 +49,28 @@ def test_every_command_has_a_golden_report():
     golden = {json.loads(p.read_text())["command"] for p in data.glob("*.report.json")}
     assert {"classify", "psd-approx"} <= commands
     assert commands - golden == set()
+
+
+def test_no_unused_imports_in_src():
+    # A name imported into a module of src/ is used there, re-exported by a
+    # package __init__.py, or marked "# noqa: F401" on its import line.
+    src = Path(__file__).resolve().parent.parent / "src"
+    unused = []
+    for path in sorted(src.rglob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        text = path.read_text()
+        lines = text.splitlines()
+        tree = ast.parse(text)
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = (alias.asname or alias.name).split(".")[0]
+                    if alias.name == "annotations" or "# noqa: F401" in lines[node.lineno - 1]:
+                        continue
+                    imported[name] = node.lineno
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        unused += [f"{path.relative_to(src)}:{line} {name}"
+                   for name, line in imported.items() if name not in used]
+    assert unused == []
