@@ -73,6 +73,11 @@ from .psd import (
     rank_one_projection,
 )
 
+# No library code calls the exact simplex.  The package still loads it
+# because perfbench/tracer.py rebinds coneorder.lp by looking it up among the
+# loaded modules; the import goes when the benchmark retires those targets.
+from . import lp  # noqa: F401
+
 __all__ = [
     "AffineMap",
     "ConeOrderError",

@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import cached_property
 from operator import mul, sub
 
-from .errors import DimensionMismatch, NotInCone, NotPointed
+from .errors import DimensionMismatch, InternalInconsistency, NotInCone, NotPointed
 from .linalg import (
     Vec,
     as_vec,
@@ -31,7 +31,6 @@ from .linalg import (
     scaled_ints,
     vec_neg,
 )
-from .lp import positive_combination
 
 
 def double_description(dim: int, constraints) -> tuple[list[Vec], list[Vec]]:
@@ -172,6 +171,18 @@ class PolyhedralCone:
         return tuple(tuple(int(c) for c in g) for g in self.generators)
 
     @cached_property
+    def _gen_facet_values(self) -> tuple[tuple[int, ...], ...]:
+        """<h, g> for every facet normal h, one row per generator g."""
+        return tuple(tuple(sum(map(mul, h, g)) for h in self._facet_ints)
+                     for g in self._gen_ints)
+
+    @cached_property
+    def _gen_tight(self) -> tuple[int, ...]:
+        """Bitmask of the facets tight at each generator (bit i: facet i)."""
+        return tuple(sum(1 << i for i, v in enumerate(vals) if not v)
+                     for vals in self._gen_facet_values)
+
+    @cached_property
     def _generator_set(self) -> frozenset[Vec]:
         return frozenset(self.generators)
 
@@ -230,20 +241,53 @@ class PolyhedralCone:
         return self.generators
 
     def caratheodory_decompose(self, x) -> list[tuple[Fraction, Vec]]:
-        """Write x in C as an exact nonnegative combination of at most dim
-        extreme generators (a basic feasible solution, so the support is
-        linearly independent)."""
+        """Write x in C as an exact positive combination of at most dim
+        extreme generators with a linearly independent support, in
+        generator order.
+
+        The walk of the constructive proof of Caratheodory's theorem
+        (Schrijver, "Theory of Linear and Integer Programming", 1986), run on
+        the facet values <h, x>, which determine x in a pointed cone: take
+        the first generator g tight at every facet tight at x, so g lies in
+        the minimal face of x, and subtract the largest multiple t*g that
+        stays in C, t = min <h, x>/<h, g> over the facets with <h, g> > 0.
+        The facet attaining t is tight at the remainder but not at g, so the
+        minimal face shrinks strictly at every step: there are at most dim
+        steps, and each g lies outside the span of the later ones.  The
+        later generators lie in the smaller face, whose generators all come
+        after g, so the terms come out in generator order.
+        """
         x = self._check_dim(x)
         if not self.pointed:
             raise NotPointed("decomposition needs a pointed cone")
-        if not self.contains(x):
+        xi, den = scaled_ints(x)
+        # vals / den are the facet values of the remainder of x.
+        vals = [sum(map(mul, h, xi)) for h in self._facet_ints]
+        if any(v < 0 for v in vals):
             raise NotInCone("cannot decompose a point outside the cone")
-        if is_zero_vec(x):
-            return []
-        coeffs = positive_combination(self.generators, x)
-        if coeffs is None:
-            raise NotInCone("decomposition LP infeasible for a cone member")
-        return [(c, g) for c, g in zip(coeffs, self.generators) if c != 0]
+        table, tight = self._gen_facet_values, self._gen_tight
+        terms = []
+        while any(vals):
+            mask = sum(1 << i for i, v in enumerate(vals) if not v)
+            j = next((j for j, tj in enumerate(tight) if not mask & ~tj), None)
+            if j is None:
+                raise InternalInconsistency("no generator in the minimal face of a cone member")
+            gv = table[j]
+            k = None
+            for i, (v, c) in enumerate(zip(vals, gv)):
+                if c > 0 and (k is None or v * gv[k] < vals[k] * c):
+                    k = i
+            if k is None:
+                raise InternalInconsistency("a nonzero generator has all facet values zero")
+            # t = vals[k] / (den * gv[k]); the remainder x - t*g has facet
+            # values (gv[k]*vals - vals[k]*gv) / (den * gv[k]).
+            a, b = gv[k], vals[k]
+            terms.append((Fraction(b, den * a), self.generators[j]))
+            vals = [a * v - b * c for v, c in zip(vals, gv)]
+            den *= a
+            if any(v < 0 for v in vals):
+                raise InternalInconsistency("Caratheodory step left the cone")
+        return terms
 
     def __repr__(self) -> str:
         kind = "pointed" if self.pointed else "non-pointed"

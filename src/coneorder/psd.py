@@ -343,8 +343,8 @@ def _congruence(s: np.ndarray, q: np.ndarray) -> SymMatrix:
     to rounding, so it is symmetrized here instead of being checked like
     outside input; a product past the float range is still refused by
     SymMatrix as non-finite."""
-    m = s @ q @ s
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
+        m = s @ q @ s
         return SymMatrix((m + m.T) / 2)
 
 

@@ -6,11 +6,12 @@ generators, the parallelogram identity through its own four-corner formula
 instead of two-vector additivity, ray/facet enumeration through
 exhaustive subset solving instead of double description (and the double
 description itself through its Fraction-lineality form), suprema through
-exhaustive vertex enumeration, engagement through one linear solve per ray
-instead of one row reduction per cone, eigendecompositions through
-numpy's LAPACK instead of the in-repo Jacobi sweep, and iso specs and their
-sampled battery through the per-kind Fraction formulas instead of the
-integer cores.
+exhaustive vertex enumeration, Caratheodory decompositions through the
+exact simplex instead of the facet walk, engagement through one linear
+solve per ray instead of one row reduction per cone, eigendecompositions
+through numpy's LAPACK instead of the in-repo Jacobi sweep, and iso specs
+and their sampled battery through the per-kind Fraction formulas instead of
+the integer cores.
 """
 from __future__ import annotations
 
@@ -20,7 +21,7 @@ from operator import mul
 
 import numpy as np
 
-from coneorder.errors import OutOfDomain, SameRay
+from coneorder.errors import NotInCone, NotPointed, OutOfDomain, SameRay
 from coneorder.iso import (
     AffineIso,
     AffineMap,
@@ -71,6 +72,22 @@ def is_extreme_lp(gens, v) -> bool:
     ray = normalize_ray(v)
     others = [g for g in gens if normalize_ray(g) != ray]
     return positive_combination(others, v) is None
+
+
+def caratheodory_reference(cone, x) -> list:
+    """x in a pointed cone as a basic feasible solution of the exact simplex
+    over the generators: the positive terms (coefficient, generator)."""
+    x = cone._check_dim(x)
+    if not cone.pointed:
+        raise NotPointed("decomposition needs a pointed cone")
+    if not cone.contains(x):
+        raise NotInCone("cannot decompose a point outside the cone")
+    if all(c == 0 for c in x):
+        return []
+    coeffs = positive_combination(cone.generators, x)
+    if coeffs is None:
+        raise NotInCone("decomposition LP infeasible for a cone member")
+    return [(c, g) for c, g in zip(coeffs, cone.generators) if c != 0]
 
 
 def is_extreme_tight_rank(cone, r) -> bool:

@@ -394,6 +394,8 @@ class TestPsdCommands:
          "conelab: parse error: the norm of '1e300,1e300' overflows the float range"),
         (["conj", "--n", "2", "--a", "diag:4,4", "--q", "diag:3e307,3e307"],
          "conelab: invalid value: matrix entries must be finite"),
+        (["conj", "--a", "diag:1e300,1", "--q", "diag:1e300,1"],
+         "conelab: invalid value: matrix entries must be finite"),
     ])
     def test_overflow_is_named_without_warnings(self, capsys, argv, message):
         with warnings.catch_warnings():

@@ -31,6 +31,7 @@ from coneorder.linalg import (
 from coneorder.sampling import cone_point, random_pointed_cone, rng_for
 
 from oracles import (
+    caratheodory_reference,
     cone_bruteforce,
     double_description_reference,
     facets_from_rays_bruteforce,
@@ -283,6 +284,41 @@ class TestCaratheodory:
                 assert g in cone.generators
                 total = vec_add(total, vec_scale(c, g))
             assert total == x
+
+    @given(st.data())
+    def test_facet_walk_matches_the_simplex(self, data):
+        kind = data.draw(st.sampled_from(["random", "non-generating", "orthant1", "trivial"]))
+        if kind == "orthant1":
+            cone = orthant(1)
+        elif kind == "trivial":
+            cone = cone_from_generators(data.draw(st.integers(1, 4)), [])
+        else:
+            rng = rng_for(data.draw(st.integers(0, 2**32)), "cara-walk")
+            dim = data.draw(st.integers(1, 8) if kind == "random" else st.integers(2, 8))
+            n = rng.randint(1, dim + 3) if kind == "random" else rng.randint(1, dim - 1)
+            cone = random_pointed_cone(rng, dim, n, bound=2)
+            assert kind == "random" or not cone.generating
+        gens = cone.generators
+        rng = rng_for(data.draw(st.integers(0, 2**32)), "cara-points")
+        points = [zero_vec(cone.dim), *gens, *(vec_add(g, h) for g, h in combinations(gens, 2))]
+        points += [cone_point(cone, rng) for _ in range(3)]
+        for x in points:
+            pieces = cone.caratheodory_decompose(x)
+            reference = caratheodory_reference(cone, x)
+            total = zero_vec(cone.dim)
+            for c, g in pieces:
+                assert c > 0 and g in gens
+                total = vec_add(total, vec_scale(c, g))
+            assert total == x
+            order = [gens.index(g) for _, g in pieces]
+            assert order == sorted(set(order))
+            assert len(pieces) <= cone.dim
+            assert mat_rank([g for _, g in pieces]) == len(pieces)
+            if any(x):
+                assert (len(pieces) == 1) == cone.is_extreme_vector(x)
+            else:
+                assert pieces == reference == []
+            assert (len(pieces) >= 2) == (len(reference) >= 2)
 
     def test_errors(self):
         with pytest.raises(NotInCone):

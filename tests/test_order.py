@@ -239,6 +239,27 @@ class TestExtremeHalfline:
     def test_scaled_direction_and_translated_apex(self):
         assert extreme_halfline_check(square_cone(), V(2, 0, 5), V(2, 2, 2), seed=3)
 
+    def test_benchmark_cone_families(self):
+        # Cones over cyclic polytopes (points on the moment curve), over
+        # lattice points of a box, and simplicial cones given with redundant
+        # generators; an extreme direction g[0] and a non-extreme g[0] + g[-1].
+        rng = rng_for(5, "halfline-families")
+        cones = [cone_from_generators(d, [[t ** k for k in range(1, d)] + [1]
+                                          for t in range(-3, d + 1)])
+                 for d in range(3, 8)]
+        box = [[rng.randint(-3, 3) for _ in range(4)] + [2] for _ in range(7)]
+        cones.append(cone_from_generators(5, box))
+        simplex = [(1, 0, 0, 1), (0, 1, -1, 2), (-1, 2, 0, 1), (2, -1, 1, 3)]
+        redundant = [vec_add(simplex[0], vec_scale(2, simplex[3])),
+                     vec_add(simplex[1], simplex[2])]
+        cones.append(cone_from_generators(4, simplex + redundant))
+        assert len(cones[-1].generators) == 4
+        for i, cone in enumerate(cones):
+            g = cone.generators
+            apex = cone_point(cone, rng)
+            assert extreme_halfline_check(cone, apex, g[0], seed=i)
+            assert not extreme_halfline_check(cone, apex, vec_add(g[0], g[-1]), seed=i)
+
 
 class TestInfSupExpressions:
     def test_eval_examples(self):

@@ -7,6 +7,8 @@ import ast
 import importlib
 import importlib.util
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 from coneorder.cli import _build_parser
@@ -30,6 +32,16 @@ def test_every_tracer_target_resolves():
             missing.append(f"{modname}.{attr}")
     assert tracer._INSTRUMENT
     assert missing == []
+
+
+def test_tracer_installs_in_a_fresh_benchmark_process():
+    # The tracer looks each target module up among the loaded ones, so the
+    # imports of a benchmark run must load them all, not an earlier test.
+    code = ("import sys; sys.path[:0] = ['src', 'perfbench']; import workloads; "
+            "from tracer import Tracer; t = Tracer(); t.install(); t.uninstall()")
+    proc = subprocess.run([sys.executable, "-c", code], cwd=TRACER.parent.parent,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_every_command_has_a_golden_report():
@@ -74,3 +86,29 @@ def test_no_unused_imports_in_src():
         unused += [f"{path.relative_to(src)}:{line} {name}"
                    for name, line in imported.items() if name not in used]
     assert unused == []
+
+
+def test_library_does_not_import_lp():
+    # The exact simplex in coneorder.lp is kept for the tests and the span
+    # tracer only: no module of the library imports it, apart from the
+    # package __init__.py, which loads it for the tracer and calls nothing.
+    pkg = Path(__file__).resolve().parent.parent / "src" / "coneorder"
+    offenders = []
+    for path in sorted(pkg.glob("*.py")):
+        if path.name in ("lp.py", "__init__.py"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom):
+                # "from . import lp" and "from coneorder import lp" name it
+                # through the imported names.
+                base = "." * node.level + (node.module or "")
+                sep = "." if node.module else ""
+                names = [base] + [base + sep + alias.name for alias in node.names]
+            elif isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            if any(n in (".lp", "coneorder.lp") or n.startswith((".lp.", "coneorder.lp."))
+                   for n in names):
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []
