@@ -57,7 +57,14 @@ def double_description(dim: int, constraints) -> tuple[list[Vec], list[Vec]]:
     tight set has fewer than dim - len(lineality) - 2 members.  This is a
     necessary condition for adjacency: the processed constraints have rank
     dim - len(lineality), and two rays are adjacent only if the constraints
-    tight at both have rank exactly two less.
+    tight at both have rank exactly two less.  The combinatorial test itself
+    counts the rays tight on every constraint of the common set, stopping
+    at three: both rays of the pair are, so the pair is adjacent exactly
+    when the count is two.
+
+    The rays and the lineality basis are the same for every order of the
+    constraints, up to the order of the rays; the order only changes how
+    many intermediate rays and pairs the run goes through.
     """
     lineality = [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
     free = list(range(dim))  # lineality[j] is positive at free[j]
@@ -93,17 +100,20 @@ def double_description(dim: int, constraints) -> tuple[list[Vec], list[Vec]]:
         need = dim - len(lineality) - 2
         new_rays: list[tuple[int, ...]] = []
         new_tight: list[int] = []
+        neg_tight = [(q, tight[q]) for q in neg]
         for p in pos:
-            for q in neg:
-                common = tight[p] & tight[q]
+            tp = tight[p]
+            for q, tq in neg_tight:
+                common = tp & tq
                 if common.bit_count() < need:
                     continue
-                adjacent = True
-                for o in range(len(rays)):
-                    if o != p and o != q and (common & ~tight[o]) == 0:
-                        adjacent = False
-                        break
-                if not adjacent:
+                count = 0
+                for t in tight:
+                    if common & t == common:
+                        count += 1
+                        if count == 3:
+                            break
+                if count != 2:
                     continue
                 new_rays.append(_combine(rays[q], vals[p], vals[q], rays[p]))
                 new_tight.append(common | bit)

@@ -91,8 +91,14 @@ def _vertices(dim: int, rows) -> tuple[list[Vec], list[Vec], list[Vec]]:
     """Sorted vertices, lineality basis and recession directions of
     {z : <h, (z, 1)> >= 0 for every row h}, read off one double description
     of its homogenization with t >= 0 added: a ray with last coordinate
-    t > 0 is t times a vertex, one with t = 0 a recession direction."""
-    lin, rays = double_description(dim + 1, rows + [unit_vec(dim + 1, dim)])
+    t > 0 is t times a vertex, one with t = 0 a recession direction.
+
+    t >= 0 is the first constraint, not the last: taken last, the run
+    first builds the whole t < 0 side of the homogenization only to cut
+    it away, and tries 2.7 times as many ray pairs on the perfbench
+    lattice round.  The rays and the lineality basis do not depend on the
+    order (see double_description), and the vertices are sorted."""
+    lin, rays = double_description(dim + 1, [unit_vec(dim + 1, dim)] + rows)
     verts = sorted(tuple(c / r[dim] for c in r[:dim]) for r in rays if r[dim])
     return verts, [l[:dim] for l in lin], [r[:dim] for r in rays if not r[dim]]
 

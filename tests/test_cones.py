@@ -384,6 +384,20 @@ class TestRoundTrip:
             with_lineality += bool(lin)
         assert len(systems) >= 500 and with_lineality >= len(systems) // 4
 
+    def test_double_description_does_not_depend_on_constraint_order(self):
+        # order._vertices puts t >= 0 first; that is sound only because the
+        # lineality basis and the set of rays, representatives included, are
+        # the same for every order of the constraints
+        rng = rng_for(37, "ddorder")
+        for dim, system in _dd_reference_systems():
+            lin, rays = double_description(dim, system)
+            shuffled = list(system)
+            rng.shuffle(shuffled)
+            for other in (system[::-1], shuffled):
+                lin_o, rays_o = double_description(dim, other)
+                assert lin_o == lin
+                assert len(rays_o) == len(rays) and set(rays_o) == set(rays)
+
     def test_pointed_and_generating_against_rank(self):
         # The flags read off the two DD passes against mat_rank: {x : Ax >= 0}
         # is pointed iff rank A = dim, and cone(A) is generating iff rank A = dim.

@@ -58,6 +58,7 @@ from coneorder.sampling import (
 from oracles import (
     bound_vertices_bruteforce,
     classify_engaged_reference,
+    double_description_reference,
     independent_subset_greedy,
 )
 
@@ -219,6 +220,45 @@ class TestIntervalSampling:
                 assert not extreme_halfline_check(cone, x, d, seed=i)
         assert checked["pointed"] >= 200 and checked["non_pointed"] >= 50
         assert checked["non_extreme"] >= 100
+
+    def test_vertices_equal_those_with_t_cut_last(self):
+        # _vertices cuts the homogenization by t >= 0 first; read off the
+        # reference DD with t >= 0 last, as before, its vertices, lineality
+        # and recession directions must come out the same.  Rows: upper and
+        # lower bounds of 1-4 points on pointed cones, and the interleaved
+        # interval rows of interval_sample on pointed and non-pointed cones.
+        checked = {"bounds": 0, "pointed": 0, "non_pointed": 0, "recession": 0}
+        for i in range(240):
+            rng = rng_for(i, "vertices-order")
+            kind = ("bounds", "pointed", "non_pointed")[i % 3]
+            dim = 2 + i % 4
+            if kind == "non_pointed":
+                gens = [rand_int_vec(rng, dim, 2) for _ in range(dim + 1)]
+                gens = [g for g in gens if any(g)] or [unit_vec(dim, 0)]
+                cone = cone_from_generators(dim, gens + [vec_neg(gens[0])])
+            else:
+                cone = random_pointed_cone(rng, dim, rng.randint(dim, dim + 2), bound=2)
+            shift = as_vec(Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(dim))
+            if kind == "bounds":
+                pts = [vec_add(shift, cone_point(cone, rng, coeff_max=2))
+                       for _ in range(rng.randint(1, 4))]
+                rows = order_mod._bound_rows(cone, pts, rng.random() < 0.5)
+            else:
+                y = vec_add(shift, cone_point(cone, rng, coeff_max=2))
+                pairs = zip(order_mod._bound_rows(cone, [shift], True),
+                            order_mod._bound_rows(cone, [y], False))
+                rows = [row for pair in pairs for row in pair]
+            verts, lin, recession = order_mod._vertices(dim, rows)
+            lin_r, rays_r = double_description_reference(dim + 1, rows + [unit_vec(dim + 1, dim)])
+            assert verts == sorted(tuple(c / r[dim] for c in r[:dim]) for r in rays_r if r[dim])
+            assert lin == [l[:dim] for l in lin_r]
+            expected = [r[:dim] for r in rays_r if not r[dim]]
+            assert len(recession) == len(expected) and set(recession) == set(expected)
+            assert all(type(c) is Fraction for v in verts + lin + recession for c in v)
+            assert (kind == "non_pointed") == bool(lin)
+            checked[kind] += 1
+            checked["recession"] += bool(recession)
+        assert min(checked.values()) >= 20
 
     def test_totally_ordered_helper(self):
         o2 = orthant(2)
