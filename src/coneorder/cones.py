@@ -1,8 +1,12 @@
 """Polyhedral cones over exact rationals.
 
 A cone is carried in double description: a generator (V) side and a facet
-(H) side, converted into each other with the incremental double description
-method of Motzkin.  All arithmetic is exact, so the induced partial order
+(H) side.  A build runs the incremental double description method of
+Motzkin once, from the given side to the other, and reads the given side's
+minimal list off the tight sets of its vectors against the result, as
+bitmasks.  A second pass runs only where that reading does not hold: when
+the cone built from generators has lineality, or the cone built from facets
+is not generating.  All arithmetic is exact, so the induced partial order
 x <= y iff y - x in C has no tolerance anywhere.
 
 Normalization convention: every stored generator and facet normal is scaled
@@ -148,11 +152,40 @@ def _canonical_rays(rays, lineality) -> tuple[Vec, ...]:
 def _dual(dim: int, vectors) -> tuple[tuple[Vec, ...], bool]:
     """Canonical generators of {x : <v, x> >= 0 for v in vectors} (extreme
     rays plus a +/- pair per lineality direction) and whether it has no
-    lineality: the facets of cone(vectors) and whether that cone is
-    generating, or the generators of a facet system's cone and whether it
-    is pointed."""
+    lineality, by one DD pass: the facets of cone(vectors) and whether that
+    cone is generating, or the generators of a facet system's cone and
+    whether it is pointed.  A build runs it once and reads its input side's
+    minimal list off tight masks (``_extreme_by_masks``); it runs a second
+    pass only when a cone from generators has lineality or a cone from
+    facets is not generating."""
     lin, rays = double_description(dim, vectors)
     return _canonical_rays(rays, lin), not lin
+
+
+def _extreme_by_masks(vectors, dual) -> tuple[Vec, ...] | None:
+    """The members of vectors on extreme rays of cone(vectors), in their
+    order, or None when that cone has lineality.  vectors are distinct
+    normalized rays and dual is the canonical list ``_dual`` returns for
+    them, so cone(vectors) = {x : <h, x> >= 0 for h in dual}.
+
+    Read off bitmasks of the members of dual tight at each vector.  A vector
+    tight on all of them lies in the lineality space, and a cone with
+    lineality has a vector there: the terms of a positive combination that
+    gives a lineality direction are tight on every h.  In a pointed cone the
+    face cut out by a vector's tight set is its minimal face (Ziegler,
+    "Lectures on Polytopes", 1995, ch. 2), which is its own ray exactly when
+    the vector is extreme, and otherwise is spanned by the vectors in it.  So
+    a vector is extreme iff no other vector's mask contains its mask, that
+    is, iff exactly one mask in the list contains it: its own.  The test
+    counts masks, not distinct masks: two redundant vectors can share one.
+    """
+    rows = [tuple(map(int, h)) for h in dual]
+    masks = [sum(1 << i for i, h in enumerate(rows) if not sum(map(mul, h, v)))
+             for v in (tuple(map(int, v)) for v in vectors)]
+    if (1 << len(rows)) - 1 in masks:
+        return None
+    return tuple(v for v, m in zip(vectors, masks)
+                 if sum(1 for n in masks if not m & ~n) == 1)
 
 
 @dataclass(frozen=True)
@@ -328,12 +361,15 @@ def cone_from_generators(dim: int, gens) -> PolyhedralCone:
     """
     gens = [g for g in _validated(dim, gens, "generator") if not is_zero_vec(g)]
     seen = sorted({normalize_ray(g) for g in gens})
-    # The canonical facet list depends only on the cone: DD's lineality
-    # basis and its ray representatives are fixed by the cone itself.  So
-    # these facets are also those of the minimal generators, and no third
-    # pass is needed to re-derive them.
+    # One DD pass gives the canonical facets, which depend only on the cone,
+    # so they are also those of the minimal generators.  The extreme rays
+    # are read off the facets tight at each vector of seen; a second pass
+    # runs only when the cone has lineality.
     facets, generating = _dual(dim, seen)
-    generators, pointed = _dual(dim, facets)
+    generators = _extreme_by_masks(seen, facets)
+    pointed = generators is not None
+    if not pointed:
+        generators = _dual(dim, facets)[0]
     return PolyhedralCone(dim, generators, facets, pointed, generating)
 
 
@@ -345,8 +381,13 @@ def cone_from_facets(dim: int, facets) -> PolyhedralCone:
     """
     fs = [f for f in _validated(dim, facets, "facet normal") if not is_zero_vec(f)]
     system = sorted({normalize_ray(f) for f in fs})
+    # The mirror of cone_from_generators: cone(system) is the dual cone, and
+    # it is pointed exactly when the cone is generating.
     generators, pointed = _dual(dim, system)
-    facets, generating = _dual(dim, generators)
+    facets = _extreme_by_masks(system, generators)
+    generating = facets is not None
+    if not generating:
+        facets = _dual(dim, generators)[0]
     return PolyhedralCone(dim, generators, facets, pointed, generating)
 
 

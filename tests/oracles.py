@@ -5,7 +5,8 @@ LP feasibility and the tight-facet rank instead of a lookup among the stored
 generators, the parallelogram identity through its own four-corner formula
 instead of two-vector additivity, ray/facet enumeration through
 exhaustive subset solving instead of double description (and the double
-description itself through its Fraction-lineality form), suprema through
+description itself through its Fraction-lineality form), canonical cones
+through two DD passes instead of one pass and tight-set masks, suprema through
 exhaustive vertex enumeration, Caratheodory decompositions through the
 exact simplex instead of the facet walk, engagement through one linear
 solve per ray instead of one row reduction per cone, eigendecompositions
@@ -21,6 +22,7 @@ from operator import mul
 
 import numpy as np
 
+from coneorder.cones import PolyhedralCone, _dual, _validated
 from coneorder.errors import NotInCone, NotPointed, OutOfDomain, SameRay
 from coneorder.iso import (
     AffineIso,
@@ -229,6 +231,27 @@ def double_description_reference(dim: int, constraints) -> tuple[list, list]:
                 tight.append(t)
 
     return lineality, [tuple(map(Fraction, r)) for r in rays]
+
+
+def cone_from_generators_reference(dim: int, gens) -> PolyhedralCone:
+    """cone_from_generators by two DD passes: the facets from the nonzero
+    normalized generators, then the canonical generators from the facets,
+    each pass saying whether its cone has lineality."""
+    seen = sorted({normalize_ray(g) for g in _validated(dim, gens, "generator")
+                   if any(c != 0 for c in g)})
+    facets, generating = _dual(dim, seen)
+    generators, pointed = _dual(dim, facets)
+    return PolyhedralCone(dim, generators, facets, pointed, generating)
+
+
+def cone_from_facets_reference(dim: int, facets) -> PolyhedralCone:
+    """cone_from_facets by two DD passes, the mirror of
+    cone_from_generators_reference."""
+    system = sorted({normalize_ray(f) for f in _validated(dim, facets, "facet normal")
+                     if any(c != 0 for c in f)})
+    generators, pointed = _dual(dim, system)
+    facets, generating = _dual(dim, generators)
+    return PolyhedralCone(dim, generators, facets, pointed, generating)
 
 
 def facets_from_rays_bruteforce(dim, rays) -> list:

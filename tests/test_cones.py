@@ -4,6 +4,7 @@ from itertools import combinations
 import pytest
 from hypothesis import assume, given, strategies as st
 
+from coneorder import cones
 from coneorder.cones import (
     _dual,
     cone_from_facets,
@@ -33,6 +34,8 @@ from coneorder.sampling import cone_point, random_pointed_cone, rng_for
 from oracles import (
     caratheodory_reference,
     cone_bruteforce,
+    cone_from_facets_reference,
+    cone_from_generators_reference,
     double_description_reference,
     facets_from_rays_bruteforce,
     is_extreme_among,
@@ -399,8 +402,9 @@ class TestRoundTrip:
                 assert len(rays_o) == len(rays) and set(rays_o) == set(rays)
 
     def test_pointed_and_generating_against_rank(self):
-        # The flags read off the two DD passes against mat_rank: {x : Ax >= 0}
-        # is pointed iff rank A = dim, and cone(A) is generating iff rank A = dim.
+        # The flags read off the DD pass and the tight masks against mat_rank:
+        # {x : Ax >= 0} is pointed iff rank A = dim, and cone(A) is generating
+        # iff rank A = dim.
         for dim, system in _general_systems():
             full = mat_rank(system) == dim
             by_facets = cone_from_facets(dim, system)
@@ -419,6 +423,78 @@ class TestRoundTrip:
             cone = _random_cone_in_subspace(rng, dim, rng.randint(1, dim - 1))
             assert not cone.generating
             assert cone.facets == _dual(dim, cone.generators)[0]
+
+    def test_one_pass_builders_match_two_pass_reference(self):
+        # The DD reference systems (dims 1-8: redundant, duplicated, negated,
+        # positively scaled, zero and Fraction rows, some from a proper
+        # subspace) and the empty list in every dim, as generators and as
+        # facets, against the builders with two DD passes.
+        inputs = list(_dd_reference_systems()) + [(dim, []) for dim in range(1, 9)]
+        paths = {}
+        for dim, vectors in inputs:
+            for build, reference in TWO_PASS_REFERENCE.items():
+                # dataclass equality: generators, facets, pointed, generating
+                cone = build(dim, vectors)
+                assert cone == reference(dim, vectors)
+                key = (build.__name__, cone.pointed, cone.generating)
+                paths[key] = paths.get(key, 0) + 1
+        assert len(inputs) >= 500
+        # both fallbacks and the one-pass path of a pointed, non-generating
+        # cone from generators all run
+        for key in (("cone_from_generators", False, True), ("cone_from_generators", True, False),
+                    ("cone_from_facets", True, False), ("cone_from_facets", False, False)):
+            assert paths.get(key, 0) >= 20, key
+
+    @pytest.mark.parametrize("build, dim, vectors, passes", [
+        (cone_from_generators, 3, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)], 1),
+        # pointed, not generating: the facets carry the +/- pair of V^perp
+        (cone_from_generators, 3, [(1, 0, 0), (0, 1, 0), (1, 1, 0)], 1),
+        (cone_from_generators, 3, [], 1),
+        (cone_from_generators, 2, [(1, 0), (-1, 0), (0, 1)], 2),
+        (cone_from_facets, 3, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)], 1),
+        # generating, not pointed: a half-plane
+        (cone_from_facets, 2, [(0, 1)], 1),
+        (cone_from_facets, 2, [], 1),
+        (cone_from_facets, 2, [(1, 0), (-1, 0), (0, 1)], 2),
+    ])
+    def test_double_description_passes_per_build(self, monkeypatch, build, dim, vectors, passes):
+        # One DD pass per build; the second only for a cone from generators
+        # with lineality or a cone from facets that is not generating.
+        calls = []
+        dd = cones.double_description
+
+        def counted(*args):
+            calls.append(args)
+            return dd(*args)
+
+        monkeypatch.setattr(cones, "double_description", counted)
+        cone = build(dim, vectors)
+        assert len(calls) == passes
+        assert (passes == 1) == (cone.pointed if build is cone_from_generators
+                                 else cone.generating)
+
+    @pytest.mark.parametrize("build, dim, vectors, shape", [
+        (cone_from_generators, 1, [(2,)], (1, 1, True, True)),
+        (cone_from_generators, 1, [(2,), (-3,)], (2, 0, False, True)),
+        (cone_from_generators, 1, [(0,)], (0, 2, True, False)),
+        (cone_from_facets, 1, [(5,)], (1, 1, True, True)),
+        (cone_from_facets, 1, [], (2, 0, False, True)),
+        (cone_from_facets, 1, [(1,), (-1,)], (0, 2, True, False)),
+        (cone_from_generators, 3, [], (0, 6, True, False)),
+        (cone_from_facets, 2, [], (4, 0, False, True)),
+        (cone_from_facets, 3, [(0, 0, 2)], (5, 1, False, True)),
+    ])
+    def test_degenerate_inputs_against_reference(self, build, dim, vectors, shape):
+        # dim 1 ray, line and {0} from either side, the trivial cone, the
+        # whole space and a half-space: (#generators, #facets, pointed,
+        # generating), and every field equal to the two-pass builders'
+        cone = build(dim, vectors)
+        assert cone == TWO_PASS_REFERENCE[build](dim, vectors)
+        assert (len(cone.generators), len(cone.facets), cone.pointed, cone.generating) == shape
+
+
+TWO_PASS_REFERENCE = {cone_from_generators: cone_from_generators_reference,
+                      cone_from_facets: cone_from_facets_reference}
 
 
 def _general_systems():
