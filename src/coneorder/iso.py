@@ -659,11 +659,14 @@ _FLOAT_TOL = 1e-9
 
 
 def _leq_tol(cone: PolyhedralCone, x, y, tol=_FLOAT_TOL) -> bool:
-    """Order test with float slack, for approximate preimages only."""
+    """Order test with float slack, for approximate preimages only.
+
+    The facet normals are read as ints: an int times a float rounds the int
+    the way float() does, so the sums are those of the float normals."""
     z = [float(b) - float(a) for a, b in zip(x, y)]
     scale = max(1.0, max(abs(c) for c in z))
-    for h in cone.facets:
-        if sum(float(hc) * zc for hc, zc in zip(h, z)) < -tol * scale:
+    for h in cone._facet_ints:
+        if sum(map(mul, h, z)) < -tol * scale:
             return False
     return True
 

@@ -1,8 +1,12 @@
 """Exact linear algebra over rationals.
 
 Vectors are tuples of Fraction, matrices are tuples of row vectors.
-Everything here is pure Gaussian elimination with exact pivots; there are
-no tolerances anywhere.
+Everything here is exact; there are no tolerances anywhere.  Every
+elimination goes through ``rref``, which is fraction-free: rows are scaled
+to integers, eliminated with integer row operations and divided by their
+gcd, and turned into Fractions only on return.  The reduced row echelon
+form is unique, so its output is the one Gauss-Jordan on Fractions gives,
+and every elimination returns Fractions, on plain int input too.
 """
 from __future__ import annotations
 
@@ -122,29 +126,41 @@ def transpose(rows) -> Matrix:
 
 
 def rref(rows) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form; returns (rows, pivot column indices)."""
-    m = [list(r) for r in rows]
+    """Reduced row echelon form; returns (rows, pivot column indices).
+
+    Fraction-free Gauss-Jordan: each row is scaled to integers, a row is
+    cleared at a pivot as pv*row - f*pivot_row and then divided by its gcd,
+    and each pivot row is divided by its pivot only on return.  Zero rows
+    stay at the bottom.  Scaling a row never changes the reduced row
+    echelon form, and that form is unique, so the result equals what
+    Gauss-Jordan on Fractions gives: the same rows and pivots, every entry
+    a Fraction.
+    """
+    m = [scaled_ints(r)[0] for r in rows]
     if not m:
         return [], []
     ncols = len(m[0])
     pivots: list[int] = []
     r = 0
     for c in range(ncols):
-        pivot = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        pivot = next((i for i in range(r, len(m)) if m[i][c]), None)
         if pivot is None:
             continue
         m[r], m[pivot] = m[pivot], m[r]
-        pv = m[r][c]
-        m[r] = [a / pv for a in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        prow = m[r]
+        pv = prow[c]
+        for i, row in enumerate(m):
+            f = row[c]
+            if f and i != r:
+                row = [pv * a - f * b for a, b in zip(row, prow)]
+                g = gcd(*row)
+                m[i] = [a // g for a in row] if g > 1 else row
         pivots.append(c)
         r += 1
         if r == len(m):
             break
-    return m, pivots
+    out = [[Fraction(a, row[c]) for a in row] for row, c in zip(m, pivots)]
+    return out + [[ZERO] * ncols for _ in m[r:]], pivots
 
 
 def mat_rank(rows) -> int:

@@ -38,7 +38,7 @@ from .linalg import (
     is_zero_vec,
     kernel_basis,
     mat_vec,
-    normalize_ray,
+    primitive,
     rref,
     scaled_ints,
     transpose,
@@ -307,8 +307,10 @@ def classify_engaged(cone: PolyhedralCone) -> list[ExtremeRayReport]:
     g_k = sum over pivots q of R[row q][k] * g_q for g_i (k = i for a
     non-pivot column), which gives the combination over the greedy basis of
     the other generators.  Certificates are checked exactly before being
-    returned.  The reports are computed once per cone and kept on it; each
-    call returns a fresh list.
+    returned, as integer identities on the primitive integer generators:
+    den * g_i == sum n_j g_j for coefficients n_j / den, and <phi, g_i> != 0
+    with <phi, g_j> == 0 for every other generator.  The reports are
+    computed once per cone and kept on it; each call returns a fresh list.
     """
     if not cone.pointed:
         raise NotPointed("engagement is defined for pointed cones")
@@ -317,7 +319,7 @@ def classify_engaged(cone: PolyhedralCone) -> list[ExtremeRayReport]:
 
 def _classify_engaged(cone: PolyhedralCone) -> list[ExtremeRayReport]:
     """classify_engaged's reports for a pointed cone, uncached."""
-    gens = cone.generators
+    gens, ints = cone.generators, cone._gen_ints
     red, pivots = rref(transpose(gens))
     pivot_row = {c: r for r, c in enumerate(pivots)}
     reports = []
@@ -328,23 +330,21 @@ def _classify_engaged(cone: PolyhedralCone) -> list[ExtremeRayReport]:
             dep = {q: -red[r][k] for q, r in pivot_row.items()}
             dep[k] = ONE
             pairs = tuple((j, -c / dep[i]) for j, c in sorted(dep.items()) if j != i and c != 0)
-            recon = [ZERO] * cone.dim
-            for j, c in pairs:
-                for k_i, comp in enumerate(gens[j]):
-                    recon[k_i] += c * comp
-            if tuple(recon) != g:
+            nums, den = scaled_ints([c for _, c in pairs])
+            cols = zip(*[ints[j] for j, _ in pairs])
+            if [sum(map(mul, nums, col)) for col in cols] != [den * a for a in ints[i]]:
                 raise InternalInconsistency("combination certificate failed to verify")
             reports.append(ExtremeRayReport(i, g, True, CombinationCertificate(pairs)))
         else:
-            others = gens[:i] + gens[i + 1:]
             phi = None
-            for cand in kernel_basis(others, cone.dim):
-                if vec_dot(cand, g) != 0:
-                    phi = normalize_ray(cand)
+            for cand in kernel_basis(gens[:i] + gens[i + 1:], cone.dim):
+                v = primitive(scaled_ints(cand)[0])
+                if sum(map(mul, v, ints[i])):
+                    phi = v
                     break
-            if phi is None or any(vec_dot(phi, o) != 0 for o in others):
+            if phi is None or any(sum(map(mul, phi, o)) for j, o in enumerate(ints) if j != i):
                 raise InternalInconsistency("separating functional failed to verify")
-            reports.append(ExtremeRayReport(i, g, False, SeparatingFunctional(phi)))
+            reports.append(ExtremeRayReport(i, g, False, SeparatingFunctional(as_vec(phi))))
     return reports
 
 

@@ -12,7 +12,11 @@ exact simplex instead of the facet walk, engagement through one linear
 solve per ray instead of one row reduction per cone, eigendecompositions
 through numpy's LAPACK instead of the in-repo Jacobi sweep, and iso specs
 and their sampled battery through the per-kind Fraction formulas instead of
-the integer cores.
+the integer cores (the float order test through float() of each Fraction
+facet entry instead of the integer normals).  Every rank, solve and kernel
+here goes through rref_reference, Gauss-Jordan on Fractions, instead of the
+fraction-free linalg.rref, so no oracle shares an elimination with the code
+it checks.
 """
 from __future__ import annotations
 
@@ -35,21 +39,19 @@ from coneorder.iso import (
     PiecewiseLinearMap,
     ProductLiftIso,
     _CHUNK,
+    _FLOAT_TOL,
     _int_nth_root,
-    _leq_tol,
     _signed_extreme,
 )
 from coneorder.linalg import (
+    ONE,
     ZERO,
     as_vec,
     identity_matrix,
-    mat_rank,
     mat_vec,
-    kernel_basis,
     normalize_ray,
     primitive,
     scaled_ints,
-    solve,
     transpose,
     vec_add,
     vec_dot,
@@ -60,6 +62,69 @@ from coneorder.linalg import (
 from coneorder.lp import positive_combination
 from coneorder.order import CombinationCertificate, ExtremeRayReport, SeparatingFunctional
 from coneorder.sampling import cone_point, incomparable_pair, rng_for
+
+
+def rref_reference(rows) -> tuple[list, list[int]]:
+    """Reduced row echelon form by Gauss-Jordan on Fractions, dividing each
+    pivot row by its pivot as it goes: the elimination linalg.rref replaced.
+    Plain int rows come out as floats; the helpers below pass Fractions."""
+    m = [list(r) for r in rows]
+    if not m:
+        return [], []
+    ncols = len(m[0])
+    pivots: list[int] = []
+    r = 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        pv = m[r][c]
+        m[r] = [a / pv for a in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(m):
+            break
+    return m, pivots
+
+
+def _rref(rows):
+    return rref_reference([as_vec(r) for r in rows])
+
+
+def rank_reference(rows) -> int:
+    return len(_rref(rows)[1])
+
+
+def solve_reference(a_rows, b):
+    """One solution of A x = b, free variables 0, or None if inconsistent."""
+    if not a_rows:
+        return None if any(x != 0 for x in b) else ()
+    ncols = len(a_rows[0])
+    m, pivots = _rref([tuple(r) + (bb,) for r, bb in zip(a_rows, b, strict=True)])
+    if ncols in pivots:
+        return None
+    x = [ZERO] * ncols
+    for row, c in zip(m, pivots):
+        x[c] = row[-1]
+    return tuple(x)
+
+
+def kernel_reference(a_rows, ncols: int) -> list:
+    """Basis of {x : A x = 0}: one vector per free column, that column 1."""
+    m, pivots = _rref(a_rows)
+    basis = []
+    for f in (c for c in range(ncols) if c not in pivots):
+        x = [ZERO] * ncols
+        x[f] = ONE
+        for row, c in zip(m, pivots):
+            x[c] = -row[f]
+        basis.append(tuple(x))
+    return basis
 
 
 def is_extreme_among(gens, i) -> bool:
@@ -95,7 +160,7 @@ def caratheodory_reference(cone, x) -> list:
 def is_extreme_tight_rank(cone, r) -> bool:
     """r in a pointed cone spans an extreme ray iff the facets tight at r
     have rank dim - 1."""
-    return mat_rank([cone.facets[i] for i in cone.tight_facets(r)]) == cone.dim - 1
+    return rank_reference([cone.facets[i] for i in cone.tight_facets(r)]) == cone.dim - 1
 
 
 def _require_domain(spec, *points):
@@ -110,7 +175,7 @@ def parallelogram_reference(spec, x, r, s) -> bool:
     x, r, s = as_vec(x), as_vec(r), as_vec(s)
     pr = _signed_extreme(spec.source_cone, r)
     ps = _signed_extreme(spec.source_cone, s)
-    if mat_rank([pr, ps]) < 2:
+    if rank_reference([pr, ps]) < 2:
         raise SameRay("r and s must span distinct rays")
     corners = (x, vec_add(x, r), vec_add(x, s), vec_add(vec_add(x, r), s))
     _require_domain(spec, *corners)
@@ -128,9 +193,9 @@ def rays_from_facets_bruteforce(dim, facets) -> list:
     """Extreme rays of {x : <h,x> >= 0} by solving all (dim-1)-subsets."""
     out = set()
     for subset in combinations(facets, dim - 1):
-        if mat_rank(subset) != dim - 1:
+        if rank_reference(subset) != dim - 1:
             continue
-        kern = kernel_basis(list(subset), dim)
+        kern = kernel_reference(list(subset), dim)
         if len(kern) != 1:
             continue
         for cand in (kern[0], vec_neg(kern[0])):
@@ -148,11 +213,11 @@ def cone_bruteforce(dim, constraints) -> tuple[list, list]:
     rank(A) - 1 distinct constraints together with <l, x> = 0.
     """
     rows = sorted({tuple(h) for h in constraints if any(c != 0 for c in h)})
-    lin = kernel_basis(rows, dim)
+    lin = kernel_reference(rows, dim)
     rank = dim - len(lin)
     out = set()
     for subset in combinations(rows, max(rank - 1, 0)):
-        kern = kernel_basis(list(subset) + lin, dim)
+        kern = kernel_reference(list(subset) + lin, dim)
         if len(kern) != 1:
             continue
         for cand in (kern[0], vec_neg(kern[0])):
@@ -274,9 +339,9 @@ def bound_vertices_bruteforce(cone, points, upper=True) -> list:
     verts = set()
     for idx in combinations(range(len(rows)), d):
         sub = [rows[i] for i in idx]
-        if mat_rank(sub) != d:
+        if rank_reference(sub) != d:
             continue
-        z = solve(sub, tuple(rhs[i] for i in idx))
+        z = solve_reference(sub, tuple(rhs[i] for i in idx))
         if z is None:
             continue
         if all(vec_dot(rows[i], z) >= rhs[i] for i in range(len(rows))):
@@ -296,12 +361,12 @@ def classify_engaged_reference(cone) -> list:
     for i, g in enumerate(gens):
         others = [gens[j] for j in range(len(gens)) if j != i]
         other_idx = [j for j in range(len(gens)) if j != i]
-        coeffs = solve(transpose(others), g) if others else None
+        coeffs = solve_reference(transpose(others), g) if others else None
         if coeffs is not None:
             pairs = tuple((j, c) for j, c in zip(other_idx, coeffs) if c != 0)
             reports.append(ExtremeRayReport(i, g, True, CombinationCertificate(pairs)))
         else:
-            phi = next(normalize_ray(cand) for cand in kernel_basis(others, cone.dim)
+            phi = next(normalize_ray(cand) for cand in kernel_reference(others, cone.dim)
                        if vec_dot(cand, g) != 0)
             reports.append(ExtremeRayReport(i, g, False, SeparatingFunctional(phi)))
     return reports
@@ -311,7 +376,7 @@ def independent_subset_greedy(vectors) -> list:
     """Keep each vector that raises the rank of those kept before it."""
     chosen, rows = [], []
     for i, v in enumerate(vectors):
-        if mat_rank(rows + [tuple(v)]) > len(rows):
+        if rank_reference(rows + [tuple(v)]) > len(rows):
             rows.append(tuple(v))
             chosen.append(i)
     return chosen
@@ -388,7 +453,7 @@ def _iso_reference(spec, x, forward: bool):
         return vec_add(b, _iso_reference(spec.inner, vec_sub(x, a), forward))
     if isinstance(spec, DiagonalIso):
         frames = (spec.source_frame, spec.target_frame)[::1 if forward else -1]
-        lam = solve(transpose(frames[0]), x)
+        lam = solve_reference(transpose(frames[0]), x)
         if lam is None:
             raise OutOfDomain("point outside the span of the frame")
         dim = (spec.target_cone if forward else spec.source_cone).dim
@@ -408,6 +473,16 @@ def invert_reference(spec, y):
     return _iso_reference(spec, y, False)
 
 
+def leq_tol_reference(cone, x, y, tol=_FLOAT_TOL) -> bool:
+    """iso._leq_tol on the Fraction facet normals, each entry through float()."""
+    z = [float(b) - float(a) for a, b in zip(x, y)]
+    scale = max(1.0, max(abs(c) for c in z))
+    for h in cone.facets:
+        if sum(float(hc) * zc for hc, zc in zip(h, z)) < -tol * scale:
+            return False
+    return True
+
+
 def battery_reference(spec, n, seed=0, stop_early=False) -> IsoReport:
     """check_order_iso_sampled on Fraction vectors through eval_reference
     and invert_reference, with the Fraction samplers and the plain
@@ -416,7 +491,7 @@ def battery_reference(spec, n, seed=0, stop_early=False) -> IsoReport:
     a, b = spec.source_base, spec.target_base
 
     def src_leq(x, y):
-        return src.leq(x, y) if spec.exact else _leq_tol(src, x, y)
+        return src.leq(x, y) if spec.exact else leq_tol_reference(src, x, y)
 
     fwd_violations, inv_violations = [], []
     for i in range(n):

@@ -1,9 +1,10 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from coneorder.linalg import (
+    ZERO,
     as_vec,
     identity_matrix,
     independent_subset,
@@ -20,8 +21,16 @@ from coneorder.linalg import (
     transpose,
     vec_dot,
 )
+from oracles import kernel_reference, rank_reference, rref_reference, solve_reference
 
 small_frac = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+# Small rationals, integers past 2^64 and fractions with denominators past
+# 2^64, so one matrix mixes tiny and huge denominators.
+entry = st.one_of(
+    small_frac,
+    st.integers(-2**70, 2**70).map(Fraction),
+    st.builds(Fraction, st.integers(-2**70, 2**70), st.integers(1, 2**65)),
+)
 
 
 def matrices(n, m):
@@ -119,3 +128,82 @@ def test_inverse_multiplies_to_identity(rows):
 def test_transpose_shapes():
     assert transpose([(1, 2, 3)]) == ((1,), (2,), (3,))
     assert transpose(()) == ()
+
+
+def test_int_rows_give_exact_fractions():
+    """Plain int rows come back as exact Fractions, never as floats."""
+    def fractions_only(*values):
+        return all(type(a) is Fraction for a in values)
+
+    red, pivots = rref([(2, 1), (1, 1)])
+    assert (red, pivots) == ([[1, 0], [0, 1]], [0, 1])
+    assert fractions_only(*red[0], *red[1])
+    x = solve([(2, 1), (1, 3)], (1, 1))
+    assert x == (Fraction(2, 5), Fraction(1, 5)) and fractions_only(*x)
+    basis = kernel_basis([(2, 1, 3)], 3)
+    assert basis == [(Fraction(-1, 2), 1, 0), (Fraction(-3, 2), 0, 1)]
+    assert fractions_only(*basis[0], *basis[1])
+    inv = invert_matrix([(2, 1), (1, 1)])
+    assert inv == ((1, -1), (-1, 2)) and fractions_only(*inv[0], *inv[1])
+
+
+@st.composite
+def dependent_matrices(draw):
+    """Up to 8 rows of up to 8 columns: a few drawn rows, then rational
+    combinations of them (duplicates and scaled copies included) and zero
+    rows, in a drawn order."""
+    ncols = draw(st.integers(0, 8))
+    rows = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols), max_size=4))
+    for _ in range(draw(st.integers(0, 8 - len(rows)))):
+        if rows and draw(st.booleans()):
+            u, v = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            s, t = draw(small_frac), draw(small_frac)
+            rows.append([s * a + t * b for a, b in zip(u, v)])
+        else:
+            rows.append([ZERO] * ncols)
+    return draw(st.permutations(rows))
+
+
+@st.composite
+def any_matrices(draw):
+    """Independent entries, wide or tall, 0-8 rows by 0-8 columns."""
+    nrows, ncols = draw(st.integers(0, 8)), draw(st.integers(0, 8))
+    row = st.lists(entry, min_size=ncols, max_size=ncols)
+    return draw(st.lists(row, min_size=nrows, max_size=nrows))
+
+
+def _as_given(rows, ints):
+    """rows with every integral entry a plain int when ints is set."""
+    if not ints:
+        return rows
+    return [[int(a) if a.denominator == 1 else a for a in r] for r in rows]
+
+
+@settings(max_examples=300)
+@given(st.one_of(dependent_matrices(), any_matrices()), st.booleans())
+@example([], False)
+@example([[]], False)
+@example([[], []], False)
+@example([[ZERO] * 3] * 4, False)
+@example([[Fraction(2), Fraction(4)], [Fraction(1), Fraction(2)], [Fraction(-2), Fraction(-4)]],
+         True)
+@example([[Fraction(0), Fraction(0), Fraction(3)], [Fraction(0), Fraction(0), Fraction(-6)]], True)
+@example([[Fraction(2**70 + 1, 3), Fraction(-1, 2**65)], [Fraction(1, 2), Fraction(2**64)]], False)
+def test_rref_matches_fraction_gauss_jordan(rows, ints):
+    """The fraction-free rref returns exactly the rows and pivots of the
+    Fraction Gauss-Jordan, every entry a Fraction, on Fraction or int input."""
+    red, pivots = rref(_as_given(rows, ints))
+    assert (red, pivots) == rref_reference(rows)
+    assert all(type(a) is Fraction for r in red for a in r)
+
+
+@settings(max_examples=100)
+@given(dependent_matrices(), st.lists(entry, min_size=8, max_size=8))
+def test_rank_solve_kernel_match_the_oracle_elimination(rows, b):
+    """mat_rank, solve and kernel_basis on linalg.rref agree with their
+    counterparts on the Fraction Gauss-Jordan of tests/oracles.py."""
+    ncols = len(rows[0]) if rows else 0
+    b = tuple(b[:len(rows)])
+    assert mat_rank(rows) == rank_reference(rows)
+    assert solve(rows, b) == solve_reference(rows, b)
+    assert kernel_basis(rows, ncols) == kernel_reference(rows, ncols)
