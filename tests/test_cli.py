@@ -4,6 +4,7 @@ import math
 import tempfile
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from coneorder.cli import main, run_full_battery
 from coneorder.cones import square_cone
-from coneorder.iso import LinearIso
+from coneorder.iso import DiagonalIso, LinearIso, OddPowerMap, PiecewiseLinearMap
 from coneorder.linalg import as_vec
 from coneorder.serialize import MAX_EXPR_DEPTH, canonical_dumps
 
@@ -300,6 +301,9 @@ class TestCheckIso:
         ("square_cone", "square_identity"),
         ("interval_cone", "interval_pwl_lift"),
         ("orthant3", "orthant3_cube"),
+        # the identity between apexed domains with fractional bases: the
+        # apex refit, homogeneous null and points with denominators
+        ("square_cone", "square_apexed"),
     ])
     def test_report_matches_golden_bytes(self, capsys, cone, iso):
         code, out, _ = run(capsys, "check-iso", str(DATA / f"{cone}.json"),
@@ -321,6 +325,46 @@ class TestCheckIso:
         golden = (DATA / "square_rational.report.json").read_bytes()
         assert canonical_dumps(report).encode("utf-8") == golden
         assert report["exit_code"] == 4
+
+    def test_forged_partial_diagonal_report_matches_golden_bytes(self):
+        # PWL doubling, cube, PWL doubling over three of the square's four
+        # generators: no order-isomorphism and no iso-spec file, so it enters
+        # at run_full_battery.  Its report carries identity witnesses, a
+        # NotColinear g_r entry and a fractional residual of an inexact spec.
+        sq = square_cone()
+        pwl = PiecewiseLinearMap(((Fraction(0), Fraction(0)), (Fraction(1), Fraction(2))))
+        frame = sq.generators[:3]
+        spec = DiagonalIso(sq, frame, (pwl, OddPowerMap(3), pwl), frame, sq)
+        report = run_full_battery(sq, spec, 500, 0)
+        report["command"] = "check-iso"
+        golden = (DATA / "square_forged_diagonal.report.json").read_bytes()
+        assert canonical_dumps(report).encode("utf-8") == golden
+        assert report["exit_code"] == 4 and report["exact"] is False
+        assert report["parallelogram"]["witness"] and report["additivity"]["witness"]
+        assert {"error": "NotColinear"}.items() <= report["g_r"][-1].items()
+        assert "/" in report["affine"]["max_residual"]
+
+    def test_trivial_cone_identity_is_a_degenerate_span(self, tmp_path, capsys):
+        # {0} in dim 2: every sampled point is the apex, so the affine fit
+        # is left with one point after deduplication.
+        cone = {"dim": 2, "generators": []}
+        (tmp_path / "c.json").write_text(json.dumps(cone))
+        (tmp_path / "i.json").write_text(json.dumps({"linear": {
+            "matrix": [["1", "0"], ["0", "1"]], "source": cone, "target": cone}}))
+        code, out, err = run(capsys, "check-iso", str(tmp_path / "c.json"),
+                             str(tmp_path / "i.json"), "--samples", "50")
+        assert code == 2 and out == ""
+        assert err == "conelab: input error (DegenerateSpan): need at least two points\n"
+
+    def test_identity_on_a_ray_is_affine(self, tmp_path, capsys):
+        cone = {"dim": 1, "generators": [["1"]]}
+        (tmp_path / "c.json").write_text(json.dumps(cone))
+        (tmp_path / "i.json").write_text(json.dumps({"linear": {
+            "matrix": [["1"]], "source": cone, "target": cone}}))
+        code, out, err = run(capsys, "check-iso", str(tmp_path / "c.json"),
+                             str(tmp_path / "i.json"), "--samples", "50")
+        assert code == 0 and err == ""
+        assert json.loads(out)["verdict"] == "affine"
 
     def test_product_lift_affine_off_the_apex_is_nonlinear(self, files, capsys):
         # The PWL-doubling lift on orthant(2) is t + 1 for t >= 1.  With seed
