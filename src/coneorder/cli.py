@@ -41,7 +41,7 @@ from .iso import (
     extract_g_r,
     halfline_image_check,
 )
-from .linalg import as_vec, is_zero_vec, vec_add, vec_scale
+from .linalg import as_vec, is_zero_vec, vec_add
 from .order import (
     classify_engaged,
     eval_infsup,
@@ -51,7 +51,7 @@ from .order import (
     supremum,
     CombinationCertificate,
 )
-from .sampling import cone_point, rng_for
+from .sampling import cone_point_ints, rng_for
 from .serialize import (
     canonical_dumps,
     cone_report,
@@ -158,12 +158,17 @@ def run_full_battery(cone: PolyhedralCone, spec: IsoSpec, samples: int, seed: in
     parallelogram, additivity and scalar-extraction identities and the
     affinity/homogeneity verdicts.  Failures of theorem-backed identities
     count as battery violations; NotAffine alone does not.
+
+    The whole battery stays on integers: points are drawn with
+    ``cone_point_ints`` (the draws of ``cone_point``), shifted by the apex,
+    and the identities get them, and the generators and their multiples,
+    as int vectors; only an apexed spec's points carry Fractions.
     """
     a = spec.source_base
     src = spec.source_cone
     if not src.pointed:
         raise NotPointed("the verification battery needs a pointed source cone")
-    gens = src.generators
+    gens = src._gen_ints
     report: dict = {"seed": seed, "samples": samples, "exact": spec.exact}
     violations = 0
 
@@ -181,8 +186,14 @@ def run_full_battery(cone: PolyhedralCone, spec: IsoSpec, samples: int, seed: in
     if battery.verdict != "PassedSampling":
         violations += 1
 
+    a_zero = is_zero_vec(a)
+
     def point(rng):
-        return vec_add(a, cone_point(src, rng))
+        p = tuple(cone_point_ints(src, rng))
+        return p if a_zero else vec_add(a, p)
+
+    def multiple(k, g):
+        return [k * c for c in g]
 
     failures = []
     lams = [Fraction(0), Fraction(1, 2), Fraction(1), Fraction(2)]
@@ -204,8 +215,8 @@ def run_full_battery(cone: PolyhedralCone, spec: IsoSpec, samples: int, seed: in
         rng = rng_for(seed, "par", i)
         x = point(rng)
         ri, si = rng.sample(range(len(gens)), 2)
-        r = vec_scale(rng.randint(1, 3), gens[ri])
-        s = vec_scale(rng.randint(1, 3), gens[si])
+        r = multiple(rng.randint(1, 3), gens[ri])
+        s = multiple(rng.randint(1, 3), gens[si])
         if check_parallelogram(spec, x, r, s):
             par["passed"] += 1
         elif par["witness"] is None:
@@ -214,7 +225,7 @@ def run_full_battery(cone: PolyhedralCone, spec: IsoSpec, samples: int, seed: in
         x2 = point(rng2)
         count = rng2.randint(2, min(4, len(gens)))
         idx = rng2.sample(range(len(gens)), count)
-        ss = [vec_scale(rng2.randint(1, 3), gens[j]) for j in idx]
+        ss = [multiple(rng2.randint(1, 3), gens[j]) for j in idx]
         if check_additivity(spec, x2, ss):
             add["passed"] += 1
         elif add["witness"] is None:
@@ -259,7 +270,7 @@ def run_full_battery(cone: PolyhedralCone, spec: IsoSpec, samples: int, seed: in
         fit = check_affine_on(spec, pts + [a])
     report["affine"] = {"affine": fit.affine, "max_residual": fmt_rational(fit.max_residual)}
 
-    if is_zero_vec(spec.source_base) and is_zero_vec(spec.target_base):
+    if a_zero and is_zero_vec(spec.target_base):
         hom_samples = [point(rng_for(seed, "hom", t)) for t in range(8)]
         report["homogeneous"] = check_positively_homogeneous(
             spec, hom_samples, [Fraction(1, 2), Fraction(2), Fraction(3)])

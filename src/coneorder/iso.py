@@ -11,8 +11,11 @@ their constructive certificate instead.
 Every kind and every scalar bijection has one implementation, on scaled
 integers: a vector is a pair (ints, den) of Python ints with den > 0, as
 ``linalg.scaled_ints`` makes it, and a scalar a pair (n, d).  ``eval`` and
-``invert`` scale their input, run that core and return Fractions; the
-sampled battery stays on the pairs from draw to verdict.
+``invert`` scale their input, run that core and return Fractions.  The
+whole check-iso battery stays on the pairs: the sampled battery from draw
+to verdict, and the half-line, parallelogram, additivity, g_r, homogeneity
+and affine-fit identities from their scaled arguments to the Fractions
+they return.
 
 Two numeric regimes coexist: affine and piecewise-linear components are
 exact rationals end to end, odd-power components have exact forward
@@ -25,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 from math import gcd, lcm
-from operator import add, mul
+from operator import add, mul, sub
 from typing import Callable
 
 from .cones import PolyhedralCone, cone_from_generators
@@ -36,6 +39,7 @@ from .errors import (
     NotColinear,
     NotConeMap,
     NotExtreme,
+    NotPointed,
     NotSimplicial,
     OutOfDomain,
     SameRay,
@@ -52,14 +56,11 @@ from .linalg import (
     kernel_basis,
     mat_rank,
     mat_vec,
-    normalize_ray,
+    primitive,
     rref,
     scaled_ints,
     solve,
     transpose,
-    vec_add,
-    vec_neg,
-    vec_scale,
     vec_sub,
     zero_vec,
 )
@@ -788,16 +789,56 @@ def check_order_iso_sampled(spec: IsoSpec, n: int = 10000, seed: int = 0, *,
     return IsoReport(tuple(fwd_violations), tuple(inv_violations), n, verdict)
 
 
-def _signed_extreme(cone: PolyhedralCone, v: Vec) -> Vec:
-    """The positive representative of v's ray; NotExtreme if v is not a
-    (possibly negated) extreme vector of the cone."""
-    if is_zero_vec(v):
+# ---------------------------------------------------------------------------
+# Exact identities
+#
+# Like the battery, the identities run on scaled integers: their vector
+# arguments are scaled over one denominator, every point they evaluate is
+# one integer combination of those (x + lam*r is one axpy), and images are
+# compared by cross-multiplying their denominators.  Fractions are built
+# only for what a function returns.
+
+
+def _scaled(cone: PolyhedralCone, vectors) -> tuple[list[list[int]], int]:
+    """Vectors of the cone's space as integers over one common den > 0.
+
+    Entries may be ints or Fractions, or anything ``frac`` reads, such as
+    '1/2'; a vector of the wrong length is DimensionMismatch."""
+    flat = [c for v in vectors for c in cone._check_dim(v)]
+    try:
+        ints, den = scaled_ints(flat)
+    except AttributeError:
+        ints, den = scaled_ints(as_vec(flat))
+    return [ints[k:k + cone.dim] for k in range(0, len(ints), cone.dim)], den
+
+
+def _common(images: list[Scaled]) -> tuple[list[list[int]], int]:
+    """Scaled vectors as integers over the lcm of their denominators."""
+    den = lcm(*[d for _, d in images])
+    return [v if d == den else [c * (den // d) for c in v] for v, d in images], den
+
+
+def _extreme_ray(cone: PolyhedralCone, vi) -> tuple[int, ...] | None:
+    """The primitive ray of nonzero integers vi in the cone if it is extreme,
+    else None.  Int tuples hash and compare equal to the Fraction tuples of
+    ``_generator_set``, the cone's normalized extreme rays."""
+    if not cone.pointed:
+        raise NotPointed("extreme vectors are only defined for pointed cones")
+    ray = primitive(vi)
+    return ray if ray in cone._generator_set else None
+
+
+def _signed_extreme(cone: PolyhedralCone, vi) -> tuple[int, ...]:
+    """The primitive ray of integers vi or -vi, whichever lies in the cone;
+    NotExtreme unless it is an extreme ray."""
+    if not any(vi):
         raise NotExtreme("zero vector is not extreme")
-    for cand in (v, vec_neg(v)):
-        if cone.contains(cand):
-            if cone.is_extreme_vector(cand):
-                return cand
-            raise NotExtreme("vector lies in the cone but is not extreme")
+    for cand in (vi, [-c for c in vi]):
+        if cone._in_cone(cand):
+            ray = _extreme_ray(cone, cand)
+            if ray is None:
+                raise NotExtreme("vector lies in the cone but is not extreme")
+            return ray
     raise NotExtreme("neither the vector nor its negative lies in the cone")
 
 
@@ -814,22 +855,22 @@ def check_parallelogram(spec: IsoSpec, x, r, s) -> bool:
 def check_additivity(spec: IsoSpec, x, s_list) -> bool:
     """Exact test of f(x + sum s_i) - f(x) == sum (f(x + s_i) - f(x)) for
     extreme vectors s_i on pairwise distinct rays."""
-    x = as_vec(x)
-    ss = [as_vec(s) for s in s_list]
-    rays = [normalize_ray(_signed_extreme(spec.source_cone, s)) for s in ss]
+    src = spec.source_cone
+    (xi, *ss), den = _scaled(src, [x, *s_list])
+    rays = [_signed_extreme(src, s) for s in ss]
     for i in range(len(rays)):
         for j in range(i + 1, len(rays)):
             if rays[i] == rays[j]:
                 raise SameRay(f"s_{i} and s_{j} lie on the same ray")
-    total = x
+    total = xi
     for s in ss:
-        total = vec_add(total, s)
-    fx = spec.eval(x)
-    lhs = vec_sub(spec.eval(total), fx)
-    rhs = zero_vec(spec.target_cone.dim)
-    for s in ss:
-        rhs = vec_add(rhs, vec_sub(spec.eval(vec_add(x, s)), fx))
-    return lhs == rhs
+        total = list(map(add, total, s))
+    f = spec._eval_ints
+    (fx, ft, *fs), _ = _common([f((xi, den)), f((total, den))]
+                               + [f((list(map(add, xi, s)), den)) for s in ss])
+    # The identity with its len(ss) copies of f(x) gathered on the left.
+    k = len(ss) - 1
+    return all(t + k * a == sum(col) for a, t, *col in zip(fx, ft, *fs))
 
 
 @dataclass(frozen=True)
@@ -839,6 +880,12 @@ class GRow:
     value: Fraction
 
 
+def _axpy(xi, lam: Fraction, ri, den: int) -> Scaled:
+    """x + lam*r for integers xi, ri over den."""
+    p, q = lam.numerator, lam.denominator
+    return [q * a + p * b for a, b in zip(xi, ri)], q * den
+
+
 def extract_g_r(spec: IsoSpec, r, basepoints, lambdas) -> list[GRow]:
     """Solve f(x + lam*r) - f(x) = g * (f(x+r) - f(x)) exactly per (x, lam).
 
@@ -846,25 +893,28 @@ def extract_g_r(spec: IsoSpec, r, basepoints, lambdas) -> list[GRow]:
     (images of a half-line stay on a half-line); NotColinear therefore flags
     a non-isomorphism.
     """
-    r = as_vec(r)
-    _signed_extreme(spec.source_cone, r)
+    src = spec.source_cone
+    (ri, *xs), den = _scaled(src, [r, *basepoints])
+    _signed_extreme(src, ri)
+    f = spec._eval_ints
     rows: list[GRow] = []
-    for x in basepoints:
-        x = as_vec(x)
-        xr = vec_add(x, r)
-        fx = spec.eval(x)
-        d0 = vec_sub(spec.eval(xr), fx)
-        j = next((k for k, c in enumerate(d0) if c != 0), None)
+    for xi in xs:
+        fx, fd = f((xi, den))
+        y1, yd = f((list(map(add, xi, ri)), den))
+        # f(x + r) - f(x) over yd*fd
+        d0 = [b * fd - a * yd for a, b in zip(fx, y1)]
+        j = next((k for k, c in enumerate(d0) if c), None)
         if j is None:
             raise NotColinear("f(x + r) equals f(x); map cannot be injective")
+        basepoint = _fractions((xi, den))
         for lam in lambdas:
             lam = frac(lam)
-            xl = vec_add(x, vec_scale(lam, r))
-            d1 = vec_sub(spec.eval(xl), fx)
-            g = d1[j] / d0[j]
-            if any(c1 != g * c0 for c0, c1 in zip(d0, d1)):
+            y, hd = f(_axpy(xi, lam, ri, den))
+            # f(x + lam*r) - f(x) over hd*fd, so g = d1[j]*yd / (d0[j]*hd)
+            d1 = [b * fd - a * hd for a, b in zip(fx, y)]
+            if any(a * d0[j] != d1[j] * b for a, b in zip(d1, d0)):
                 raise NotColinear("difference vectors are not parallel")
-            rows.append(GRow(lam, x, g))
+            rows.append(GRow(lam, basepoint, Fraction(d1[j] * yd, d0[j] * hd)))
     return rows
 
 
@@ -885,10 +935,6 @@ class AffineFit:
         t = solve(transpose(diffs), vec_sub(as_vec(p), self.base_point)) if diffs else ()
         if t is None:
             raise DegenerateSpan("point outside the affine hull of the fit")
-        return self._image_at(t)
-
-    def _image_at(self, t) -> Vec:
-        """The fitted image of the point with coordinates t over the basis."""
         out = list(self.base_image)
         for tj, img in zip(t, self.basis_images):
             if tj:
@@ -907,50 +953,56 @@ def check_affine_on(spec: IsoSpec, points, tolerance=None) -> AffineFit:
     points where k is the affine dimension of the point set, so at least
     one point cross-validates the fit.
     """
-    pts = [as_vec(p) for p in points]
+    pts, den = _scaled(spec.source_cone, points)
     if len(pts) < 2:
         raise DegenerateSpan("need at least two points")
-    images = [spec.eval(p) for p in pts]
-    p0 = pts[0]
-    diffs = [vec_sub(p, p0) for p in pts[1:]]
-    # One elimination: the pivots pick the basis, and column j of the
-    # reduced matrix holds diffs[j]'s coordinates over it.
-    red, sel = rref(transpose(diffs))
+    images, iden = _common([spec._eval_ints((p, den)) for p in pts])
+    p0, y0 = pts[0], images[0]
+    # One elimination of the integer differences (one common scale leaves
+    # the reduced form alone): the pivots pick the basis, and column j of
+    # the reduced matrix holds difference j's coordinates over it.
+    red, sel = rref(transpose([list(map(sub, p, p0)) for p in pts[1:]]))
     k = len(sel)
     if len(pts) < k + 2:
         raise DegenerateSpan(f"need at least {k + 2} points for affine dimension {k}")
-    basis_pts = tuple(pts[i + 1] for i in sel)
-    basis_imgs = tuple(images[i + 1] for i in sel)
-    fit = AffineFit(True, ZERO, p0, basis_pts, images[0], basis_imgs)
 
     if tolerance is None:
         tolerance = ZERO if spec.exact else Fraction(1, 10**9)
     tolerance = frac(tolerance) if not isinstance(tolerance, Fraction) else tolerance
+    steps = [list(map(sub, images[i + 1], y0)) for i in sel]
+    basis_set = {0} | {i + 1 for i in sel}
     max_res = ZERO
     witness = None
-    basis_set = {0} | {i + 1 for i in sel}
-    for idx, (p, img) in enumerate(zip(pts, images)):
+    for idx in range(1, len(pts)):
         if idx in basis_set:
             continue
-        pred = fit._image_at([row[idx - 1] for row in red[:k]])
-        res = max(abs(c) for c in vec_sub(img, pred))
+        # With coordinates t = tn / tden, the residual image - fit is
+        # (tden*(y - y0) - sum tn_j steps_j) / (tden*iden).
+        tn, tden = scaled_ints([row[idx - 1] for row in red[:k]])
+        res = Fraction(max(abs(tden * (c - c0) - sum(map(mul, tn, col)))
+                           for c, c0, *col in zip(images[idx], y0, *steps)), tden * iden)
         if res > max_res:
             max_res = res
             if res > tolerance:
-                witness = p
-    return AffineFit(max_res <= tolerance, max_res, p0, basis_pts, images[0],
-                     basis_imgs, witness)
+                witness = _fractions((pts[idx], den))
+    return AffineFit(max_res <= tolerance, max_res, _fractions((p0, den)),
+                     tuple(_fractions((pts[i + 1], den)) for i in sel), _fractions((y0, iden)),
+                     tuple(_fractions((images[i + 1], iden)) for i in sel), witness)
 
 
 def check_positively_homogeneous(spec: IsoSpec, samples, scalars) -> bool:
     """Exact test of f(lam * u) == lam * f(u) over all sample/scalar pairs."""
+    f = spec._eval_ints
     for u in samples:
-        u = as_vec(u)
-        fu = spec.eval(u)
+        (ui,), ud = _scaled(spec.source_cone, [u])
+        fu, fd = f((ui, ud))
         for lam in scalars:
             lam = frac(lam)
-            lu = vec_scale(lam, u)
-            if spec.eval(lu) != vec_scale(lam, fu):
+            p, q = lam.numerator, lam.denominator
+            y, yd = f(([p * c for c in ui], q * ud))
+            # y / yd == p*fu / (q*fd)
+            qf, py = q * fd, p * yd
+            if any(b * qf != a * py for a, b in zip(fu, y)):
                 return False
     return True
 
@@ -958,27 +1010,29 @@ def check_positively_homogeneous(spec: IsoSpec, samples, scalars) -> bool:
 def halfline_image_check(spec: IsoSpec, apex, r, lambdas) -> bool:
     """True iff the images of apex + lam*r lie on one half-line from f(apex)
     whose direction is extreme in the target cone."""
-    apex, r = as_vec(apex), as_vec(r)
-    _signed_extreme(spec.source_cone, r)
-    base = spec.eval(apex)
+    src, tgt = spec.source_cone, spec.target_cone
+    (ai, ri), den = _scaled(src, [apex, r])
+    _signed_extreme(src, ri)
+    f = spec._eval_ints
+    base, bd = f((ai, den))
     direction = None
     for lam in lambdas:
         lam = frac(lam)
-        p = vec_add(apex, vec_scale(lam, r))
-        diff = vec_sub(spec.eval(p), base)
-        if is_zero_vec(diff):
+        y, yd = f(_axpy(ai, lam, ri, den))
+        # f(apex + lam*r) - f(apex) over yd*bd
+        diff = [b * bd - a * yd for a, b in zip(base, y)]
+        if not any(diff):
             if lam != 0:
                 return False
             continue
         if direction is None:
             direction = diff
+            j = next(k for k, c in enumerate(diff) if c)
             continue
-        j = next(k for k, c in enumerate(direction) if c != 0)
-        c = diff[j] / direction[j]
-        if c < 0 or any(d1 != c * d0 for d0, d1 in zip(direction, diff)):
+        # diff = c * direction with c >= 0, cross-multiplied at coordinate j
+        dj, ej = diff[j], direction[j]
+        if dj * ej < 0 or any(a * ej != dj * b for a, b in zip(diff, direction)):
             return False
     if direction is None:
         return True
-    if not spec.target_cone.contains(direction):
-        return False
-    return spec.target_cone.is_extreme_vector(direction)
+    return tgt._in_cone(direction) and _extreme_ray(tgt, direction) is not None

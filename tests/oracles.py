@@ -13,7 +13,9 @@ solve per ray instead of one row reduction per cone, eigendecompositions
 through numpy's LAPACK instead of the in-repo Jacobi sweep, and iso specs
 and their sampled battery through the per-kind Fraction formulas instead of
 the integer cores (the float order test through float() of each Fraction
-facet entry instead of the integer normals).  Every rank, solve and kernel
+facet entry instead of the integer normals), and the check-iso identities
+through spec.eval and Fraction differences instead of scaled integers and
+cross-multiplication.  Every rank, solve and kernel
 here goes through rref_reference, Gauss-Jordan on Fractions, instead of the
 fraction-free linalg.rref, so no oracle shares an elimination with the code
 it checks.
@@ -27,12 +29,22 @@ from operator import mul
 import numpy as np
 
 from coneorder.cones import PolyhedralCone, _dual, _validated
-from coneorder.errors import NotInCone, NotPointed, OutOfDomain, SameRay
+from coneorder.errors import (
+    DegenerateSpan,
+    NotColinear,
+    NotExtreme,
+    NotInCone,
+    NotPointed,
+    OutOfDomain,
+    SameRay,
+)
 from coneorder.iso import (
+    AffineFit,
     AffineIso,
     AffineMap,
     ComposeIso,
     DiagonalIso,
+    GRow,
     IsoReport,
     LinearIso,
     OddPowerMap,
@@ -41,13 +53,14 @@ from coneorder.iso import (
     _CHUNK,
     _FLOAT_TOL,
     _int_nth_root,
-    _signed_extreme,
 )
 from coneorder.linalg import (
     ONE,
     ZERO,
     as_vec,
+    frac,
     identity_matrix,
+    is_zero_vec,
     mat_vec,
     normalize_ray,
     primitive,
@@ -58,6 +71,7 @@ from coneorder.linalg import (
     vec_neg,
     vec_scale,
     vec_sub,
+    zero_vec,
 )
 from coneorder.lp import positive_combination
 from coneorder.order import CombinationCertificate, ExtremeRayReport, SeparatingFunctional
@@ -173,14 +187,179 @@ def parallelogram_reference(spec, x, r, s) -> bool:
     """f(x+r+s) - f(x+s) == f(x+r) - f(x) for extreme r, s on distinct rays,
     with distinctness decided by a rank test."""
     x, r, s = as_vec(x), as_vec(r), as_vec(s)
-    pr = _signed_extreme(spec.source_cone, r)
-    ps = _signed_extreme(spec.source_cone, s)
+    pr = signed_extreme_reference(spec.source_cone, r)
+    ps = signed_extreme_reference(spec.source_cone, s)
     if rank_reference([pr, ps]) < 2:
         raise SameRay("r and s must span distinct rays")
     corners = (x, vec_add(x, r), vec_add(x, s), vec_add(vec_add(x, r), s))
     _require_domain(spec, *corners)
     f = [spec.eval(c) for c in corners]
     return vec_sub(f[3], f[2]) == vec_sub(f[1], f[0])
+
+
+# ---------------------------------------------------------------------------
+# The check-iso identities on Fractions, through spec.eval: the formulas
+# that the scaled-integer identities of coneorder.iso replaced.
+
+
+def signed_extreme_reference(cone, v):
+    """The positive representative of v's ray; NotExtreme if v is not a
+    (possibly negated) extreme vector of the cone."""
+    if is_zero_vec(v):
+        raise NotExtreme("zero vector is not extreme")
+    for cand in (v, vec_neg(v)):
+        if cone.contains(cand):
+            if cone.is_extreme_vector(cand):
+                return cand
+            raise NotExtreme("vector lies in the cone but is not extreme")
+    raise NotExtreme("neither the vector nor its negative lies in the cone")
+
+
+def check_additivity_reference(spec, x, s_list) -> bool:
+    """Exact test of f(x + sum s_i) - f(x) == sum (f(x + s_i) - f(x)) for
+    extreme vectors s_i on pairwise distinct rays."""
+    x = as_vec(x)
+    ss = [as_vec(s) for s in s_list]
+    rays = [normalize_ray(signed_extreme_reference(spec.source_cone, s)) for s in ss]
+    for i in range(len(rays)):
+        for j in range(i + 1, len(rays)):
+            if rays[i] == rays[j]:
+                raise SameRay(f"s_{i} and s_{j} lie on the same ray")
+    total = x
+    for s in ss:
+        total = vec_add(total, s)
+    fx = spec.eval(x)
+    lhs = vec_sub(spec.eval(total), fx)
+    rhs = zero_vec(spec.target_cone.dim)
+    for s in ss:
+        rhs = vec_add(rhs, vec_sub(spec.eval(vec_add(x, s)), fx))
+    return lhs == rhs
+
+
+def extract_g_r_reference(spec, r, basepoints, lambdas):
+    """Solve f(x + lam*r) - f(x) = g * (f(x+r) - f(x)) exactly per (x, lam).
+
+    The two difference vectors must be colinear for an order-isomorphism
+    (images of a half-line stay on a half-line); NotColinear therefore flags
+    a non-isomorphism.
+    """
+    r = as_vec(r)
+    signed_extreme_reference(spec.source_cone, r)
+    rows = []
+    for x in basepoints:
+        x = as_vec(x)
+        xr = vec_add(x, r)
+        fx = spec.eval(x)
+        d0 = vec_sub(spec.eval(xr), fx)
+        j = next((k for k, c in enumerate(d0) if c != 0), None)
+        if j is None:
+            raise NotColinear("f(x + r) equals f(x); map cannot be injective")
+        for lam in lambdas:
+            lam = frac(lam)
+            xl = vec_add(x, vec_scale(lam, r))
+            d1 = vec_sub(spec.eval(xl), fx)
+            g = d1[j] / d0[j]
+            if any(c1 != g * c0 for c0, c1 in zip(d0, d1)):
+                raise NotColinear("difference vectors are not parallel")
+            rows.append(GRow(lam, x, g))
+    return rows
+
+
+def _image_at_reference(fit, t):
+    """The fitted image of the point with coordinates t over the basis."""
+    out = list(fit.base_image)
+    for tj, img in zip(t, fit.basis_images):
+        if tj:
+            for i, c in enumerate(vec_sub(img, fit.base_image)):
+                out[i] += tj * c
+    return tuple(out)
+
+
+def check_affine_on_reference(spec, points, tolerance=None):
+    """Fit the unique affine map through an affinely independent subset of the
+    points and measure exact residuals at the rest.
+
+    The fit lives in the affine hull of the supplied points, so restricting
+    to a low-dimensional stratum (for example the engaged span) works
+    without the points spanning the ambient space.  Needs at least k + 2
+    points where k is the affine dimension of the point set, so at least
+    one point cross-validates the fit.
+    """
+    pts = [as_vec(p) for p in points]
+    if len(pts) < 2:
+        raise DegenerateSpan("need at least two points")
+    images = [spec.eval(p) for p in pts]
+    p0 = pts[0]
+    diffs = [vec_sub(p, p0) for p in pts[1:]]
+    # One elimination: the pivots pick the basis, and column j of the
+    # reduced matrix holds diffs[j]'s coordinates over it.
+    red, sel = _rref(transpose(diffs))
+    k = len(sel)
+    if len(pts) < k + 2:
+        raise DegenerateSpan(f"need at least {k + 2} points for affine dimension {k}")
+    basis_pts = tuple(pts[i + 1] for i in sel)
+    basis_imgs = tuple(images[i + 1] for i in sel)
+    fit = AffineFit(True, ZERO, p0, basis_pts, images[0], basis_imgs)
+
+    if tolerance is None:
+        tolerance = ZERO if spec.exact else Fraction(1, 10**9)
+    tolerance = frac(tolerance) if not isinstance(tolerance, Fraction) else tolerance
+    max_res = ZERO
+    witness = None
+    basis_set = {0} | {i + 1 for i in sel}
+    for idx, (p, img) in enumerate(zip(pts, images)):
+        if idx in basis_set:
+            continue
+        pred = _image_at_reference(fit, [row[idx - 1] for row in red[:k]])
+        res = max(abs(c) for c in vec_sub(img, pred))
+        if res > max_res:
+            max_res = res
+            if res > tolerance:
+                witness = p
+    return AffineFit(max_res <= tolerance, max_res, p0, basis_pts, images[0],
+                     basis_imgs, witness)
+
+
+def check_positively_homogeneous_reference(spec, samples, scalars) -> bool:
+    """Exact test of f(lam * u) == lam * f(u) over all sample/scalar pairs."""
+    for u in samples:
+        u = as_vec(u)
+        fu = spec.eval(u)
+        for lam in scalars:
+            lam = frac(lam)
+            lu = vec_scale(lam, u)
+            if spec.eval(lu) != vec_scale(lam, fu):
+                return False
+    return True
+
+
+def halfline_image_check_reference(spec, apex, r, lambdas) -> bool:
+    """True iff the images of apex + lam*r lie on one half-line from f(apex)
+    whose direction is extreme in the target cone."""
+    apex, r = as_vec(apex), as_vec(r)
+    signed_extreme_reference(spec.source_cone, r)
+    base = spec.eval(apex)
+    direction = None
+    for lam in lambdas:
+        lam = frac(lam)
+        p = vec_add(apex, vec_scale(lam, r))
+        diff = vec_sub(spec.eval(p), base)
+        if is_zero_vec(diff):
+            if lam != 0:
+                return False
+            continue
+        if direction is None:
+            direction = diff
+            continue
+        j = next(k for k, c in enumerate(direction) if c != 0)
+        c = diff[j] / direction[j]
+        if c < 0 or any(d1 != c * d0 for d0, d1 in zip(direction, diff)):
+            return False
+    if direction is None:
+        return True
+    if not spec.target_cone.contains(direction):
+        return False
+    return spec.target_cone.is_extreme_vector(direction)
 
 
 def minimal_generators(gens) -> list:

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from coneorder.cones import cone_from_generators, interval_cone, orthant, square_cone
 from coneorder.errors import (
     ConeOrderError,
+    DegenerateSpan,
     DimensionMismatch,
     NotColinear,
     NotConeMap,
@@ -17,6 +18,7 @@ from coneorder.errors import (
     SameRay,
 )
 from coneorder.iso import (
+    AffineFit,
     AffineMap,
     DiagonalIso,
     IDENTITY_MAP,
@@ -38,12 +40,15 @@ from coneorder.iso import (
     make_diagonal_iso,
     make_linear_iso,
     make_product_lift,
+    _signed_extreme,
 )
 from coneorder.linalg import (
     as_vec,
     independent_subset,
     invert_matrix,
     mat_vec,
+    normalize_ray,
+    scaled_ints,
     vec_add,
     vec_scale,
 )
@@ -57,7 +62,18 @@ from coneorder.sampling import (
     unimodular_matrix,
 )
 
-from oracles import battery_reference, eval_reference, invert_reference, parallelogram_reference
+from oracles import (
+    battery_reference,
+    check_additivity_reference,
+    check_affine_on_reference,
+    check_positively_homogeneous_reference,
+    eval_reference,
+    extract_g_r_reference,
+    halfline_image_check_reference,
+    invert_reference,
+    parallelogram_reference,
+    signed_extreme_reference,
+)
 
 
 def V(*xs):
@@ -566,6 +582,166 @@ class TestEvalInvertAgainstFractionFormulas:
                 assert _outcome(spec.eval, p) == _outcome(lambda q: eval_reference(spec, q), p)
             for p in (y, wild_y):
                 assert _outcome(spec.invert, p) == _outcome(lambda q: invert_reference(spec, q), p)
+
+
+def _either(fn, *args):
+    """fn's value, or the type of the exception it raised."""
+    try:
+        return fn(*args)
+    except Exception as exc:  # noqa: BLE001 - the type is what is compared
+        return type(exc)
+
+
+def _identity_configuration(spec, rng):
+    """Arguments for every check-iso identity on spec: points in the source
+    domain (sometimes outside it), positive multiples of distinct
+    generators as directions (at times one negated, zeroed, plus a
+    generator, or on another's ray), and rational scalars of both signs.
+    Integral vectors come as int lists half the time, the way
+    run_full_battery passes them."""
+    src = spec.source_cone
+    gens = src.generators
+
+    def vec(v):
+        if rng.random() < 0.5 and all(c.denominator == 1 for c in v):
+            return [int(c) for c in v]
+        return tuple(v)
+
+    def point(wild=0.1):
+        if rng.random() < wild:
+            return vec(tuple(_rational(rng, 6) for _ in range(src.dim)))
+        scale = Fraction(rng.randint(1, 6), rng.choice([1, 1, 2, 3]))
+        return vec(vec_add(spec.source_base, vec_scale(scale, cone_point(src, rng))))
+
+    def directions(k):
+        """Positive multiples of k distinct generators (as many as there
+        are), one of them perturbed a third of the time."""
+        out = [vec_scale(Fraction(rng.randint(1, 6), rng.choice([1, 1, 2, 3])), gens[i])
+               for i in rng.sample(range(len(gens)), min(k, len(gens)))]
+        if out and rng.random() < 0.35:
+            i = rng.randrange(len(out))
+            out[i] = rng.choice([
+                vec_scale(-1, out[i]),
+                vec_scale(0, out[i]),
+                vec_add(out[i], gens[rng.randrange(len(gens))]),
+                vec_scale(rng.randint(1, 3), out[rng.randrange(len(out))]),
+            ])
+        return [vec(v) for v in out]
+
+    def scalars(k):
+        return [rng.choice([0, 1, 2, 3, -1, Fraction(1, 2), Fraction(rng.randint(-5, 9),
+                                                                     rng.randint(1, 4))])
+                for _ in range(k)]
+
+    x, (r, s), ss = point(), (directions(2) * 2)[:2], directions(rng.randint(0, 4))
+    pts = [point(0.02) for _ in range(rng.randint(0, 4 * src.dim + 4))]
+    if pts and rng.random() < 0.3:
+        pts += pts[:rng.randint(1, len(pts))]
+    tol = rng.choice([None, None, 0, Fraction(1, 10**6), Fraction(rng.randint(1, 40))])
+    return {
+        "halfline": (x, r, scalars(rng.randint(0, 5))),
+        "parallelogram": (x, r, s),
+        "additivity": (x, ss),
+        "g_r": (r, [point() for _ in range(rng.randint(0, 3))], scalars(rng.randint(0, 5))),
+        "homogeneous": ([point() for _ in range(rng.randint(0, 3))], scalars(rng.randint(0, 4))),
+        "affine": (pts, tol),
+        "extreme": directions(1)[0],
+    }
+
+
+def _fields_are_fractions(value):
+    if isinstance(value, AffineFit):
+        vecs = (value.base_point, value.base_image, *value.basis_points,
+                *value.basis_images, *([value.witness] if value.witness else []))
+        return (type(value.max_residual) is Fraction
+                and all(type(c) is Fraction for v in vecs for c in v))
+    if isinstance(value, list):
+        return all(type(row.lam) is type(row.value) is Fraction
+                   and all(type(c) is Fraction for c in row.basepoint) for row in value)
+    return True
+
+
+def _identity_outcomes(spec, cfg):
+    """{identity: (library outcome, Fraction-formula outcome)} on one
+    configuration."""
+    src = spec.source_cone
+    x, r, s = cfg["parallelogram"]
+    v = cfg["extreme"]
+    return {
+        "halfline": (_either(halfline_image_check, spec, *cfg["halfline"]),
+                     _either(halfline_image_check_reference, spec, *cfg["halfline"])),
+        "parallelogram": (_either(check_parallelogram, spec, x, r, s),
+                          _either(check_additivity_reference, spec, x, [r, s])),
+        "additivity": (_either(check_additivity, spec, *cfg["additivity"]),
+                       _either(check_additivity_reference, spec, *cfg["additivity"])),
+        "g_r": (_either(extract_g_r, spec, *cfg["g_r"]),
+                _either(extract_g_r_reference, spec, *cfg["g_r"])),
+        "homogeneous": (_either(check_positively_homogeneous, spec, *cfg["homogeneous"]),
+                        _either(check_positively_homogeneous_reference, spec,
+                                *cfg["homogeneous"])),
+        "affine": (_either(check_affine_on, spec, *cfg["affine"]),
+                   _either(check_affine_on_reference, spec, *cfg["affine"])),
+        "extreme": (_either(lambda: _signed_extreme(src, scaled_ints(v)[0])),
+                    _either(lambda: normalize_ray(signed_extreme_reference(src, v)))),
+    }
+
+
+IDENTITY_KINDS = LINEAR_KINDS + ISO_KINDS + ["forged_square"]
+
+
+def _identity_spec(spec_seed, kind):
+    """``_spec``, plus a forged diagonal over three of the four generators
+    of the square cone, whose parallelogram and g_r identities fail."""
+    if kind != "forged_square":
+        return _spec(spec_seed, kind)
+    rng = rng_for(spec_seed, "forged-square")
+    sq = square_cone()
+    frame = sq.generators[:3]
+    maps = [_scalar_map(rng, rng.choice(["pwl", "odd"])) for _ in frame]
+    return DiagonalIso(sq, frame, maps, frame, sq)
+
+
+class TestIdentitiesAgainstFractionFormulas:
+    """The scaled-integer identities against the Fraction formulas they
+    replaced (tests/oracles.py): the same bool, GRow list, AffineFit
+    fields (max_residual and witness included) and exception type, on
+    every spec kind: linear, AffineIso with fractional bases, diagonal
+    (inexact odd powers and forged partial frames included), product
+    lift and ComposeIso."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(spec_seed=st.integers(0, 2**32 - 1),
+           kind=st.sampled_from(IDENTITY_KINDS),
+           config_seed=st.integers(0, 2**20))
+    def test_identities_match(self, spec_seed, kind, config_seed):
+        spec = _identity_spec(spec_seed, kind)
+        cfg = _identity_configuration(spec, rng_for(config_seed, "identities"))
+        for name, (got, want) in _identity_outcomes(spec, cfg).items():
+            assert got == want, name
+            assert _fields_are_fractions(got), name
+
+    def test_every_outcome_is_reached(self):
+        seen = set()
+        for kind in IDENTITY_KINDS:
+            for spec_seed in range(3):
+                spec = _identity_spec(spec_seed, kind)
+                for config_seed in range(12):
+                    cfg = _identity_configuration(spec, rng_for(config_seed, "identities"))
+                    for name, (got, want) in _identity_outcomes(spec, cfg).items():
+                        assert got == want, (kind, spec_seed, config_seed, name)
+                        if isinstance(got, AffineFit):
+                            got = ("fit", got.affine, got.witness is not None)
+                        elif isinstance(got, list):
+                            got = "rows" if got else "no rows"
+                        seen.add((name, got))
+        for name in ("halfline", "parallelogram", "additivity", "homogeneous"):
+            assert {(name, True), (name, False), (name, OutOfDomain)} <= seen, name
+        assert {("halfline", NotExtreme), ("parallelogram", SameRay),
+                ("additivity", SameRay), ("additivity", NotExtreme),
+                ("g_r", "rows"), ("g_r", NotColinear), ("g_r", OutOfDomain),
+                ("g_r", NotExtreme), ("affine", ("fit", True, False)),
+                ("affine", ("fit", False, True)), ("affine", DegenerateSpan),
+                ("affine", OutOfDomain), ("extreme", NotExtreme)} <= seen
 
 
 class TestLemmaIdentities:

@@ -44,6 +44,30 @@ def test_tracer_installs_in_a_fresh_benchmark_process():
     assert proc.returncode == 0, proc.stderr
 
 
+IDENTITIES = ("halfline_image_check", "check_parallelogram", "check_additivity",
+              "extract_g_r", "check_positively_homogeneous", "check_affine_on")
+
+
+def test_battery_calls_each_identity_through_its_cli_name(monkeypatch):
+    # The tracer's iso.identities and iso.affine_fit spans wrap these names
+    # and their aliases in coneorder.cli; a battery that bypassed them would
+    # leave those spans empty.
+    import coneorder.cli as cli
+    from coneorder.cones import square_cone
+    from coneorder.iso import identity_iso
+
+    entered = dict.fromkeys(IDENTITIES, 0)
+    for name in IDENTITIES:
+        def shim(*args, _name=name, _orig=getattr(cli, name), **kwargs):
+            entered[_name] += 1
+            return _orig(*args, **kwargs)
+        monkeypatch.setattr(cli, name, shim)
+    sq = square_cone()
+    report = cli.run_full_battery(sq, identity_iso(sq), 200, 0)
+    assert report["verdict"] == "affine"
+    assert all(entered.values()), entered
+
+
 def test_every_command_has_a_golden_report():
     # A command ships with at least one golden report in tests/data, named by
     # the report's own "command" field (psd-<sub> for the psd subcommands).
