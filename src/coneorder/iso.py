@@ -862,13 +862,11 @@ def check_additivity(spec: IsoSpec, x, s_list) -> bool:
         for j in range(i + 1, len(rays)):
             if rays[i] == rays[j]:
                 raise SameRay(f"s_{i} and s_{j} lie on the same ray")
-    total = xi
-    for s in ss:
-        total = list(map(add, total, s))
     f = spec._eval_ints
+    total = [sum(c) for c in zip(xi, *ss)]
     (fx, ft, *fs), _ = _common([f((xi, den)), f((total, den))]
                                + [f((list(map(add, xi, s)), den)) for s in ss])
-    # The identity with its len(ss) copies of f(x) gathered on the left.
+    # f(total) + (len(ss) - 1) f(x) == sum f(x + s_i), on one denominator
     k = len(ss) - 1
     return all(t + k * a == sum(col) for a, t, *col in zip(fx, ft, *fs))
 

@@ -598,11 +598,13 @@ def _identity_configuration(spec, rng):
     generators as directions (at times one negated, zeroed, plus a
     generator, or on another's ray), and rational scalars of both signs.
     Integral vectors come as int lists half the time, the way
-    run_full_battery passes them."""
+    run_full_battery passes them, and any vector at times as strings."""
     src = spec.source_cone
     gens = src.generators
 
     def vec(v):
+        if rng.random() < 0.05:
+            return [str(c) for c in v]
         if rng.random() < 0.5 and all(c.denominator == 1 for c in v):
             return [int(c) for c in v]
         return tuple(v)
@@ -666,7 +668,7 @@ def _identity_outcomes(spec, cfg):
     configuration."""
     src = spec.source_cone
     x, r, s = cfg["parallelogram"]
-    v = cfg["extreme"]
+    v = as_vec(cfg["extreme"])
     return {
         "halfline": (_either(halfline_image_check, spec, *cfg["halfline"]),
                      _either(halfline_image_check_reference, spec, *cfg["halfline"])),
