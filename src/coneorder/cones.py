@@ -33,6 +33,7 @@ from .linalg import (
     normalize_sign_free,
     primitive,
     scaled_ints,
+    scaled_rows,
     vec_neg,
 )
 
@@ -258,8 +259,8 @@ class PolyhedralCone:
 
     def leq(self, x, y) -> bool:
         """The induced partial order: x <= y iff y - x in C."""
-        s = scaled_ints(self._check_dim(x) + self._check_dim(y))[0]
-        return self._leq_ints(s, s[self.dim:])
+        (xi, yi), _ = scaled_rows([self._check_dim(x), self._check_dim(y)])
+        return self._leq_ints(xi, yi)
 
     def tight_facets(self, x) -> list[int]:
         """Indices of facets satisfied with equality at x (x must be in C)."""

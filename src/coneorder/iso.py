@@ -26,7 +26,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
 from math import gcd, lcm
 from operator import add, mul, sub
 from typing import Callable
@@ -50,15 +49,14 @@ from .linalg import (
     ZERO,
     as_vec,
     frac,
-    independent_subset,
     invert_matrix,
     is_zero_vec,
-    kernel_basis,
     mat_rank,
     mat_vec,
     primitive,
     rref,
     scaled_ints,
+    scaled_rows,
     solve,
     transpose,
     vec_sub,
@@ -261,15 +259,13 @@ class OddPowerMap(MonotoneBijection):
 
 
 class _IntMatrix:
-    """Rational matrix stored as integer rows over a common denominator, so
-    that applied to integers x it gives the integers rows·x over den."""
+    """Rational matrix as integer rows over a common denominator, made by
+    ``linalg.scaled_rows``: applied to integers x it gives rows·x over den."""
 
     __slots__ = ("den", "rows")
 
     def __init__(self, matrix: Matrix):
-        ints, self.den = scaled_ints([a for row in matrix for a in row])
-        it = iter(ints)
-        self.rows = tuple(tuple(islice(it, len(row))) for row in matrix)
+        self.rows, self.den = scaled_rows(matrix)
 
     def apply(self, xi) -> list[int]:
         return [sum(map(mul, row, xi)) for row in self.rows]
@@ -288,24 +284,26 @@ class _FrameCoords:
     sum lam_k frame[k] = x the way ``linalg.solve`` does: a frame vector in
     the span of the ones before it gets coordinate 0.  x is in the span
     iff every row of ``normals`` (a basis of its orthogonal complement)
-    vanishes on it.
+    vanishes on it.  Both come from one rref of [F | I], F the frame
+    vectors as columns: its I-part E is invertible with E F the reduced
+    form of F, whose pivots are the greedy independent part of the frame.
+    For x = F lam, lam zero off them, pivot row j of E x is the j-th
+    pivot's lam; E's rows below F's pivots vanish on F and span the normals.
     """
 
     __slots__ = ("coords", "normals")
 
     def __init__(self, frame, dim: int):
-        keep = independent_subset(frame)
-        basis = [frame[k] for k in keep]
-        # The pivot coordinates of the independent part make an invertible
-        # square block; its inverse reads lam off those coordinates of x.
-        rows = rref(basis)[1]
-        block = invert_matrix([[v[r] for v in basis] for r in rows])
+        m = len(frame)
+        red, pivots = rref([[v[i] for v in frame] + [int(i == j) for j in range(dim)]
+                            for i in range(dim)])
+        eye = [row[m:] for row in red]
+        rank = sum(c < m for c in pivots)
         coords = [[ZERO] * dim for _ in frame]
-        for j, k in enumerate(keep):
-            for i, r in enumerate(rows):
-                coords[k][r] = block[j][i]
+        for j, k in enumerate(pivots[:rank]):
+            coords[k] = eye[j]
         self.coords = _IntMatrix(coords)
-        self.normals = _IntMatrix(kernel_basis(basis, dim)).rows
+        self.normals = _IntMatrix(eye[rank:]).rows
 
     def solve(self, xi) -> list[int]:
         """lam * den for integers xi in the span; OutOfDomain off it."""
@@ -799,17 +797,16 @@ def check_order_iso_sampled(spec: IsoSpec, n: int = 10000, seed: int = 0, *,
 # only for what a function returns.
 
 
-def _scaled(cone: PolyhedralCone, vectors) -> tuple[list[list[int]], int]:
+def _scaled(cone: PolyhedralCone, vectors) -> tuple[list[tuple[int, ...]], int]:
     """Vectors of the cone's space as integers over one common den > 0.
 
     Entries may be ints or Fractions, or anything ``frac`` reads, such as
     '1/2'; a vector of the wrong length is DimensionMismatch."""
-    flat = [c for v in vectors for c in cone._check_dim(v)]
+    vecs = [cone._check_dim(v) for v in vectors]
     try:
-        ints, den = scaled_ints(flat)
+        return scaled_rows(vecs)
     except AttributeError:
-        ints, den = scaled_ints(as_vec(flat))
-    return [ints[k:k + cone.dim] for k in range(0, len(ints), cone.dim)], den
+        return scaled_rows([as_vec(v) for v in vecs])
 
 
 def _common(images: list[Scaled]) -> tuple[list[list[int]], int]:

@@ -6,7 +6,8 @@ elimination goes through ``rref``, which is fraction-free: rows are scaled
 to integers, eliminated with integer row operations and divided by their
 gcd, and turned into Fractions only on return.  The reduced row echelon
 form is unique, so its output is the one Gauss-Jordan on Fractions gives,
-and every elimination returns Fractions, on plain int input too.
+and every elimination returns Fractions, on plain int input too.  Several
+vectors go over one common denominator only through ``scaled_rows``.
 """
 from __future__ import annotations
 
@@ -77,6 +78,15 @@ def scaled_ints(v) -> tuple[list[int], int]:
             den = lcm(*[b.denominator for b in v])
             return [b.numerator * (den // b.denominator) for b in v], den
     return [a.numerator for a in v], 1
+
+
+def scaled_rows(vectors) -> tuple[list[tuple[int, ...]], int]:
+    """(rows, den): each vector as an int tuple over den > 0, the lcm of all
+    their denominators, so vectors[k] == rows[k] / den."""
+    den = lcm(*[a.denominator for v in vectors for a in v])
+    if den == 1:
+        return [tuple([a.numerator for a in v]) for v in vectors], 1
+    return [tuple([a.numerator * (den // a.denominator) for a in v]) for v in vectors], den
 
 
 def primitive(ints) -> tuple[int, ...]:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from operator import mul
 
 from .cones import PolyhedralCone, cone_from_generators, double_description
@@ -41,6 +42,7 @@ from .linalg import (
     primitive,
     rref,
     scaled_ints,
+    scaled_rows,
     transpose,
     unit_vec,
     vec_add,
@@ -79,9 +81,7 @@ def _bound_rows(cone: PolyhedralCone, points, upper: bool) -> list[tuple[int, ..
     row is (den*h, -max <h, p>) in integers: a positive multiple of the
     Fraction row, which leaves the double description unchanged.
     """
-    d = cone.dim
-    flat, den = scaled_ints([c for p in points for c in p])
-    pts = [flat[i:i + d] for i in range(0, len(flat), d)]
+    pts, den = scaled_rows(points)
     sign, best = (1, max) if upper else (-1, min)
     return [tuple(sign * den * c for c in h) + (-sign * best(sum(map(mul, h, p)) for p in pts),)
             for h in cone._facet_ints]
@@ -160,8 +160,8 @@ def interval_sample(cone: PolyhedralCone, x, y, n: int, seed: int = 0) -> list[V
     verts, free_dirs, recession = _vertices(d, [row for pair in pairs for row in pair])
     if recession:
         raise InternalInconsistency("order interval with unbounded recession")
-    flat, scale = scaled_ints([c for v in verts + free_dirs for c in v])
-    cols = list(zip(*(flat[i:i + d] for i in range(0, len(flat), d))))
+    rows, scale = scaled_rows(verts + free_dirs)
+    cols = list(zip(*rows))
     rng = rng_for(seed, "interval")
     den = 1 << 10
     out: list[Vec] = []
@@ -177,13 +177,10 @@ def interval_sample(cone: PolyhedralCone, x, y, n: int, seed: int = 0) -> list[V
 
 
 def is_totally_ordered(cone: PolyhedralCone, points) -> bool:
-    """True iff every pair of the given points is comparable."""
-    pts = [as_vec(p) for p in points]
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            if not cone.leq(pts[i], pts[j]) and not cone.leq(pts[j], pts[i]):
-                return False
-    return True
+    """True iff every pair of the points is comparable, tested on one scale."""
+    rows, _ = scaled_rows([cone._check_dim(as_vec(p)) for p in points])
+    leq = cone._leq_ints
+    return all(leq(p, q) or leq(q, p) for p, q in combinations(rows, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -479,11 +476,13 @@ def extreme_halfline_check(cone: PolyhedralCone, apex, direction,
                            n: int = 8, seed: int = 0) -> bool:
     """Exact extremality test cross-checked against the order-theoretic battery.
 
-    The battery checks the half-line characterization on samples: pairwise
-    comparability along apex + t*direction, total order of the interval
-    [apex, apex + direction], at least two distinct points, and, when the
-    direction decomposes over two or more distinct extreme rays, the
-    resulting pair of interval points that can never be comparable.  Any
+    The battery reads the half-line characterization off samples.  When
+    the direction decomposes over two or more distinct extreme rays, the
+    first two terms give interval points that can never be comparable;
+    otherwise min(n, 8) samples of [apex, apex + direction] must be totally
+    ordered.  Points of the half-line need no test: two of them differ by
+    a nonnegative multiple of the direction, checked to lie in C on entry.
+    So n only sets the sample count, and must be at least 2.  Any
     disagreement with the exact test (is the direction's ray among the
     cone's canonical extreme generators) is a bug and raises
     InternalInconsistency.
@@ -502,22 +501,10 @@ def extreme_halfline_check(cone: PolyhedralCone, apex, direction,
         (c1, g1), (c2, g2) = decomp[0], decomp[1]
         p1 = vec_add(apex, vec_scale(c1, g1))
         p2 = vec_add(apex, vec_scale(c2, g2))
-        if not cone.leq(p1, p2) and not cone.leq(p2, p1):
-            battery = False
-
+        battery = cone.leq(p1, p2) or cone.leq(p2, p1)
     if battery:
-        rng = rng_for(seed, "halfline")
-        lambdas = {Fraction(0), Fraction(1)}
-        while len(lambdas) < n:
-            lambdas.add(Fraction(rng.randrange(0, 3 * 1024), 1024))
-        pts = [vec_add(apex, vec_scale(t, direction)) for t in sorted(lambdas)]
-        if not is_totally_ordered(cone, pts):
-            battery = False
-    if battery:
-        top = vec_add(apex, direction)
-        samples = interval_sample(cone, apex, top, min(n, 8), seed)
-        if not is_totally_ordered(cone, samples):
-            battery = False
+        samples = interval_sample(cone, apex, vec_add(apex, direction), min(n, 8), seed)
+        battery = is_totally_ordered(cone, samples)
 
     if battery != exact:
         raise InternalInconsistency(

@@ -8,7 +8,8 @@ exhaustive subset solving instead of double description (and the double
 description itself through its Fraction-lineality form), canonical cones
 through two DD passes instead of one pass and tight-set masks, suprema through
 exhaustive vertex enumeration, Caratheodory decompositions through the
-exact simplex instead of the facet walk, engagement through one linear
+exact simplex instead of the facet walk, total order through the Fraction
+cone.leq of each pair instead of one common denominator, engagement through one linear
 solve per ray instead of one row reduction per cone, eigendecompositions
 through numpy's LAPACK instead of the in-repo Jacobi sweep, and iso specs
 and their sampled battery through the per-kind Fraction formulas instead of
@@ -169,6 +170,16 @@ def caratheodory_reference(cone, x) -> list:
     if coeffs is None:
         raise NotInCone("decomposition LP infeasible for a cone member")
     return [(c, g) for c, g in zip(coeffs, cone.generators) if c != 0]
+
+
+def is_totally_ordered_reference(cone, points) -> bool:
+    """Every pair of the points is comparable, by the Fraction cone.leq."""
+    pts = [as_vec(p) for p in points]
+    for i in range(len(pts)):
+        for j in range(i + 1, len(pts)):
+            if not cone.leq(pts[i], pts[j]) and not cone.leq(pts[j], pts[i]):
+                return False
+    return True
 
 
 def is_extreme_tight_rank(cone, r) -> bool:

@@ -40,6 +40,7 @@ from coneorder.iso import (
     make_diagonal_iso,
     make_linear_iso,
     make_product_lift,
+    _FrameCoords,
     _signed_extreme,
 )
 from coneorder.linalg import (
@@ -49,6 +50,7 @@ from coneorder.linalg import (
     mat_vec,
     normalize_ray,
     scaled_ints,
+    transpose,
     vec_add,
     vec_scale,
 )
@@ -73,6 +75,7 @@ from oracles import (
     invert_reference,
     parallelogram_reference,
     signed_extreme_reference,
+    solve_reference,
 )
 
 
@@ -217,6 +220,77 @@ class TestDiagonalIso:
     def test_dependent_frame_rejected(self):
         with pytest.raises(NotSimplicial):
             make_diagonal_iso(orthant(2), [V(1, 1), V(2, 2)], [IDENTITY_MAP] * 2)
+
+
+@st.composite
+def frames(draw):
+    """(frame, dim): dim in 1-5, independent vectors, partial or of full
+    rank, with repeated vectors and integer combinations of earlier ones
+    (the zero vector among them) inserted anywhere."""
+    dim = draw(st.integers(1, 5))
+    coord = st.one_of(st.integers(-3, 3), st.fractions(-3, 3, max_denominator=4))
+    vec = st.lists(coord, min_size=dim, max_size=dim).map(as_vec)
+    frame = draw(st.lists(vec, max_size=dim))
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(["repeat", "dependent", "fresh"]))
+        if kind == "repeat" and frame:
+            v = draw(st.sampled_from(frame))
+        elif kind == "dependent" and frame:
+            a, b = draw(st.sampled_from(frame)), draw(st.sampled_from(frame))
+            p, q = draw(st.integers(-2, 2)), draw(st.integers(-2, 2))
+            v = vec_add(vec_scale(p, a), vec_scale(q, b))
+        else:
+            v = draw(vec)
+        frame.insert(draw(st.integers(0, len(frame))), v)
+    return frame, dim
+
+
+def _check_frame_coords(frame, dim, points):
+    """solve(x) over coords.den is the Fraction solve of sum lam_k frame[k]
+    = x, and OutOfDomain exactly where that solve has no solution."""
+    coords = _FrameCoords(frame, dim)
+    for xi in points:
+        expected = solve_reference(transpose(frame), xi)
+        if expected is None:
+            with pytest.raises(OutOfDomain):
+                coords.solve(xi)
+        else:
+            lam = coords.solve(xi)
+            assert tuple(Fraction(a, coords.coords.den) for a in lam) == expected
+
+
+def _in_span(frame, dim, coeffs):
+    """The integer point on the ray of sum coeffs[k] * frame[k]."""
+    x = [sum((c * v[i] for c, v in zip(coeffs, frame)), Fraction(0)) for i in range(dim)]
+    return scaled_ints(x)[0]
+
+
+class TestFrameCoords:
+    @settings(max_examples=300, deadline=None)
+    @given(frames(), st.data())
+    def test_solve_matches_the_fraction_solve(self, frame_dim, data):
+        frame, dim = frame_dim
+        coeffs = data.draw(st.lists(st.integers(-3, 3), min_size=len(frame),
+                                    max_size=len(frame)))
+        off = data.draw(st.lists(st.integers(-4, 4), min_size=dim, max_size=dim))
+        _check_frame_coords(frame, dim, [_in_span(frame, dim, coeffs), off])
+
+    @pytest.mark.parametrize("frame, dim", [
+        ([], 2),
+        ([V(1, 0, 0)], 3),
+        ([V(1, 2), V(1, 2)], 2),
+        ([V(0, 0), V(1, 1)], 2),
+        ([V(1, 0, 1), V(0, 1, 1), V(1, 1, 2), V(0, 0, 1)], 3),
+        ([V(2, 0, 0), V(0, Fraction(1, 3), 0), V(0, 0, 5)], 3),
+        ([V(1, -1, 0, 0, 0), V(0, 0, 0, 0, 1), V(2, -2, 0, 0, 0), V(0, 1, 1, 0, 0)], 5),
+    ], ids=["empty", "partial", "repeated", "zero", "dependent", "full", "dim5"])
+    def test_hand_picked_frames(self, frame, dim):
+        rng = rng_for(7, "frame-coords")
+        points = [_in_span(frame, dim, [rng.randint(-3, 3) for _ in frame])
+                  for _ in range(5)]
+        points += [[rng.randint(-4, 4) for _ in range(dim)] for _ in range(5)]
+        points += [[0] * dim, [1] + [0] * (dim - 1)]
+        _check_frame_coords(frame, dim, points)
 
 
 class TestProductLift:

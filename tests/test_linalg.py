@@ -1,4 +1,6 @@
 from fractions import Fraction
+from functools import reduce
+from math import gcd
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -17,6 +19,7 @@ from coneorder.linalg import (
     normalize_sign_free,
     rref,
     scaled_ints,
+    scaled_rows,
     solve,
     transpose,
     vec_dot,
@@ -84,6 +87,34 @@ def test_scaled_ints():
     ints, den = scaled_ints(big)
     assert den == 3 * 2**65
     assert tuple(Fraction(a, den) for a in ints) == big
+
+
+# Plain ints and Fractions, each of any size, in vectors of mixed lengths.
+vector_lists = st.lists(st.lists(st.one_of(st.integers(-2**70, 2**70), entry), max_size=5),
+                        max_size=6)
+
+
+@given(vector_lists)
+@example([])
+@example([[], []])
+@example([[Fraction(1, 2), 3], [], [Fraction(-2, 3)], [4, Fraction(8, 4)]])
+def test_scaled_rows_puts_the_vectors_over_their_lcm(vectors):
+    rows, den = scaled_rows(vectors)
+    dens = [Fraction(a).denominator for v in vectors for a in v]
+    assert den == reduce(lambda a, b: a * b // gcd(a, b), dens, 1)
+    assert type(rows) is list and len(rows) == len(vectors)
+    for row, v in zip(rows, vectors):
+        assert type(row) is tuple and len(row) == len(v)
+        assert all(type(c) is int for c in row)
+        assert all(Fraction(c, den) == a for c, a in zip(row, v))
+
+
+@given(st.lists(st.lists(st.integers(-2**70, 2**70), max_size=5), max_size=6))
+@example([])
+def test_scaled_rows_of_ints_keeps_them(vectors):
+    # [] gives ([], 1); plain ints and integral Fractions alike give den 1.
+    assert scaled_rows(vectors) == ([tuple(v) for v in vectors], 1)
+    assert scaled_rows([as_vec(v) for v in vectors]) == ([tuple(v) for v in vectors], 1)
 
 
 def test_independent_subset_greedy():

@@ -6,9 +6,16 @@ from hypothesis import given, settings, strategies as st
 
 import coneorder.order as order_mod
 from coneorder.cli import main
-from coneorder.cones import cone_from_generators, interval_cone, orthant, square_cone
+from coneorder.cones import (
+    PolyhedralCone,
+    cone_from_generators,
+    interval_cone,
+    orthant,
+    square_cone,
+)
 from coneorder.errors import (
     DimensionMismatch,
+    InternalInconsistency,
     NotComparable,
     NotGenerating,
     NotOrderUnit,
@@ -60,6 +67,7 @@ from oracles import (
     classify_engaged_reference,
     double_description_reference,
     independent_subset_greedy,
+    is_totally_ordered_reference,
 )
 
 
@@ -269,12 +277,75 @@ class TestIntervalSampling:
             interval_sample(square_cone(), V(0, 0, 0), V(1, 1, 1), 6, seed=2),
         )
 
+    def test_totally_ordered_matches_pairwise_fraction_leq(self):
+        # Pointed cones of dimensions 1-5 and non-pointed cones of 2-5, with
+        # points that have denominators: chains x + t*c, interval samples
+        # and unrelated points, shuffled.
+        seen = {True: 0, False: 0, "non_pointed": 0}
+        for i in range(180):
+            rng = rng_for(i, "total-order")
+            dim = 1 + i % 5
+            if i % 4 == 3 and dim > 1:
+                gens = [rand_int_vec(rng, dim, 2) for _ in range(dim + 1)]
+                gens = [g for g in gens if any(g)] or [unit_vec(dim, 0)]
+                cone = cone_from_generators(dim, gens + [vec_neg(gens[0])])
+                seen["non_pointed"] += 1
+            else:
+                cone = random_pointed_cone(rng, dim, dim + 2, bound=2)
+
+            def point():
+                return as_vec(Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+                              for _ in range(dim))
+            x, k = point(), rng.randint(0, 5)
+            if i % 3 == 0:
+                c = cone_point(cone, rng, coeff_max=2)
+                pts = [vec_add(x, vec_scale(Fraction(rng.randint(0, 12), rng.randint(1, 5)), c))
+                       for _ in range(k)]
+            elif i % 3 == 1:
+                y = vec_add(x, cone_point(cone, rng, coeff_max=2))
+                pts = interval_sample(cone, x, y, k, seed=i)
+            else:
+                pts = [point() for _ in range(k)]
+            rng.shuffle(pts)
+            ordered = is_totally_ordered(cone, pts)
+            assert ordered == is_totally_ordered_reference(cone, pts)
+            seen[ordered] += 1
+        assert min(seen.values()) >= 30, seen
+
+    def test_totally_ordered_rejects_bad_points(self):
+        o2 = orthant(2)
+        with pytest.raises(DimensionMismatch):
+            is_totally_ordered(o2, [V(0, 0), V(1, 1, 1)])
+        with pytest.raises(TypeError):
+            is_totally_ordered(o2, [V(0, 0), (0.5, 1)])
+
 
 class TestExtremeHalfline:
     def test_examples(self):
         assert extreme_halfline_check(square_cone(), V(0, 0, 0), V(1, 1, 1))
         assert not extreme_halfline_check(orthant(2), V(1, 2), V(1, 1))
         assert extreme_halfline_check(orthant(2), V(0, 0), V(0, 1))
+
+    def test_incomparable_interval_samples_are_an_inconsistency(self, monkeypatch):
+        # An extreme direction whose interval came back with an incomparable
+        # pair: the battery says "not extreme", the exact test "extreme".
+        monkeypatch.setattr(order_mod, "interval_sample",
+                            lambda cone, x, y, n, seed=0: [V(1, 0), V(0, 1)])
+        with pytest.raises(InternalInconsistency):
+            extreme_halfline_check(orthant(2), V(0, 0), V(0, 1))
+
+    def test_one_term_decomposition_is_an_inconsistency(self, monkeypatch):
+        # A non-extreme direction decomposed into one term passes the
+        # Caratheodory stage.  The interval stage still finds an incomparable
+        # pair; once it draws a chain as well, the battery says "extreme"
+        # against the exact test.
+        monkeypatch.setattr(PolyhedralCone, "caratheodory_decompose",
+                            lambda self, x: [(Fraction(1), self._check_dim(x))])
+        assert not extreme_halfline_check(orthant(2), V(1, 2), V(1, 1))
+        monkeypatch.setattr(order_mod, "interval_sample",
+                            lambda cone, x, y, n, seed=0: [x, y])
+        with pytest.raises(InternalInconsistency):
+            extreme_halfline_check(orthant(2), V(1, 2), V(1, 1))
 
     def test_scaled_direction_and_translated_apex(self):
         assert extreme_halfline_check(square_cone(), V(2, 0, 5), V(2, 2, 2), seed=3)

@@ -68,6 +68,24 @@ def test_battery_calls_each_identity_through_its_cli_name(monkeypatch):
     assert all(entered.values()), entered
 
 
+def test_halfline_check_calls_the_order_layer_by_name(monkeypatch):
+    # The tracer's order.interval_sample and order.other spans wrap these
+    # names in coneorder.order; a half-line check that bypassed them would
+    # leave those spans empty.
+    import coneorder.order as order
+    from coneorder.cones import square_cone
+
+    names = ("interval_sample", "is_totally_ordered")
+    entered = dict.fromkeys(names, 0)
+    for name in names:
+        def shim(*args, _name=name, _orig=getattr(order, name), **kwargs):
+            entered[_name] += 1
+            return _orig(*args, **kwargs)
+        monkeypatch.setattr(order, name, shim)
+    assert order.extreme_halfline_check(square_cone(), (0, 0, 0), (1, 1, 1))
+    assert all(entered.values()), entered
+
+
 def test_every_command_has_a_golden_report():
     # A command ships with at least one golden report in tests/data, named by
     # the report's own "command" field (psd-<sub> for the psd subcommands).
