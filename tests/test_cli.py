@@ -304,6 +304,10 @@ class TestCheckIso:
         # the identity between apexed domains with fractional bases: the
         # apex refit, homogeneous null and points with denominators
         ("square_cone", "square_apexed"),
+        # a unimodular shear onto the sheared square cone, and a product lift
+        # with an affine ray map over a coordinate swap of the subcone
+        ("square_cone", "square_shear"),
+        ("orthant3", "orthant3_affine_lift"),
     ])
     def test_report_matches_golden_bytes(self, capsys, cone, iso):
         code, out, _ = run(capsys, "check-iso", str(DATA / f"{cone}.json"),
