@@ -277,6 +277,17 @@ def _columns(frame, dim: int) -> _IntMatrix:
     return _IntMatrix([[w[i] for w in frame] for i in range(dim)])
 
 
+def _inverse_pair(p: _IntMatrix, q: _IntMatrix, dim: int) -> bool:
+    """True iff p and q are dim x dim and p q = I, so also q p = I: the
+    integer rows multiply to den_p * den_q times the identity."""
+    rows = (*p.rows, *q.rows)
+    if len(p.rows) != dim or len(q.rows) != dim or any(len(r) != dim for r in rows):
+        return False
+    den = p.den * q.den
+    return all(sum(map(mul, row, col)) == (den if i == j else 0)
+               for i, row in enumerate(p.rows) for j, col in enumerate(zip(*q.rows)))
+
+
 class _FrameCoords:
     """Coordinates over a frame as integer rows.
 
@@ -324,6 +335,11 @@ class IsoSpec:
     raising OutOfDomain outside the domain.  Every kind binds the Fraction
     wrappers ``eval``/``invert`` in its own namespace, so they can be
     replaced (traced, stubbed) for one kind alone.
+
+    A kind may also implement ``_certify``: an integer proof, re-checked on
+    the spec's own integer data, that it is an exact order-isomorphism of
+    its source domain onto its target domain.  Then no sample of
+    ``check_order_iso_sampled`` can record a violation against it.
     """
 
     source_cone: PolyhedralCone
@@ -357,6 +373,17 @@ class IsoSpec:
 
     def _invert_ints(self, y: Scaled) -> Scaled:
         raise NotImplementedError
+
+    def _certified(self) -> bool:
+        """Whether ``_certify`` holds, computed once per spec.  A certified
+        spec is exact, and its exact round trips are identities."""
+        cert = self.__dict__.get("_cert")
+        if cert is None:
+            cert = self._cert = self._certify()
+        return cert
+
+    def _certify(self) -> bool:
+        return False
 
     def eval(self, x) -> Vec:
         """Exact image of x; OutOfDomain outside the source domain."""
@@ -395,6 +422,16 @@ class LinearIso(IsoSpec):
             raise OutOfDomain("point outside the target cone")
         return self._bwd.apply(yi), self._bwd.den * yd
 
+    def _certify(self):
+        """L K = K' on the integer matrices, trusting neither the stored
+        inverse nor the constructor: L L^-1 = I, and L g in K' and L^-1 h in
+        K for the generators g of K and h of K' (a non-pointed cone's
+        generators carry its lineality pairs, so they generate it)."""
+        src, tgt = self.source_cone, self.target_cone
+        return (src.dim == tgt.dim and _inverse_pair(self._fwd, self._bwd, src.dim)
+                and all(tgt._in_cone(self._fwd.apply(g)) for g in src._gen_ints)
+                and all(src._in_cone(self._bwd.apply(h)) for h in tgt._gen_ints))
+
     eval = IsoSpec.eval
     invert = IsoSpec.invert
 
@@ -429,6 +466,9 @@ class AffineIso(IsoSpec):
         if not self.target_cone._in_cone(z[0]):
             raise OutOfDomain("point outside the apexed target domain")
         return _plus(self.inner._invert_ints(z), self._src_base)
+
+    def _certify(self):
+        return self.inner._certified()
 
     eval = IsoSpec.eval
     invert = IsoSpec.invert
@@ -523,6 +563,36 @@ class ProductLiftIso(IsoSpec):
             raise OutOfDomain("point outside the target cone")
         return self._lift(y, self.ray_map._invert_ints, self.sub._invert_ints)
 
+    def _certify(self):
+        """The map is ray_map x sub in split coordinates, and both cones are
+        products R_+ (ray) x (sub's cone) in them, so it is an
+        order-isomorphism when ray_map is an exact strictly increasing
+        bijection fixing 0 and sub is certified.  Checked on integers: the
+        projection and unsplit matrices are inverse, both cones split, the
+        ray map is affine or piecewise linear with ray_map(0) = 0."""
+        dim, sub = self.source_cone.dim, self.sub
+        return (type(self.ray_map) in (AffineMap, PiecewiseLinearMap)
+                and self.ray_map._eval_ints(0, 1)[0] == 0
+                and self.target_cone.dim == dim
+                and sub.source_cone.dim == sub.target_cone.dim == dim - 1
+                and sub._bases_zero == (True, True)
+                and _inverse_pair(self._proj, self._unsplit, dim)
+                and self._splits(self.source_cone, sub.source_cone)
+                and self._splits(self.target_cone, sub.target_cone)
+                and sub._certified())
+
+    def _splits(self, cone: PolyhedralCone, subcone: PolyhedralCone) -> bool:
+        """cone = {unsplit(t, w) : t >= 0, w in subcone}: every generator
+        splits into such (t, w), and the ray unsplit(1, 0) and every
+        unsplit(0, k), k a generator of subcone, lie in the cone."""
+        for g in cone._gen_ints:
+            t, *w = self._proj.apply(g)
+            if t < 0 or not subcone._in_cone(w):
+                return False
+        zeros = [0] * (cone.dim - 1)
+        return (cone._in_cone(self._unsplit.apply([1, *zeros]))
+                and all(cone._in_cone(self._unsplit.apply([0, *k])) for k in subcone._gen_ints))
+
     eval = IsoSpec.eval
     invert = IsoSpec.invert
 
@@ -551,6 +621,9 @@ class ComposeIso(IsoSpec):
         for p in reversed(self.parts):
             y = p._invert_ints(y)
         return y
+
+    def _certify(self):
+        return all(p._certified() for p in self.parts)
 
     eval = IsoSpec.eval
     invert = IsoSpec.invert
@@ -684,7 +757,7 @@ def _leq_scaled(cone: PolyhedralCone) -> Callable:
 
 
 def check_order_iso_sampled(spec: IsoSpec, n: int = 10000, seed: int = 0, *,
-                            stop_early: bool = False) -> IsoReport:
+                            stop_early: bool = False, limit: int | None = None) -> IsoReport:
     """Sampled order-isomorphism battery.
 
     Draws pairs with known order relation in the source (comparable pairs as
@@ -695,6 +768,12 @@ def check_order_iso_sampled(spec: IsoSpec, n: int = 10000, seed: int = 0, *,
 
     Sampling is seeded per fixed-size index chunk of 256 samples, so sample
     i draws the same values whatever n is.
+
+    ``stop_early`` stops at the first violation.  ``limit`` stops drawing
+    once both violation lists hold ``limit`` pairs and keeps the first
+    ``limit`` of each: these, and the verdict, are those of all n samples,
+    since later samples only append.  Either way ``samples_run`` stays n,
+    the samples the verdict covers, not the samples drawn.
 
     Every spec kind runs on scaled integer vectors from draw to verdict:
     points are integer cone points shifted by the apex, images and
@@ -783,8 +862,10 @@ def check_order_iso_sampled(spec: IsoSpec, n: int = 10000, seed: int = 0, *,
         run_index(i, rng)
         if stop_early and (fwd_violations or inv_violations):
             break
+        if limit is not None and min(len(fwd_violations), len(inv_violations)) >= limit:
+            break
     verdict = "Violation" if fwd_violations or inv_violations else "PassedSampling"
-    return IsoReport(tuple(fwd_violations), tuple(inv_violations), n, verdict)
+    return IsoReport(tuple(fwd_violations[:limit]), tuple(inv_violations[:limit]), n, verdict)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,8 @@ instead of two-vector additivity, ray/facet enumeration through
 exhaustive subset solving instead of double description (and the double
 description itself through its Fraction-lineality form), canonical cones
 through two DD passes instead of one pass and tight-set masks, suprema through
-exhaustive vertex enumeration, Caratheodory decompositions through the
+exhaustive vertex enumeration or, in any dimension, one linear solve of the
+facet system with a tight-rank vertex test, Caratheodory decompositions through the
 exact simplex instead of the facet walk, total order through the Fraction
 cone.leq of each pair instead of one common denominator, engagement through one linear
 solve per ray instead of one row reduction per cone, eigendecompositions
@@ -514,8 +515,10 @@ def facets_from_rays_bruteforce(dim, rays) -> list:
     return rays_from_facets_bruteforce(dim, rays)
 
 
-def bound_vertices_bruteforce(cone, points, upper=True) -> list:
-    """All vertices of the upper/lower bound polyhedron by subset solving."""
+def _bound_system(cone, points, upper: bool) -> tuple[list, list]:
+    """(rows, rhs): the upper (lower) bounds of the points are the z with
+    <row_j, z> >= rhs_j, one row per facet normal h, negated for lower
+    bounds: <h, z> >= max <h, p>, or <-h, z> >= -min <h, p>."""
     rows, rhs = [], []
     for h in cone.facets:
         vals = [vec_dot(h, p) for p in points]
@@ -525,6 +528,12 @@ def bound_vertices_bruteforce(cone, points, upper=True) -> list:
         else:
             rows.append(vec_neg(h))
             rhs.append(-min(vals))
+    return rows, rhs
+
+
+def bound_vertices_bruteforce(cone, points, upper=True) -> list:
+    """All vertices of the upper/lower bound polyhedron by subset solving."""
+    rows, rhs = _bound_system(cone, points, upper)
     d = cone.dim
     verts = set()
     for idx in combinations(range(len(rows)), d):
@@ -537,6 +546,41 @@ def bound_vertices_bruteforce(cone, points, upper=True) -> list:
         if all(vec_dot(rows[i], z) >= rhs[i] for i in range(len(rows))):
             verts.add(z)
     return sorted(verts)
+
+
+def bound_certificate(cone, points, upper=True):
+    """The supremum (infimum when upper=False) of the points in a pointed
+    generating cone by one solve, or None when it does not exist.
+
+    The upper bound set is U = {z : Hz >= b}, H the facet normals and
+    b_j = max_i <h_j, x_i>.  Facet inequalities of a full-dimensional
+    polyhedron are unique up to scaling (Schrijver 1986, ch. 8), so U is
+    v + K exactly when Hv = b, and v is then the supremum; H has rank d
+    because K is pointed, so v is unique.  Infima follow by the sign flip.
+    """
+    rows, rhs = _bound_system(cone, points, upper)
+    return solve_reference(rows, rhs)
+
+
+def is_bound_vertex(cone, points, w, upper=True) -> bool:
+    """w is a vertex of the upper (lower) bound set of the points: it meets
+    every bound inequality, and the normals tight at w have rank d."""
+    rows, rhs = _bound_system(cone, points, upper)
+    vals = [vec_dot(r, w) for r in rows]
+    if any(v < b for v, b in zip(vals, rhs)):
+        return False
+    return rank_reference([r for r, v, b in zip(rows, vals, rhs) if v == b]) == cone.dim
+
+
+def eval_infsup_certificate(cone, expr):
+    """eval_infsup bottom-up through bound_certificate; None when some node
+    has no supremum or infimum."""
+    if expr.kind == "leaf":
+        return tuple(expr.vec)
+    vals = [eval_infsup_certificate(cone, c) for c in expr.children]
+    if any(v is None for v in vals):
+        return None
+    return bound_certificate(cone, vals, upper=expr.kind == "sup")
 
 
 def classify_engaged_reference(cone) -> list:

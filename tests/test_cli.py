@@ -11,11 +11,29 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import coneorder.cli as cli_mod
 from coneorder.cli import main, run_full_battery
-from coneorder.cones import square_cone
-from coneorder.iso import DiagonalIso, LinearIso, OddPowerMap, PiecewiseLinearMap
+from coneorder.cones import cone_from_generators, interval_cone, orthant, square_cone
+from coneorder.iso import (
+    AffineMap,
+    DiagonalIso,
+    IsoSpec,
+    LinearIso,
+    OddPowerMap,
+    PiecewiseLinearMap,
+    ProductLiftIso,
+    check_order_iso_sampled,
+    compose_isos,
+    identity_iso,
+    make_affine_iso,
+    make_product_lift,
+)
 from coneorder.linalg import as_vec
+from coneorder.order import classify_engaged, disengaged_split
+from coneorder.sampling import random_pointed_cone, rng_for
 from coneorder.serialize import MAX_EXPR_DEPTH, canonical_dumps
+
+from test_acceptance import PWL_DOUBLING, _criterion_3_cones, cone_automorphism_candidates
 
 
 @pytest.fixture()
@@ -388,6 +406,132 @@ class TestCheckIso:
         assert rep["affine"]["affine"] is False
         assert rep["verdict"] == "nonlinear"
         assert code == rep["exit_code"] == 1
+
+
+def _lift(cone, ray_map, sub_of):
+    """make_product_lift along the cone's first disengaged ray, with the sub
+    spec sub_of(subcone)."""
+    ray = next(r.ray_index for r in classify_engaged(cone) if not r.engaged)
+    return make_product_lift(cone, ray, ray_map, sub_of(disengaged_split(cone, ray).subcone))
+
+
+def _certified_corpus():
+    """(cone, spec) pairs that are exact order-isomorphisms, of every kind
+    the certificate covers."""
+    corpus = []
+    for ci, cone in enumerate(_criterion_3_cones()):
+        corpus += [(cone, s) for s in cone_automorphism_candidates(cone, rng_for(0, "cert", ci))]
+    rng = rng_for(1, "cert-random")
+    for dim in (1, 2, 3, 4, 5, 5):
+        cone = random_pointed_cone(rng, dim, rng.randint(1, dim + 3))
+        corpus += [(cone, s) for s in cone_automorphism_candidates(cone, rng)]
+    sq = square_cone()
+    ident, shear = cone_automorphism_candidates(sq, rng)
+    a, b = as_vec(("1/3", "0", "1/2")), as_vec(("2", "-1/5", "7/3"))
+    corpus += [
+        (sq, make_affine_iso(shear, a, b)),
+        (sq, compose_isos(shear, identity_iso(shear.target_cone))),
+        (sq, compose_isos(make_affine_iso(ident, a, b), make_affine_iso(ident, b, a))),
+    ]
+    for cone in (orthant(2), orthant(3), interval_cone()):
+        for ray_map in (PWL_DOUBLING, AffineMap(Fraction(3, 2))):
+            corpus.append((cone, _lift(cone, ray_map, lambda sub: cone_automorphism_candidates(
+                sub, rng)[1])))
+    o3 = orthant(3)
+    corpus.append((o3, _lift(o3, AffineMap(Fraction(1, 3)),
+                             lambda sub: _lift(sub, PWL_DOUBLING, identity_iso))))
+    return corpus
+
+
+def _battery_json(report):
+    """The battery section run_full_battery prints for a sampled report."""
+    pairs = [[[str(c) for c in v] for v in pair] for pair in report]
+    return pairs[:cli_mod.SHOWN_PAIRS]
+
+
+class TestCertifiedBattery:
+    """check-iso decides a spec that passes its integer certificate without
+    drawing samples, and draws the rest only until the report is settled."""
+
+    def test_certified_reports_equal_sampled_reports(self, monkeypatch):
+        for i, (cone, spec) in enumerate(_certified_corpus()):
+            assert spec._certified()
+            with monkeypatch.context() as m:
+                m.setattr(cli_mod, "check_order_iso_sampled", None)
+                got = run_full_battery(cone, spec, 300, i)
+            with monkeypatch.context() as m:
+                m.setattr(IsoSpec, "_certified", lambda self: False)
+                want = run_full_battery(cone, spec, 300, i)
+            assert got == want
+            assert got["battery"] == {"verdict": "PassedSampling", "samples_run": 300,
+                                      "order_preserving_violations": [],
+                                      "inverse_violations": []}
+
+    @staticmethod
+    def _forged(kind):
+        """A spec of the kind that must not certify, on its source cone."""
+        sq, o2, o3 = square_cone(), orthant(2), orthant(3)
+        eye = [as_vec(r) for r in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
+        bad_inverse = LinearIso(eye, sq, sq, inverse=[[2 * c for c in r] for r in eye])
+        split = disengaged_split(o2, 0)
+        flat = identity_iso(split.subcone)
+        if kind == "bad_inverse":
+            return sq, bad_inverse
+        if kind == "leaves_target":  # (1, 1, 1) goes to (2, 1, 1)
+            return sq, LinearIso([(2, 0, 0), (0, 1, 0), (0, 0, 1)], sq, sq)
+        if kind == "misses_target":  # into the target, not onto it
+            return sq, LinearIso([("1/2", 0, 0), (0, 1, 0), (0, 0, 1)], sq, sq)
+        if kind == "compose":
+            return sq, compose_isos(identity_iso(sq), bad_inverse)
+        if kind == "odd_power_lift":
+            return o3, _lift(o3, OddPowerMap(3), identity_iso)
+        if kind == "forged_sub_lift":
+            return o3, _lift(o3, PWL_DOUBLING, lambda sub: LinearIso(
+                ((1, 0), (0, 1)), sub, sub, inverse=((1, 0), (0, 2))))
+        if kind == "moved_zero_lift":  # t -> t + 1 on the ray
+            return o2, ProductLiftIso(o2, 0, AffineMap(1, 1), flat, split, o2)
+        # a source or target cone that is not R+ ray (+) subcone in the split
+        # coordinates
+        wedge = cone_from_generators(2, [(1, 0), (1, 1)])
+        if kind == "unsplit_source_lift":
+            return wedge, ProductLiftIso(wedge, 0, PWL_DOUBLING, flat, split, o2)
+        return o2, ProductLiftIso(o2, 0, PWL_DOUBLING, flat, split, wedge)
+
+    @pytest.mark.parametrize("kind, verdict", [
+        ("bad_inverse", "Violation"), ("leaves_target", "Violation"),
+        ("misses_target", "Violation"), ("compose", "Violation"),
+        # an order-isomorphism, but its inverse is inexact
+        ("odd_power_lift", "PassedSampling"),
+        ("forged_sub_lift", "Violation"),
+        # maps the cone into itself, onto the translate by the ray: the
+        # battery compares differences, so it sees no violation
+        ("moved_zero_lift", "PassedSampling"),
+        ("unsplit_source_lift", "Violation"),
+        ("unsplit_target_lift", "Violation"),
+    ])
+    def test_forged_specs_keep_their_sampled_report(self, monkeypatch, kind, verdict):
+        cone, spec = self._forged(kind)
+        assert not spec._certified()
+        report = run_full_battery(cone, spec, 600, 3)
+        with monkeypatch.context() as m:
+            m.setattr(IsoSpec, "_certified", lambda self: False)
+            assert run_full_battery(cone, spec, 600, 3) == report
+        full = check_order_iso_sampled(spec, 600, 3)
+        assert report["battery"] == {
+            "verdict": full.verdict, "samples_run": 600,
+            "order_preserving_violations": _battery_json(full.order_preserving_violations),
+            "inverse_violations": _battery_json(full.inverse_violations)}
+        assert full.verdict == verdict
+
+    def test_lift_over_an_apexed_sub_does_not_certify(self):
+        # The sub is defined on [1, oo) only, so the lift is undefined at
+        # some cone points; the identities of run_full_battery raise there.
+        o2 = orthant(2)
+        split = disengaged_split(o2, 0)
+        sub = make_affine_iso(identity_iso(split.subcone), [1], [1])
+        spec = ProductLiftIso(o2, 0, PWL_DOUBLING, sub, split, o2)
+        assert sub._certified() and not spec._certified()
+        assert check_order_iso_sampled(spec, 300, 0, limit=5).verdict == "Violation"
 
 
 class TestPsdCommands:

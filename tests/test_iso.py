@@ -22,6 +22,7 @@ from coneorder.iso import (
     AffineMap,
     DiagonalIso,
     IDENTITY_MAP,
+    IsoReport,
     LinearIso,
     OddPowerMap,
     PiecewiseLinearMap,
@@ -568,6 +569,39 @@ class TestSampledBatteryIntegerPath:
         fast = check_order_iso_sampled(spec, n, seed, stop_early=stop_early)
         assert fast == battery_reference(spec, n, seed, stop_early)
         assert _all_fractions(fast)
+
+    @settings(max_examples=20, deadline=None)
+    @given(spec_seed=st.integers(0, 2**32 - 1),
+           kind=st.sampled_from(ISO_KINDS + LINEAR_KINDS),
+           n=st.integers(1, 700),
+           seed=st.integers(0, 2**20))
+    def test_limit_keeps_verdict_and_first_pairs(self, spec_seed, kind, n, seed):
+        spec = _spec(spec_seed, kind)
+        got = check_order_iso_sampled(spec, n, seed, limit=5)
+        want = battery_reference(spec, n, seed)
+        assert got.samples_run == n and got.verdict == want.verdict
+        assert got.order_preserving_violations == want.order_preserving_violations[:5]
+        assert got.inverse_violations == want.inverse_violations[:5]
+
+    def test_limit_stops_drawing_once_both_lists_are_full(self, monkeypatch):
+        # A shear of the square cone claimed onto the square cone itself:
+        # images leave the target and preimages break the order, so both
+        # lists fill within the first chunk of samples.
+        sq = square_cone()
+        spec = LinearIso([V(1, 1, 0), V(0, 1, 0), V(0, 0, 1)], sq, sq)
+        chunks = []
+
+        def counted(*key):
+            chunks.append(key)
+            return rng_for(*key)
+
+        monkeypatch.setattr("coneorder.iso.rng_for", counted)
+        got = check_order_iso_sampled(spec, 40 * 256, 1, limit=5)
+        assert len(chunks) == 1
+        full = check_order_iso_sampled(spec, 40 * 256, 1)
+        assert len(chunks) == 41
+        assert got == IsoReport(full.order_preserving_violations[:5],
+                                full.inverse_violations[:5], 40 * 256, "Violation")
 
     def test_every_kind_reaches_both_verdicts_and_both_regimes(self):
         seen = set()

@@ -2,7 +2,7 @@ import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import coneorder.order as order_mod
 from coneorder.cli import main
@@ -63,10 +63,13 @@ from coneorder.sampling import (
 )
 
 from oracles import (
+    bound_certificate,
     bound_vertices_bruteforce,
     classify_engaged_reference,
     double_description_reference,
+    eval_infsup_certificate,
     independent_subset_greedy,
+    is_bound_vertex,
     is_totally_ordered_reference,
 )
 
@@ -370,6 +373,57 @@ class TestExtremeHalfline:
             apex = cone_point(cone, rng)
             assert extreme_halfline_check(cone, apex, g[0], seed=i)
             assert not extreme_halfline_check(cone, apex, vec_add(g[0], g[-1]), seed=i)
+
+
+def _cyclic_cone(rng, dim: int, n: int):
+    """Cone over a cyclic polytope: n points (t, ..., t^(dim-1), 1) of the
+    moment curve; dim 6 with n = 10 has 42 facets."""
+    ts = sorted(rng.sample(range(-6, 7), n))
+    return cone_from_generators(dim, [[t ** k for k in range(1, dim)] + [1] for t in ts])
+
+
+class TestSupremumCertificate:
+    """The bound oracle above enumerates every d-subset of facets, so it only
+    reaches dim 3.  The one-solve certificate of tests/oracles.py checks
+    supremum, infimum and eval_infsup on pointed generating cones of any
+    dimension: the value where a bound exists, the vertex test on both
+    witnesses where it does not."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(cone_seed=st.integers(0, 2**32 - 1), dim=st.integers(2, 7),
+           cyclic=st.booleans(), k=st.integers(1, 4))
+    @example(cone_seed=0, dim=6, cyclic=True, k=3)
+    @example(cone_seed=1, dim=6, cyclic=True, k=2)
+    def test_matches_library(self, cone_seed, dim, cyclic, k):
+        rng = rng_for(cone_seed, "supcert")
+        if cyclic and dim == 6:
+            cone = _cyclic_cone(rng, 6, 10)
+            assert len(cone.facets) == 42
+        elif cyclic:
+            cone = _cyclic_cone(rng, dim, rng.randint(dim, dim + 3))
+        else:
+            cone = random_pointed_cone(rng, dim, rng.randint(dim, dim + 3),
+                                       require_generating=True)
+        pts = [as_vec([Fraction(c, rng.randint(1, 3)) for c in rand_int_vec(rng, dim, 4)])
+               for _ in range(k)]
+        for upper, bound in ((True, supremum), (False, infimum)):
+            want, res = bound_certificate(cone, pts, upper), bound(cone, pts)
+            if want is not None:
+                assert res.exists and res.value == want
+            else:
+                assert res.outcome == "no_least_upper_bound"
+                w1, w2 = res.witnesses
+                assert w1 < w2
+                assert is_bound_vertex(cone, pts, w1, upper)
+                assert is_bound_vertex(cone, pts, w2, upper)
+        outer, inner = (sup_expr, inf_expr) if cone_seed % 2 else (inf_expr, sup_expr)
+        expr = outer(leaf(pts[0]), inner(*[leaf(p) for p in pts[1:] or pts]))
+        want = eval_infsup_certificate(cone, expr)
+        if want is None:
+            with pytest.raises(UndefinedLattice):
+                eval_infsup(cone, expr)
+        else:
+            assert eval_infsup(cone, expr) == want
 
 
 class TestInfSupExpressions:
