@@ -31,7 +31,7 @@ from coneorder.iso import (
 from coneorder.linalg import as_vec
 from coneorder.order import classify_engaged, disengaged_split
 from coneorder.sampling import random_pointed_cone, rng_for
-from coneorder.serialize import MAX_EXPR_DEPTH, canonical_dumps
+from coneorder.serialize import MAX_EXPR_DEPTH, canonical_dumps, vec_to_json
 
 from test_acceptance import PWL_DOUBLING, _criterion_3_cones, cone_automorphism_candidates
 
@@ -426,27 +426,29 @@ def _certified_corpus():
         cone = random_pointed_cone(rng, dim, rng.randint(1, dim + 3))
         corpus += [(cone, s) for s in cone_automorphism_candidates(cone, rng)]
     sq = square_cone()
-    ident, shear = cone_automorphism_candidates(sq, rng)
+    ident, uni = cone_automorphism_candidates(sq, rng)
     a, b = as_vec(("1/3", "0", "1/2")), as_vec(("2", "-1/5", "7/3"))
     corpus += [
-        (sq, make_affine_iso(shear, a, b)),
-        (sq, compose_isos(shear, identity_iso(shear.target_cone))),
+        (sq, make_affine_iso(uni, a, b)),
+        (sq, compose_isos(uni, identity_iso(uni.target_cone))),
         (sq, compose_isos(make_affine_iso(ident, a, b), make_affine_iso(ident, b, a))),
     ]
+
+    def unimodular(sub):
+        return cone_automorphism_candidates(sub, rng)[1]
+
     for cone in (orthant(2), orthant(3), interval_cone()):
         for ray_map in (PWL_DOUBLING, AffineMap(Fraction(3, 2))):
-            corpus.append((cone, _lift(cone, ray_map, lambda sub: cone_automorphism_candidates(
-                sub, rng)[1])))
+            corpus.append((cone, _lift(cone, ray_map, unimodular)))
     o3 = orthant(3)
     corpus.append((o3, _lift(o3, AffineMap(Fraction(1, 3)),
                              lambda sub: _lift(sub, PWL_DOUBLING, identity_iso))))
     return corpus
 
 
-def _battery_json(report):
-    """The battery section run_full_battery prints for a sampled report."""
-    pairs = [[[str(c) for c in v] for v in pair] for pair in report]
-    return pairs[:cli_mod.SHOWN_PAIRS]
+def _battery_json(pairs):
+    """The violation pairs run_full_battery prints out of a full list."""
+    return [[vec_to_json(x), vec_to_json(y)] for x, y in pairs[:cli_mod.SHOWN_PAIRS]]
 
 
 class TestCertifiedBattery:
