@@ -19,6 +19,7 @@ import argparse
 import sys
 from dataclasses import asdict
 from fractions import Fraction
+from functools import cache
 
 import numpy as np
 
@@ -428,7 +429,10 @@ _COMMANDS = [
 ]
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The conelab parser, built once per process: parsing does not change
+    it, and each subcommand's handler is bound when it is built."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0, help="seed for all sampling")
     common.add_argument("--samples", type=int, default=10000, help="sampling count")

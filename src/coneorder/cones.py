@@ -9,6 +9,12 @@ the cone built from generators has lineality, or the cone built from facets
 is not generating.  All arithmetic is exact, so the induced partial order
 x <= y iff y - x in C has no tolerance anywhere.
 
+A build runs on primitive int tuples from the normalized input to the
+canonical lists: the double description returns its rays as ints, and the
+sets, sorts and tight masks work on them.  The lists become the cone's
+Fraction fields once, at the end, and also seed its integer forms
+``_gen_ints`` and ``_facet_ints``.
+
 Normalization convention: every stored generator and facet normal is scaled
 by a positive rational to coprime integer coordinates (the sign pattern of a
 ray is intrinsic and never flipped), and the stored lists are sorted
@@ -30,7 +36,6 @@ from .linalg import (
     identity_matrix,
     is_zero_vec,
     normalize_ray,
-    normalize_sign_free,
     primitive,
     scaled_ints,
     scaled_rows,
@@ -38,12 +43,14 @@ from .linalg import (
 )
 
 
-def double_description(dim: int, constraints) -> tuple[list[Vec], list[Vec]]:
+def double_description(dim: int, constraints) -> tuple[list[Vec], list[tuple[int, ...]]]:
     """Extreme rays of {x : <h, x> >= 0 for all h in constraints}.
 
     Returns (lineality_basis, rays): the feasible cone equals
     span(lineality_basis) + cone(rays), with the rays extreme modulo the
-    lineality space.  Constraints are processed incrementally; while a
+    lineality space.  The rays are primitive int tuples and the lineality
+    basis is the reduced echelon basis in Fractions, which can be
+    fractional.  Constraints are processed incrementally; while a
     constraint is not orthogonal to the current lineality space the space is
     reduced by one dimension, afterwards the classical positive/negative ray
     combination step applies, with the combinatorial adjacency test on tight
@@ -55,8 +62,8 @@ def double_description(dim: int, constraints) -> tuple[list[Vec], list[Vec]]:
     the same combination c*r - <h, r>*z divided by its gcd.  Lineality
     vector j starts as the unit vector of its free coordinate f_j and keeps
     a positive entry there and 0 at the other free coordinates; divided by
-    that entry on return it is the reduced echelon basis vector, and the
-    rays become Fractions once, on return too.
+    that entry on return it is the reduced echelon basis vector.  The rays
+    are returned as the int tuples the run computes.
 
     Before the combinatorial test a pair of rays is rejected when its common
     tight set has fewer than dim - len(lineality) - 2 members.  This is a
@@ -132,8 +139,7 @@ def double_description(dim: int, constraints) -> tuple[list[Vec], list[Vec]]:
                 rays.append(r)
                 tight.append(t)
 
-    return ([tuple(Fraction(a, l[f]) for a in l) for l, f in zip(lineality, free)],
-            [tuple(map(Fraction, r)) for r in rays])
+    return [tuple(Fraction(a, l[f]) for a in l) for l, f in zip(lineality, free)], rays
 
 
 def _combine(r, a: int, b: int, z) -> tuple[int, ...]:
@@ -141,16 +147,18 @@ def _combine(r, a: int, b: int, z) -> tuple[int, ...]:
     return primitive([a * x - b * y for x, y in zip(r, z)])
 
 
-def _canonical_rays(rays, lineality) -> tuple[Vec, ...]:
+def _canonical_rays(rays, lineality) -> tuple[tuple[int, ...], ...]:
+    """The int rays plus the primitive +/- pair of each lineality direction,
+    sorted: the same order as the equal Fraction tuples."""
     out = set(rays)
     for l in lineality:
-        n = normalize_sign_free(l)
+        n = primitive(scaled_ints(l)[0])
         out.add(n)
         out.add(vec_neg(n))
     return tuple(sorted(out))
 
 
-def _dual(dim: int, vectors) -> tuple[tuple[Vec, ...], bool]:
+def _dual(dim: int, vectors) -> tuple[tuple[tuple[int, ...], ...], bool]:
     """Canonical generators of {x : <v, x> >= 0 for v in vectors} (extreme
     rays plus a +/- pair per lineality direction) and whether it has no
     lineality, by one DD pass: the facets of cone(vectors) and whether that
@@ -158,15 +166,15 @@ def _dual(dim: int, vectors) -> tuple[tuple[Vec, ...], bool]:
     whether it is pointed.  A build runs it once and reads its input side's
     minimal list off tight masks (``_extreme_by_masks``); it runs a second
     pass only when a cone from generators has lineality or a cone from
-    facets is not generating."""
+    facets is not generating.  The list is of primitive int tuples."""
     lin, rays = double_description(dim, vectors)
     return _canonical_rays(rays, lin), not lin
 
 
-def _extreme_by_masks(vectors, dual) -> tuple[Vec, ...] | None:
+def _extreme_by_masks(vectors, dual) -> tuple[tuple[int, ...], ...] | None:
     """The members of vectors on extreme rays of cone(vectors), in their
     order, or None when that cone has lineality.  vectors are distinct
-    normalized rays and dual is the canonical list ``_dual`` returns for
+    primitive int rays and dual is the canonical list ``_dual`` returns for
     them, so cone(vectors) = {x : <h, x> >= 0 for h in dual}.
 
     Read off bitmasks of the members of dual tight at each vector.  A vector
@@ -180,10 +188,9 @@ def _extreme_by_masks(vectors, dual) -> tuple[Vec, ...] | None:
     is, iff exactly one mask in the list contains it: its own.  The test
     counts masks, not distinct masks: two redundant vectors can share one.
     """
-    rows = [tuple(map(int, h)) for h in dual]
-    masks = [sum(1 << i for i, h in enumerate(rows) if not sum(map(mul, h, v)))
-             for v in (tuple(map(int, v)) for v in vectors)]
-    if (1 << len(rows)) - 1 in masks:
+    masks = [sum(1 << i for i, h in enumerate(dual) if not sum(map(mul, h, v)))
+             for v in vectors]
+    if (1 << len(dual)) - 1 in masks:
         return None
     return tuple(v for v, m in zip(vectors, masks)
                  if sum(1 for n in masks if not m & ~n) == 1)
@@ -206,6 +213,8 @@ class PolyhedralCone:
     pointed: bool
     generating: bool
 
+    # The builders seed _facet_ints and _gen_ints with the int lists the
+    # Fraction fields were made from; these bodies serve cones built directly.
     @cached_property
     def _facet_ints(self) -> tuple[tuple[int, ...], ...]:
         return tuple(tuple(int(c) for c in f) for f in self.facets)
@@ -353,6 +362,22 @@ def _validated(dim: int, vectors, what: str) -> list[Vec]:
     return out
 
 
+def _rays(dim: int, vectors, what: str) -> list[tuple[int, ...]]:
+    """The distinct primitive int vectors on the rays of the nonzero vectors,
+    sorted: ``normalize_ray``'s representatives, as ints."""
+    scaled = (scaled_ints(v)[0] for v in _validated(dim, vectors, what))
+    return sorted({primitive(vi) for vi in scaled if any(vi)})
+
+
+def _cone(dim: int, gens, facets, pointed: bool, generating: bool) -> PolyhedralCone:
+    """The cone with the canonical int lists gens and facets, which become
+    its Fraction fields and seed its _gen_ints and _facet_ints."""
+    cone = PolyhedralCone(dim, tuple(tuple(map(Fraction, g)) for g in gens),
+                          tuple(tuple(map(Fraction, f)) for f in facets), pointed, generating)
+    cone.__dict__.update(_gen_ints=gens, _facet_ints=facets)
+    return cone
+
+
 def cone_from_generators(dim: int, gens) -> PolyhedralCone:
     """Cone spanned by the given vectors.
 
@@ -360,8 +385,7 @@ def cone_from_generators(dim: int, gens) -> PolyhedralCone:
     {0}.  Redundant (non-extreme) generators are eliminated, so the stored
     generator list of a pointed cone is exactly its extreme rays.
     """
-    gens = [g for g in _validated(dim, gens, "generator") if not is_zero_vec(g)]
-    seen = sorted({normalize_ray(g) for g in gens})
+    seen = _rays(dim, gens, "generator")
     # One DD pass gives the canonical facets, which depend only on the cone,
     # so they are also those of the minimal generators.  The extreme rays
     # are read off the facets tight at each vector of seen; a second pass
@@ -371,7 +395,7 @@ def cone_from_generators(dim: int, gens) -> PolyhedralCone:
     pointed = generators is not None
     if not pointed:
         generators = _dual(dim, facets)[0]
-    return PolyhedralCone(dim, generators, facets, pointed, generating)
+    return _cone(dim, generators, facets, pointed, generating)
 
 
 def cone_from_facets(dim: int, facets) -> PolyhedralCone:
@@ -380,8 +404,7 @@ def cone_from_facets(dim: int, facets) -> PolyhedralCone:
     Zero normals impose no constraint and are dropped; an empty list gives
     the whole space (flagged non-pointed).
     """
-    fs = [f for f in _validated(dim, facets, "facet normal") if not is_zero_vec(f)]
-    system = sorted({normalize_ray(f) for f in fs})
+    system = _rays(dim, facets, "facet normal")
     # The mirror of cone_from_generators: cone(system) is the dual cone, and
     # it is pointed exactly when the cone is generating.
     generators, pointed = _dual(dim, system)
@@ -389,7 +412,7 @@ def cone_from_facets(dim: int, facets) -> PolyhedralCone:
     generating = facets is not None
     if not generating:
         facets = _dual(dim, generators)[0]
-    return PolyhedralCone(dim, generators, facets, pointed, generating)
+    return _cone(dim, generators, facets, pointed, generating)
 
 
 def orthant(dim: int) -> PolyhedralCone:

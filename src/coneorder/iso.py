@@ -52,7 +52,6 @@ from .linalg import (
     invert_matrix,
     is_zero_vec,
     mat_rank,
-    mat_vec,
     primitive,
     rref,
     scaled_ints,
@@ -634,7 +633,8 @@ class ComposeIso(IsoSpec):
 
 
 def make_linear_iso(matrix, source: PolyhedralCone, target: PolyhedralCone) -> LinearIso:
-    """Linear order-isomorphism candidate, verified on generators both ways."""
+    """Linear order-isomorphism candidate, verified on generators both ways
+    by the spec's own integer certificate, so the spec comes out certified."""
     rows = tuple(as_vec(r) for r in matrix)
     if len(rows) != target.dim or any(len(r) != source.dim for r in rows):
         raise DimensionMismatch("matrix shape does not match the cones")
@@ -643,13 +643,13 @@ def make_linear_iso(matrix, source: PolyhedralCone, target: PolyhedralCone) -> L
     inv = invert_matrix(rows)
     if inv is None:
         raise NotConeMap("matrix is singular")
-    for g in source.generators:
-        if not target.contains(mat_vec(rows, g)):
+    spec = LinearIso(rows, source, target, inverse=inv)
+    if not spec._certified():
+        # the inverse is exact, so a generator leaves the cone on one side
+        if not all(target._in_cone(spec._fwd.apply(g)) for g in source._gen_ints):
             raise NotConeMap("image of a source generator leaves the target cone")
-    for h in target.generators:
-        if not source.contains(mat_vec(inv, h)):
-            raise NotConeMap("preimage of a target generator leaves the source cone")
-    return LinearIso(rows, source, target, inverse=inv)
+        raise NotConeMap("preimage of a target generator leaves the source cone")
+    return spec
 
 
 def identity_iso(cone: PolyhedralCone) -> LinearIso:

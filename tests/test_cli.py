@@ -306,6 +306,9 @@ class TestCheckIso:
                          "--samples", "200", "--seed", "10")
         assert out3 != out1
 
+    def test_parser_is_built_once(self):
+        assert cli_mod._build_parser() is cli_mod._build_parser()
+
     def test_parallel_flag_is_gone(self, files, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["check-iso", files["orthant2"], files["cube"], "--parallel"])

@@ -383,7 +383,8 @@ class TestRoundTrip:
         for dim, system in systems:
             lin, rays = double_description(dim, system)
             assert (lin, rays) == double_description_reference(dim, system)
-            assert all(type(c) is Fraction for v in lin + rays for c in v)
+            assert all(type(c) is Fraction for v in lin for c in v)
+            assert all(type(c) is int for v in rays for c in v)
             with_lineality += bool(lin)
         assert len(systems) >= 500 and with_lineality >= len(systems) // 4
 
@@ -436,6 +437,12 @@ class TestRoundTrip:
                 # dataclass equality: generators, facets, pointed, generating
                 cone = build(dim, vectors)
                 assert cone == reference(dim, vectors)
+                # the Fraction fields and the int forms seeded at build agree
+                for field, ints in ((cone.generators, "_gen_ints"), (cone.facets, "_facet_ints")):
+                    assert all(type(c) is Fraction for v in field for c in v)
+                    seeded = cone.__dict__[ints]
+                    assert all(type(c) is int for v in seeded for c in v)
+                    assert seeded == tuple(tuple(map(int, v)) for v in field)
                 key = (build.__name__, cone.pointed, cone.generating)
                 paths[key] = paths.get(key, 0) + 1
         assert len(inputs) >= 500

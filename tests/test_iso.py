@@ -180,6 +180,21 @@ class TestLinearIso:
         with pytest.raises(NotConeMap):
             make_linear_iso([[1, 1], [1, 1]], orthant(2), orthant(2))
 
+    def test_rejection_names_the_side_that_fails(self):
+        # both sides fail: the forward side is named
+        with pytest.raises(NotConeMap, match="^image of a source generator leaves the target cone$"):
+            make_linear_iso([[1, 0], [0, -1]], orthant(2), orthant(2))
+        with pytest.raises(NotConeMap, match="^preimage of a target generator leaves the source cone$"):
+            make_linear_iso([[1, 1], [0, 1]], orthant(2), orthant(2))
+
+    def test_made_spec_is_already_certified(self, monkeypatch):
+        # make_linear_iso validates through the certificate, so the battery
+        # reads the cached result and never certifies the spec again
+        sq = square_cone()
+        spec = make_linear_iso([[0, -1, 0], [1, 0, 0], [0, 0, 1]], sq, sq)
+        monkeypatch.setattr(LinearIso, "_certify", lambda self: pytest.fail("certified twice"))
+        assert spec._certified()
+
     def test_cross_cone_map(self):
         src = orthant(2)
         m = [[1, 1], [-1, 1]]
