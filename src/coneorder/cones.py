@@ -62,8 +62,7 @@ def double_description(dim: int, constraints) -> tuple[list[Vec], list[tuple[int
     the same combination c*r - <h, r>*z divided by its gcd.  Lineality
     vector j starts as the unit vector of its free coordinate f_j and keeps
     a positive entry there and 0 at the other free coordinates; divided by
-    that entry on return it is the reduced echelon basis vector.  The rays
-    are returned as the int tuples the run computes.
+    that entry on return it is the reduced echelon basis vector.
 
     Before the combinatorial test a pair of rays is rejected when its common
     tight set has fewer than dim - len(lineality) - 2 members.  This is a

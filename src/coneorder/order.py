@@ -97,9 +97,8 @@ def _vertices(dim: int, rows) -> tuple[list[Vec], list[Vec], list[Vec]]:
     first builds the whole t < 0 side of the homogenization only to cut
     it away, and tries 2.7 times as many ray pairs on the perfbench
     lattice round.  The rays and the lineality basis do not depend on the
-    order (see double_description), and the vertices are sorted.  The rays
-    come out as ints: a vertex is built as Fractions c / t straight from
-    them, and a recession direction as the Fractions of its entries."""
+    order (see double_description), and the vertices are sorted.  The DD's
+    rays are ints, so each vertex is built as Fractions c / t from them."""
     lin, rays = double_description(dim + 1, [unit_vec(dim + 1, dim)] + rows)
     verts = sorted(tuple(Fraction(c, r[dim]) for c in r[:dim]) for r in rays if r[dim])
     return (verts, [l[:dim] for l in lin],
