@@ -27,6 +27,7 @@ from . import psd as psd_mod
 from .cones import PolyhedralCone
 from .errors import (
     ConeOrderError,
+    DegenerateSpan,
     NotPositiveDefinite,
     NotPointed,
     ParseError,
@@ -162,7 +163,11 @@ def run_full_battery(cone: PolyhedralCone, spec: IsoSpec, samples: int, seed: in
     Composes the sampled order-isomorphism test with the half-line,
     parallelogram, additivity and scalar-extraction identities and the
     affinity/homogeneity verdicts.  Failures of theorem-backed identities
-    count as battery violations; NotAffine alone does not.
+    count as battery violations; NotAffine alone does not.  A stage that
+    meets a point where the spec is undefined (a ``ConeOrderError`` other
+    than the sample's ``DegenerateSpan``) notes the exception's name as
+    its section's "error" (``homogeneous_error`` next to the homogeneity
+    verdict) and counts as one violation.
 
     The whole battery stays on integers: points are drawn with
     ``cone_point_ints`` (the draws of ``cone_point``), shifted by the apex,
@@ -219,6 +224,15 @@ def run_full_battery(cone: PolyhedralCone, spec: IsoSpec, samples: int, seed: in
     if failures:
         violations += 1
 
+    def holds(section, check, *args) -> bool:
+        """check(*args); False, with the exception's name as the section's
+        "error", where the spec is undefined at a point of the check."""
+        try:
+            return check(*args)
+        except ConeOrderError as exc:
+            section.setdefault("error", type(exc).__name__)
+            return False
+
     n_cfg = max(5, min(50, samples // 100)) if len(gens) >= 2 else 0
     par = report["parallelogram"] = {"checked": n_cfg, "passed": 0, "witness": None}
     add = report["additivity"] = {"checked": n_cfg, "passed": 0, "witness": None}
@@ -228,7 +242,7 @@ def run_full_battery(cone: PolyhedralCone, spec: IsoSpec, samples: int, seed: in
         ri, si = rng.sample(range(len(gens)), 2)
         r = multiple(rng.randint(1, 3), gens[ri])
         s = multiple(rng.randint(1, 3), gens[si])
-        if check_parallelogram(spec, x, r, s):
+        if holds(par, check_parallelogram, spec, x, r, s):
             par["passed"] += 1
         elif par["witness"] is None:
             par["witness"] = [vec_to_json(x), vec_to_json(r), vec_to_json(s)]
@@ -237,7 +251,7 @@ def run_full_battery(cone: PolyhedralCone, spec: IsoSpec, samples: int, seed: in
         count = rng2.randint(2, min(4, len(gens)))
         idx = rng2.sample(range(len(gens)), count)
         ss = [multiple(rng2.randint(1, 3), gens[j]) for j in idx]
-        if check_additivity(spec, x2, ss):
+        if holds(add, check_additivity, spec, x2, ss):
             add["passed"] += 1
         elif add["witness"] is None:
             add["witness"] = [vec_to_json(x2)] + [vec_to_json(s) for s in ss]
@@ -273,25 +287,34 @@ def run_full_battery(cone: PolyhedralCone, spec: IsoSpec, samples: int, seed: in
         g_report.append(entry)
 
     pts = list(dict.fromkeys(point(rng_for(seed, "aff", t)) for t in range(4 * src.dim + 12)))
-    fit = check_affine_on(spec, pts)
-    # Every cone-based map sends the apex to the apex, and a map can be affine
-    # on the sampled points yet not there: a product lift bending its ray
-    # coordinate at t = 1 fits t + 1 when no sample has t < 1.
-    if fit.affine and a not in pts:
-        fit = check_affine_on(spec, pts + [a])
-    report["affine"] = {"affine": fit.affine, "max_residual": fmt_rational(fit.max_residual)}
+    try:
+        fit = check_affine_on(spec, pts)
+        # Every cone-based map sends the apex to the apex, and a map can be
+        # affine on the sampled points yet not there: a product lift bending
+        # its ray coordinate at t = 1 fits t + 1 when no sample has t < 1.
+        if fit.affine and a not in pts:
+            fit = check_affine_on(spec, pts + [a])
+        report["affine"] = {"affine": fit.affine, "max_residual": fmt_rational(fit.max_residual)}
+    except DegenerateSpan:
+        raise  # too few distinct sample points: the cone's fault, not the spec's
+    except ConeOrderError as exc:
+        report["affine"] = {"affine": None, "max_residual": None, "error": type(exc).__name__}
+        violations += 1
 
+    report["homogeneous"] = None
     if a_zero and is_zero_vec(spec.target_base):
         hom_samples = [point(rng_for(seed, "hom", t)) for t in range(8)]
-        report["homogeneous"] = check_positively_homogeneous(
-            spec, hom_samples, [Fraction(1, 2), Fraction(2), Fraction(3)])
-    else:
-        report["homogeneous"] = None
+        try:
+            report["homogeneous"] = check_positively_homogeneous(
+                spec, hom_samples, [Fraction(1, 2), Fraction(2), Fraction(3)])
+        except ConeOrderError as exc:
+            report["homogeneous_error"] = type(exc).__name__
+            violations += 1
 
     if violations:
         report["verdict"] = "violation"
         report["exit_code"] = EXIT_VIOLATION
-    elif fit.affine:
+    elif report["affine"]["affine"]:
         report["verdict"] = "affine"
         report["exit_code"] = EXIT_OK
     else:

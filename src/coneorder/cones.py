@@ -43,7 +43,8 @@ from .linalg import (
 )
 
 
-def double_description(dim: int, constraints) -> tuple[list[Vec], list[tuple[int, ...]]]:
+def double_description(dim: int, constraints, start=None
+                       ) -> tuple[list[Vec], list[tuple[int, ...]]]:
     """Extreme rays of {x : <h, x> >= 0 for all h in constraints}.
 
     Returns (lineality_basis, rays): the feasible cone equals
@@ -76,17 +77,31 @@ def double_description(dim: int, constraints) -> tuple[list[Vec], list[tuple[int
     The rays and the lineality basis are the same for every order of the
     constraints, up to the order of the rays; the order only changes how
     many intermediate rays and pairs the run goes through.
+
+    start, when given, is the DD pair of a pointed cone C0 to continue from
+    instead of the whole space: (rays, tight, nbits) with rays the extreme
+    rays of C0 as distinct primitive int tuples, tight[j] the bitmask of
+    the rows of some inequality system of C0 that are tight at rays[j], and
+    nbits the number of bits those rows use.  The result is then that of
+    C0 cut by the constraints, whose bits follow the start's.  C0 is
+    pointed, so the run starts, and stays, with empty lineality, and the
+    rank prefilter holds as above: the start's rows have rank dim.
     """
-    lineality = [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
-    free = list(range(dim))  # lineality[j] is positive at free[j]
-    rays: list[tuple[int, ...]] = []
-    tight: list[int] = []
+    if start is None:
+        lineality = [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
+        free = list(range(dim))  # lineality[j] is positive at free[j]
+        rays: list[tuple[int, ...]] = []
+        tight: list[int] = []
+        offset = 0
+    else:
+        lineality, free = [], []
+        rays, tight, offset = list(start[0]), list(start[1]), start[2]
 
     for i, h in enumerate(constraints):
         hi = scaled_ints(h)[0]
         if len(hi) != dim:
             raise ValueError(f"constraint {i} has length {len(hi)}, expected {dim}")
-        bit = 1 << i
+        bit = 1 << (offset + i)
         vals = [sum(map(mul, hi, l)) for l in lineality]
         k = next((j for j, v in enumerate(vals) if v), None)
         if k is not None:

@@ -4,6 +4,10 @@ Finite suprema and infima are decided exactly by enumerating the vertices of
 the upper (or lower) bound polyhedron: for a pointed cone the bound set
 U(S) = intersection of translates p + C is a polyhedron whose recession cone
 is C, so S has a least upper bound exactly when U(S) has a single vertex.
+The double description of U(S)'s homogenization continues from the known
+DD pair of one translate p + C (its apex and the cone's extreme rays, with
+their tight facets) and adds only the facets where p does not attain the
+bound; only the vertex count and the two smallest vertices are built.
 On top of that sit order intervals, inf-sup expression evaluation, the
 engaged/disengaged classification of extreme rays, the Cartesian splitting
 along a disengaged ray, the order-unit norm, and the hypothesis test for the
@@ -14,7 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from operator import mul
+from math import lcm
+from operator import eq, mul
 
 from .cones import PolyhedralCone, cone_from_generators, double_description
 from .errors import (
@@ -47,6 +52,7 @@ from .linalg import (
     unit_vec,
     vec_add,
     vec_dot,
+    vec_neg,
     vec_scale,
 )
 from .sampling import rng_for
@@ -73,18 +79,30 @@ class SupResult:
         return self.outcome == EXISTS
 
 
+def _bound_table(cone: PolyhedralCone, points, upper: bool):
+    """(pts, den, vals, bounds) for the upper (lower) bounds of the points:
+    the points scaled to integers pts by one common denominator den,
+    vals[k][j] = <h_j, pts[k]> for the facet normals h_j, and bounds[j] the
+    max (lower bounds: min) of vals[.][j]."""
+    pts, den = scaled_rows(points)
+    vals = [[sum(map(mul, h, p)) for h in cone._facet_ints] for p in pts]
+    return pts, den, vals, list(map(max if upper else min, zip(*vals)))
+
+
+def _bound_row(h, den: int, bound: int, upper: bool) -> tuple[int, ...]:
+    """The homogenized row of <h, z> >= bound / den (lower: <=) in integers:
+    (den*h, -bound), negated for lower bounds, a positive multiple of the
+    Fraction row, which leaves the double description unchanged."""
+    if upper:
+        return tuple(den * c for c in h) + (-bound,)
+    return tuple(-den * c for c in h) + (bound,)
+
+
 def _bound_rows(cone: PolyhedralCone, points, upper: bool) -> list[tuple[int, ...]]:
     """One homogenized constraint per facet h for the upper bounds z of the
-    points, <h, z> >= max <h, p> (lower bounds: <h, z> <= min <h, p>).
-
-    The points are scaled to integers by one common denominator den, so each
-    row is (den*h, -max <h, p>) in integers: a positive multiple of the
-    Fraction row, which leaves the double description unchanged.
-    """
-    pts, den = scaled_rows(points)
-    sign, best = (1, max) if upper else (-1, min)
-    return [tuple(sign * den * c for c in h) + (-sign * best(sum(map(mul, h, p)) for p in pts),)
-            for h in cone._facet_ints]
+    points, <h, z> >= max <h, p> (lower bounds: <h, z> <= min <h, p>)."""
+    _, den, _, bounds = _bound_table(cone, points, upper)
+    return [_bound_row(h, den, b, upper) for h, b in zip(cone._facet_ints, bounds)]
 
 
 def _vertices(dim: int, rows) -> tuple[list[Vec], list[Vec], list[Vec]]:
@@ -98,19 +116,58 @@ def _vertices(dim: int, rows) -> tuple[list[Vec], list[Vec], list[Vec]]:
     it away, and tries 2.7 times as many ray pairs on the perfbench
     lattice round.  The rays and the lineality basis do not depend on the
     order (see double_description), and the vertices are sorted.  The DD's
-    rays are ints, so each vertex is built as Fractions c / t from them."""
+    rays are ints, so each vertex is built as Fractions c / t from them.
+    This is the cold run: interval_sample reads all of its output, and it
+    is the reference for _bound_vertices."""
     lin, rays = double_description(dim + 1, [unit_vec(dim + 1, dim)] + rows)
     verts = sorted(tuple(Fraction(c, r[dim]) for c in r[:dim]) for r in rays if r[dim])
     return (verts, [l[:dim] for l in lin],
             [tuple(map(Fraction, r[:dim])) for r in rays if not r[dim]])
 
 
-def _bound_vertices(cone: PolyhedralCone, points, upper: bool) -> list[Vec]:
-    """Sorted vertices of the set of upper (lower) bounds of the points."""
-    verts, lin, _ = _vertices(cone.dim, _bound_rows(cone, points, upper))
+def _bound_vertices(cone: PolyhedralCone, points, upper: bool) -> tuple[int, list[Vec]]:
+    """The number of vertices of the set U of upper (lower) bounds of the
+    points, and its (at most) two lexicographically smallest vertices.
+
+    U is the intersection of the translates p + C (lower: p - C), and its
+    homogenization {(z, t) : t >= 0, <h, z> >= t * max <h, p>} is found by
+    one double description that starts from the homogenized translate of
+    the point p* that attains the bound on the most facets (the first such
+    point on ties).  That cone, t >= 0 cut by the rows of p* + C, is
+    pointed, and its DD pair is known: the apex (p*, 1), tight on every
+    facet row, and (g, 0) per generator g of C (-g for lower bounds),
+    tight on t >= 0 and on g's facets, ``_gen_tight``.  The run then gets
+    only the rows p* does not attain: an attained row is one of p* + C's,
+    and a row not attained is stronger than p* + C's for the same facet,
+    since t >= 0.  So the result is that of the cold run of _vertices on
+    all rows.
+
+    The rays with t = 0 must be exactly the generators of C (-C), the
+    recession cone of U, or of the face t = 0 when U is empty.  The
+    vertices z / t are compared as integer keys over the lcm of the t
+    values, and only the returned ones are built as Fractions."""
+    dim, facets = cone.dim, cone._facet_ints
+    pts, den, vals, bounds = _bound_table(cone, points, upper)
+    attained = [sum(map(eq, row, bounds)) for row in vals]
+    k = attained.index(max(attained))
+    rows = [_bound_row(h, den, b, upper)
+            for h, v, b in zip(facets, vals[k], bounds) if v != b]
+    gens = cone._gen_ints if upper else [vec_neg(g) for g in cone._gen_ints]
+    t_bit = 1 << len(facets)
+    start = ([primitive(pts[k] + (den,))] + [g + (0,) for g in gens],
+             [t_bit - 1] + [m | t_bit for m in cone._gen_tight],
+             len(facets) + 1)
+    lin, rays = double_description(dim + 1, rows, start)
     if lin:
         raise InternalInconsistency("bound polyhedron of a pointed cone has lineality")
-    return verts
+    if sorted(r[:dim] for r in rays if not r[dim]) != sorted(gens):
+        raise InternalInconsistency("recession cone of a bound polyhedron is not the cone")
+    tops = [r for r in rays if r[dim]]
+    if not tops:
+        return 0, []
+    scale = lcm(*[r[dim] for r in tops])
+    keys = sorted(tuple(c * (scale // r[dim]) for c in r[:dim]) for r in tops)
+    return len(tops), [tuple(Fraction(c, scale) for c in key) for key in keys[:2]]
 
 
 def _extremum(cone: PolyhedralCone, points, upper: bool) -> SupResult:
@@ -120,12 +177,12 @@ def _extremum(cone: PolyhedralCone, points, upper: bool) -> SupResult:
         raise ValueError(f"{'supremum' if upper else 'infimum'} needs at least one point")
     if not cone.pointed:
         raise NotPointed(f"{'suprema' if upper else 'infima'} are computed for pointed cones only")
-    verts = _bound_vertices(cone, pts, upper=upper)
-    if not verts:
+    count, smallest = _bound_vertices(cone, pts, upper=upper)
+    if not count:
         return SupResult(NO_UPPER_BOUND)
-    if len(verts) == 1:
-        return SupResult(EXISTS, value=verts[0])
-    return SupResult(NO_LEAST_UPPER_BOUND, witnesses=(verts[0], verts[1]))
+    if count == 1:
+        return SupResult(EXISTS, value=smallest[0])
+    return SupResult(NO_LEAST_UPPER_BOUND, witnesses=tuple(smallest))
 
 
 def supremum(cone: PolyhedralCone, points) -> SupResult:

@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 import coneorder.cli as cli_mod
 from coneorder.cli import main, run_full_battery
 from coneorder.cones import cone_from_generators, interval_cone, orthant, square_cone
+from coneorder.errors import OutOfDomain
 from coneorder.iso import (
     AffineMap,
     DiagonalIso,
@@ -537,6 +538,30 @@ class TestCertifiedBattery:
         spec = ProductLiftIso(o2, 0, PWL_DOUBLING, sub, split, o2)
         assert sub._certified() and not spec._certified()
         assert check_order_iso_sampled(spec, 300, 0, limit=5).verdict == "Violation"
+
+    def test_identity_stages_report_an_undefined_spec_as_a_violation(self, monkeypatch):
+        # The lift above is undefined at some cone points: the additivity and
+        # affine-fit stages note the exception in their sections and count
+        # it as a violation, as the g_r stage does, instead of raising.
+        o2 = orthant(2)
+        split = disengaged_split(o2, 0)
+        sub = make_affine_iso(identity_iso(split.subcone), [1], [1])
+        spec = ProductLiftIso(o2, 0, PWL_DOUBLING, sub, split, o2)
+        report = run_full_battery(o2, spec, 300, 0)
+        assert (report["verdict"], report["exit_code"]) == ("violation", 4)
+        assert report["additivity"]["error"] == "OutOfDomain"
+        assert report["additivity"]["witness"] is not None
+        assert report["affine"] == {"affine": None, "max_residual": None,
+                                    "error": "OutOfDomain"}
+        canonical_dumps(report)
+        # Homogeneity runs on its own sample points; an undefined point there
+        # is noted next to the (undecided) verdict.
+        def undefined(*args):
+            raise OutOfDomain("point outside the apexed source domain")
+        monkeypatch.setattr(cli_mod, "check_positively_homogeneous", undefined)
+        report = run_full_battery(o2, identity_iso(o2), 300, 0)
+        assert (report["homogeneous"], report["homogeneous_error"]) == (None, "OutOfDomain")
+        assert (report["verdict"], report["exit_code"]) == ("violation", 4)
 
 
 class TestPsdCommands:

@@ -402,6 +402,38 @@ class TestRoundTrip:
                 assert lin_o == lin
                 assert len(rays_o) == len(rays) and set(rays_o) == set(rays)
 
+    def test_double_description_continued_from_a_prefix_equals_the_cold_run(self):
+        # order._bound_vertices starts the DD from a known pointed cone.  Here
+        # the start is the DD pair of a pointed prefix of the system, its
+        # masks read off <a, r> = 0; continuing with the rest (possibly
+        # nothing) must give the rays of the cold run on the whole system.
+        rng = rng_for(41, "ddwarm")
+        seen = {"empty_rest": 0, "cut": 0, "zero_cone": 0}
+        for trial in range(240):
+            dim = 1 + trial % 6
+            while True:
+                prefix = [V(*(rng.randint(-3, 3) for _ in range(dim)))
+                          for _ in range(rng.randint(dim, dim + 3))]
+                if mat_rank(prefix) == dim:
+                    break
+            rest = [V(*(Fraction(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(dim)))
+                    for _ in range(rng.choice((0, 1, 2, dim + 2)))]
+            rest += [r for r in rest if rng.random() < 0.2]
+            lin0, rays0 = double_description(dim, prefix)
+            assert lin0 == []
+            tight0 = [sum(1 << i for i, a in enumerate(prefix) if not vec_dot(a, r))
+                      for r in rays0]
+            lin, rays = double_description(dim, rest, (rays0, tight0, len(prefix)))
+            lin_c, rays_c = double_description(dim, prefix + rest)
+            assert lin == lin_c == []
+            assert len(rays) == len(rays_c) and set(rays) == set(rays_c)
+            if not rest:
+                assert rays == rays0
+                seen["empty_rest"] += 1
+            seen["cut"] += set(rays) != set(rays0)
+            seen["zero_cone"] += not rays
+        assert min(seen.values()) >= 20, seen
+
     def test_pointed_and_generating_against_rank(self):
         # The flags read off the DD pass and the tight masks against mat_rank:
         # {x : Ax >= 0} is pointed iff rank A = dim, and cone(A) is generating

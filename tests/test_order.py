@@ -150,6 +150,56 @@ class TestSupremumInfimum:
             if res.exists:
                 assert shifted.value == vec_add(res.value, t)
 
+    def test_bound_vertices_equal_the_cold_run(self):
+        # _bound_vertices continues the DD from the translate of one point;
+        # its vertex count and two smallest vertices must equal those the
+        # cold run of _vertices reads off all rows, for upper and lower
+        # bounds.  Cases: generating and non-generating pointed cones (the
+        # latter mostly with empty U), the trivial cone in dims 1-3, dim 1,
+        # single and repeated points, rational coordinates and coordinates
+        # near 1e20.
+        seen = dict.fromkeys(("generating", "non_generating", "trivial", "dim1", "single",
+                              "repeated", "huge", "empty", "exists", "no_least"), 0)
+        for i in range(360):
+            rng = rng_for(i, "bound-vertices-warm")
+            kind = ("generating", "non_generating", "trivial")[i % 3]
+            if kind == "trivial":
+                dim = 1 + i // 3 % 3
+                cone = cone_from_generators(dim, [])
+            else:
+                dim = 1 + i // 3 % 6 if kind == "generating" else 2 + i // 3 % 5
+                cone = random_pointed_cone(rng, dim, rng.randint(1, dim + 3), bound=2,
+                                           require_generating=kind == "generating")
+                if kind == "non_generating" and cone.generating:
+                    cone = cone_from_generators(dim, cone.generators[:1])
+            shift = as_vec(Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(dim))
+            pts = [vec_add(shift, cone_point(cone, rng, coeff_max=2)) if cone.generators
+                   else shift]
+            for _ in range(rng.randint(0, 3)):
+                if rng.random() < 0.25:
+                    pts.append(rng.choice(pts))
+                elif rng.random() < 0.5:
+                    pts.append(vec_add(shift, cone_point(cone, rng, coeff_max=2)))
+                else:
+                    pts.append(as_vec(Fraction(rng.randint(-6, 6), rng.randint(1, 3))
+                                      for _ in range(dim)))
+            if i % 7 == 0:
+                pts = [vec_scale(10 ** 20 + rng.randint(0, 9), p) for p in pts]
+                seen["huge"] += 1
+            assert cone.pointed and (kind == "generating") == cone.generating
+            seen[kind] += 1
+            seen["dim1"] += dim == 1
+            seen["single"] += len(pts) == 1
+            seen["repeated"] += len(set(pts)) < len(pts)
+            for upper in (True, False):
+                verts, lin, _ = order_mod._vertices(dim, order_mod._bound_rows(cone, pts, upper))
+                assert not lin
+                count, smallest = order_mod._bound_vertices(cone, pts, upper)
+                assert (count, smallest) == (len(verts), verts[:2])
+                assert all(type(c) is Fraction for v in smallest for c in v)
+                seen[("empty", "exists")[count] if count < 2 else "no_least"] += 1
+        assert min(seen.values()) >= 15, seen
+
 
 class TestIntervalSampling:
     def test_unit_square(self):

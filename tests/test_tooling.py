@@ -86,6 +86,34 @@ def test_halfline_check_calls_the_order_layer_by_name(monkeypatch):
     assert all(entered.values()), entered
 
 
+def test_bounds_call_the_double_description_by_name(monkeypatch):
+    # The tracer's cones.dd span wraps the DD by its alias in coneorder.order;
+    # a bound computation that bypassed it would take its DD work out of the
+    # cones.dd.* counts unseen.  One DD per supremum or infimum, so one per
+    # inner node of an inf-sup expression.
+    import coneorder.order as order
+    from coneorder.cones import orthant, square_cone
+
+    entered = []
+
+    def shim(*args, _orig=order.double_description, **kwargs):
+        entered.append(1)
+        return _orig(*args, **kwargs)
+
+    monkeypatch.setattr(order, "double_description", shim)
+    sq = square_cone()
+    for call in (order.supremum, order.infimum):
+        for pts in ([(1, 0, 1)], [(1, 0, 1), (-1, 0, 1)], [(1, 0, 1), (1, 0, 1), (0, 0, 2)]):
+            entered.clear()
+            call(sq, pts)
+            assert len(entered) == 1, (call.__name__, pts)
+    expr = order.sup_expr(order.inf_expr(order.leaf((1, 0)), order.leaf((0, 1))),
+                          order.leaf((2, 3)), order.sup_expr(order.leaf((1, 1))))
+    entered.clear()
+    assert order.eval_infsup(orthant(2), expr) == (2, 3)
+    assert len(entered) == 3
+
+
 def test_every_command_has_a_golden_report():
     # A command ships with at least one golden report in tests/data, named by
     # the report's own "command" field (psd-<sub> for the psd subcommands).
