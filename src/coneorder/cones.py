@@ -37,6 +37,7 @@ from .linalg import (
     is_zero_vec,
     normalize_ray,
     primitive,
+    rref_transform,
     scaled_ints,
     scaled_rows,
     vec_neg,
@@ -252,6 +253,13 @@ class PolyhedralCone:
     @cached_property
     def _generator_set(self) -> frozenset[Vec]:
         return frozenset(self.generators)
+
+    @cached_property
+    def _gen_echelon(self) -> tuple:
+        """``rref_transform`` of the generators as columns: (R, E, pivots)
+        with E g_j = column j of R.  ``order`` reads the engagement reports
+        and every disengaged split off this one elimination."""
+        return rref_transform([[g[k] for g in self.generators] for k in range(self.dim)])
 
     @cached_property
     def _engagement(self) -> tuple:

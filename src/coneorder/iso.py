@@ -54,6 +54,7 @@ from .linalg import (
     mat_rank,
     primitive,
     rref,
+    rref_transform,
     scaled_ints,
     scaled_rows,
     solve,
@@ -294,26 +295,22 @@ class _FrameCoords:
     sum lam_k frame[k] = x the way ``linalg.solve`` does: a frame vector in
     the span of the ones before it gets coordinate 0.  x is in the span
     iff every row of ``normals`` (a basis of its orthogonal complement)
-    vanishes on it.  Both come from one rref of [F | I], F the frame
-    vectors as columns: its I-part E is invertible with E F the reduced
-    form of F, whose pivots are the greedy independent part of the frame.
-    For x = F lam, lam zero off them, pivot row j of E x is the j-th
-    pivot's lam; E's rows below F's pivots vanish on F and span the normals.
+    vanishes on it.  Both come from ``rref_transform`` of F, the frame
+    vectors as columns: E is invertible with E F the reduced form of F,
+    whose pivots are the greedy independent part of the frame.  For
+    x = F lam, lam zero off them, pivot row j of E x is the j-th pivot's
+    lam; E's rows below F's pivots vanish on F and span the normals.
     """
 
     __slots__ = ("coords", "normals")
 
     def __init__(self, frame, dim: int):
-        m = len(frame)
-        red, pivots = rref([[v[i] for v in frame] + [int(i == j) for j in range(dim)]
-                            for i in range(dim)])
-        eye = [row[m:] for row in red]
-        rank = sum(c < m for c in pivots)
+        _, eye, pivots = rref_transform([[v[i] for v in frame] for i in range(dim)])
         coords = [[ZERO] * dim for _ in frame]
-        for j, k in enumerate(pivots[:rank]):
+        for j, k in enumerate(pivots):
             coords[k] = eye[j]
         self.coords = _IntMatrix(coords)
-        self.normals = _IntMatrix(eye[rank:]).rows
+        self.normals = _IntMatrix(eye[len(pivots):]).rows
 
     def solve(self, xi) -> list[int]:
         """lam * den for integers xi in the span; OutOfDomain off it."""

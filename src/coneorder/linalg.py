@@ -6,8 +6,10 @@ elimination goes through ``rref``, which is fraction-free: rows are scaled
 to integers, eliminated with integer row operations and divided by their
 gcd, and turned into Fractions only on return.  The reduced row echelon
 form is unique, so its output is the one Gauss-Jordan on Fractions gives,
-and every elimination returns Fractions, on plain int input too.  Several
-vectors go over one common denominator only through ``scaled_rows``.
+and every elimination returns Fractions, on plain int input too.  An
+elimination that also needs its row operations, E A = rref(A), gets them
+from ``rref_transform``.  Several vectors go over one common denominator
+only through ``scaled_rows``.
 """
 from __future__ import annotations
 
@@ -106,18 +108,6 @@ def normalize_ray(v: Vec) -> Vec:
     return tuple(Fraction(a) for a in primitive(scaled_ints(v)[0]))
 
 
-def normalize_sign_free(v: Vec) -> Vec:
-    """Like normalize_ray but also flips so the first nonzero entry is positive.
-
-    Only valid for sign-free vectors (lineality directions, kernel elements).
-    """
-    w = normalize_ray(v)
-    for a in w:
-        if a != 0:
-            return w if a > 0 else vec_neg(w)
-    raise ValueError("cannot normalize the zero vector")
-
-
 def identity_matrix(n: int) -> Matrix:
     return tuple(unit_vec(n, i) for i in range(n))
 
@@ -206,16 +196,30 @@ def kernel_basis(a_rows, ncols: int) -> list[Vec]:
     return basis
 
 
+def rref_transform(rows) -> tuple[list[list[Fraction]], list[list[Fraction]], list[int]]:
+    """(R, E, pivots) for the matrix A with the given rows: R = rref(A),
+    pivots its pivot columns, and E invertible with E A = R.
+
+    All three come from one rref of [A | I], the only place that matrix is
+    built: the row operations that reduce it reduce A, so its A-part is
+    rref(A), and its I-part records them.  E's rows below A's rank vanish
+    on A's columns and span the vectors that do."""
+    width = len(rows[0]) if rows else 0
+    red, pivots = rref([list(r) + [int(i == j) for j in range(len(rows))]
+                        for i, r in enumerate(rows)])
+    return ([row[:width] for row in red], [row[width:] for row in red],
+            [c for c in pivots if c < width])
+
+
 def invert_matrix(rows) -> Matrix | None:
     """Exact inverse of a square matrix, or None if singular."""
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise ValueError("matrix is not square")
-    aug = [list(r) + list(unit_vec(n, i)) for i, r in enumerate(rows)]
-    m, pivots = rref(aug)
-    if pivots != list(range(n)):
+    _, inv, pivots = rref_transform(rows)
+    if len(pivots) != n:
         return None
-    return tuple(tuple(m[i][n:]) for i in range(n))
+    return tuple(map(tuple, inv))
 
 
 def independent_subset(vectors) -> list[int]:

@@ -39,16 +39,13 @@ from .linalg import (
     Vec,
     ZERO,
     as_vec,
-    independent_subset,
-    invert_matrix,
+    frac,
     is_zero_vec,
     kernel_basis,
     mat_vec,
     primitive,
-    rref,
     scaled_ints,
     scaled_rows,
-    transpose,
     unit_vec,
     vec_add,
     vec_dot,
@@ -307,7 +304,7 @@ def _sum_expr(e1: InfSupExpr, e2: InfSupExpr) -> InfSupExpr:
 
 def combine_infsup(expr_x: InfSupExpr, expr_y: InfSupExpr, lam, mu) -> InfSupExpr:
     """The inf-sup expression representing lam*x + mu*y built leafwise."""
-    lam, mu = Fraction(lam), Fraction(mu)
+    lam, mu = frac(lam), frac(mu)
     if lam < 0 or mu < 0:
         raise ValueError("combination coefficients must be nonnegative")
     return _sum_expr(_scaled_expr(lam, expr_x), _scaled_expr(mu, expr_y))
@@ -317,7 +314,7 @@ def infsup_linearity_check(cone: PolyhedralCone, expr_x: InfSupExpr,
                            expr_y: InfSupExpr, lam, mu) -> bool:
     """Exact check that evaluating the combined expression equals the
     combination of the evaluations."""
-    lam, mu = Fraction(lam), Fraction(mu)
+    lam, mu = frac(lam), frac(mu)
     lhs = eval_infsup(cone, combine_infsup(expr_x, expr_y, lam, mu))
     vx = eval_infsup(cone, expr_x)
     vy = eval_infsup(cone, expr_y)
@@ -355,29 +352,53 @@ def classify_engaged(cone: PolyhedralCone) -> list[ExtremeRayReport]:
     """Engaged/disengaged verdict with a verifying certificate per extreme ray.
 
     A ray is engaged when its generator lies in the linear span of the other
-    extreme rays' generators.  All verdicts come from one reduced echelon
-    form R of the matrix whose columns are the generators.  A non-pivot
-    column i is engaged.  A pivot column i with row p is engaged iff another
-    column k has R[p][k] != 0; the first such k takes i's place in the pivot
-    set.  Either way the certificate solves the dependency
-    g_k = sum over pivots q of R[row q][k] * g_q for g_i (k = i for a
-    non-pivot column), which gives the combination over the greedy basis of
-    the other generators.  Certificates are checked exactly before being
-    returned, as integer identities on the primitive integer generators:
-    den * g_i == sum n_j g_j for coefficients n_j / den, and <phi, g_i> != 0
-    with <phi, g_j> == 0 for every other generator.  The reports are
-    computed once per cone and kept on it; each call returns a fresh list.
+    extreme rays' generators.  Everything comes from one elimination of the
+    matrix G whose columns are the generators: its reduced echelon form R
+    and the invertible E with E G = R (``PolyhedralCone._gen_echelon``).
+    A non-pivot column i is engaged.  A pivot column i with row p is
+    engaged iff another column k has R[p][k] != 0; the first such k takes
+    i's place in the pivot set.  Either way the certificate solves the
+    dependency g_k = sum over pivots q of R[row q][k] * g_q for g_i (k = i
+    for a non-pivot column), which gives the combination over the greedy
+    basis of the other generators.
+
+    Otherwise i is disengaged and <E[p], g_j> = R[p][j] is 1 for j = i and
+    0 for every other generator.  The functional is that row, scaled to
+    coprime integers with its last nonzero entry positive: the kernel
+    vector of the other generators that is 1 at its last free column.  When
+    G has rank below dim, the row is first cleared at the free columns of
+    one kernel basis of all generators, so it is the kernel vector of the
+    others that is 1 at the one free column they have beyond those.
+
+    Certificates are checked exactly before being returned, as integer
+    identities on the primitive integer generators: den * g_i == sum n_j g_j
+    for coefficients n_j / den, and <phi, g_i> != 0 with <phi, g_j> == 0 for
+    every other generator.  The reports are computed once per cone and kept
+    on it; each call returns a fresh list.
     """
     if not cone.pointed:
         raise NotPointed("engagement is defined for pointed cones")
     return list(cone._engagement)
 
 
+def _functional(row, normals) -> tuple[int, ...]:
+    """row cleared at the free column of each normal (its last nonzero
+    entry, where it is 1), as coprime integers whose last nonzero entry is
+    positive."""
+    for n in normals:
+        c = row[max(j for j, a in enumerate(n) if a)]
+        if c:
+            row = [a - c * b for a, b in zip(row, n)]
+    v = primitive(scaled_ints(row)[0])
+    return v if next(a for a in reversed(v) if a) > 0 else vec_neg(v)
+
+
 def _classify_engaged(cone: PolyhedralCone) -> list[ExtremeRayReport]:
     """classify_engaged's reports for a pointed cone, uncached."""
     gens, ints = cone.generators, cone._gen_ints
-    red, pivots = rref(transpose(gens))
+    red, eye, pivots = cone._gen_echelon
     pivot_row = {c: r for r, c in enumerate(pivots)}
+    normals = None
     reports = []
     for i, g in enumerate(gens):
         p = pivot_row.get(i)
@@ -392,13 +413,11 @@ def _classify_engaged(cone: PolyhedralCone) -> list[ExtremeRayReport]:
                 raise InternalInconsistency("combination certificate failed to verify")
             reports.append(ExtremeRayReport(i, g, True, CombinationCertificate(pairs)))
         else:
-            phi = None
-            for cand in kernel_basis(gens[:i] + gens[i + 1:], cone.dim):
-                v = primitive(scaled_ints(cand)[0])
-                if sum(map(mul, v, ints[i])):
-                    phi = v
-                    break
-            if phi is None or any(sum(map(mul, phi, o)) for j, o in enumerate(ints) if j != i):
+            if normals is None:
+                normals = kernel_basis(gens, cone.dim) if len(pivots) < cone.dim else []
+            phi = _functional(eye[p], normals)
+            if (not sum(map(mul, phi, ints[i]))
+                    or any(sum(map(mul, phi, o)) for j, o in enumerate(ints) if j != i)):
                 raise InternalInconsistency("separating functional failed to verify")
             reports.append(ExtremeRayReport(i, g, False, SeparatingFunctional(as_vec(phi))))
     return reports
@@ -438,8 +457,13 @@ def disengaged_split(cone: PolyhedralCone, ray_index: int) -> DisengagedSplit:
     """Split (X, C) as (R + W, R_+ x subcone) along a disengaged extreme ray.
 
     Requires the cone to be generating so the ray and W together span the
-    ambient space; verified by mapping all generators through the
-    coordinate change.
+    ambient space.  Read off the cone's one elimination E G = R that also
+    gives its engagement reports: with p the ray's pivot row, the pivot
+    generators in the row order [p, the other pivot rows] are the basis,
+    E's rows in that order are its inverse, the projection, and the other
+    generators' columns of R in those rows are their split coordinates.
+    Verified on R: the ray's column must be the first unit vector, and
+    every other generator must have coordinate 0 along the ray.
     """
     if cone.dim < 2:
         raise DimensionMismatch(
@@ -451,28 +475,25 @@ def disengaged_split(cone: PolyhedralCone, ray_index: int) -> DisengagedSplit:
     gens = cone.generators
     if not 0 <= ray_index < len(gens):
         raise ValueError(f"ray index {ray_index} out of range")
-    report = classify_engaged(cone)[ray_index]
-    if report.engaged:
+    if cone._engagement[ray_index].engaged:
         raise RayIsEngaged(f"ray {ray_index} lies in the span of the others")
-    r = gens[ray_index]
-    others = [gens[j] for j in range(len(gens)) if j != ray_index]
-    w_basis = [others[j] for j in independent_subset(others)]
-    cols = [r] + w_basis
-    if len(cols) != cone.dim:
+    red, eye, pivots = cone._gen_echelon
+    if len(pivots) != cone.dim:
         raise InternalInconsistency("split basis does not span the ambient space")
-    proj = invert_matrix(transpose(cols))
-    if proj is None:
-        raise InternalInconsistency("split basis is singular")
-    sub_gens = []
-    for g in others:
-        c = mat_vec(proj, g)
-        if c[0] != 0:
-            raise InternalInconsistency("generator outside W after split")
-        sub_gens.append(c[1:])
-    subcone = cone_from_generators(cone.dim - 1, sub_gens)
-    if mat_vec(proj, r) != unit_vec(cone.dim, 0):
+    p = pivots.index(ray_index)
+    rows = [p] + [r for r in range(cone.dim) if r != p]
+    if tuple(red[r][ray_index] for r in rows) != unit_vec(cone.dim, 0):
         raise InternalInconsistency("ray does not map to the first split axis")
-    return DisengagedSplit(ray=r, subcone=subcone, projection=proj, basis=tuple(cols))
+    sub_gens = []
+    for j in range(len(gens)):
+        if j != ray_index:
+            if red[p][j] != 0:
+                raise InternalInconsistency("generator outside W after split")
+            sub_gens.append([red[r][j] for r in rows[1:]])
+    return DisengagedSplit(ray=gens[ray_index],
+                           subcone=cone_from_generators(cone.dim - 1, sub_gens),
+                           projection=tuple(tuple(eye[r]) for r in rows),
+                           basis=tuple(gens[pivots[r]] for r in rows))
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,8 @@ exhaustive vertex enumeration or, in any dimension, one linear solve of the
 facet system with a tight-rank vertex test, Caratheodory decompositions through the
 exact simplex instead of the facet walk, total order through the Fraction
 cone.leq of each pair instead of one common denominator, engagement through one linear
-solve per ray instead of one row reduction per cone, eigendecompositions
+solve per ray instead of one row reduction per cone, a disengaged split through a
+greedy basis and one inverse per split instead of that same reduction, eigendecompositions
 through numpy's LAPACK instead of the in-repo Jacobi sweep, and iso specs
 and their sampled battery through the per-kind Fraction formulas instead of
 the integer cores (the float order test through float() of each Fraction
@@ -30,14 +31,18 @@ from operator import mul
 
 import numpy as np
 
-from coneorder.cones import PolyhedralCone, _dual, _validated
+from coneorder.cones import PolyhedralCone, _dual, _validated, cone_from_generators
 from coneorder.errors import (
     DegenerateSpan,
+    DimensionMismatch,
+    InternalInconsistency,
     NotColinear,
     NotExtreme,
+    NotGenerating,
     NotInCone,
     NotPointed,
     OutOfDomain,
+    RayIsEngaged,
     SameRay,
 )
 from coneorder.iso import (
@@ -68,6 +73,7 @@ from coneorder.linalg import (
     primitive,
     scaled_ints,
     transpose,
+    unit_vec,
     vec_add,
     vec_dot,
     vec_neg,
@@ -76,7 +82,12 @@ from coneorder.linalg import (
     zero_vec,
 )
 from coneorder.lp import positive_combination
-from coneorder.order import CombinationCertificate, ExtremeRayReport, SeparatingFunctional
+from coneorder.order import (
+    CombinationCertificate,
+    DisengagedSplit,
+    ExtremeRayReport,
+    SeparatingFunctional,
+)
 from coneorder.sampling import cone_point, incomparable_pair, rng_for
 
 
@@ -614,6 +625,52 @@ def independent_subset_greedy(vectors) -> list:
             rows.append(tuple(v))
             chosen.append(i)
     return chosen
+
+
+def inverse_reference(rows):
+    """Inverse of a square matrix, one solve per column of the identity;
+    None when some column has no solution, that is, when it is singular."""
+    n = len(rows)
+    cols = [solve_reference(rows, unit_vec(n, k)) for k in range(n)]
+    return None if any(c is None for c in cols) else transpose(cols)
+
+
+def disengaged_split_reference(cone, ray_index) -> DisengagedSplit:
+    """disengaged_split by per-split eliminations: the greedy basis of W
+    among the other generators, the inverse of [ray | basis], and every
+    generator mapped through it.  This was the library's split before it
+    read the cone's one elimination; its eliminations now run through the
+    Fraction oracles."""
+    if cone.dim < 2:
+        raise DimensionMismatch(
+            f"splitting along a ray needs a cone of dimension >= 2, got {cone.dim}")
+    if not cone.pointed:
+        raise NotPointed("splitting needs a pointed cone")
+    if not cone.generating:
+        raise NotGenerating("splitting needs a generating cone")
+    gens = cone.generators
+    if not 0 <= ray_index < len(gens):
+        raise ValueError(f"ray index {ray_index} out of range")
+    if classify_engaged_reference(cone)[ray_index].engaged:
+        raise RayIsEngaged(f"ray {ray_index} lies in the span of the others")
+    r = gens[ray_index]
+    others = [gens[j] for j in range(len(gens)) if j != ray_index]
+    cols = [r] + [others[j] for j in independent_subset_greedy(others)]
+    if len(cols) != cone.dim:
+        raise InternalInconsistency("split basis does not span the ambient space")
+    proj = inverse_reference(transpose(cols))
+    if proj is None:
+        raise InternalInconsistency("split basis is singular")
+    sub_gens = []
+    for g in others:
+        c = mat_vec(proj, g)
+        if c[0] != 0:
+            raise InternalInconsistency("generator outside W after split")
+        sub_gens.append(c[1:])
+    subcone = cone_from_generators(cone.dim - 1, sub_gens)
+    if mat_vec(proj, r) != unit_vec(cone.dim, 0):
+        raise InternalInconsistency("ray does not map to the first split axis")
+    return DisengagedSplit(ray=r, subcone=subcone, projection=proj, basis=tuple(cols))
 
 
 def eigh_oracle(a):

@@ -16,7 +16,6 @@ from coneorder.linalg import (
     mat_rank,
     mat_vec,
     normalize_ray,
-    normalize_sign_free,
     rref,
     scaled_ints,
     scaled_rows,
@@ -73,7 +72,6 @@ def test_invert_matrix():
 def test_normalize_ray_scaling_and_sign():
     assert normalize_ray(as_vec((Fraction(2, 3), Fraction(4, 3)))) == as_vec((1, 2))
     assert normalize_ray(as_vec((-2, 4))) == as_vec((-1, 2))
-    assert normalize_sign_free(as_vec((-2, 4))) == as_vec((1, -2))
     with pytest.raises(ValueError):
         normalize_ray(as_vec((0, 0)))
 

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import coneorder.linalg as linalg_mod
 import coneorder.order as order_mod
 from coneorder.cli import main
 from coneorder.cones import (
@@ -35,11 +36,13 @@ from coneorder.linalg import (
     vec_sub,
     zero_vec,
 )
+from coneorder.iso import IDENTITY_MAP, identity_iso, make_product_lift
 from coneorder.lp import OPTIMAL, solve_lp
 from coneorder.order import (
     CombinationCertificate,
     SeparatingFunctional,
     classify_engaged,
+    combine_infsup,
     disengaged_split,
     eval_infsup,
     extreme_halfline_check,
@@ -66,6 +69,7 @@ from oracles import (
     bound_certificate,
     bound_vertices_bruteforce,
     classify_engaged_reference,
+    disengaged_split_reference,
     double_description_reference,
     eval_infsup_certificate,
     independent_subset_greedy,
@@ -511,6 +515,18 @@ class TestInfSupExpressions:
         with pytest.raises(ValueError):
             infsup_linearity_check(orthant(2), leaf(V(1, 0)), leaf(V(0, 1)), -1, 0)
 
+    def test_float_coefficients_refused(self):
+        # like vec_scale, a combination takes exact rationals only: 0.1 is
+        # not silently read as 3602879701896397/36028797018963968
+        o2, x, y = orthant(2), leaf(V(1, 0)), leaf(V(0, 1))
+        for lam, mu in ((0.1, 1), (1, 0.1), (1.0, 1)):
+            with pytest.raises(TypeError, match="^exact rational expected, got float$"):
+                combine_infsup(x, y, lam, mu)
+            with pytest.raises(TypeError, match="^exact rational expected, got float$"):
+                infsup_linearity_check(o2, x, y, lam, mu)
+        assert combine_infsup(x, y, 2, "3/2") == leaf(V(2, Fraction(3, 2)))
+        assert infsup_linearity_check(o2, x, y, "3/2", 2)
+
 
 class TestClassification:
     def test_square_cone_all_engaged(self):
@@ -574,13 +590,13 @@ class TestClassification:
 
     def test_classification_is_computed_once_per_cone(self, monkeypatch, tmp_path, capsys):
         calls = []
-        real = order_mod.rref
+        real = linalg_mod.rref
 
         def counting(rows):
             calls.append(1)
             return real(rows)
 
-        monkeypatch.setattr(order_mod, "rref", counting)
+        monkeypatch.setattr(linalg_mod, "rref", counting)
         cone = cone_from_generators(3, [(1, 1, 1), (-1, 1, 1), (1, -1, 1), (-1, -1, 1)])
         classify_engaged(cone).clear()  # each call returns a fresh list
         assert hypothesis_check(cone).holds
@@ -591,6 +607,14 @@ class TestClassification:
         calls.clear()
         assert main(["classify", str(path)]) == 1
         assert len(calls) == 1
+        # splits and product lifts read the classified cone's elimination
+        o3, sub = orthant(3), identity_iso(orthant(2))
+        assert [r.engaged for r in classify_engaged(o3)] == [False] * 3
+        calls.clear()
+        for ray in range(3):
+            split = disengaged_split(o3, ray)
+            assert make_product_lift(o3, ray, IDENTITY_MAP, sub).split == split
+        assert calls == []
 
 
 def _direct_sum(a, b):
@@ -599,10 +623,23 @@ def _direct_sum(a, b):
     return cone_from_generators(a.dim + b.dim, gens)
 
 
-def _random_cone(data, max_dim):
-    dim = data.draw(st.integers(1, max_dim))
+def _random_cone(data, max_dim, min_dim=1, generating=False):
+    dim = data.draw(st.integers(min_dim, max_dim))
     rng = rng_for(data.draw(st.integers(0, 2**32)), "classify")
-    return random_pointed_cone(rng, dim, data.draw(st.integers(1, 2 * dim + 2)))
+    return random_pointed_cone(rng, dim, data.draw(st.integers(1, 2 * dim + 2)),
+                               require_generating=generating)
+
+
+def _flat_cone(data):
+    """A cone whose span is not the whole space: a random cone padded with
+    zero coordinates and moved by a unimodular map, or the trivial cone."""
+    if data.draw(st.integers(0, 3)) == 0:
+        return cone_from_generators(data.draw(st.integers(1, 3)), [])
+    base = _random_cone(data, 4)
+    dim = base.dim + data.draw(st.integers(1, 2))
+    u = unimodular_matrix(rng_for(data.draw(st.integers(0, 2**32)), "flat"), dim)
+    pad = zero_vec(dim - base.dim)
+    return cone_from_generators(dim, [mat_vec(u, g + pad) for g in base.generators])
 
 
 CLASSIFY_CONES = [orthant(3), interval_cone(), square_cone(),
@@ -614,18 +651,36 @@ CLASSIFY_CONES = [orthant(3), interval_cone(), square_cone(),
 def test_classification_matches_per_ray_solve(data):
     """One row reduction per cone gives the per-ray reference's verdicts and
     certificates, and hypothesis_check names its first disengaged ray.
-    Direct sums of random cones mix engaged and disengaged rays."""
-    kind = data.draw(st.sampled_from(["fixed", "random", "sum"]))
+    Direct sums of random cones mix engaged and disengaged rays; flat cones
+    take the separating functionals of a cone that is not generating."""
+    kind = data.draw(st.sampled_from(["fixed", "random", "sum", "flat"]))
     if kind == "fixed":
         cone = data.draw(st.sampled_from(CLASSIFY_CONES))
     elif kind == "random":
         cone = _random_cone(data, 6)
-    else:
+    elif kind == "sum":
         cone = _direct_sum(_random_cone(data, 3), _random_cone(data, 3))
+    else:
+        cone = _flat_cone(data)
     reports = classify_engaged(cone)
     assert reports == classify_engaged_reference(cone)
     first = next((r.ray_index for r in reports if not r.engaged), None)
     assert hypothesis_check(cone).disengaged_witness == first
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_split_matches_per_split_eliminations(data):
+    """Every split read off the cone's one elimination equals the split of
+    a greedy basis and an inverse per ray, for every disengaged ray of a
+    random generating cone or a direct sum of two."""
+    if data.draw(st.booleans()):
+        cone = _random_cone(data, 6, min_dim=2, generating=True)
+    else:
+        cone = _direct_sum(_random_cone(data, 3, generating=True),
+                           _random_cone(data, 3, generating=True))
+    for ray in (r.ray_index for r in classify_engaged(cone) if not r.engaged):
+        assert disengaged_split(cone, ray) == disengaged_split_reference(cone, ray)
 
 
 @given(st.data())
