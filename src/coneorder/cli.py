@@ -167,7 +167,9 @@ def run_full_battery(cone: PolyhedralCone, spec: IsoSpec, samples: int, seed: in
     meets a point where the spec is undefined (a ``ConeOrderError`` other
     than the sample's ``DegenerateSpan``) notes the exception's name as
     its section's "error" (``homogeneous_error`` next to the homogeneity
-    verdict) and counts as one violation.
+    verdict) and counts as one violation.  So does a spec that does not
+    send the source apex to the target apex, noted in the "affine" section
+    as "NotConeMap" unless an error is noted there already.
 
     The whole battery stays on integers: points are drawn with
     ``cone_point_ints`` (the draws of ``cone_point``), shifted by the apex,
@@ -299,6 +301,12 @@ def run_full_battery(cone: PolyhedralCone, spec: IsoSpec, samples: int, seed: in
         raise  # too few distinct sample points: the cone's fault, not the spec's
     except ConeOrderError as exc:
         report["affine"] = {"affine": None, "max_residual": None, "error": type(exc).__name__}
+        violations += 1
+    # An order-isomorphism of a + K onto a' + K' sends the least element a to
+    # the least element a'.  The sampled stages compare differences, so they
+    # miss a map that moves it; one exact forward evaluation at a decides it.
+    if not holds(report["affine"], lambda: spec.eval(a) == spec.target_base):
+        report["affine"].setdefault("error", "NotConeMap")
         violations += 1
 
     report["homogeneous"] = None

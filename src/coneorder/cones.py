@@ -11,9 +11,10 @@ x <= y iff y - x in C has no tolerance anywhere.
 
 A build runs on primitive int tuples from the normalized input to the
 canonical lists: the double description returns its rays as ints, and the
-sets, sorts and tight masks work on them.  The lists become the cone's
-Fraction fields once, at the end, and also seed its integer forms
-``_gen_ints`` and ``_facet_ints``.
+sets, sorts and tight masks work on them.  The lists are the cone's fields
+``_gen_ints`` and ``_facet_ints``, which membership, the order and the
+integer kernels read; the Fraction ``generators`` and ``facets`` are views,
+built on first use where a Fraction value leaves the library.
 
 Normalization convention: every stored generator and facet normal is scaled
 by a positive rational to coprime integer coordinates (the sign pattern of a
@@ -35,7 +36,6 @@ from .linalg import (
     as_vec,
     identity_matrix,
     is_zero_vec,
-    normalize_ray,
     primitive,
     rref_transform,
     scaled_ints,
@@ -164,7 +164,7 @@ def _combine(r, a: int, b: int, z) -> tuple[int, ...]:
 
 def _canonical_rays(rays, lineality) -> tuple[tuple[int, ...], ...]:
     """The int rays plus the primitive +/- pair of each lineality direction,
-    sorted: the same order as the equal Fraction tuples."""
+    sorted."""
     out = set(rays)
     for l in lineality:
         n = primitive(scaled_ints(l)[0])
@@ -215,28 +215,28 @@ def _extreme_by_masks(vectors, dual) -> tuple[tuple[int, ...], ...] | None:
 class PolyhedralCone:
     """Pointed or non-pointed finitely generated cone in Q^dim.
 
-    generators and facets are canonical (normalized, sorted, minimal); for a
-    pointed cone the generators are exactly its extreme rays.  Non-pointed
-    cones carry +/- pairs of lineality directions among the generators and
-    refuse extreme-ray operations with NotPointed.  Instances are immutable
-    and safe to share across threads.
+    _gen_ints and _facet_ints are the canonical lists (primitive int tuples,
+    sorted, minimal), so equality and hash are on them; for a pointed cone
+    the generators are exactly its extreme rays.  ``generators`` and
+    ``facets`` are the same lists in Fractions, built on first use.
+    Non-pointed cones carry +/- pairs of lineality directions among the
+    generators and refuse extreme-ray operations with NotPointed.  Instances
+    are immutable and safe to share across threads.
     """
 
     dim: int
-    generators: tuple[Vec, ...]
-    facets: tuple[Vec, ...]
+    _gen_ints: tuple[tuple[int, ...], ...]
+    _facet_ints: tuple[tuple[int, ...], ...]
     pointed: bool
     generating: bool
 
-    # The builders seed _facet_ints and _gen_ints with the int lists the
-    # Fraction fields were made from; these bodies serve cones built directly.
     @cached_property
-    def _facet_ints(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(tuple(int(c) for c in f) for f in self.facets)
+    def generators(self) -> tuple[Vec, ...]:
+        return tuple(tuple(map(Fraction, g)) for g in self._gen_ints)
 
     @cached_property
-    def _gen_ints(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(tuple(int(c) for c in g) for g in self.generators)
+    def facets(self) -> tuple[Vec, ...]:
+        return tuple(tuple(map(Fraction, f)) for f in self._facet_ints)
 
     @cached_property
     def _gen_facet_values(self) -> tuple[tuple[int, ...], ...]:
@@ -251,15 +251,15 @@ class PolyhedralCone:
                      for vals in self._gen_facet_values)
 
     @cached_property
-    def _generator_set(self) -> frozenset[Vec]:
-        return frozenset(self.generators)
+    def _generator_set(self) -> frozenset[tuple[int, ...]]:
+        return frozenset(self._gen_ints)
 
     @cached_property
     def _gen_echelon(self) -> tuple:
         """``rref_transform`` of the generators as columns: (R, E, pivots)
         with E g_j = column j of R.  ``order`` reads the engagement reports
         and every disengaged split off this one elimination."""
-        return rref_transform([[g[k] for g in self.generators] for k in range(self.dim)])
+        return rref_transform([[g[k] for g in self._gen_ints] for k in range(self.dim)])
 
     @cached_property
     def _engagement(self) -> tuple:
@@ -308,7 +308,7 @@ class PolyhedralCone:
             raise NotPointed("extreme vectors are only defined for pointed cones")
         if is_zero_vec(r) or not self.contains(r):
             raise NotInCone("extreme test needs a nonzero vector inside the cone")
-        return normalize_ray(r) in self._generator_set
+        return primitive(scaled_ints(r)[0]) in self._generator_set
 
     def extreme_rays(self) -> tuple[Vec, ...]:
         if not self.pointed:
@@ -367,8 +367,8 @@ class PolyhedralCone:
     def __repr__(self) -> str:
         kind = "pointed" if self.pointed else "non-pointed"
         return (
-            f"PolyhedralCone(dim={self.dim}, {len(self.generators)} generators, "
-            f"{len(self.facets)} facets, {kind})"
+            f"PolyhedralCone(dim={self.dim}, {len(self._gen_ints)} generators, "
+            f"{len(self._facet_ints)} facets, {kind})"
         )
 
 
@@ -391,15 +391,6 @@ def _rays(dim: int, vectors, what: str) -> list[tuple[int, ...]]:
     return sorted({primitive(vi) for vi in scaled if any(vi)})
 
 
-def _cone(dim: int, gens, facets, pointed: bool, generating: bool) -> PolyhedralCone:
-    """The cone with the canonical int lists gens and facets, which become
-    its Fraction fields and seed its _gen_ints and _facet_ints."""
-    cone = PolyhedralCone(dim, tuple(tuple(map(Fraction, g)) for g in gens),
-                          tuple(tuple(map(Fraction, f)) for f in facets), pointed, generating)
-    cone.__dict__.update(_gen_ints=gens, _facet_ints=facets)
-    return cone
-
-
 def cone_from_generators(dim: int, gens) -> PolyhedralCone:
     """Cone spanned by the given vectors.
 
@@ -417,7 +408,7 @@ def cone_from_generators(dim: int, gens) -> PolyhedralCone:
     pointed = generators is not None
     if not pointed:
         generators = _dual(dim, facets)[0]
-    return _cone(dim, generators, facets, pointed, generating)
+    return PolyhedralCone(dim, generators, facets, pointed, generating)
 
 
 def cone_from_facets(dim: int, facets) -> PolyhedralCone:
@@ -434,7 +425,7 @@ def cone_from_facets(dim: int, facets) -> PolyhedralCone:
     generating = facets is not None
     if not generating:
         facets = _dual(dim, generators)[0]
-    return _cone(dim, generators, facets, pointed, generating)
+    return PolyhedralCone(dim, generators, facets, pointed, generating)
 
 
 def orthant(dim: int) -> PolyhedralCone:

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
 from operator import add, mul, sub
 from typing import Callable
@@ -344,13 +345,9 @@ class IsoSpec:
     target_base: Vec
     exact: bool
 
-    @property
+    @cached_property
     def _bases_zero(self) -> tuple[bool, bool]:
-        cached = getattr(self, "_bases_zero_cache", None)
-        if cached is None:
-            cached = (is_zero_vec(self.source_base), is_zero_vec(self.target_base))
-            self._bases_zero_cache = cached
-        return cached
+        return is_zero_vec(self.source_base), is_zero_vec(self.target_base)
 
     def in_source(self, x) -> bool:
         x = as_vec(x)
@@ -665,7 +662,7 @@ def make_diagonal_iso(source: PolyhedralCone, target_frame, maps) -> DiagonalIso
     ``maps[i]`` and ``target_frame[i]`` correspond to ``source.generators[i]``
     in the cone's canonical (sorted) generator order.
     """
-    gens = source.generators
+    gens = source._gen_ints
     if not source.pointed or not gens or mat_rank(gens) != len(gens):
         raise NotSimplicial("source generators must be linearly independent")
     frame = tuple(as_vec(w) for w in target_frame)
@@ -679,7 +676,7 @@ def make_diagonal_iso(source: PolyhedralCone, target_frame, maps) -> DiagonalIso
         if not m.fixes_zero():
             raise ValueError("diagonal maps must fix 0")
     target = cone_from_generators(len(frame[0]), frame)
-    return DiagonalIso(source, gens, tuple(maps), frame, target)
+    return DiagonalIso(source, source.generators, tuple(maps), frame, target)
 
 
 def make_product_lift(cone: PolyhedralCone, ray_index: int,
@@ -693,7 +690,7 @@ def make_product_lift(cone: PolyhedralCone, ray_index: int,
         raise NotConeMap("sub iso is not defined on the split subcone")
     if not is_zero_vec(sub.source_base) or not is_zero_vec(sub.target_base):
         raise ValueError("sub iso of a product lift must be cone-based")
-    tgt_gens = [split.ray] + [split.unsplit(ZERO, k) for k in sub.target_cone.generators]
+    tgt_gens = [split.ray] + [split.unsplit(ZERO, k) for k in sub.target_cone._gen_ints]
     target = cone_from_generators(cone.dim, tgt_gens)
     return ProductLiftIso(cone, ray_index, ray_map, sub, split, target)
 
@@ -895,8 +892,7 @@ def _common(images: list[Scaled]) -> tuple[list[list[int]], int]:
 
 def _extreme_ray(cone: PolyhedralCone, vi) -> tuple[int, ...] | None:
     """The primitive ray of nonzero integers vi in the cone if it is extreme,
-    else None.  Int tuples hash and compare equal to the Fraction tuples of
-    ``_generator_set``, the cone's normalized extreme rays."""
+    else None."""
     if not cone.pointed:
         raise NotPointed("extreme vectors are only defined for pointed cones")
     ray = primitive(vi)

@@ -48,7 +48,6 @@ from .linalg import (
     scaled_rows,
     unit_vec,
     vec_add,
-    vec_dot,
     vec_neg,
     vec_scale,
 )
@@ -414,7 +413,7 @@ def _classify_engaged(cone: PolyhedralCone) -> list[ExtremeRayReport]:
             reports.append(ExtremeRayReport(i, g, True, CombinationCertificate(pairs)))
         else:
             if normals is None:
-                normals = kernel_basis(gens, cone.dim) if len(pivots) < cone.dim else []
+                normals = kernel_basis(ints, cone.dim) if len(pivots) < cone.dim else []
             phi = _functional(eye[p], normals)
             if (not sum(map(mul, phi, ints[i]))
                     or any(sum(map(mul, phi, o)) for j, o in enumerate(ints) if j != i)):
@@ -537,16 +536,16 @@ def order_unit_norm(cone: PolyhedralCone, u, x) -> Fraction:
 
     u must satisfy every facet inequality strictly.  Facet description makes
     this a one-variable linear program whose optimum is the largest ratio
-    |<h, x>| / <h, u> over the facets; that closed form is returned exactly.
+    |<h, x>| / <h, u> over the facets; that closed form is returned exactly,
+    from u and x on one integer scale, which cancels in each ratio.
     """
-    u = cone._check_dim(as_vec(u))
-    x = cone._check_dim(as_vec(x))
+    (ui, xi), _ = scaled_rows([cone._check_dim(as_vec(u)), cone._check_dim(as_vec(x))])
     best = ZERO
-    for h in cone.facets:
-        hu = vec_dot(h, u)
+    for h in cone._facet_ints:
+        hu = sum(map(mul, h, ui))
         if hu <= 0:
             raise NotOrderUnit("u must satisfy all facet inequalities strictly")
-        ratio = abs(vec_dot(h, x)) / hu
+        ratio = Fraction(abs(sum(map(mul, h, xi))), hu)
         if ratio > best:
             best = ratio
     return best

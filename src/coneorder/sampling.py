@@ -113,7 +113,7 @@ def random_pointed_cone(rng: random.Random, dim: int, n_gens: int,
         if all(all(c == 0 for c in g) for g in gens):
             continue
         cone = cone_from_generators(dim, gens)
-        if not cone.pointed or not cone.generators:
+        if not cone.pointed or not cone._gen_ints:
             continue
         if require_generating and not cone.generating:
             continue

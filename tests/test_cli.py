@@ -509,8 +509,9 @@ class TestCertifiedBattery:
         # an order-isomorphism, but its inverse is inexact
         ("odd_power_lift", "PassedSampling"),
         ("forged_sub_lift", "Violation"),
-        # maps the cone into itself, onto the translate by the ray: the
-        # battery compares differences, so it sees no violation
+        # maps the cone onto its translate by the ray: the battery compares
+        # differences, so it sees no violation; the apex check of
+        # run_full_battery refutes it (test_moved_apex_is_a_violation)
         ("moved_zero_lift", "PassedSampling"),
         ("unsplit_source_lift", "Violation"),
         ("unsplit_target_lift", "Violation"),
@@ -528,6 +529,27 @@ class TestCertifiedBattery:
             "order_preserving_violations": _battery_json(full.order_preserving_violations),
             "inverse_violations": _battery_json(full.inverse_violations)}
         assert full.verdict == verdict
+
+    def test_moved_apex_is_a_violation(self):
+        # t -> t + 1 on the ray sends 0 to (0, 1): every sampled stage passes,
+        # and the map is affine, but it is not onto the cone.  The one
+        # evaluation at the apex notes NotConeMap in the affine section.
+        cone, spec = self._forged("moved_zero_lift")
+        assert spec.eval((0, 0)) == (0, 1)
+        report = run_full_battery(cone, spec, 2000, 3)
+        g_r = [{"ray_index": i, "engaged": False, "colinear": True,
+                "basepoint_independent": True, "identity": True} for i in range(2)]
+        assert report == {
+            "seed": 3, "samples": 2000, "exact": True,
+            "battery": {"verdict": "PassedSampling", "samples_run": 2000,
+                        "order_preserving_violations": [], "inverse_violations": []},
+            "halfline": {"checked": 2, "passed": 2, "failures": []},
+            "parallelogram": {"checked": 20, "passed": 20, "witness": None},
+            "additivity": {"checked": 20, "passed": 20, "witness": None},
+            "g_r": g_r,
+            "affine": {"affine": True, "max_residual": "0", "error": "NotConeMap"},
+            "homogeneous": False,
+            "verdict": "violation", "exit_code": 4}
 
     def test_lift_over_an_apexed_sub_does_not_certify(self):
         # The sub is defined on [1, oo) only, so the lift is undefined at

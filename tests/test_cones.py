@@ -15,7 +15,7 @@ from coneorder.cones import (
     square_cone,
 )
 from coneorder.errors import DimensionMismatch, NotConeMap, NotInCone, NotPointed
-from coneorder.iso import LinearIso
+from coneorder.iso import LinearIso, check_order_iso_sampled, make_linear_iso
 from coneorder.linalg import (
     as_vec,
     mat_rank,
@@ -28,6 +28,15 @@ from coneorder.linalg import (
     vec_scale,
     vec_sub,
     zero_vec,
+)
+from coneorder.order import (
+    eval_infsup,
+    inf_expr,
+    infimum,
+    leaf,
+    order_unit_norm,
+    sup_expr,
+    supremum,
 )
 from coneorder.sampling import cone_point, random_pointed_cone, rng_for
 
@@ -466,15 +475,16 @@ class TestRoundTrip:
         paths = {}
         for dim, vectors in inputs:
             for build, reference in TWO_PASS_REFERENCE.items():
-                # dataclass equality: generators, facets, pointed, generating
-                cone = build(dim, vectors)
-                assert cone == reference(dim, vectors)
-                # the Fraction fields and the int forms seeded at build agree
-                for field, ints in ((cone.generators, "_gen_ints"), (cone.facets, "_facet_ints")):
-                    assert all(type(c) is Fraction for v in field for c in v)
-                    seeded = cone.__dict__[ints]
-                    assert all(type(c) is int for v in seeded for c in v)
-                    assert seeded == tuple(tuple(map(int, v)) for v in field)
+                # dataclass equality: _gen_ints, _facet_ints, pointed, generating
+                cone, ref = build(dim, vectors), reference(dim, vectors)
+                assert cone == ref and hash(cone) == hash(ref)
+                # the fields are int tuples; the views are the same in Fractions
+                for c in (cone, ref):
+                    for ints, view in ((c._gen_ints, c.generators), (c._facet_ints, c.facets)):
+                        assert type(ints) is tuple and all(type(v) is tuple for v in ints)
+                        assert all(type(x) is int for v in ints for x in v)
+                        assert all(type(x) is Fraction for v in view for x in v)
+                        assert view == ints
                 key = (build.__name__, cone.pointed, cone.generating)
                 paths[key] = paths.get(key, 0) + 1
         assert len(inputs) >= 500
@@ -679,3 +689,23 @@ def test_integer_scaled_linear_iso_matches_mat_vec(data):
     y = spec.eval(x)
     assert y == mat_vec(spec.matrix, x)
     assert spec.invert(y) == mat_vec(spec.inverse, y) == x
+
+
+def test_queries_never_build_the_fraction_views():
+    # Membership, the order, lattice operations, the order-unit norm and a
+    # linear iso's construction and battery all read the int fields alone.
+    gens = ((1, 0, 0), (1, 1, 0), (1, 1, 1))
+    by_facets = ((0, 0, 1), (0, 1, -1), (1, -1, 0))
+    for cone in (cone_from_generators(3, gens), cone_from_facets(3, by_facets)):
+        assert cone.contains((3, 2, 1)) and cone.leq((1, 0, 0), (2, 1, 0))
+        assert cone.tight_facets((1, 1, 0)) == [0, 2]
+        assert cone.is_extreme_vector((2, 2, 0))
+        assert supremum(cone, [(1, 0, 0), (1, 1, 0)]).value == (2, 1, 0)
+        assert infimum(cone, [(3, 2, 1), (2, 2, 1)]).value == (2, 2, 1)
+        expr = sup_expr(leaf((1, 0, 0)), inf_expr(leaf((3, 2, 1)), leaf((2, 2, 1))))
+        assert eval_infsup(cone, expr) == (3, 2, 1)
+        assert order_unit_norm(cone, (3, 2, 1), (1, -1, 0)) == 2
+        spec = make_linear_iso([(1, 0, 0), (0, 1, 0), (0, 0, 1)], cone, cone)
+        assert check_order_iso_sampled(spec, 200, 0).verdict == "PassedSampling"
+        assert "generators" not in cone.__dict__ and "facets" not in cone.__dict__
+        assert cone._facet_ints == by_facets and cone.generators == gens
