@@ -36,6 +36,7 @@ from .errors import (
 from .iso import (
     IsoReport,
     IsoSpec,
+    _check_samples,
     check_additivity,
     check_affine_on,
     check_order_iso_sampled,
@@ -44,7 +45,7 @@ from .iso import (
     extract_g_r,
     halfline_image_check,
 )
-from .linalg import as_vec, is_zero_vec, vec_add
+from .linalg import as_vec, vec_add
 from .order import (
     classify_engaged,
     eval_infsup,
@@ -174,8 +175,10 @@ def run_full_battery(cone: PolyhedralCone, spec: IsoSpec, samples: int, seed: in
     The whole battery stays on integers: points are drawn with
     ``cone_point_ints`` (the draws of ``cone_point``), shifted by the apex,
     and the identities get them, and the generators and their multiples,
-    as int vectors; only an apexed spec's points carry Fractions.
+    as int vectors; only an apexed spec's points carry Fractions.  Fewer
+    than one sample is a ValueError.
     """
+    _check_samples(samples)
     a = spec.source_base
     src = spec.source_cone
     if not src.pointed:
@@ -204,11 +207,9 @@ def run_full_battery(cone: PolyhedralCone, spec: IsoSpec, samples: int, seed: in
     if battery.verdict != "PassedSampling":
         violations += 1
 
-    a_zero = is_zero_vec(a)
-
     def point(rng):
         p = tuple(cone_point_ints(src, rng))
-        return p if a_zero else vec_add(a, p)
+        return p if spec._bases[0] is None else vec_add(a, p)
 
     def multiple(k, g):
         return [k * c for c in g]
@@ -310,7 +311,7 @@ def run_full_battery(cone: PolyhedralCone, spec: IsoSpec, samples: int, seed: in
         violations += 1
 
     report["homogeneous"] = None
-    if a_zero and is_zero_vec(spec.target_base):
+    if spec._bases == (None, None):
         hom_samples = [point(rng_for(seed, "hom", t)) for t in range(8)]
         try:
             report["homogeneous"] = check_positively_homogeneous(

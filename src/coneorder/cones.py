@@ -35,7 +35,6 @@ from .linalg import (
     Vec,
     as_vec,
     identity_matrix,
-    is_zero_vec,
     primitive,
     rref_transform,
     scaled_ints,
@@ -306,9 +305,10 @@ class PolyhedralCone:
         r = self._check_dim(r)
         if not self.pointed:
             raise NotPointed("extreme vectors are only defined for pointed cones")
-        if is_zero_vec(r) or not self.contains(r):
+        ri = scaled_ints(r)[0]
+        if not any(ri) or not self._in_cone(ri):
             raise NotInCone("extreme test needs a nonzero vector inside the cone")
-        return primitive(scaled_ints(r)[0]) in self._generator_set
+        return primitive(ri) in self._generator_set
 
     def extreme_rays(self) -> tuple[Vec, ...]:
         if not self.pointed:
@@ -386,7 +386,7 @@ def _validated(dim: int, vectors, what: str) -> list[Vec]:
 
 def _rays(dim: int, vectors, what: str) -> list[tuple[int, ...]]:
     """The distinct primitive int vectors on the rays of the nonzero vectors,
-    sorted: ``normalize_ray``'s representatives, as ints."""
+    sorted: each ray's coprime integer representative, as ``primitive`` gives it."""
     scaled = (scaled_ints(v)[0] for v in _validated(dim, vectors, what))
     return sorted({primitive(vi) for vi in scaled if any(vi)})
 

@@ -12,6 +12,9 @@ Every kind and every scalar bijection has one implementation, on scaled
 integers: a vector is a pair (ints, den) of Python ints with den > 0, as
 ``linalg.scaled_ints`` makes it, and a scalar a pair (n, d).  ``eval`` and
 ``invert`` scale their input, run that core and return Fractions.  The
+apexed domain is ``IsoSpec``'s for every kind: it shifts by the apex and
+makes the one membership test, and a kind supplies only its map between
+the cones.  The
 whole check-iso battery stays on the pairs: the sampled battery from draw
 to verdict, and the half-line, parallelogram, additivity, g_r, homogeneity
 and affine-fit identities from their scaled arguments to the Fractions
@@ -77,16 +80,20 @@ def _fractions(v: Scaled) -> Vec:
     return tuple(Fraction(c, den) for c in ints)
 
 
-def _minus(x: Scaled, a: Scaled) -> Scaled:
-    """x - a on scaled vectors."""
+def _minus(x: Scaled, a: Scaled | None) -> Scaled:
+    """x - a on scaled vectors; x for a None, a zero apex."""
+    if a is None:
+        return x
     (xi, xd), (ai, ad) = x, a
     if xd == ad:
         return [p - q for p, q in zip(xi, ai)], xd
     return [p * ad - q * xd for p, q in zip(xi, ai)], xd * ad
 
 
-def _plus(x: Scaled, a: Scaled) -> Scaled:
-    """x + a on scaled vectors."""
+def _plus(x: Scaled, a: Scaled | None) -> Scaled:
+    """x + a on scaled vectors; x for a None, a zero apex."""
+    if a is None:
+        return x
     (xi, xd), (ai, ad) = x, a
     if xd == ad:
         return list(map(add, xi, ai)), xd
@@ -328,10 +335,16 @@ class _FrameCoords:
 class IsoSpec:
     """Common surface of all candidate order-isomorphism descriptions.
 
-    A kind implements ``_eval_ints``/``_invert_ints`` on scaled vectors,
-    raising OutOfDomain outside the domain.  Every kind binds the Fraction
-    wrappers ``eval``/``invert`` in its own namespace, so they can be
-    replaced (traced, stubbed) for one kind alone.
+    A spec maps the apexed domain a + K onto a' + K', for K and K' its
+    source and target cones and a and a' its source and target bases (zero
+    for a map between the cones themselves).  The domain is decided here,
+    once for every kind: ``_eval_ints`` shifts a scaled vector by a, tests
+    it against K (OutOfDomain off it), applies the kind's ``_forward`` and
+    shifts the image by a'; ``_invert_ints`` mirrors it with ``_backward``.
+    A kind implements only those two maps between the cones, on scaled
+    vectors.  Every kind binds the Fraction wrappers ``eval``/``invert`` in
+    its own namespace, so they can be replaced (traced, stubbed) for one
+    kind alone.
 
     A kind may also implement ``_certify``: an integer proof, re-checked on
     the spec's own integer data, that it is an exact order-isomorphism of
@@ -339,33 +352,48 @@ class IsoSpec:
     ``check_order_iso_sampled`` can record a violation against it.
     """
 
-    source_cone: PolyhedralCone
-    target_cone: PolyhedralCone
-    source_base: Vec
-    target_base: Vec
-    exact: bool
+    def __init__(self, source: PolyhedralCone, target: PolyhedralCone, exact: bool,
+                 source_base=None, target_base=None):
+        self.source_cone = source
+        self.target_cone = target
+        self.exact = exact
+        self.source_base = _base(source, source_base, "source")
+        self.target_base = _base(target, target_base, "target")
 
     @cached_property
-    def _bases_zero(self) -> tuple[bool, bool]:
-        return is_zero_vec(self.source_base), is_zero_vec(self.target_base)
+    def _bases(self) -> tuple[Scaled | None, Scaled | None]:
+        """The scaled source and target bases, None for a zero base."""
+        return tuple(None if is_zero_vec(v) else scaled_ints(v)
+                     for v in (self.source_base, self.target_base))
 
     def in_source(self, x) -> bool:
-        x = as_vec(x)
-        if self._bases_zero[0]:
-            return self.source_cone.contains(x)
-        return self.source_cone.contains(vec_sub(x, self.source_base))
+        return _in_domain(self.source_cone, self._bases[0], x)
 
     def in_target(self, y) -> bool:
-        y = as_vec(y)
-        if self._bases_zero[1]:
-            return self.target_cone.contains(y)
-        return self.target_cone.contains(vec_sub(y, self.target_base))
+        return _in_domain(self.target_cone, self._bases[1], y)
 
-    def _eval_ints(self, x: Scaled) -> Scaled:
+    def _forward(self, x: Scaled) -> Scaled:
         raise NotImplementedError
+
+    def _backward(self, y: Scaled) -> Scaled:
+        raise NotImplementedError
+
+    # The zero-apex tests are inline: these two run once per battery image.
+    def _eval_ints(self, x: Scaled) -> Scaled:
+        a, b = self._bases
+        z = x if a is None else _minus(x, a)
+        if not self.source_cone._in_cone(z[0]):
+            raise OutOfDomain("point outside the source domain")
+        y = self._forward(z)
+        return y if b is None else _plus(y, b)
 
     def _invert_ints(self, y: Scaled) -> Scaled:
-        raise NotImplementedError
+        a, b = self._bases
+        z = y if b is None else _minus(y, b)
+        if not self.target_cone._in_cone(z[0]):
+            raise OutOfDomain("point outside the target domain")
+        x = self._backward(z)
+        return x if a is None else _plus(x, a)
 
     def _certified(self) -> bool:
         """Whether ``_certify`` holds, computed once per spec.  A certified
@@ -387,15 +415,26 @@ class IsoSpec:
         return _fractions(self._invert_ints(scaled_ints(self.target_cone._check_dim(as_vec(y)))))
 
 
+def _base(cone: PolyhedralCone, base, which: str) -> Vec:
+    """The apex of a domain over cone, zero for None."""
+    if base is None:
+        return zero_vec(cone.dim)
+    base = as_vec(base)
+    if len(base) != cone.dim:
+        raise DimensionMismatch(f"{which} base has wrong length")
+    return base
+
+
+def _in_domain(cone: PolyhedralCone, base: Scaled | None, x) -> bool:
+    """x in base + cone, for base scaled (None for zero)."""
+    return cone._in_cone(_minus(scaled_ints(cone._check_dim(as_vec(x))), base)[0])
+
+
 class LinearIso(IsoSpec):
     def __init__(self, matrix, source: PolyhedralCone, target: PolyhedralCone,
                  inverse: Matrix | None = None):
+        super().__init__(source, target, True)
         self.matrix = tuple(as_vec(r) for r in matrix)
-        self.source_cone = source
-        self.target_cone = target
-        self.source_base = zero_vec(source.dim)
-        self.target_base = zero_vec(target.dim)
-        self.exact = True
         inv = inverse if inverse is not None else invert_matrix(self.matrix)
         if inv is None:
             raise NotConeMap("matrix is singular")
@@ -403,17 +442,11 @@ class LinearIso(IsoSpec):
         self._fwd = _IntMatrix(self.matrix)
         self._bwd = _IntMatrix(inv)
 
-    def _eval_ints(self, x):
-        xi, xd = x
-        if not self.source_cone._in_cone(xi):
-            raise OutOfDomain("point outside the source cone")
-        return self._fwd.apply(xi), self._fwd.den * xd
+    def _forward(self, x):
+        return self._fwd.apply(x[0]), self._fwd.den * x[1]
 
-    def _invert_ints(self, y):
-        yi, yd = y
-        if not self.target_cone._in_cone(yi):
-            raise OutOfDomain("point outside the target cone")
-        return self._bwd.apply(yi), self._bwd.den * yd
+    def _backward(self, y):
+        return self._bwd.apply(y[0]), self._bwd.den * y[1]
 
     def _certify(self):
         """L K = K' on the integer matrices, trusting neither the stored
@@ -433,32 +466,13 @@ class AffineIso(IsoSpec):
     """f(x) = target_base + inner(x - source_base) between apexed domains."""
 
     def __init__(self, inner: IsoSpec, source_base, target_base):
-        if not is_zero_vec(inner.source_base) or not is_zero_vec(inner.target_base):
+        if inner._bases != (None, None):
             raise ValueError("inner spec of an affine translate must be cone-based")
+        super().__init__(inner.source_cone, inner.target_cone, inner.exact,
+                         source_base, target_base)
         self.inner = inner
-        self.source_cone = inner.source_cone
-        self.target_cone = inner.target_cone
-        self.source_base = as_vec(source_base)
-        self.target_base = as_vec(target_base)
-        if len(self.source_base) != self.source_cone.dim:
-            raise DimensionMismatch("source base has wrong length")
-        if len(self.target_base) != self.target_cone.dim:
-            raise DimensionMismatch("target base has wrong length")
-        self.exact = inner.exact
-        self._src_base = scaled_ints(self.source_base)
-        self._tgt_base = scaled_ints(self.target_base)
-
-    def _eval_ints(self, x):
-        z = _minus(x, self._src_base)
-        if not self.source_cone._in_cone(z[0]):
-            raise OutOfDomain("point outside the apexed source domain")
-        return _plus(self.inner._eval_ints(z), self._tgt_base)
-
-    def _invert_ints(self, y):
-        z = _minus(y, self._tgt_base)
-        if not self.target_cone._in_cone(z[0]):
-            raise OutOfDomain("point outside the apexed target domain")
-        return _plus(self.inner._invert_ints(z), self._src_base)
+        self._forward = inner._forward
+        self._backward = inner._backward
 
     def _certify(self):
         return self.inner._certified()
@@ -490,14 +504,10 @@ class DiagonalIso(IsoSpec):
 
     def __init__(self, source: PolyhedralCone, source_frame, maps, target_frame,
                  target: PolyhedralCone):
-        self.source_cone = source
-        self.target_cone = target
+        self.maps = tuple(maps)
+        super().__init__(source, target, all(m.exact for m in self.maps))
         self.source_frame = tuple(as_vec(v) for v in source_frame)
         self.target_frame = tuple(as_vec(w) for w in target_frame)
-        self.maps = tuple(maps)
-        self.source_base = zero_vec(source.dim)
-        self.target_base = zero_vec(target.dim)
-        self.exact = all(m.exact for m in self.maps)
         self._src_coords = _FrameCoords(self.source_frame, source.dim)
         self._tgt_coords = _FrameCoords(self.target_frame, target.dim)
         self._src_cols = _columns(self.source_frame, source.dim)
@@ -505,14 +515,10 @@ class DiagonalIso(IsoSpec):
         self._fwd_maps = tuple(m._eval_ints for m in self.maps)
         self._bwd_maps = tuple(m._invert_ints for m in self.maps)
 
-    def _eval_ints(self, x):
-        if not self.source_cone._in_cone(x[0]):
-            raise OutOfDomain("point outside the source cone")
+    def _forward(self, x):
         return _diagonal(x, self._src_coords, self._fwd_maps, self._tgt_cols)
 
-    def _invert_ints(self, y):
-        if not self.target_cone._in_cone(y[0]):
-            raise OutOfDomain("point outside the target cone")
+    def _backward(self, y):
         return _diagonal(y, self._tgt_coords, self._bwd_maps, self._src_cols)
 
     eval = IsoSpec.eval
@@ -525,15 +531,11 @@ class ProductLiftIso(IsoSpec):
 
     def __init__(self, cone: PolyhedralCone, ray_index: int, ray_map: MonotoneBijection,
                  sub: IsoSpec, split: DisengagedSplit, target: PolyhedralCone):
-        self.source_cone = cone
-        self.target_cone = target
+        super().__init__(cone, target, ray_map.exact and sub.exact)
         self.ray_index = ray_index
         self.ray_map = ray_map
         self.sub = sub
         self.split = split
-        self.source_base = zero_vec(cone.dim)
-        self.target_base = zero_vec(target.dim)
-        self.exact = ray_map.exact and sub.exact
         self._proj = _IntMatrix(split.projection)
         self._unsplit = _columns(split.basis, cone.dim)
 
@@ -546,14 +548,10 @@ class ProductLiftIso(IsoSpec):
         return (self._unsplit.apply([tn * wd] + [w * td for w in wi]),
                 self._unsplit.den * td * wd)
 
-    def _eval_ints(self, x):
-        if not self.source_cone._in_cone(x[0]):
-            raise OutOfDomain("point outside the source cone")
+    def _forward(self, x):
         return self._lift(x, self.ray_map._eval_ints, self.sub._eval_ints)
 
-    def _invert_ints(self, y):
-        if not self.target_cone._in_cone(y[0]):
-            raise OutOfDomain("point outside the target cone")
+    def _backward(self, y):
         return self._lift(y, self.ray_map._invert_ints, self.sub._invert_ints)
 
     def _certify(self):
@@ -568,7 +566,7 @@ class ProductLiftIso(IsoSpec):
                 and self.ray_map._eval_ints(0, 1)[0] == 0
                 and self.target_cone.dim == dim
                 and sub.source_cone.dim == sub.target_cone.dim == dim - 1
-                and sub._bases_zero == (True, True)
+                and sub._bases == (None, None)
                 and _inverse_pair(self._proj, self._unsplit, dim)
                 and self._splits(self.source_cone, sub.source_cone)
                 and self._splits(self.target_cone, sub.target_cone)
@@ -591,6 +589,9 @@ class ProductLiftIso(IsoSpec):
 
 
 class ComposeIso(IsoSpec):
+    """The parts applied in order; each part checks its own domain, so the
+    chain replaces the shared domain check."""
+
     def __init__(self, parts):
         parts = tuple(parts)
         if not parts:
@@ -598,12 +599,10 @@ class ComposeIso(IsoSpec):
         for p, q in zip(parts, parts[1:]):
             if p.target_cone != q.source_cone or p.target_base != q.source_base:
                 raise NotConeMap("composition domains do not chain")
+        super().__init__(parts[0].source_cone, parts[-1].target_cone,
+                         all(p.exact for p in parts),
+                         parts[0].source_base, parts[-1].target_base)
         self.parts = parts
-        self.source_cone = parts[0].source_cone
-        self.target_cone = parts[-1].target_cone
-        self.source_base = parts[0].source_base
-        self.target_base = parts[-1].target_base
-        self.exact = all(p.exact for p in parts)
 
     def _eval_ints(self, x):
         for p in self.parts:
@@ -614,6 +613,11 @@ class ComposeIso(IsoSpec):
         for p in reversed(self.parts):
             y = p._invert_ints(y)
         return y
+
+    # An affine translate takes only a cone-based composition as its inner
+    # spec, and the map between the cones of such a one is the chain itself.
+    _forward = _eval_ints
+    _backward = _invert_ints
 
     def _certify(self):
         return all(p._certified() for p in self.parts)
@@ -688,7 +692,7 @@ def make_product_lift(cone: PolyhedralCone, ray_index: int,
         raise ValueError("ray map must fix 0")
     if sub.source_cone != split.subcone:
         raise NotConeMap("sub iso is not defined on the split subcone")
-    if not is_zero_vec(sub.source_base) or not is_zero_vec(sub.target_base):
+    if sub._bases != (None, None):
         raise ValueError("sub iso of a product lift must be cone-based")
     tgt_gens = [split.ray] + [split.unsplit(ZERO, k) for k in sub.target_cone._gen_ints]
     target = cone_from_generators(cone.dim, tgt_gens)
@@ -750,6 +754,12 @@ def _leq_scaled(cone: PolyhedralCone) -> Callable:
     return leq
 
 
+def _check_samples(n: int) -> None:
+    """A battery that runs no samples must not pass."""
+    if n < 1:
+        raise ValueError(f"samples must be at least 1, got {n}")
+
+
 def check_order_iso_sampled(spec: IsoSpec, n: int = 10000, seed: int = 0, *,
                             stop_early: bool = False, limit: int | None = None) -> IsoReport:
     """Sampled order-isomorphism battery.
@@ -761,7 +771,7 @@ def check_order_iso_sampled(spec: IsoSpec, n: int = 10000, seed: int = 0, *,
     domain.  Sampling can refute but never prove, hence the verdict wording.
 
     Sampling is seeded per fixed-size index chunk of 256 samples, so sample
-    i draws the same values whatever n is.
+    i draws the same values whatever n is.  n < 1 is a ValueError.
 
     ``stop_early`` stops at the first violation.  ``limit`` stops drawing
     once both violation lists hold ``limit`` pairs and keeps the first
@@ -778,17 +788,11 @@ def check_order_iso_sampled(spec: IsoSpec, n: int = 10000, seed: int = 0, *,
     recorded violation.  tests/oracles.py keeps the Fraction battery this
     replaced; both make the same draws and give the same report.
     """
+    _check_samples(n)
     src, tgt = spec.source_cone, spec.target_cone
-    a, b = scaled_ints(spec.source_base), scaled_ints(spec.target_base)
-    a_zero, b_zero = spec._bases_zero
+    a, b = spec._bases
     fwd, inv = spec._eval_ints, spec._invert_ints
     tgt_leq = _leq_scaled(tgt)
-
-    def at(base, zero, p):
-        return (p, 1) if zero else _plus((p, 1), base)
-
-    def in_target(y):
-        return tgt._in_cone(y[0] if b_zero else _minus(y, b)[0])
 
     if spec.exact:
         src_leq = _leq_scaled(src)
@@ -809,7 +813,7 @@ def check_order_iso_sampled(spec: IsoSpec, n: int = 10000, seed: int = 0, *,
     def run_index(i, rng):
         mode = i % 3
         if mode == 0:
-            x1 = at(a, a_zero, cone_point_ints(src, rng))
+            x1 = _plus((cone_point_ints(src, rng), 1), a)
             x2 = _plus(x1, (cone_point_ints(src, rng), 1))
             try:
                 y1, y2 = fwd(x1), fwd(x2)
@@ -817,7 +821,7 @@ def check_order_iso_sampled(spec: IsoSpec, n: int = 10000, seed: int = 0, *,
                 fwd_violations.append((_fractions(x1), _fractions(x2)))
                 return
             # y2 in the target domain is implied by y1 in it plus y2 - y1 in K
-            if not in_target(y1) or not tgt_leq(y1, y2):
+            if not tgt._in_cone(_minus(y1, b)[0]) or not tgt_leq(y1, y2):
                 fwd_violations.append((_fractions(x1), _fractions(x2)))
                 return
             try:
@@ -831,7 +835,7 @@ def check_order_iso_sampled(spec: IsoSpec, n: int = 10000, seed: int = 0, *,
             pair = incomparable_pair_ints(src, rng)
             if pair is None:
                 return
-            x1, x2 = at(a, a_zero, pair[0]), at(a, a_zero, pair[1])
+            x1, x2 = _plus((pair[0], 1), a), _plus((pair[1], 1), a)
             try:
                 y1, y2 = fwd(x1), fwd(x2)
             except OutOfDomain:
@@ -840,7 +844,7 @@ def check_order_iso_sampled(spec: IsoSpec, n: int = 10000, seed: int = 0, *,
             if tgt_leq(y1, y2) or tgt_leq(y2, y1):
                 fwd_violations.append((_fractions(x1), _fractions(x2)))
         else:
-            y1 = at(b, b_zero, cone_point_ints(tgt, rng))
+            y1 = _plus((cone_point_ints(tgt, rng), 1), b)
             y2 = _plus(y1, (cone_point_ints(tgt, rng), 1))
             try:
                 r1, r2 = inv(y1), inv(y2)

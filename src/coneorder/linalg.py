@@ -99,15 +99,6 @@ def primitive(ints) -> tuple[int, ...]:
     return tuple(ints) if g == 1 else tuple(a // g for a in ints)
 
 
-def normalize_ray(v: Vec) -> Vec:
-    """Canonical representative of the ray through v.
-
-    Scales by a positive rational so coordinates are coprime integers.  The
-    sign pattern is intrinsic to the ray and never flipped.
-    """
-    return tuple(Fraction(a) for a in primitive(scaled_ints(v)[0]))
-
-
 def identity_matrix(n: int) -> Matrix:
     return tuple(unit_vec(n, i) for i in range(n))
 

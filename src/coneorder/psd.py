@@ -36,6 +36,7 @@ _HALF_FLOAT_MAX = sys.float_info.max / 2
 # divided by a power of two, because sums of squares and products of entries
 # would leave the float range; at or below it they run unscaled.
 _RESCALE_PEAK = 2.0 ** 500
+_MAX_SWEEPS = 50
 
 
 @dataclass(frozen=True)
@@ -107,11 +108,11 @@ def _rescale_exponent(peak: float) -> int:
     return k - k % 2
 
 
-def eigh_jacobi(a, max_sweeps: int = 50) -> tuple[np.ndarray, np.ndarray]:
+def eigh_jacobi(a) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition by cyclic Jacobi rotations.
 
     Sweeps until the off-diagonal Frobenius norm drops below 1e-14 times the
-    matrix norm (at most max_sweeps sweeps).  Returns eigenvalues ascending
+    matrix norm (at most _MAX_SWEEPS sweeps).  Returns eigenvalues ascending
     and the orthogonal matrix of eigenvectors as columns, each column sign
     fixed so its first significant entry is positive.  A matrix with an entry
     above 2**500 is swept divided by a power of two, and an eigenvalue beyond
@@ -129,7 +130,7 @@ def eigh_jacobi(a, max_sweeps: int = 50) -> tuple[np.ndarray, np.ndarray]:
         m = [[math.ldexp(x, -e) for x in row] for row in m]
         norm = math.hypot(*(x for row in m for x in row))
     norm = max(norm, 1e-300)
-    for _ in range(max_sweeps):
+    for _ in range(_MAX_SWEEPS):
         off = 0.0
         for i in range(n - 1):
             for j in range(i + 1, n):

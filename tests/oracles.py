@@ -69,7 +69,6 @@ from coneorder.linalg import (
     identity_matrix,
     is_zero_vec,
     mat_vec,
-    normalize_ray,
     primitive,
     scaled_ints,
     transpose,
@@ -89,6 +88,15 @@ from coneorder.order import (
     SeparatingFunctional,
 )
 from coneorder.sampling import cone_point, incomparable_pair, rng_for
+
+
+def normalize_ray(v) -> tuple:
+    """Canonical representative of the ray through v, as Fractions.
+
+    Scales by a positive rational so coordinates are coprime integers.  The
+    sign pattern is intrinsic to the ray and never flipped.
+    """
+    return tuple(Fraction(a) for a in primitive(scaled_ints(v)[0]))
 
 
 def rref_reference(rows) -> tuple[list, list[int]]:

@@ -43,7 +43,6 @@ from coneorder.linalg import (
     as_vec,
     independent_subset,
     mat_vec,
-    normalize_ray,
     vec_add,
     vec_scale,
 )
@@ -65,7 +64,7 @@ from coneorder.psd import (
 )
 from coneorder.sampling import cone_point, random_pointed_cone, rng_for, unimodular_matrix
 
-from oracles import bound_vertices_bruteforce, eigh_oracle
+from oracles import bound_vertices_bruteforce, eigh_oracle, normalize_ray
 
 PWL_DOUBLING = PiecewiseLinearMap(((Fraction(0), Fraction(0)), (Fraction(1), Fraction(2))))
 

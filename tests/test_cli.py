@@ -733,6 +733,17 @@ def test_nonpositive_samples_exit_2(files, capsys, count):
     assert code == 2 and out == ""
 
 
+@pytest.mark.parametrize("count", [0, -3])
+def test_batteries_refuse_nonpositive_samples(count):
+    """A battery that runs no samples must not pass, called as a library too."""
+    spec = identity_iso(orthant(2))
+    message = f"^samples must be at least 1, got {count}$"
+    with pytest.raises(ValueError, match=message):
+        check_order_iso_sampled(spec, count)
+    with pytest.raises(ValueError, match=message):
+        run_full_battery(orthant(2), spec, count, 0)
+
+
 @pytest.mark.parametrize("kmax", ["0", "-1", "-5"])
 def test_negative_kmax_exit_2(files, capsys, kmax):
     code, out, err = run(capsys, "psd", "approx", "--a", "diag:1,1", "--n", "2",

@@ -20,7 +20,6 @@ from coneorder.linalg import (
     as_vec,
     mat_rank,
     mat_vec,
-    normalize_ray,
     unit_vec,
     vec_add,
     vec_dot,
@@ -51,6 +50,7 @@ from oracles import (
     is_extreme_lp,
     is_extreme_tight_rank,
     minimal_generators,
+    normalize_ray,
     rays_from_facets_bruteforce,
 )
 

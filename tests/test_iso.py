@@ -3,7 +3,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from coneorder.cones import cone_from_generators, interval_cone, orthant, square_cone
+from coneorder.cones import (
+    PolyhedralCone,
+    cone_from_generators,
+    interval_cone,
+    orthant,
+    square_cone,
+)
 from coneorder.errors import (
     ConeOrderError,
     DegenerateSpan,
@@ -49,7 +55,6 @@ from coneorder.linalg import (
     independent_subset,
     invert_matrix,
     mat_vec,
-    normalize_ray,
     scaled_ints,
     transpose,
     vec_add,
@@ -74,6 +79,7 @@ from oracles import (
     extract_g_r_reference,
     halfline_image_check_reference,
     invert_reference,
+    normalize_ray,
     parallelogram_reference,
     signed_extreme_reference,
     solve_reference,
@@ -363,6 +369,43 @@ class TestComposeAndAffine:
         assert invert_iso(spec, V(-1, 2)) == V(2, 3)
         with pytest.raises(OutOfDomain):
             eval_iso(spec, V(0, 0))
+
+    def test_apexed_calls_test_the_domain_once(self, monkeypatch):
+        """IsoSpec decides the domain: an apexed eval or invert makes one cone
+        test, not one for the translate and one for its inner spec."""
+        calls = []
+        in_cone = PolyhedralCone._in_cone
+
+        def counted(cone, zi):
+            calls.append(zi)
+            return in_cone(cone, zi)
+
+        monkeypatch.setattr(PolyhedralCone, "_in_cone", counted)
+        for inner in (identity_iso(orthant(2)), cube_iso()):
+            spec = make_affine_iso(inner, V(1, 2), V(3, 1))
+            for call, p in ((spec.eval, V(2, 3)), (spec.invert, V(4, 2))):
+                calls.clear()
+                call(p)
+                assert len(calls) == 1, (type(inner).__name__, call.__name__)
+
+    def test_every_kind_refuses_points_off_its_domain(self):
+        """A point one step below the apex, inside the cone itself for the
+        apexed kinds, is OutOfDomain both ways, and off in_source/in_target."""
+        o2 = orthant(2)
+        swap = make_linear_iso([[0, 1], [1, 0]], o2, o2)
+        specs = [identity_iso(o2), cube_iso(),
+                 make_product_lift(o2, 0, OddPowerMap(3), identity_iso(orthant(1))),
+                 compose_isos(swap, cube_iso()),
+                 make_affine_iso(identity_iso(o2), V(1, 2), V(3, 1)),
+                 make_affine_iso(compose_isos(swap, cube_iso()), V(1, 2), V(3, 1))]
+        for spec in specs:
+            x = vec_add(spec.source_base, V(-1, 0))
+            y = vec_add(spec.target_base, V(-1, 0))
+            assert not spec.in_source(x) and not spec.in_target(y)
+            with pytest.raises(OutOfDomain):
+                spec.eval(x)
+            with pytest.raises(OutOfDomain):
+                spec.invert(y)
 
     def test_nested_product_lift(self):
         # lift over e1 of orthant(3) with a sub iso that is itself a lift

@@ -15,7 +15,6 @@ from coneorder.linalg import (
     mat_mul,
     mat_rank,
     mat_vec,
-    normalize_ray,
     rref,
     scaled_ints,
     scaled_rows,
@@ -23,7 +22,13 @@ from coneorder.linalg import (
     transpose,
     vec_dot,
 )
-from oracles import kernel_reference, rank_reference, rref_reference, solve_reference
+from oracles import (
+    kernel_reference,
+    normalize_ray,
+    rank_reference,
+    rref_reference,
+    solve_reference,
+)
 
 small_frac = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 # Small rationals, integers past 2^64 and fractions with denominators past

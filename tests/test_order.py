@@ -75,6 +75,7 @@ from oracles import (
     independent_subset_greedy,
     is_bound_vertex,
     is_totally_ordered_reference,
+    normalize_ray,
 )
 
 
@@ -564,8 +565,6 @@ class TestClassification:
             pattern = {g: r.engaged for g, r in zip(cone.generators, classify_engaged(cone))}
             image_pattern = {g: r.engaged
                              for g, r in zip(image.generators, classify_engaged(image))}
-            from coneorder.linalg import normalize_ray
-
             for g, engaged in pattern.items():
                 assert image_pattern[normalize_ray(mat_vec(u, g))] == engaged
 
