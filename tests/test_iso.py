@@ -370,9 +370,11 @@ class TestComposeAndAffine:
         with pytest.raises(OutOfDomain):
             eval_iso(spec, V(0, 0))
 
-    def test_apexed_calls_test_the_domain_once(self, monkeypatch):
+    def test_domain_is_tested_once_and_refuses_points_off_it(self, monkeypatch):
         """IsoSpec decides the domain: an apexed eval or invert makes one cone
-        test, not one for the translate and one for its inner spec."""
+        test, not one for the translate and one for its inner spec, and
+        every kind refuses a point one step below its apex (inside the cone
+        itself for the apexed kinds) both ways."""
         calls = []
         in_cone = PolyhedralCone._in_cone
 
@@ -388,9 +390,6 @@ class TestComposeAndAffine:
                 call(p)
                 assert len(calls) == 1, (type(inner).__name__, call.__name__)
 
-    def test_every_kind_refuses_points_off_its_domain(self):
-        """A point one step below the apex, inside the cone itself for the
-        apexed kinds, is OutOfDomain both ways, and off in_source/in_target."""
         o2 = orthant(2)
         swap = make_linear_iso([[0, 1], [1, 0]], o2, o2)
         specs = [identity_iso(o2), cube_iso(),
