@@ -585,6 +585,19 @@ class TestCertifiedBattery:
         assert (report["homogeneous"], report["homogeneous_error"]) == (None, "OutOfDomain")
         assert (report["verdict"], report["exit_code"]) == ("violation", 4)
 
+    def test_undefined_lift_report_matches_golden_bytes(self):
+        # The lift over an apexed sub above, whole: the halfline, additivity
+        # and affine sections meet its undefined points, so its report pins
+        # how each stage notes one.
+        o2 = orthant(2)
+        split = disengaged_split(o2, 0)
+        sub = make_affine_iso(identity_iso(split.subcone), [1], [1])
+        spec = ProductLiftIso(o2, 0, PWL_DOUBLING, sub, split, o2)
+        report = run_full_battery(o2, spec, 300, 0)
+        report["command"] = "check-iso"
+        golden = (DATA / "orthant2_undefined_lift.report.json").read_bytes()
+        assert canonical_dumps(report).encode("utf-8") == golden
+
 
 class TestPsdCommands:
     def test_witness(self, files, capsys):
