@@ -164,13 +164,16 @@ def run_full_battery(cone: PolyhedralCone, spec: IsoSpec, samples: int, seed: in
     Composes the sampled order-isomorphism test with the half-line,
     parallelogram, additivity and scalar-extraction identities and the
     affinity/homogeneity verdicts.  Failures of theorem-backed identities
-    count as battery violations; NotAffine alone does not.  A stage that
-    meets a point where the spec is undefined (a ``ConeOrderError`` other
-    than the sample's ``DegenerateSpan``) notes the exception's name as
-    its section's "error" (``homogeneous_error`` next to the homogeneity
-    verdict) and counts as one violation.  So does a spec that does not
-    send the source apex to the target apex, noted in the "affine" section
-    as "NotConeMap" unless an error is noted there already.
+    count as battery violations; NotAffine alone does not.  Every stage
+    calls its checks through one helper, ``attempt``: where the spec is
+    undefined at a point of a check (a ``ConeOrderError`` other than the
+    sample's ``DegenerateSpan``, which is raised) the check fails, the
+    first such exception's name is noted as its section's "error"
+    (``homogeneous_error`` next to the homogeneity verdict; the halfline
+    section lists failing generators only), and the stage counts as one
+    violation.  So does a spec that does not send the source apex to the
+    target apex, noted in the "affine" section as "NotConeMap" unless an
+    error is noted there already.
 
     The whole battery stays on integers: points are drawn with
     ``cone_point_ints`` (the draws of ``cone_point``), shifted by the apex,
@@ -190,7 +193,7 @@ def run_full_battery(cone: PolyhedralCone, spec: IsoSpec, samples: int, seed: in
     # A certified spec passes every sample, so its battery report is known
     # without drawing; any other spec draws until the pairs the report
     # shows are settled.  samples_run is the n samples the verdict covers.
-    if spec.exact and spec._certified():
+    if spec._certified():
         battery = IsoReport((), (), samples, "PassedSampling")
     else:
         battery = check_order_iso_sampled(spec, samples, seed, limit=SHOWN_PAIRS)
@@ -214,27 +217,25 @@ def run_full_battery(cone: PolyhedralCone, spec: IsoSpec, samples: int, seed: in
     def multiple(k, g):
         return [k * c for c in g]
 
-    failures = []
-    lams = [Fraction(0), Fraction(1, 2), Fraction(1), Fraction(2)]
-    for i, r in enumerate(gens):
+    def attempt(section, key, check, *args):
+        """check(*args); None, with the exception's name noted under
+        section[key], where the spec is undefined at a point of the check."""
         try:
-            if not halfline_image_check(spec, point(rng_for(seed, "hl", i)), r, lams):
-                failures.append(i)
-        except ConeOrderError:
-            failures.append(i)
+            return check(*args)
+        except DegenerateSpan:
+            raise  # too few distinct sample points: the cone's fault, not the spec's
+        except ConeOrderError as exc:
+            section.setdefault(key, type(exc).__name__)
+            return None
+
+    lams = [Fraction(0), Fraction(1, 2), Fraction(1), Fraction(2)]
+    failures = [i for i, r in enumerate(gens)
+                if not attempt({}, "error", halfline_image_check, spec,
+                               point(rng_for(seed, "hl", i)), r, lams)]
     report["halfline"] = {"checked": len(gens), "passed": len(gens) - len(failures),
                           "failures": failures}
     if failures:
         violations += 1
-
-    def holds(section, check, *args) -> bool:
-        """check(*args); False, with the exception's name as the section's
-        "error", where the spec is undefined at a point of the check."""
-        try:
-            return check(*args)
-        except ConeOrderError as exc:
-            section.setdefault("error", type(exc).__name__)
-            return False
 
     n_cfg = max(5, min(50, samples // 100)) if len(gens) >= 2 else 0
     par = report["parallelogram"] = {"checked": n_cfg, "passed": 0, "witness": None}
@@ -245,7 +246,7 @@ def run_full_battery(cone: PolyhedralCone, spec: IsoSpec, samples: int, seed: in
         ri, si = rng.sample(range(len(gens)), 2)
         r = multiple(rng.randint(1, 3), gens[ri])
         s = multiple(rng.randint(1, 3), gens[si])
-        if holds(par, check_parallelogram, spec, x, r, s):
+        if attempt(par, "error", check_parallelogram, spec, x, r, s):
             par["passed"] += 1
         elif par["witness"] is None:
             par["witness"] = [vec_to_json(x), vec_to_json(r), vec_to_json(s)]
@@ -254,7 +255,7 @@ def run_full_battery(cone: PolyhedralCone, spec: IsoSpec, samples: int, seed: in
         count = rng2.randint(2, min(4, len(gens)))
         idx = rng2.sample(range(len(gens)), count)
         ss = [multiple(rng2.randint(1, 3), gens[j]) for j in idx]
-        if holds(add, check_additivity, spec, x2, ss):
+        if attempt(add, "error", check_additivity, spec, x2, ss):
             add["passed"] += 1
         elif add["witness"] is None:
             add["witness"] = [vec_to_json(x2)] + [vec_to_json(s) for s in ss]
@@ -266,15 +267,12 @@ def run_full_battery(cone: PolyhedralCone, spec: IsoSpec, samples: int, seed: in
     for ray in classify_engaged(src):
         basepoints = [point(rng_for(seed, "gr", ray.ray_index, t)) for t in range(3)]
         entry = {"ray_index": ray.ray_index, "engaged": ray.engaged}
-        try:
-            rows = extract_g_r(spec, ray.generator, basepoints, g_lams)
-        except ConeOrderError as exc:
-            entry["colinear"] = False
-            entry["error"] = type(exc).__name__
+        g_report.append(entry)
+        rows = attempt(entry, "error", extract_g_r, spec, ray.generator, basepoints, g_lams)
+        entry["colinear"] = rows is not None
+        if rows is None:
             violations += 1
-            g_report.append(entry)
             continue
-        entry["colinear"] = True
         by_lam: dict = {}
         for row in rows:
             by_lam.setdefault(row.lam, []).append(row.value)
@@ -287,37 +285,34 @@ def run_full_battery(cone: PolyhedralCone, spec: IsoSpec, samples: int, seed: in
                 violations += 1
         else:
             entry["identity"] = ident if indep else None
-        g_report.append(entry)
 
     pts = list(dict.fromkeys(point(rng_for(seed, "aff", t)) for t in range(4 * src.dim + 12)))
-    try:
-        fit = check_affine_on(spec, pts)
-        # Every cone-based map sends the apex to the apex, and a map can be
-        # affine on the sampled points yet not there: a product lift bending
-        # its ray coordinate at t = 1 fits t + 1 when no sample has t < 1.
-        if fit.affine and a not in pts:
-            fit = check_affine_on(spec, pts + [a])
-        report["affine"] = {"affine": fit.affine, "max_residual": fmt_rational(fit.max_residual)}
-    except DegenerateSpan:
-        raise  # too few distinct sample points: the cone's fault, not the spec's
-    except ConeOrderError as exc:
-        report["affine"] = {"affine": None, "max_residual": None, "error": type(exc).__name__}
+    aff = report["affine"] = {}
+    fit = attempt(aff, "error", check_affine_on, spec, pts)
+    # Every cone-based map sends the apex to the apex, and a map can be
+    # affine on the sampled points yet not there: a product lift bending
+    # its ray coordinate at t = 1 fits t + 1 when no sample has t < 1.
+    if fit is not None and fit.affine and a not in pts:
+        fit = attempt(aff, "error", check_affine_on, spec, pts + [a])
+    if fit is None:
+        aff.update(affine=None, max_residual=None)
         violations += 1
+    else:
+        aff.update(affine=fit.affine, max_residual=fmt_rational(fit.max_residual))
     # An order-isomorphism of a + K onto a' + K' sends the least element a to
     # the least element a'.  The sampled stages compare differences, so they
     # miss a map that moves it; one exact forward evaluation at a decides it.
-    if not holds(report["affine"], lambda: spec.eval(a) == spec.target_base):
-        report["affine"].setdefault("error", "NotConeMap")
+    if attempt(aff, "error", spec.eval, a) != spec.target_base:
+        aff.setdefault("error", "NotConeMap")
         violations += 1
 
     report["homogeneous"] = None
     if spec._bases == (None, None):
         hom_samples = [point(rng_for(seed, "hom", t)) for t in range(8)]
-        try:
-            report["homogeneous"] = check_positively_homogeneous(
-                spec, hom_samples, [Fraction(1, 2), Fraction(2), Fraction(3)])
-        except ConeOrderError as exc:
-            report["homogeneous_error"] = type(exc).__name__
+        report["homogeneous"] = attempt(report, "homogeneous_error",
+                                        check_positively_homogeneous, spec, hom_samples,
+                                        [Fraction(1, 2), Fraction(2), Fraction(3)])
+        if report["homogeneous"] is None:
             violations += 1
 
     if violations:
@@ -403,10 +398,10 @@ def _tolerance(args) -> psd_mod.PsdTolerance:
 
 
 def _cmd_psd_witness(args):
-    tol = _tolerance(args)
+    _tolerance(args)  # the witness reads no tolerance, but a bad --tol still exits 2
     x = _unit(_floats(_parse_vec_arg(args.x, args.n), args.x), args.x,
               "witness direction cannot be zero")
-    w = psd_mod.engagement_witness(x, tol)
+    w = psd_mod.engagement_witness(x)
     return {"x": x.tolist(), "y": w.y.tolist(), "z": w.z.tolist(), "w": w.w.tolist(),
             "residual": w.residual}, EXIT_OK
 

@@ -32,7 +32,6 @@ from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
 from operator import add, mul, sub
-from typing import Callable
 
 from .cones import PolyhedralCone, cone_from_generators
 from .errors import (
@@ -397,7 +396,10 @@ class IsoSpec:
 
     def _certified(self) -> bool:
         """Whether ``_certify`` holds, computed once per spec.  A certified
-        spec is exact, and its exact round trips are identities."""
+        spec is exact: every ``_certify`` requires exact parts (a linear
+        map, an affine or piecewise linear ray map, certified inner specs),
+        so callers need not test ``exact`` as well.  Its exact round trips
+        are identities."""
         cert = self.__dict__.get("_cert")
         if cert is None:
             cert = self._cert = self._certify()
@@ -744,16 +746,6 @@ def _leq_tol(cone: PolyhedralCone, x, y, tol=_FLOAT_TOL) -> bool:
 _CHUNK = 256
 
 
-def _leq_scaled(cone: PolyhedralCone) -> Callable:
-    """x <= y on scaled vectors: the facet sums of y*dx - x*dy."""
-    def leq(x, y):
-        (xi, xd), (yi, yd) = x, y
-        if xd == yd:
-            return cone._leq_ints(xi, yi)
-        return cone._in_cone([q * xd - p * yd for p, q in zip(xi, yi)])
-    return leq
-
-
 def _check_samples(n: int) -> None:
     """A battery that runs no samples must not pass."""
     if n < 1:
@@ -761,7 +753,7 @@ def _check_samples(n: int) -> None:
 
 
 def check_order_iso_sampled(spec: IsoSpec, n: int = 10000, seed: int = 0, *,
-                            stop_early: bool = False, limit: int | None = None) -> IsoReport:
+                            limit: int | None = None) -> IsoReport:
     """Sampled order-isomorphism battery.
 
     Draws pairs with known order relation in the source (comparable pairs as
@@ -773,29 +765,33 @@ def check_order_iso_sampled(spec: IsoSpec, n: int = 10000, seed: int = 0, *,
     Sampling is seeded per fixed-size index chunk of 256 samples, so sample
     i draws the same values whatever n is.  n < 1 is a ValueError.
 
-    ``stop_early`` stops at the first violation.  ``limit`` stops drawing
-    once both violation lists hold ``limit`` pairs and keeps the first
-    ``limit`` of each: these, and the verdict, are those of all n samples,
-    since later samples only append.  Either way ``samples_run`` stays n,
-    the samples the verdict covers, not the samples drawn.
+    ``limit`` is the one stopping rule: drawing stops once both violation
+    lists hold ``limit`` pairs, and the first ``limit`` of each are kept;
+    these, and the verdict, are those of all n samples, since later samples
+    only append.  ``samples_run`` stays n, the samples the verdict covers,
+    not the samples drawn.  None draws all n; a limit below 1 is a
+    ValueError, since it would keep no pair of a violating spec.
 
     Every spec kind runs on scaled integer vectors from draw to verdict:
     points are integer cone points shifted by the apex, images and
-    preimages are the spec's ``_eval_ints``/``_invert_ints``, and order
-    tests and exact round trips cross-multiply the denominators.  An
+    preimages are the spec's ``_eval_ints``/``_invert_ints``, and an order
+    test x <= y is one ``_in_cone`` test of ``_minus(y, x)``, which
+    cross-multiplies the denominators, as do exact round trips.  An
     inexact spec's source order test takes floats n / d, which equal
     float(Fraction(n, d)) bit for bit.  Fractions are built only for a
     recorded violation.  tests/oracles.py keeps the Fraction battery this
     replaced; both make the same draws and give the same report.
     """
     _check_samples(n)
+    if limit is not None and limit < 1:
+        raise ValueError(f"limit must be at least 1, got {limit}")
     src, tgt = spec.source_cone, spec.target_cone
     a, b = spec._bases
     fwd, inv = spec._eval_ints, spec._invert_ints
-    tgt_leq = _leq_scaled(tgt)
 
     if spec.exact:
-        src_leq = _leq_scaled(src)
+        def src_leq(x, y):
+            return src._in_cone(_minus(y, x)[0])
 
         def round_trip(x1, x2, r2):
             (xi, xd), (ri, rd) = x2, r2
@@ -807,10 +803,9 @@ def check_order_iso_sampled(spec: IsoSpec, n: int = 10000, seed: int = 0, *,
         def round_trip(x1, x2, r2):
             return src_leq(x1, r2)
 
-    fwd_violations: list = []
-    inv_violations: list = []
-
     def run_index(i, rng):
+        """(0, source pair) for a forward violation, (1, target pair) for an
+        inverse one, None when sample i holds."""
         mode = i % 3
         if mode == 0:
             x1 = _plus((cone_point_ints(src, rng), 1), a)
@@ -818,52 +813,50 @@ def check_order_iso_sampled(spec: IsoSpec, n: int = 10000, seed: int = 0, *,
             try:
                 y1, y2 = fwd(x1), fwd(x2)
             except OutOfDomain:
-                fwd_violations.append((_fractions(x1), _fractions(x2)))
-                return
+                return 0, (x1, x2)
             # y2 in the target domain is implied by y1 in it plus y2 - y1 in K
-            if not tgt._in_cone(_minus(y1, b)[0]) or not tgt_leq(y1, y2):
-                fwd_violations.append((_fractions(x1), _fractions(x2)))
-                return
+            if not tgt._in_cone(_minus(y1, b)[0]) or not tgt._in_cone(_minus(y2, y1)[0]):
+                return 0, (x1, x2)
             try:
                 r2 = inv(y2)
             except OutOfDomain:
-                inv_violations.append((_fractions(y1), _fractions(y2)))
-                return
+                return 1, (y1, y2)
             if not round_trip(x1, x2, r2):
-                inv_violations.append((_fractions(y1), _fractions(y2)))
+                return 1, (y1, y2)
         elif mode == 1:
             pair = incomparable_pair_ints(src, rng)
             if pair is None:
-                return
+                return None
             x1, x2 = _plus((pair[0], 1), a), _plus((pair[1], 1), a)
             try:
                 y1, y2 = fwd(x1), fwd(x2)
             except OutOfDomain:
-                fwd_violations.append((_fractions(x1), _fractions(x2)))
-                return
-            if tgt_leq(y1, y2) or tgt_leq(y2, y1):
-                fwd_violations.append((_fractions(x1), _fractions(x2)))
+                return 0, (x1, x2)
+            if tgt._in_cone(_minus(y2, y1)[0]) or tgt._in_cone(_minus(y1, y2)[0]):
+                return 0, (x1, x2)
         else:
             y1 = _plus((cone_point_ints(tgt, rng), 1), b)
             y2 = _plus(y1, (cone_point_ints(tgt, rng), 1))
             try:
                 r1, r2 = inv(y1), inv(y2)
             except OutOfDomain:
-                inv_violations.append((_fractions(y1), _fractions(y2)))
-                return
+                return 1, (y1, y2)
             if not src_leq(r1, r2):
-                inv_violations.append((_fractions(y1), _fractions(y2)))
+                return 1, (y1, y2)
+        return None
 
+    found = ([], [])  # forward and inverse violation pairs
     for i in range(n):
         if i % _CHUNK == 0:
             rng = rng_for(seed, "battery", i // _CHUNK)
-        run_index(i, rng)
-        if stop_early and (fwd_violations or inv_violations):
-            break
-        if limit is not None and min(len(fwd_violations), len(inv_violations)) >= limit:
-            break
-    verdict = "Violation" if fwd_violations or inv_violations else "PassedSampling"
-    return IsoReport(tuple(fwd_violations[:limit]), tuple(inv_violations[:limit]), n, verdict)
+        hit = run_index(i, rng)
+        if hit is not None:
+            side, (p, q) = hit
+            found[side].append((_fractions(p), _fractions(q)))
+            if limit is not None and min(map(len, found)) >= limit:
+                break
+    verdict = "Violation" if found[0] or found[1] else "PassedSampling"
+    return IsoReport(tuple(found[0][:limit]), tuple(found[1][:limit]), n, verdict)
 
 
 # ---------------------------------------------------------------------------

@@ -225,14 +225,19 @@ def psd_leq(a, b, tol: float = DEFAULT_TOL.eig_tol) -> bool:
     return _psd_cholesky(diff, 1e-14)
 
 
+def _check_unit(x: np.ndarray) -> None:
+    """NotUnit unless |x| is within 1e-12 of 1."""
+    nrm = float(np.linalg.norm(x))
+    if not (1 - 1e-12 <= nrm <= 1 + 1e-12):
+        raise NotUnit(f"|x| = {nrm!r} is not within 1e-12 of 1")
+
+
 def rank_one_projection(x) -> SymMatrix:
     """P = x x^T for a unit vector x; idempotent and trace one by construction."""
     x = np.asarray(x, dtype=float)
     if x.ndim != 1:
         raise DimensionMismatch("vector required")
-    nrm = float(np.linalg.norm(x))
-    if not (1 - 1e-12 <= nrm <= 1 + 1e-12):
-        raise NotUnit(f"|x| = {nrm!r} is not within 1e-12 of 1")
+    _check_unit(x)
     return SymMatrix(np.outer(x, x))
 
 
@@ -246,7 +251,7 @@ class EngagementWitness:
     residual: float
 
 
-def engagement_witness(x, tol: PsdTolerance = DEFAULT_TOL) -> EngagementWitness:
+def engagement_witness(x) -> EngagementWitness:
     """Three rank-one projections witnessing that the ray of P_x is engaged.
 
     Chooses the plane V spanned by x and the coordinate direction least
@@ -259,9 +264,7 @@ def engagement_witness(x, tol: PsdTolerance = DEFAULT_TOL) -> EngagementWitness:
     n = x.shape[0]
     if n < MIN_N:
         raise DimensionMismatch("need dimension at least 2")
-    nrm = float(np.linalg.norm(x))
-    if not (1 - 1e-12 <= nrm <= 1 + 1e-12):
-        raise NotUnit(f"|x| = {nrm!r} is not within 1e-12 of 1")
+    _check_unit(x)
     j = int(np.argmin(np.abs(x)))
     e = np.zeros(n)
     e[j] = 1.0
@@ -325,10 +328,9 @@ def identity_sup_check(n: int, b, m: int = 10000, seed: int = 0,
 class ConjugationMap:
     """T_A(Q) = A^(1/2) Q A^(1/2), a linear order-isomorphism of the PSD cone."""
 
-    __slots__ = ("matrix", "sqrt", "inv_sqrt")
+    __slots__ = ("sqrt", "inv_sqrt")
 
-    def __init__(self, matrix: np.ndarray, sqrt: np.ndarray, inv_sqrt: np.ndarray):
-        self.matrix = matrix
+    def __init__(self, sqrt: np.ndarray, inv_sqrt: np.ndarray):
         self.sqrt = sqrt
         self.inv_sqrt = inv_sqrt
 
@@ -357,7 +359,7 @@ def conjugation_iso(a, tol: PsdTolerance = DEFAULT_TOL) -> ConjugationMap:
         raise NotPositiveDefinite(f"lambda_min = {float(evals[0])!r}")
     sqrt = vecs @ np.diag(np.sqrt(evals)) @ vecs.T
     inv_sqrt = vecs @ np.diag(1.0 / np.sqrt(evals)) @ vecs.T
-    return ConjugationMap(np.array(a), (sqrt + sqrt.T) / 2, (inv_sqrt + inv_sqrt.T) / 2)
+    return ConjugationMap((sqrt + sqrt.T) / 2, (inv_sqrt + inv_sqrt.T) / 2)
 
 
 @dataclass(frozen=True)

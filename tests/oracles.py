@@ -782,7 +782,7 @@ def leq_tol_reference(cone, x, y, tol=_FLOAT_TOL) -> bool:
     return True
 
 
-def battery_reference(spec, n, seed=0, stop_early=False) -> IsoReport:
+def battery_reference(spec, n, seed=0) -> IsoReport:
     """check_order_iso_sampled on Fraction vectors through eval_reference
     and invert_reference, with the Fraction samplers and the plain
     rejection search for incomparable pairs."""
@@ -836,7 +836,5 @@ def battery_reference(spec, n, seed=0, stop_early=False) -> IsoReport:
             else:
                 if not src_leq(r1, r2):
                     inv_violations.append((y1, y2))
-        if stop_early and (fwd_violations or inv_violations):
-            break
     verdict = "Violation" if fwd_violations or inv_violations else "PassedSampling"
     return IsoReport(tuple(fwd_violations), tuple(inv_violations), n, verdict)

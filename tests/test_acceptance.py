@@ -252,7 +252,7 @@ def test_criterion_3_linearity_theorem_desk_test():
             assert fit.affine and fit.max_residual == 0
             passed_affine += 1
         for spec in forged:
-            rep = check_order_iso_sampled(spec, 10000, seed=ci, stop_early=True)
+            rep = check_order_iso_sampled(spec, 10000, seed=ci, limit=1)
             assert rep.verdict == "Violation", f"forged spec on cone {ci} escaped"
             assert rep.order_preserving_violations or rep.inverse_violations
             nonlinear_refuted += 1

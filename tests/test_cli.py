@@ -773,6 +773,12 @@ def test_bad_tol_exit_2(files, capsys, tol):
     assert "tolerances must be finite and positive" in err
 
 
+def test_witness_refuses_the_tol_it_does_not_read(files, capsys):
+    code, out, err = run(capsys, "psd", "witness", "--n", "2", "--x", "e1", "--tol", "0")
+    assert code == 2 and out == ""
+    assert "tolerances must be finite and positive" in err
+
+
 def test_out_flag_writes_report(files, capsys, tmp_path):
     path = tmp_path / "report.json"
     code, out, _ = run(capsys, "classify", files["square"], "--out", str(path))

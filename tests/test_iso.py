@@ -605,26 +605,24 @@ class TestSampledBatteryIntegerPath:
            dim=st.integers(1, 6),
            kind=st.sampled_from(LINEAR_KINDS),
            n=st.integers(1, 700).filter(lambda k: k % 256),
-           seed=st.integers(0, 2**20),
-           stop_early=st.booleans())
-    def test_matches_fraction_path(self, cone_seed, dim, kind, n, seed, stop_early):
+           seed=st.integers(0, 2**20))
+    def test_matches_fraction_path(self, cone_seed, dim, kind, n, seed):
         rng = rng_for(cone_seed, "int-battery")
         cone = random_pointed_cone(rng, dim, rng.randint(1, dim + 3))
         spec = _linear_candidate(rng, cone, kind)
-        fast = check_order_iso_sampled(spec, n, seed, stop_early=stop_early)
-        assert fast == battery_reference(spec, n, seed, stop_early)
+        fast = check_order_iso_sampled(spec, n, seed)
+        assert fast == battery_reference(spec, n, seed)
         assert _all_fractions(fast)
 
     @settings(max_examples=27, deadline=None)
     @given(spec_seed=st.integers(0, 2**32 - 1),
            kind=st.sampled_from(ISO_KINDS),
            n=st.integers(1, 700).filter(lambda k: k % 256),
-           seed=st.integers(0, 2**20),
-           stop_early=st.booleans())
-    def test_every_iso_kind_matches_fraction_path(self, spec_seed, kind, n, seed, stop_early):
+           seed=st.integers(0, 2**20))
+    def test_every_iso_kind_matches_fraction_path(self, spec_seed, kind, n, seed):
         spec = _spec(spec_seed, kind)
-        fast = check_order_iso_sampled(spec, n, seed, stop_early=stop_early)
-        assert fast == battery_reference(spec, n, seed, stop_early)
+        fast = check_order_iso_sampled(spec, n, seed)
+        assert fast == battery_reference(spec, n, seed)
         assert _all_fractions(fast)
 
     @settings(max_examples=20, deadline=None)
@@ -660,17 +658,28 @@ class TestSampledBatteryIntegerPath:
         assert got == IsoReport(full.order_preserving_violations[:5],
                                 full.inverse_violations[:5], 40 * 256, "Violation")
 
+    def test_limit_below_one_is_refused(self):
+        # The shear above violates within a few samples.  A limit of 0 would
+        # stop after the first sample, often before any violation, and read
+        # PassedSampling; a negative one would keep no pair.
+        sq = square_cone()
+        spec = LinearIso([V(1, 1, 0), V(0, 1, 0), V(0, 0, 1)], sq, sq)
+        for seed in range(6):
+            assert check_order_iso_sampled(spec, 3000, seed, limit=1).verdict == "Violation"
+            for limit in (0, -1):
+                with pytest.raises(ValueError, match="limit must be at least 1"):
+                    check_order_iso_sampled(spec, 3000, seed, limit=limit)
+
     def test_every_kind_reaches_both_verdicts_and_both_regimes(self):
         seen = set()
         for kind in ISO_KINDS:
             for spec_seed in range(2):
                 spec = _spec(spec_seed, kind)
-                for stop_early in (False, True):
-                    fast = check_order_iso_sampled(spec, 100, spec_seed, stop_early=stop_early)
-                    assert fast == battery_reference(spec, 100, spec_seed, stop_early)
-                    seen.add((spec.exact, fast.verdict))
-                    if fast.verdict == "Violation" and not stop_early:
-                        seen.add((kind, "Violation"))
+                fast = check_order_iso_sampled(spec, 100, spec_seed)
+                assert fast == battery_reference(spec, 100, spec_seed)
+                seen.add((spec.exact, fast.verdict))
+                if fast.verdict == "Violation":
+                    seen.add((kind, "Violation"))
         assert seen >= {(True, "Violation"), (True, "PassedSampling"),
                         (False, "Violation"), (False, "PassedSampling"),
                         ("forged_partial", "Violation"), ("forged_full", "Violation"),
@@ -684,13 +693,11 @@ class TestSampledBatteryIntegerPath:
         m = [V(1, Fraction(1, 3), 0), V(Fraction(-1, 5), 1, 0), V(0, 0, Fraction(3, 2))]
         wrong = [V(1, 0, 0), V(0, 1, 0), V(0, 0, Fraction(2, 3))]
         spec = LinearIso(m, sq, sq, inverse=wrong)
-        for stop_early in (False, True):
-            fast = check_order_iso_sampled(spec, 600, 3, stop_early=stop_early)
-            assert fast == battery_reference(spec, 600, 3, stop_early)
-            assert fast.verdict == "Violation" and _all_fractions(fast)
-            if not stop_early:
-                assert any(c.denominator != 1 for pair in fast.inverse_violations
-                           for v in pair for c in v)
+        fast = check_order_iso_sampled(spec, 600, 3)
+        assert fast == battery_reference(spec, 600, 3)
+        assert fast.verdict == "Violation" and _all_fractions(fast)
+        assert any(c.denominator != 1 for pair in fast.inverse_violations
+                   for v in pair for c in v)
 
     @pytest.mark.parametrize("cone", [orthant(1), cone_from_generators(3, [(1, 2, -1)])],
                              ids=["orthant1", "ray_in_R3"])
