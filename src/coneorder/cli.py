@@ -169,11 +169,10 @@ def run_full_battery(cone: PolyhedralCone, spec: IsoSpec, samples: int, seed: in
     undefined at a point of a check (a ``ConeOrderError`` other than the
     sample's ``DegenerateSpan``, which is raised) the check fails, the
     first such exception's name is noted as its section's "error"
-    (``homogeneous_error`` next to the homogeneity verdict; the halfline
-    section lists failing generators only), and the stage counts as one
-    violation.  So does a spec that does not send the source apex to the
-    target apex, noted in the "affine" section as "NotConeMap" unless an
-    error is noted there already.
+    (``homogeneous_error`` next to the homogeneity verdict), and the stage
+    counts as one violation.  So does a spec that does not send the source
+    apex to the target apex, noted in the "affine" section as "NotConeMap"
+    unless an error is noted there already.
 
     The whole battery stays on integers: points are drawn with
     ``cone_point_ints`` (the draws of ``cone_point``), shifted by the apex,
@@ -229,11 +228,11 @@ def run_full_battery(cone: PolyhedralCone, spec: IsoSpec, samples: int, seed: in
             return None
 
     lams = [Fraction(0), Fraction(1, 2), Fraction(1), Fraction(2)]
+    hl = report["halfline"] = {"checked": len(gens)}
     failures = [i for i, r in enumerate(gens)
-                if not attempt({}, "error", halfline_image_check, spec,
+                if not attempt(hl, "error", halfline_image_check, spec,
                                point(rng_for(seed, "hl", i)), r, lams)]
-    report["halfline"] = {"checked": len(gens), "passed": len(gens) - len(failures),
-                          "failures": failures}
+    hl.update(passed=len(gens) - len(failures), failures=failures)
     if failures:
         violations += 1
 

@@ -261,6 +261,14 @@ class OddPowerMap(MonotoneBijection):
         return (-rp if n < 0 else rp), rq
 
 
+def _fixes_zero_monotone(m: MonotoneBijection) -> bool:
+    """m is an odd-power, affine or piecewise-linear map, each a strictly
+    increasing bijection of the line, and m(0) = 0 on integers, so m maps
+    [0, oo) onto itself.  The kind is tested exactly: a subclass could
+    replace the maps."""
+    return type(m) in (OddPowerMap, AffineMap, PiecewiseLinearMap) and m._eval_ints(0, 1)[0] == 0
+
+
 # ---------------------------------------------------------------------------
 # Fast exact matrix application
 
@@ -346,9 +354,11 @@ class IsoSpec:
     kind alone.
 
     A kind may also implement ``_certify``: an integer proof, re-checked on
-    the spec's own integer data, that it is an exact order-isomorphism of
-    its source domain onto its target domain.  Then no sample of
-    ``check_order_iso_sampled`` can record a violation against it.
+    the spec's own integer data, that it is an order-isomorphism of its
+    source domain onto its target domain.  The proof is about the map, not
+    about its inverse's arithmetic: an odd-power part keeps ``exact`` False
+    and its float inverse.  Then no sample of ``check_order_iso_sampled``
+    can record a violation against it.
     """
 
     def __init__(self, source: PolyhedralCone, target: PolyhedralCone, exact: bool,
@@ -396,10 +406,9 @@ class IsoSpec:
 
     def _certified(self) -> bool:
         """Whether ``_certify`` holds, computed once per spec.  A certified
-        spec is exact: every ``_certify`` requires exact parts (a linear
-        map, an affine or piecewise linear ray map, certified inner specs),
-        so callers need not test ``exact`` as well.  Its exact round trips
-        are identities."""
+        spec is proved an order-isomorphism, which is all a caller may
+        assume: it is exact only if ``exact`` says so, and only then are its
+        round trips identities."""
         cert = self.__dict__.get("_cert")
         if cert is None:
             cert = self._cert = self._certify()
@@ -494,14 +503,25 @@ def _diagonal(x: Scaled, coords: _FrameCoords, maps, frame: _IntMatrix) -> Scale
     return frame.apply([vn * (den // vd) for vn, vd in vals]), den * frame.den
 
 
+def _simplicial_frame(frame, coords: _FrameCoords, cone: PolyhedralCone, n: int) -> bool:
+    """The n frame vectors are linearly independent (the span of the frame
+    has dim - n normals), so no two share a ray, and their primitive rays
+    are the generators of the cone: the cone is simplicial over the frame.
+    It is pointed too, since a non-pointed cone's generators hold a +/-
+    pair, which no independent frame does."""
+    return (len(frame) == n and len(coords.normals) == cone.dim - n
+            and {primitive(scaled_ints(v)[0]) for v in frame} == cone._generator_set)
+
+
 class DiagonalIso(IsoSpec):
     """f(sum lam_i v_i) = sum g_i(lam_i) w_i over a frame of the source.
 
     Built through make_diagonal_iso the frame is exactly the generator list
     of a simplicial source cone, which makes f an order-isomorphism onto the
-    simplicial cone over the target frame.  Direct construction with a
+    simplicial cone over the target frame, and the spec comes out certified
+    whether or not its inverse is exact.  Direct construction with a
     partial frame is possible (and used to forge counterfeit candidates for
-    the battery) but carries no guarantee.
+    the battery) but carries no guarantee and does not certify.
     """
 
     def __init__(self, source: PolyhedralCone, source_frame, maps, target_frame,
@@ -522,6 +542,19 @@ class DiagonalIso(IsoSpec):
 
     def _backward(self, y):
         return _diagonal(y, self._tgt_coords, self._bwd_maps, self._src_cols)
+
+    def _certify(self):
+        """Each cone is simplicial over its frame, with one map per frame
+        vector.  Then the frame coordinates lam >= 0 of a cone point are
+        unique and the cone order is their product order, and f acts on
+        each coordinate by a strictly increasing bijection of [0, oo)
+        fixing 0, the general form of an order-isomorphism of a simplicial
+        cone (Artstein-Avidan & Slomka 2012).  Checked on integers, on the
+        frames the coordinates and columns were built from."""
+        n = len(self.maps)
+        return (all(map(_fixes_zero_monotone, self.maps))
+                and _simplicial_frame(self.source_frame, self._src_coords, self.source_cone, n)
+                and _simplicial_frame(self.target_frame, self._tgt_coords, self.target_cone, n))
 
     eval = IsoSpec.eval
     invert = IsoSpec.invert
@@ -559,13 +592,12 @@ class ProductLiftIso(IsoSpec):
     def _certify(self):
         """The map is ray_map x sub in split coordinates, and both cones are
         products R_+ (ray) x (sub's cone) in them, so it is an
-        order-isomorphism when ray_map is an exact strictly increasing
-        bijection fixing 0 and sub is certified.  Checked on integers: the
-        projection and unsplit matrices are inverse, both cones split, the
-        ray map is affine or piecewise linear with ray_map(0) = 0."""
+        order-isomorphism when ray_map is a strictly increasing bijection
+        fixing 0 and sub is certified.  Checked on integers: the projection
+        and unsplit matrices are inverse, both cones split, the ray map is
+        odd-power, affine or piecewise linear with ray_map(0) = 0."""
         dim, sub = self.source_cone.dim, self.sub
-        return (type(self.ray_map) in (AffineMap, PiecewiseLinearMap)
-                and self.ray_map._eval_ints(0, 1)[0] == 0
+        return (_fixes_zero_monotone(self.ray_map)
                 and self.target_cone.dim == dim
                 and sub.source_cone.dim == sub.target_cone.dim == dim - 1
                 and sub._bases == (None, None)
@@ -730,7 +762,7 @@ class IsoReport:
 _FLOAT_TOL = 1e-9
 
 
-def _leq_tol(cone: PolyhedralCone, x, y, tol=_FLOAT_TOL) -> bool:
+def _leq_tol(cone: PolyhedralCone, x, y) -> bool:
     """Order test with float slack, for approximate preimages only.
 
     The facet normals are read as ints: an int times a float rounds the int
@@ -738,7 +770,7 @@ def _leq_tol(cone: PolyhedralCone, x, y, tol=_FLOAT_TOL) -> bool:
     z = [float(b) - float(a) for a, b in zip(x, y)]
     scale = max(1.0, max(abs(c) for c in z))
     for h in cone._facet_ints:
-        if sum(map(mul, h, z)) < -tol * scale:
+        if sum(map(mul, h, z)) < -_FLOAT_TOL * scale:
             return False
     return True
 

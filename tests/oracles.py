@@ -772,12 +772,12 @@ def invert_reference(spec, y):
     return _iso_reference(spec, y, False)
 
 
-def leq_tol_reference(cone, x, y, tol=_FLOAT_TOL) -> bool:
+def leq_tol_reference(cone, x, y) -> bool:
     """iso._leq_tol on the Fraction facet normals, each entry through float()."""
     z = [float(b) - float(a) for a, b in zip(x, y)]
     scale = max(1.0, max(abs(c) for c in z))
     for h in cone.facets:
-        if sum(float(hc) * zc for hc, zc in zip(h, z)) < -tol * scale:
+        if sum(float(hc) * zc for hc, zc in zip(h, z)) < -_FLOAT_TOL * scale:
             return False
     return True
 

@@ -27,6 +27,7 @@ from coneorder.iso import (
     compose_isos,
     identity_iso,
     make_affine_iso,
+    make_diagonal_iso,
     make_product_lift,
 )
 from coneorder.linalg import as_vec
@@ -447,6 +448,58 @@ def _certified_corpus():
     o3 = orthant(3)
     corpus.append((o3, _lift(o3, AffineMap(Fraction(1, 3)),
                              lambda sub: _lift(sub, PWL_DOUBLING, identity_iso))))
+    # An odd-power ray map is an order-isomorphism whose inverse is inexact.
+    corpus.append((o3, _lift(o3, OddPowerMap(3), identity_iso)))
+    return corpus + _diagonal_corpus()
+
+
+def _diagonal_corpus():
+    """Diagonal specs over simplicial frames, inexact odd powers included,
+    alone and as parts of the other kinds."""
+    corpus = []
+    for d in (2, 3, 4):  # the odd-power diagonals of the check-iso benchmark
+        o = orthant(d)
+        corpus.append((o, make_diagonal_iso(o, list(o.generators), [OddPowerMap(3)] * d)))
+    # A simplicial cone that is not an orthant, onto one over a rational frame
+    simp = cone_from_generators(3, [(2, 1, 0), (0, 1, 3), (1, -1, 1)])
+    frame = [as_vec(w) for w in (("1/2", "1/3", 0), (0, "2/5", "-1/7"), ("3/4", 0, 1))]
+    image = cone_from_generators(3, frame)
+    for maps in ([OddPowerMap(3)] * 3, [OddPowerMap(5)] * 3, [OddPowerMap(7)] * 3,
+                 [PWL_DOUBLING] * 3,
+                 [AffineMap(Fraction(1, 3)), AffineMap(2), AffineMap(Fraction(5, 4))],
+                 [PWL_DOUBLING, AffineMap(Fraction(3, 2)), OddPowerMap(5)]):
+        corpus.append((simp, make_diagonal_iso(simp, frame, maps)))
+    # Source frames that permute and positively rescale the generators
+    g = simp.generators
+    permuted = [tuple(Fraction(5, 2) * c for c in g[2]), g[0], tuple(7 * c for c in g[1])]
+    corpus.append((simp, DiagonalIso(simp, permuted, [PWL_DOUBLING, OddPowerMap(3),
+                                                      AffineMap(Fraction(2, 3))],
+                                     frame, image)))
+    # Frame entries of 2^40 and more, where the float root is furthest from
+    # exact.  The source cones stay orthants: over a source whose primitive
+    # generators have such entries, the facet normals do too, and the float
+    # order test of the sampled battery (iso._leq_tol) is then not exact
+    # enough to pass the inexact preimages of an order-isomorphism.
+    big = 1 << 40
+    o3 = orthant(3)
+    huge = [(big + 1, 1, 0), (0, big + 3, -1), (1, 0, big - 1)]
+    scaled = [(big, 0, 0), (0, big + 1, 0), (0, 0, 3 * big)]
+    for k in (3, 5, 7):
+        corpus.append((o3, make_diagonal_iso(o3, huge, [OddPowerMap(k)] * 3)))
+        corpus.append((o3, make_diagonal_iso(o3, scaled, [OddPowerMap(k)] * 3)))
+    corpus.append((o3, DiagonalIso(o3, scaled, [OddPowerMap(3), PWL_DOUBLING, OddPowerMap(7)],
+                                   list(o3.generators), o3)))
+    # A certified diagonal as a product-lift sub, inside compositions and
+    # under a translate
+    corpus.append((o3, _lift(o3, PWL_DOUBLING, lambda sub: make_diagonal_iso(
+        sub, list(sub.generators), [OddPowerMap(3), PWL_DOUBLING]))))
+    diag = make_diagonal_iso(simp, frame, [OddPowerMap(3), PWL_DOUBLING, OddPowerMap(5)])
+    back = make_diagonal_iso(image, list(simp.generators), [OddPowerMap(3)] * 3)
+    corpus += [
+        (simp, compose_isos(diag, identity_iso(image))),
+        (simp, compose_isos(diag, back)),
+        (simp, make_affine_iso(diag, as_vec(("1/3", "0", "1/2")), as_vec(("2", "-1/5", "7/3")))),
+    ]
     return corpus
 
 
@@ -489,13 +542,28 @@ class TestCertifiedBattery:
             return sq, LinearIso([("1/2", 0, 0), (0, 1, 0), (0, 0, 1)], sq, sq)
         if kind == "compose":
             return sq, compose_isos(identity_iso(sq), bad_inverse)
-        if kind == "odd_power_lift":
-            return o3, _lift(o3, OddPowerMap(3), identity_iso)
         if kind == "forged_sub_lift":
             return o3, _lift(o3, PWL_DOUBLING, lambda sub: LinearIso(
                 ((1, 0), (0, 1)), sub, sub, inverse=((1, 0), (0, 2))))
         if kind == "moved_zero_lift":  # t -> t + 1 on the ray
             return o2, ProductLiftIso(o2, 0, AffineMap(1, 1), flat, split, o2)
+        # diagonals built below make_diagonal_iso, each frame pair failing
+        # one condition of the certificate
+        g = o2.generators
+        if kind == "partial_frame_diagonal":  # as the check-iso benchmark forges them
+            frame = [sq.generators[i] for i in (2, 0, 3)]
+            return sq, DiagonalIso(sq, frame, [PWL_DOUBLING, OddPowerMap(3), PWL_DOUBLING],
+                                   frame, sq)
+        if kind == "non_simplicial_diagonal":  # all four generators, dependent
+            return sq, DiagonalIso(sq, sq.generators, [PWL_DOUBLING] * 4, sq.generators, sq)
+        if kind == "non_generator_frame":
+            return o2, DiagonalIso(o2, [g[0], (1, 1)], [OddPowerMap(3)] * 2, g, o2)
+        if kind == "negated_frame":
+            return o2, DiagonalIso(o2, g, [OddPowerMap(3)] * 2, [g[0], (0, -1)], o2)
+        if kind == "duplicated_frame":
+            return o2, DiagonalIso(o2, [(1, 0), (2, 0)], [PWL_DOUBLING] * 2, g, o2)
+        if kind == "moved_zero_diagonal":  # t -> t + 1 on one coordinate
+            return o2, DiagonalIso(o2, g, [AffineMap(1, 1), PWL_DOUBLING], g, o2)
         # a source or target cone that is not R+ ray (+) subcone in the split
         # coordinates
         wedge = cone_from_generators(2, [(1, 0), (1, 1)])
@@ -506,8 +574,6 @@ class TestCertifiedBattery:
     @pytest.mark.parametrize("kind, verdict", [
         ("bad_inverse", "Violation"), ("leaves_target", "Violation"),
         ("misses_target", "Violation"), ("compose", "Violation"),
-        # an order-isomorphism, but its inverse is inexact
-        ("odd_power_lift", "PassedSampling"),
         ("forged_sub_lift", "Violation"),
         # maps the cone onto its translate by the ray: the battery compares
         # differences, so it sees no violation; the apex check of
@@ -515,6 +581,11 @@ class TestCertifiedBattery:
         ("moved_zero_lift", "PassedSampling"),
         ("unsplit_source_lift", "Violation"),
         ("unsplit_target_lift", "Violation"),
+        ("partial_frame_diagonal", "Violation"), ("non_simplicial_diagonal", "Violation"),
+        ("non_generator_frame", "Violation"), ("negated_frame", "Violation"),
+        ("duplicated_frame", "Violation"),
+        # caught by the apex check, as moved_zero_lift is
+        ("moved_zero_diagonal", "PassedSampling"),
     ])
     def test_forged_specs_keep_their_sampled_report(self, monkeypatch, kind, verdict):
         cone, spec = self._forged(kind)
@@ -529,6 +600,7 @@ class TestCertifiedBattery:
             "order_preserving_violations": _battery_json(full.order_preserving_violations),
             "inverse_violations": _battery_json(full.inverse_violations)}
         assert full.verdict == verdict
+        assert (report["verdict"], report["exit_code"]) == ("violation", 4)
 
     def test_moved_apex_is_a_violation(self):
         # t -> t + 1 on the ray sends 0 to (0, 1): every sampled stage passes,
@@ -562,15 +634,18 @@ class TestCertifiedBattery:
         assert check_order_iso_sampled(spec, 300, 0, limit=5).verdict == "Violation"
 
     def test_identity_stages_report_an_undefined_spec_as_a_violation(self, monkeypatch):
-        # The lift above is undefined at some cone points: the additivity and
-        # affine-fit stages note the exception in their sections and count
-        # it as a violation, as the g_r stage does, instead of raising.
+        # The lift above is undefined at some cone points: the halfline,
+        # additivity and affine-fit stages note the exception in their
+        # sections and count it as a violation, as the g_r stage does,
+        # instead of raising.
         o2 = orthant(2)
         split = disengaged_split(o2, 0)
         sub = make_affine_iso(identity_iso(split.subcone), [1], [1])
         spec = ProductLiftIso(o2, 0, PWL_DOUBLING, sub, split, o2)
         report = run_full_battery(o2, spec, 300, 0)
         assert (report["verdict"], report["exit_code"]) == ("violation", 4)
+        assert report["halfline"] == {"checked": 2, "passed": 1, "failures": [0],
+                                      "error": "OutOfDomain"}
         assert report["additivity"]["error"] == "OutOfDomain"
         assert report["additivity"]["witness"] is not None
         assert report["affine"] == {"affine": None, "max_residual": None,

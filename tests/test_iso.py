@@ -243,6 +243,27 @@ class TestDiagonalIso:
         with pytest.raises(NotSimplicial):
             make_diagonal_iso(orthant(2), [V(1, 1), V(2, 2)], [IDENTITY_MAP] * 2)
 
+    @settings(max_examples=60, deadline=None)
+    @given(spec_seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 5))
+    def test_every_accepted_spec_is_certified(self, spec_seed, dim):
+        # Full-dimensional simplicial sources, and random cones with at
+        # most dim generators, which make_diagonal_iso refuses unless they
+        # are independent; target frames of dim or dim + 1 coordinates.
+        rng = rng_for(spec_seed, "diag-cert")
+        if rng.random() < 0.5:
+            source = _simplicial(rng, dim)
+        else:
+            source = random_pointed_cone(rng, dim, rng.randint(1, dim))
+        n, tdim = len(source.generators), dim + rng.randint(0, 1)
+        frame = [[_rational(rng) for _ in range(tdim)] for _ in range(n)]
+        maps = [_scalar_map(rng, rng.choice(["affine", "pwl", "odd"]), rng.random() < 0.9)
+                for _ in range(n)]
+        try:
+            spec = make_diagonal_iso(source, frame, maps)
+        except (NotSimplicial, ValueError):  # a dependent frame, a map moving 0
+            return
+        assert spec._certified()
+
 
 @st.composite
 def frames(draw):
