@@ -163,16 +163,23 @@ def run_full_battery(cone: PolyhedralCone, spec: IsoSpec, samples: int, seed: in
 
     Composes the sampled order-isomorphism test with the half-line,
     parallelogram, additivity and scalar-extraction identities and the
-    affinity/homogeneity verdicts.  Failures of theorem-backed identities
-    count as battery violations; NotAffine alone does not.  Every stage
-    calls its checks through one helper, ``attempt``: where the spec is
-    undefined at a point of a check (a ``ConeOrderError`` other than the
-    sample's ``DegenerateSpan``, which is raised) the check fails, the
-    first such exception's name is noted as its section's "error"
-    (``homogeneous_error`` next to the homogeneity verdict), and the stage
-    counts as one violation.  So does a spec that does not send the source
-    apex to the target apex, noted in the "affine" section as "NotConeMap"
-    unless an error is noted there already.
+    affinity/homogeneity verdicts.  Every stage calls its checks through
+    one helper, ``attempt``: where the spec is undefined at a point of a
+    check (a ``ConeOrderError`` other than the sample's ``DegenerateSpan``,
+    which is raised) the check fails and the first such exception's name is
+    noted as its section's "error" (``homogeneous_error`` next to the
+    homogeneity verdict).  A spec that does not send the source apex to the
+    target apex is noted in the "affine" section as "NotConeMap" unless an
+    error is noted there already.
+
+    The verdict is read off the finished sections by one rule: the report
+    is a violation (exit 4) when the sampled battery found a violation, a
+    half-line failed, a parallelogram or additivity configuration failed, a
+    g_r entry is not colinear or is engaged and lacks a basepoint-
+    independent identity, the "affine" section notes an error, or the
+    report has a ``homogeneous_error``.  Otherwise it is "affine" (exit 0)
+    when the fit is exact and "nonlinear" (exit 1) when it is not; a map
+    that is not homogeneous, or not affine, is no violation.
 
     The whole battery stays on integers: points are drawn with
     ``cone_point_ints`` (the draws of ``cone_point``), shifted by the apex,
@@ -187,7 +194,6 @@ def run_full_battery(cone: PolyhedralCone, spec: IsoSpec, samples: int, seed: in
         raise NotPointed("the verification battery needs a pointed source cone")
     gens = src._gen_ints
     report: dict = {"seed": seed, "samples": samples, "exact": spec.exact}
-    violations = 0
 
     # A certified spec passes every sample, so its battery report is known
     # without drawing; any other spec draws until the pairs the report
@@ -206,8 +212,6 @@ def run_full_battery(cone: PolyhedralCone, spec: IsoSpec, samples: int, seed: in
             [vec_to_json(x), vec_to_json(y)] for x, y in battery.inverse_violations
         ],
     }
-    if battery.verdict != "PassedSampling":
-        violations += 1
 
     def point(rng):
         p = tuple(cone_point_ints(src, rng))
@@ -233,8 +237,6 @@ def run_full_battery(cone: PolyhedralCone, spec: IsoSpec, samples: int, seed: in
                 if not attempt(hl, "error", halfline_image_check, spec,
                                point(rng_for(seed, "hl", i)), r, lams)]
     hl.update(passed=len(gens) - len(failures), failures=failures)
-    if failures:
-        violations += 1
 
     n_cfg = max(5, min(50, samples // 100)) if len(gens) >= 2 else 0
     par = report["parallelogram"] = {"checked": n_cfg, "passed": 0, "witness": None}
@@ -258,8 +260,6 @@ def run_full_battery(cone: PolyhedralCone, spec: IsoSpec, samples: int, seed: in
             add["passed"] += 1
         elif add["witness"] is None:
             add["witness"] = [vec_to_json(x2)] + [vec_to_json(s) for s in ss]
-    if par["witness"] is not None or add["witness"] is not None:
-        violations += 1
 
     g_report = report["g_r"] = []
     g_lams = [Fraction(0), Fraction(1, 2), Fraction(1), Fraction(2), Fraction(3)]
@@ -270,7 +270,6 @@ def run_full_battery(cone: PolyhedralCone, spec: IsoSpec, samples: int, seed: in
         rows = attempt(entry, "error", extract_g_r, spec, ray.generator, basepoints, g_lams)
         entry["colinear"] = rows is not None
         if rows is None:
-            violations += 1
             continue
         by_lam: dict = {}
         for row in rows:
@@ -278,12 +277,7 @@ def run_full_battery(cone: PolyhedralCone, spec: IsoSpec, samples: int, seed: in
         indep = all(len(set(vals)) == 1 for vals in by_lam.values())
         ident = all(all(v == lam for v in vals) for lam, vals in by_lam.items())
         entry["basepoint_independent"] = indep
-        if ray.engaged:
-            entry["identity"] = ident
-            if not (indep and ident):
-                violations += 1
-        else:
-            entry["identity"] = ident if indep else None
+        entry["identity"] = ident if ray.engaged or indep else None
 
     pts = list(dict.fromkeys(point(rng_for(seed, "aff", t)) for t in range(4 * src.dim + 12)))
     aff = report["affine"] = {}
@@ -295,7 +289,6 @@ def run_full_battery(cone: PolyhedralCone, spec: IsoSpec, samples: int, seed: in
         fit = attempt(aff, "error", check_affine_on, spec, pts + [a])
     if fit is None:
         aff.update(affine=None, max_residual=None)
-        violations += 1
     else:
         aff.update(affine=fit.affine, max_residual=fmt_rational(fit.max_residual))
     # An order-isomorphism of a + K onto a' + K' sends the least element a to
@@ -303,7 +296,6 @@ def run_full_battery(cone: PolyhedralCone, spec: IsoSpec, samples: int, seed: in
     # miss a map that moves it; one exact forward evaluation at a decides it.
     if attempt(aff, "error", spec.eval, a) != spec.target_base:
         aff.setdefault("error", "NotConeMap")
-        violations += 1
 
     report["homogeneous"] = None
     if spec._bases == (None, None):
@@ -311,13 +303,15 @@ def run_full_battery(cone: PolyhedralCone, spec: IsoSpec, samples: int, seed: in
         report["homogeneous"] = attempt(report, "homogeneous_error",
                                         check_positively_homogeneous, spec, hom_samples,
                                         [Fraction(1, 2), Fraction(2), Fraction(3)])
-        if report["homogeneous"] is None:
-            violations += 1
 
-    if violations:
+    if (report["battery"]["verdict"] == "Violation" or hl["failures"]
+            or any(s["passed"] < s["checked"] for s in (par, add))
+            or any(not e["colinear"] or e["engaged"]
+                   and not (e["basepoint_independent"] and e["identity"]) for e in g_report)
+            or "error" in aff or "homogeneous_error" in report):
         report["verdict"] = "violation"
         report["exit_code"] = EXIT_VIOLATION
-    elif report["affine"]["affine"]:
+    elif aff["affine"]:
         report["verdict"] = "affine"
         report["exit_code"] = EXIT_OK
     else:

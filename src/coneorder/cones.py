@@ -299,16 +299,21 @@ class PolyhedralCone:
             raise NotInCone("point is outside the cone")
         return [i for i, row in enumerate(self._facet_ints) if not sum(map(mul, row, xi))]
 
-    def is_extreme_vector(self, r) -> bool:
-        """True iff r spans an extreme ray.  The generators of a pointed cone
-        are exactly its normalized extreme rays, so this is a set lookup."""
-        r = self._check_dim(r)
+    def _extreme_ray(self, ri) -> tuple[int, ...] | None:
+        """The primitive ray of nonzero integers ri if it is an extreme ray,
+        else None.  The generators of a pointed cone are exactly its
+        primitive extreme rays, so this is a set lookup."""
         if not self.pointed:
             raise NotPointed("extreme vectors are only defined for pointed cones")
-        ri = scaled_ints(r)[0]
+        ray = primitive(ri)
+        return ray if ray in self._generator_set else None
+
+    def is_extreme_vector(self, r) -> bool:
+        """True iff r, a nonzero vector of the cone, spans an extreme ray."""
+        ri = scaled_ints(self._check_dim(r))[0]
         if not any(ri) or not self._in_cone(ri):
             raise NotInCone("extreme test needs a nonzero vector inside the cone")
-        return primitive(ri) in self._generator_set
+        return self._extreme_ray(ri) is not None
 
     def extreme_rays(self) -> tuple[Vec, ...]:
         if not self.pointed:

@@ -41,7 +41,6 @@ from .errors import (
     NotColinear,
     NotConeMap,
     NotExtreme,
-    NotPointed,
     NotSimplicial,
     OutOfDomain,
     SameRay,
@@ -387,22 +386,19 @@ class IsoSpec:
     def _backward(self, y: Scaled) -> Scaled:
         raise NotImplementedError
 
-    # The zero-apex tests are inline: these two run once per battery image.
     def _eval_ints(self, x: Scaled) -> Scaled:
         a, b = self._bases
-        z = x if a is None else _minus(x, a)
+        z = _minus(x, a)
         if not self.source_cone._in_cone(z[0]):
             raise OutOfDomain("point outside the source domain")
-        y = self._forward(z)
-        return y if b is None else _plus(y, b)
+        return _plus(self._forward(z), b)
 
     def _invert_ints(self, y: Scaled) -> Scaled:
         a, b = self._bases
-        z = y if b is None else _minus(y, b)
+        z = _minus(y, b)
         if not self.target_cone._in_cone(z[0]):
             raise OutOfDomain("point outside the target domain")
-        x = self._backward(z)
-        return x if a is None else _plus(x, a)
+        return _plus(self._backward(z), a)
 
     def _certified(self) -> bool:
         """Whether ``_certify`` holds, computed once per spec.  A certified
@@ -672,10 +668,7 @@ def make_linear_iso(matrix, source: PolyhedralCone, target: PolyhedralCone) -> L
         raise DimensionMismatch("matrix shape does not match the cones")
     if source.dim != target.dim:
         raise NotConeMap("invertible linear maps need equal dimensions")
-    inv = invert_matrix(rows)
-    if inv is None:
-        raise NotConeMap("matrix is singular")
-    spec = LinearIso(rows, source, target, inverse=inv)
+    spec = LinearIso(rows, source, target)
     if not spec._certified():
         # the inverse is exact, so a generator leaves the cone on one side
         if not all(target._in_cone(spec._fwd.apply(g)) for g in source._gen_ints):
@@ -919,15 +912,6 @@ def _common(images: list[Scaled]) -> tuple[list[list[int]], int]:
     return [v if d == den else [c * (den // d) for c in v] for v, d in images], den
 
 
-def _extreme_ray(cone: PolyhedralCone, vi) -> tuple[int, ...] | None:
-    """The primitive ray of nonzero integers vi in the cone if it is extreme,
-    else None."""
-    if not cone.pointed:
-        raise NotPointed("extreme vectors are only defined for pointed cones")
-    ray = primitive(vi)
-    return ray if ray in cone._generator_set else None
-
-
 def _signed_extreme(cone: PolyhedralCone, vi) -> tuple[int, ...]:
     """The primitive ray of integers vi or -vi, whichever lies in the cone;
     NotExtreme unless it is an extreme ray."""
@@ -935,7 +919,7 @@ def _signed_extreme(cone: PolyhedralCone, vi) -> tuple[int, ...]:
         raise NotExtreme("zero vector is not extreme")
     for cand in (vi, [-c for c in vi]):
         if cone._in_cone(cand):
-            ray = _extreme_ray(cone, cand)
+            ray = cone._extreme_ray(cand)
             if ray is None:
                 raise NotExtreme("vector lies in the cone but is not extreme")
             return ray
@@ -1041,9 +1025,11 @@ class AffineFit:
         return tuple(out)
 
 
-def check_affine_on(spec: IsoSpec, points, tolerance=None) -> AffineFit:
+def check_affine_on(spec: IsoSpec, points) -> AffineFit:
     """Fit the unique affine map through an affinely independent subset of the
-    points and measure exact residuals at the rest.
+    points and measure exact residuals at the rest.  Forward images are exact
+    for every kind, odd powers included, so the map is affine on the points
+    iff every residual is 0; the witness is a point of largest residual.
 
     The fit lives in the affine hull of the supplied points, so restricting
     to a low-dimensional stratum (for example the engaged span) works
@@ -1064,9 +1050,6 @@ def check_affine_on(spec: IsoSpec, points, tolerance=None) -> AffineFit:
     if len(pts) < k + 2:
         raise DegenerateSpan(f"need at least {k + 2} points for affine dimension {k}")
 
-    if tolerance is None:
-        tolerance = ZERO if spec.exact else Fraction(1, 10**9)
-    tolerance = frac(tolerance) if not isinstance(tolerance, Fraction) else tolerance
     steps = [list(map(sub, images[i + 1], y0)) for i in sel]
     basis_set = {0} | {i + 1 for i in sel}
     max_res = ZERO
@@ -1080,10 +1063,8 @@ def check_affine_on(spec: IsoSpec, points, tolerance=None) -> AffineFit:
         res = Fraction(max(abs(tden * (c - c0) - sum(map(mul, tn, col)))
                            for c, c0, *col in zip(images[idx], y0, *steps)), tden * iden)
         if res > max_res:
-            max_res = res
-            if res > tolerance:
-                witness = _fractions((pts[idx], den))
-    return AffineFit(max_res <= tolerance, max_res, _fractions((p0, den)),
+            max_res, witness = res, _fractions((pts[idx], den))
+    return AffineFit(max_res == 0, max_res, _fractions((p0, den)),
                      tuple(_fractions((pts[i + 1], den)) for i in sel), _fractions((y0, iden)),
                      tuple(_fractions((images[i + 1], iden)) for i in sel), witness)
 
@@ -1133,4 +1114,4 @@ def halfline_image_check(spec: IsoSpec, apex, r, lambdas) -> bool:
             return False
     if direction is None:
         return True
-    return tgt._in_cone(direction) and _extreme_ray(tgt, direction) is not None
+    return tgt._in_cone(direction) and tgt._extreme_ray(direction) is not None

@@ -306,7 +306,7 @@ def _image_at_reference(fit, t):
     return tuple(out)
 
 
-def check_affine_on_reference(spec, points, tolerance=None):
+def check_affine_on_reference(spec, points):
     """Fit the unique affine map through an affinely independent subset of the
     points and measure exact residuals at the rest.
 
@@ -314,7 +314,8 @@ def check_affine_on_reference(spec, points, tolerance=None):
     to a low-dimensional stratum (for example the engaged span) works
     without the points spanning the ambient space.  Needs at least k + 2
     points where k is the affine dimension of the point set, so at least
-    one point cross-validates the fit.
+    one point cross-validates the fit.  Forward images are exact, so the
+    residuals compare with 0.
     """
     pts = [as_vec(p) for p in points]
     if len(pts) < 2:
@@ -332,9 +333,6 @@ def check_affine_on_reference(spec, points, tolerance=None):
     basis_imgs = tuple(images[i + 1] for i in sel)
     fit = AffineFit(True, ZERO, p0, basis_pts, images[0], basis_imgs)
 
-    if tolerance is None:
-        tolerance = ZERO if spec.exact else Fraction(1, 10**9)
-    tolerance = frac(tolerance) if not isinstance(tolerance, Fraction) else tolerance
     max_res = ZERO
     witness = None
     basis_set = {0} | {i + 1 for i in sel}
@@ -344,10 +342,8 @@ def check_affine_on_reference(spec, points, tolerance=None):
         pred = _image_at_reference(fit, [row[idx - 1] for row in red[:k]])
         res = max(abs(c) for c in vec_sub(img, pred))
         if res > max_res:
-            max_res = res
-            if res > tolerance:
-                witness = p
-    return AffineFit(max_res <= tolerance, max_res, p0, basis_pts, images[0],
+            max_res, witness = res, p
+    return AffineFit(max_res == 0, max_res, p0, basis_pts, images[0],
                      basis_imgs, witness)
 
 

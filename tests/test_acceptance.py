@@ -284,7 +284,7 @@ def test_criterion_4_counterexample_on_disengaged_cones():
             p = cone_point(cone, prng, coeff_max=3)
             if p not in pts:
                 pts.append(p)
-        fit = check_affine_on(spec, pts, tolerance=0)
+        fit = check_affine_on(spec, pts)
         assert not fit.affine and fit.max_residual > 0
         built += 1
     elapsed = time.time() - t0

@@ -4,6 +4,7 @@ import math
 import tempfile
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -18,6 +19,8 @@ from coneorder.errors import OutOfDomain
 from coneorder.iso import (
     AffineMap,
     DiagonalIso,
+    GRow,
+    IsoReport,
     IsoSpec,
     LinearIso,
     OddPowerMap,
@@ -672,6 +675,88 @@ class TestCertifiedBattery:
         report["command"] = "check-iso"
         golden = (DATA / "orthant2_undefined_lift.report.json").read_bytes()
         assert canonical_dumps(report).encode("utf-8") == golden
+
+
+class TestVerdictRule:
+    """run_full_battery reads its verdict off the finished sections: a failed
+    or undefined identity is a violation (exit 4); a map that is not
+    homogeneous, or not affine, is not (a non-affine fit is nonlinear, exit
+    1).  Each case replaces
+    one stage's check, by its name in coneorder.cli, on the identity of the
+    square cone, whose report is otherwise "affine", exit 0."""
+
+    # a failing return value for each identity whose failure is a violation;
+    # every ray of the square cone is engaged, so a g_r value other than lam
+    # breaks the identity g_r = id
+    FAILING = {
+        "halfline_image_check": False,
+        "check_parallelogram": False,
+        "check_additivity": False,
+        "extract_g_r": [GRow(Fraction(1), (0, 0, 1), Fraction(2))],
+    }
+
+    @staticmethod
+    def _verdict(spec=None):
+        sq = square_cone()
+        report = run_full_battery(sq, spec or identity_iso(sq), 200, 0)
+        return report["verdict"], report["exit_code"]
+
+    def test_unchanged_identity_is_affine(self):
+        assert self._verdict() == ("affine", 0)
+
+    @pytest.mark.parametrize("name", sorted(FAILING))
+    def test_a_failing_identity_is_a_violation(self, monkeypatch, name):
+        monkeypatch.setattr(cli_mod, name, lambda *args, _v=self.FAILING[name]: _v)
+        assert self._verdict() == ("violation", 4)
+
+    @pytest.mark.parametrize("name", sorted(FAILING) + ["check_affine_on",
+                                                        "check_positively_homogeneous"])
+    def test_an_undefined_identity_is_a_violation(self, monkeypatch, name):
+        def undefined(*args):
+            raise OutOfDomain("point outside the source domain")
+        monkeypatch.setattr(cli_mod, name, undefined)
+        assert self._verdict() == ("violation", 4)
+
+    def test_a_sampled_violation_is_a_violation(self, monkeypatch):
+        spec = identity_iso(square_cone())
+        monkeypatch.setattr(spec, "_certify", lambda: False)
+        monkeypatch.setattr(cli_mod, "check_order_iso_sampled",
+                            lambda spec, n, seed, limit: IsoReport((), (), n, "Violation"))
+        assert self._verdict(spec) == ("violation", 4)
+
+    @pytest.mark.parametrize("image", [(0, 0, 1), None])
+    def test_a_moved_or_undefined_apex_is_a_violation(self, monkeypatch, image):
+        def at_apex(x):
+            if image is None:
+                raise OutOfDomain("point outside the source domain")
+            return image
+        spec = identity_iso(square_cone())
+        monkeypatch.setattr(spec, "eval", at_apex)
+        assert self._verdict(spec) == ("violation", 4)
+
+    def test_not_homogeneous_is_no_violation(self, monkeypatch):
+        # the verdict between affine and nonlinear is the fit's alone
+        monkeypatch.setattr(cli_mod, "check_positively_homogeneous", lambda *args: False)
+        assert self._verdict() == ("affine", 0)
+
+    def test_not_affine_is_nonlinear(self, monkeypatch):
+        fit = cli_mod.check_affine_on
+        monkeypatch.setattr(cli_mod, "check_affine_on", lambda spec, pts: replace(
+            fit(spec, pts), affine=False, max_residual=Fraction(1)))
+        assert self._verdict() == ("nonlinear", 1)
+
+    def test_a_small_odd_power_is_not_affine(self):
+        # x -> (x / 2^40)^3 per coordinate: forward images are exact, so the
+        # tiny residual of the fit is not rounded away, although the spec's
+        # inverse is approximate.
+        o3 = orthant(3)
+        t = 2**40
+        frame = [(t, 0, 0), (0, t + 1, 0), (0, 0, 3 * t)]
+        spec = DiagonalIso(o3, frame, [OddPowerMap(3)] * 3, o3.generators, o3)
+        assert not spec.exact
+        report = run_full_battery(o3, spec, 200, 0)
+        assert report["affine"]["affine"] is False
+        assert (report["verdict"], report["exit_code"]) == ("nonlinear", 1)
 
 
 class TestPsdCommands:

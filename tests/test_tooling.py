@@ -158,6 +158,51 @@ def test_no_unused_imports_in_src():
     assert unused == []
 
 
+def _private_definitions(tree):
+    """The _-prefixed module-level functions and classes of a module, and
+    its classes' non-dunder _-prefixed methods, as (qualified name, node,
+    the AST type a reference to it has: a bare name or an attribute)."""
+    for node in tree.body:
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            continue
+        if node.name.startswith("_") and not node.name.startswith("__"):
+            yield node.name, node, ast.Name
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if (isinstance(item, ast.FunctionDef) and item.name.startswith("_")
+                        and not item.name.endswith("__")):
+                    yield f"{node.name}.{item.name}", item, ast.Attribute
+
+
+def _references(node):
+    """The bare names and the attribute names that node reads, in one
+    list of (AST type, name)."""
+    return [(type(n), n.id if isinstance(n, ast.Name) else n.attr)
+            for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute))]
+
+
+def test_no_dead_private_code_in_src():
+    # Private code that nothing in src/ reads is a leftover: each
+    # _-prefixed function or class of the library is read as a bare name,
+    # and each _-prefixed method as an attribute, somewhere in src/
+    # outside its own definition (a recursive call does not count).  A
+    # method and a module-level function of one name do not cover each
+    # other.
+    src = Path(__file__).resolve().parent.parent / "src"
+    trees = {path: ast.parse(path.read_text()) for path in sorted(src.rglob("*.py"))}
+    counts: dict = {}
+    for tree in trees.values():
+        for ref in _references(tree):
+            counts[ref] = counts.get(ref, 0) + 1
+    dead = []
+    for path, tree in trees.items():
+        for qualname, node, kind in _private_definitions(tree):
+            ref = (kind, node.name)
+            if counts.get(ref, 0) == _references(node).count(ref):
+                dead.append(f"{path.relative_to(src)}:{node.lineno} {qualname}")
+    assert dead == []
+
+
 def test_library_does_not_import_lp():
     # The exact simplex in coneorder.lp is kept for the tests and the span
     # tracer only: no module of the library imports it, apart from the
