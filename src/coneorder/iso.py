@@ -51,9 +51,9 @@ from .linalg import (
     ZERO,
     as_vec,
     frac,
+    identity_matrix,
     invert_matrix,
     is_zero_vec,
-    mat_rank,
     primitive,
     rref,
     rref_transform,
@@ -127,7 +127,8 @@ class MonotoneBijection:
         return Fraction(*self._invert_ints(u.numerator, u.denominator))
 
     def fixes_zero(self) -> bool:
-        return self(ZERO) == 0
+        """m(0) = 0, decided on integers."""
+        return self._eval_ints(0, 1)[0] == 0
 
 
 def _affine_ints(slope: Fraction, intercept: Fraction) -> tuple[int, int, int]:
@@ -265,7 +266,7 @@ def _fixes_zero_monotone(m: MonotoneBijection) -> bool:
     increasing bijection of the line, and m(0) = 0 on integers, so m maps
     [0, oo) onto itself.  The kind is tested exactly: a subclass could
     replace the maps."""
-    return type(m) in (OddPowerMap, AffineMap, PiecewiseLinearMap) and m._eval_ints(0, 1)[0] == 0
+    return type(m) in (OddPowerMap, AffineMap, PiecewiseLinearMap) and m.fixes_zero()
 
 
 # ---------------------------------------------------------------------------
@@ -512,12 +513,14 @@ def _simplicial_frame(frame, coords: _FrameCoords, cone: PolyhedralCone, n: int)
 class DiagonalIso(IsoSpec):
     """f(sum lam_i v_i) = sum g_i(lam_i) w_i over a frame of the source.
 
-    Built through make_diagonal_iso the frame is exactly the generator list
-    of a simplicial source cone, which makes f an order-isomorphism onto the
-    simplicial cone over the target frame, and the spec comes out certified
-    whether or not its inverse is exact.  Direct construction with a
-    partial frame is possible (and used to forge counterfeit candidates for
-    the battery) but carries no guarantee and does not certify.
+    make_diagonal_iso accepts a spec exactly when it is certified: the
+    frame is the generator list of a simplicial source cone, the target
+    frame is independent and each map is one of the three scalar kinds
+    fixing 0, which makes f an order-isomorphism onto the simplicial cone
+    over the target frame whether or not its inverse is exact.  Direct
+    construction with a partial frame is possible (and used to forge
+    counterfeit candidates for the battery) but carries no guarantee and
+    does not certify.
     """
 
     def __init__(self, source: PolyhedralCone, source_frame, maps, target_frame,
@@ -678,9 +681,7 @@ def make_linear_iso(matrix, source: PolyhedralCone, target: PolyhedralCone) -> L
 
 
 def identity_iso(cone: PolyhedralCone) -> LinearIso:
-    eye = tuple(tuple(Fraction(1 if i == j else 0) for j in range(cone.dim))
-                for i in range(cone.dim))
-    return LinearIso(eye, cone, cone)
+    return LinearIso(identity_matrix(cone.dim), cone, cone)
 
 
 def make_affine_iso(inner: IsoSpec, source_base, target_base) -> AffineIso:
@@ -691,23 +692,27 @@ def make_diagonal_iso(source: PolyhedralCone, target_frame, maps) -> DiagonalIso
     """Diagonal order-isomorphism over the generators of a simplicial cone.
 
     ``maps[i]`` and ``target_frame[i]`` correspond to ``source.generators[i]``
-    in the cone's canonical (sorted) generator order.
+    in the cone's canonical (sorted) generator order.  Each map is an
+    odd-power, affine or piecewise-linear map fixing 0 (ValueError else).
+    The spec is accepted exactly when its own certificate holds, so it comes
+    out certified; NotSimplicial when the source generators or the target
+    frame are linearly dependent (the trivial cone has no frame).
     """
-    gens = source._gen_ints
-    if not source.pointed or not gens or mat_rank(gens) != len(gens):
-        raise NotSimplicial("source generators must be linearly independent")
+    n = len(source._gen_ints)
+    if not n:
+        raise NotSimplicial("the trivial cone has no generator frame")
     frame = tuple(as_vec(w) for w in target_frame)
-    if len(frame) != len(gens):
-        raise MapCountMismatch(f"frame has {len(frame)} vectors for {len(gens)} generators")
-    if len(maps) != len(gens):
-        raise MapCountMismatch(f"{len(maps)} maps for {len(gens)} generators")
-    if mat_rank(frame) != len(frame):
-        raise NotSimplicial("target frame must be linearly independent")
-    for m in maps:
-        if not m.fixes_zero():
-            raise ValueError("diagonal maps must fix 0")
+    if len(frame) != n:
+        raise MapCountMismatch(f"frame has {len(frame)} vectors for {n} generators")
+    if len(maps) != n:
+        raise MapCountMismatch(f"{len(maps)} maps for {n} generators")
+    if not all(map(_fixes_zero_monotone, maps)):
+        raise ValueError("diagonal maps must be odd-power, affine or piecewise-linear, fixing 0")
     target = cone_from_generators(len(frame[0]), frame)
-    return DiagonalIso(source, source.generators, tuple(maps), frame, target)
+    spec = DiagonalIso(source, source.generators, maps, frame, target)
+    if not spec._certified():
+        raise NotSimplicial("source generators and target frame must be linearly independent")
+    return spec
 
 
 def make_product_lift(cone: PolyhedralCone, ray_index: int,

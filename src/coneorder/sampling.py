@@ -12,7 +12,14 @@ import zlib
 from fractions import Fraction
 
 from .cones import PolyhedralCone
-from .linalg import Vec, as_vec
+from .linalg import Vec, as_vec, identity_matrix
+
+# Rejection sampling of incomparable pairs: coefficient bound of each point
+# and number of tries.
+PAIR_COEFF_MAX = 4
+PAIR_MAX_TRIES = 200
+# Elementary row operations per random unimodular matrix.
+UNIMODULAR_STEPS = 8
 
 
 def rng_for(seed: int, *salt) -> random.Random:
@@ -59,18 +66,17 @@ def _rejection_pair(draw, leq, max_tries: int):
     return None
 
 
-def incomparable_pair(cone: PolyhedralCone, rng: random.Random,
-                      coeff_max: int = 4, max_tries: int = 200):
+def incomparable_pair(cone: PolyhedralCone, rng: random.Random):
     """A pair of cone points incomparable in the cone order, or None.
 
     None is returned when rejection sampling stalls, e.g. on totally
     ordered (one-dimensional) cones where no such pair exists.
     """
-    return _rejection_pair(lambda: cone_point(cone, rng, coeff_max), cone.leq, max_tries)
+    return _rejection_pair(lambda: cone_point(cone, rng, PAIR_COEFF_MAX), cone.leq,
+                           PAIR_MAX_TRIES)
 
 
-def incomparable_pair_ints(cone: PolyhedralCone, rng: random.Random,
-                           coeff_max: int = 4, max_tries: int = 200):
+def incomparable_pair_ints(cone: PolyhedralCone, rng: random.Random):
     """``incomparable_pair`` on integer vectors: the same draws in the same
     order, so the same pair or None.
 
@@ -79,17 +85,17 @@ def incomparable_pair_ints(cone: PolyhedralCone, rng: random.Random,
     point) are made without the points and their order tests.
     """
     if len(cone._gen_ints) <= 1:
-        for _ in range(2 * max_tries * len(cone._gen_ints)):
+        for _ in range(2 * PAIR_MAX_TRIES * len(cone._gen_ints)):
             rng.getrandbits(20)
         return None
-    return _rejection_pair(lambda: cone_point_ints(cone, rng, coeff_max),
-                           cone._leq_ints, max_tries)
+    return _rejection_pair(lambda: cone_point_ints(cone, rng, PAIR_COEFF_MAX),
+                           cone._leq_ints, PAIR_MAX_TRIES)
 
 
-def unimodular_matrix(rng: random.Random, n: int, steps: int = 8):
+def unimodular_matrix(rng: random.Random, n: int):
     """Random unimodular integer matrix built from elementary row operations."""
-    rows = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-    for _ in range(steps):
+    rows = list(identity_matrix(n))
+    for _ in range(UNIMODULAR_STEPS):
         i, j = rng.randrange(n), rng.randrange(n)
         if i == j:
             continue

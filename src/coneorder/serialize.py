@@ -72,33 +72,38 @@ def _reject_unknown(obj: dict, allowed: set[str], what: str):
         raise ParseError(f"unknown fields in {what}: {sorted(unknown)}")
 
 
+def _typed(x, kind: type, what: str):
+    """x; ParseError unless it is a JSON ``kind`` (a bool is no int)."""
+    if not isinstance(x, kind) or (kind is int and isinstance(x, bool)):
+        raise ParseError(f"{what} must be a JSON {kind.__name__}")
+    return x
+
+
 def _field(obj: dict, key: str, what: str, kind: type = object):
     """obj[key]; ParseError when it is missing or is not a ``kind``."""
     if key not in obj:
         raise ParseError(f"{what} needs {key!r}")
-    if not isinstance(obj[key], kind):
-        raise ParseError(f"{key!r} of {what} must be a JSON {kind.__name__}")
-    return obj[key]
+    return _typed(obj[key], kind, f"{key!r} of {what}")
+
+
+def _single_key(obj, what: str):
+    """The (key, value) of a single-key object; ParseError for anything else."""
+    if not isinstance(obj, dict) or len(obj) != 1:
+        raise ParseError(f"{what} must be a single-key object")
+    return next(iter(obj.items()))
 
 
 def parse_cone(obj) -> PolyhedralCone:
     """Cone file: {"dim": d, "generators": [...]} or {"dim": d, "facets": [...]}."""
-    if not isinstance(obj, dict):
-        raise ParseError("cone must be a JSON object")
     _reject_unknown(obj, {"dim", "generators", "facets"}, "cone")
-    dim = obj.get("dim")
-    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
+    dim = _field(obj, "dim", "cone", int)
+    if dim < 1:
         raise ParseError("cone needs a positive integer 'dim'")
-    has_g, has_f = "generators" in obj, "facets" in obj
-    if has_g == has_f:
+    has_g = "generators" in obj
+    if has_g == ("facets" in obj):
         raise ParseError("cone needs exactly one of 'generators' or 'facets'")
-    vecs = obj["generators"] if has_g else obj["facets"]
-    if not isinstance(vecs, list):
-        raise ParseError("'generators'/'facets' must be a list of vectors")
-    parsed = [parse_vec(v) for v in vecs]
-    if has_g:
-        return cone_from_generators(obj["dim"], parsed)
-    return cone_from_facets(obj["dim"], parsed)
+    vecs = _field(obj, "generators" if has_g else "facets", "cone", list)
+    return (cone_from_generators if has_g else cone_from_facets)(dim, [parse_vec(v) for v in vecs])
 
 
 def cone_to_json(cone: PolyhedralCone) -> dict:
@@ -128,9 +133,7 @@ def parse_expr(obj) -> InfSupExpr:
 
 
 def _parse_expr(obj, depth_left: int) -> InfSupExpr:
-    if not isinstance(obj, dict) or len(obj) != 1:
-        raise ParseError("expression node must be a single-key object")
-    key, val = next(iter(obj.items()))
+    key, val = _single_key(obj, "expression node")
     if key == "leaf":
         return leaf(parse_vec(val))
     if key in ("sup", "inf"):
@@ -150,9 +153,7 @@ def expr_to_json(e: InfSupExpr) -> dict:
 
 
 def parse_bijection(obj) -> MonotoneBijection:
-    if not isinstance(obj, dict) or len(obj) != 1:
-        raise ParseError("bijection must be a single-key object")
-    key, val = next(iter(obj.items()))
+    key, val = _single_key(obj, "bijection")
     if key == "affine":
         _reject_unknown(val, {"slope", "intercept"}, "affine bijection")
         return AffineMap(parse_rational(_field(val, "slope", "affine bijection")),
@@ -164,9 +165,7 @@ def parse_bijection(obj) -> MonotoneBijection:
             raise ParseError("each breakpoint must be a [t, value] pair")
         return PiecewiseLinearMap(tuple(bps))
     if key == "odd_power":
-        if not isinstance(val, int) or isinstance(val, bool):
-            raise ParseError("odd_power takes an integer exponent")
-        return OddPowerMap(val)
+        return OddPowerMap(_typed(val, int, "odd_power exponent"))
     raise ParseError(f"unknown bijection kind {key!r}")
 
 
@@ -184,9 +183,7 @@ def bijection_to_json(m: MonotoneBijection) -> dict:
 
 def parse_iso(obj) -> IsoSpec:
     """Iso spec file mirroring the kind tree; validated on construction."""
-    if not isinstance(obj, dict) or len(obj) != 1:
-        raise ParseError("iso spec must be a single-key object")
-    key, val = next(iter(obj.items()))
+    key, val = _single_key(obj, "iso spec")
     if key == "linear":
         what = "linear iso"
         _reject_unknown(val, {"matrix", "source", "target"}, what)
@@ -208,9 +205,7 @@ def parse_iso(obj) -> IsoSpec:
     if key == "product_lift":
         what = "product lift"
         _reject_unknown(val, {"cone", "ray_index", "ray_map", "sub"}, what)
-        ray_index = _field(val, "ray_index", what)
-        if not isinstance(ray_index, int) or isinstance(ray_index, bool):
-            raise ParseError(f"'ray_index' of {what} must be an integer, got {ray_index!r}")
+        ray_index = _field(val, "ray_index", what, int)
         return make_product_lift(parse_cone(_field(val, "cone", what)), ray_index,
                                  parse_bijection(_field(val, "ray_map", what)),
                                  parse_iso(_field(val, "sub", what)))
@@ -245,23 +240,16 @@ def iso_to_json(spec: IsoSpec) -> dict:
 
 
 def parse_points(obj) -> list[tuple[Fraction, ...]]:
-    if not isinstance(obj, dict):
-        raise ParseError("points file must be a JSON object")
     _reject_unknown(obj, {"points"}, "points file")
-    if "points" not in obj or not isinstance(obj["points"], list):
-        raise ParseError("points file needs a 'points' list")
-    return [parse_vec(p) for p in obj["points"]]
+    return [parse_vec(p) for p in _field(obj, "points", "points file", list)]
 
 
 def parse_matrix(obj) -> SymMatrix:
     """Matrix file: {"n": n, "rows": [[...float...]]}."""
-    if not isinstance(obj, dict):
-        raise ParseError("matrix must be a JSON object")
     _reject_unknown(obj, {"n", "rows"}, "matrix")
-    if "n" not in obj or "rows" not in obj:
-        raise ParseError("matrix needs 'n' and 'rows'")
-    rows = obj["rows"]
-    if not isinstance(rows, list) or len(rows) != obj["n"]:
+    n = _field(obj, "n", "matrix")
+    rows = _field(obj, "rows", "matrix", list)
+    if len(rows) != n:
         raise ParseError("'rows' must be an n x n array")
     try:
         return SymMatrix(np.asarray(rows, dtype=float))

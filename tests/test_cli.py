@@ -977,6 +977,17 @@ def test_non_integer_ray_index_exit_2(files, capsys, ray_index):
     assert "ray_index" in err
 
 
+def test_ragged_diagonal_frame_exit_2(files, capsys):
+    iso = {"diagonal": {"source": {"dim": 2, "generators": [["1", "0"], ["0", "1"]]},
+                        "target_frame": [["1"], ["0", "1"]],
+                        "maps": [{"odd_power": 1}, {"odd_power": 3}]}}
+    path = files["tmp"] / "ragged.json"
+    path.write_text(json.dumps(iso))
+    code, out, err = run(capsys, "check-iso", files["orthant2"], str(path))
+    assert code == 2 and out == ""
+    assert "DimensionMismatch" in err
+
+
 def test_unwritable_out_exit_2(files, capsys, tmp_path):
     target = tmp_path / "missing" / "r.json"
     code, out, err = run(capsys, "classify", files["square"], "--out", str(target))

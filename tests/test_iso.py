@@ -30,6 +30,7 @@ from coneorder.iso import (
     IDENTITY_MAP,
     IsoReport,
     LinearIso,
+    MonotoneBijection,
     OddPowerMap,
     PiecewiseLinearMap,
     check_additivity,
@@ -242,6 +243,46 @@ class TestDiagonalIso:
     def test_dependent_frame_rejected(self):
         with pytest.raises(NotSimplicial):
             make_diagonal_iso(orthant(2), [V(1, 1), V(2, 2)], [IDENTITY_MAP] * 2)
+
+    def test_ragged_frame_is_a_dimension_mismatch(self):
+        with pytest.raises(DimensionMismatch):
+            make_diagonal_iso(orthant(2), [V(1), V(0, 1)], [IDENTITY_MAP] * 2)
+
+    def test_custom_scalar_kind_is_refused(self):
+        # A strictly increasing bijection fixing 0, but not one of the three
+        # kinds the certificate knows, so no accepted spec could hold it.
+        class Doubling(MonotoneBijection):
+            def _eval_ints(self, n, d):
+                return 2 * n, d
+
+            def _invert_ints(self, n, d):
+                return n, 2 * d
+
+        assert Doubling().fixes_zero()
+        with pytest.raises(ValueError, match="odd-power, affine or piecewise-linear"):
+            make_diagonal_iso(orthant(2), [V(1, 0), V(0, 1)], [Doubling(), IDENTITY_MAP])
+
+    def test_counts_and_maps_are_checked_before_independence(self):
+        with pytest.raises(MapCountMismatch):
+            make_diagonal_iso(square_cone(), [V(1, 0, 0)], [IDENTITY_MAP])
+        with pytest.raises(ValueError):
+            make_diagonal_iso(orthant(2), [V(1, 1), V(2, 2)],
+                              [AffineMap(Fraction(1), Fraction(1)), IDENTITY_MAP])
+
+    @pytest.mark.xfail(strict=True, reason="the inverse-side order test of an inexact "
+                       "spec uses a float slack that ignores the size of the facet normals")
+    @pytest.mark.parametrize("k", [3, 5, 7])
+    def test_large_generators_give_no_false_inverse_violation(self, k):
+        # An order-isomorphism over a cone whose primitive generators have
+        # entries near 2^40, so its facet normals have entries near 2^80.
+        t = 2**40
+        source = cone_from_generators(3, [(t + 1, 1, 0), (0, t + 3, -1), (1, 0, t - 1)])
+        spec = make_diagonal_iso(source, [V(1, 0, 0), V(0, 1, 0), V(0, 0, 1)],
+                                 [OddPowerMap(k)] * 3)
+        assert spec._certified() and not spec.exact
+        report = check_order_iso_sampled(spec, 300, 0)
+        assert report.order_preserving_violations == ()
+        assert report.inverse_violations == ()
 
     @settings(max_examples=60, deadline=None)
     @given(spec_seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 5))

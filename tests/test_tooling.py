@@ -227,3 +227,15 @@ def test_library_does_not_import_lp():
                    for n in names):
                 offenders.append(f"{path.name}:{node.lineno}")
     assert offenders == []
+
+
+def test_all_lists_the_public_names_the_package_imports():
+    # __all__ is the one list declared apart from the imports it mirrors;
+    # lp is loaded only for the tracer and is not part of the public surface.
+    import coneorder
+
+    tree = ast.parse(Path(coneorder.__file__).read_text())
+    imported = [a.asname or a.name for node in tree.body if isinstance(node, ast.ImportFrom)
+                for a in node.names]
+    public = [name for name in imported if not name.startswith("_") and name != "lp"]
+    assert sorted(coneorder.__all__) == sorted(public)
