@@ -80,6 +80,7 @@ EXIT_NOT_PD = 6
 
 # check-iso reports the first SHOWN_PAIRS violation pairs of each kind.
 SHOWN_PAIRS = 5
+_VERDICT_EXIT = {"violation": EXIT_VIOLATION, "affine": EXIT_OK, "nonlinear": EXIT_NEGATIVE}
 
 
 def _parse_vec_arg(text: str, n: int):
@@ -120,22 +121,25 @@ def _unit(v: np.ndarray, text: str, zero_message: str) -> np.ndarray:
 
 
 def _parse_matrix_arg(text: str, n: int | None):
-    """Inline matrix syntax: 'diag:a,b,...', 'eye', 'proj:<vec>', or a file path."""
+    """Inline matrix syntax: 'diag:a,b,...', 'eye', 'proj:<vec>', or a file
+    path.  Given n, a matrix of any other size is a parse error."""
     if text.startswith("diag:"):
         vals = _floats([parse_rational(p) for p in text[5:].split(",")], text)
-        if n is not None and len(vals) != n:
-            raise ParseError(f"diag has {len(vals)} entries, expected {n}")
-        return psd_mod.SymMatrix(np.diag(vals))
-    if text == "eye":
+        m = psd_mod.SymMatrix(np.diag(vals))
+    elif text == "eye":
         if n is None:
             raise ParseError("'eye' needs --n")
-        return psd_mod.SymMatrix(np.eye(n))
-    if text.startswith("proj:"):
+        m = psd_mod.SymMatrix(np.eye(n))
+    elif text.startswith("proj:"):
         if n is None:
             raise ParseError("'proj:' needs --n")
         v = _floats(_parse_vec_arg(text[5:], n), text)
-        return psd_mod.rank_one_projection(_unit(v, text, "cannot project on the zero vector"))
-    return parse_matrix(load_json(text))
+        m = psd_mod.rank_one_projection(_unit(v, text, "cannot project on the zero vector"))
+    else:
+        m = parse_matrix(load_json(text))
+    if n is not None and m.n != n:
+        raise ParseError(f"{text!r} is {m.n} x {m.n}, expected {n} x {n}")
+    return m
 
 
 def _sup_result_json(res):
@@ -145,6 +149,10 @@ def _sup_result_json(res):
     if res.witnesses is not None:
         out["witnesses"] = [vec_to_json(w) for w in res.witnesses]
     return out
+
+
+def _pairs_json(pairs):
+    return [[vec_to_json(x), vec_to_json(y)] for x, y in pairs]
 
 
 def _certificate_json(cert):
@@ -184,9 +192,12 @@ def run_full_battery(cone: PolyhedralCone, spec: IsoSpec, samples: int, seed: in
     The whole battery stays on integers: points are drawn with
     ``cone_point_ints`` (the draws of ``cone_point``), shifted by the apex,
     and the identities get them, and the generators and their multiples,
-    as int vectors; only an apexed spec's points carry Fractions.  Fewer
-    than one sample is a ValueError.
+    as int vectors; only an apexed spec's points carry Fractions.  A cone
+    other than the spec's source cone is a ParseError, and fewer than one
+    sample a ValueError.
     """
+    if spec.source_cone != cone:
+        raise ParseError("iso source cone does not match the cone file")
     _check_samples(samples)
     a = spec.source_base
     src = spec.source_cone
@@ -205,12 +216,8 @@ def run_full_battery(cone: PolyhedralCone, spec: IsoSpec, samples: int, seed: in
     report["battery"] = {
         "verdict": battery.verdict,
         "samples_run": battery.samples_run,
-        "order_preserving_violations": [
-            [vec_to_json(x), vec_to_json(y)] for x, y in battery.order_preserving_violations
-        ],
-        "inverse_violations": [
-            [vec_to_json(x), vec_to_json(y)] for x, y in battery.inverse_violations
-        ],
+        "order_preserving_violations": _pairs_json(battery.order_preserving_violations),
+        "inverse_violations": _pairs_json(battery.inverse_violations),
     }
 
     def point(rng):
@@ -231,6 +238,13 @@ def run_full_battery(cone: PolyhedralCone, spec: IsoSpec, samples: int, seed: in
             section.setdefault(key, type(exc).__name__)
             return None
 
+    def tally(section, passed, witness):
+        """Count a passed configuration, or keep the section's first witness."""
+        if passed:
+            section["passed"] += 1
+        elif section["witness"] is None:
+            section["witness"] = [vec_to_json(v) for v in witness]
+
     lams = [Fraction(0), Fraction(1, 2), Fraction(1), Fraction(2)]
     hl = report["halfline"] = {"checked": len(gens)}
     failures = [i for i, r in enumerate(gens)
@@ -247,19 +261,13 @@ def run_full_battery(cone: PolyhedralCone, spec: IsoSpec, samples: int, seed: in
         ri, si = rng.sample(range(len(gens)), 2)
         r = multiple(rng.randint(1, 3), gens[ri])
         s = multiple(rng.randint(1, 3), gens[si])
-        if attempt(par, "error", check_parallelogram, spec, x, r, s):
-            par["passed"] += 1
-        elif par["witness"] is None:
-            par["witness"] = [vec_to_json(x), vec_to_json(r), vec_to_json(s)]
+        tally(par, attempt(par, "error", check_parallelogram, spec, x, r, s), (x, r, s))
         rng2 = rng_for(seed, "add", i)
         x2 = point(rng2)
         count = rng2.randint(2, min(4, len(gens)))
         idx = rng2.sample(range(len(gens)), count)
         ss = [multiple(rng2.randint(1, 3), gens[j]) for j in idx]
-        if attempt(add, "error", check_additivity, spec, x2, ss):
-            add["passed"] += 1
-        elif add["witness"] is None:
-            add["witness"] = [vec_to_json(x2)] + [vec_to_json(s) for s in ss]
+        tally(add, attempt(add, "error", check_additivity, spec, x2, ss), (x2, *ss))
 
     g_report = report["g_r"] = []
     g_lams = [Fraction(0), Fraction(1, 2), Fraction(1), Fraction(2), Fraction(3)]
@@ -309,14 +317,10 @@ def run_full_battery(cone: PolyhedralCone, spec: IsoSpec, samples: int, seed: in
             or any(not e["colinear"] or e["engaged"]
                    and not (e["basepoint_independent"] and e["identity"]) for e in g_report)
             or "error" in aff or "homogeneous_error" in report):
-        report["verdict"] = "violation"
-        report["exit_code"] = EXIT_VIOLATION
-    elif aff["affine"]:
-        report["verdict"] = "affine"
-        report["exit_code"] = EXIT_OK
+        verdict = "violation"
     else:
-        report["verdict"] = "nonlinear"
-        report["exit_code"] = EXIT_NEGATIVE
+        verdict = "affine" if aff["affine"] else "nonlinear"
+    report.update(verdict=verdict, exit_code=_VERDICT_EXIT[verdict])
     return report
 
 
@@ -378,20 +382,16 @@ def _cmd_unitnorm(args):
 
 def _cmd_check_iso(args):
     cone = parse_cone(load_json(args.cone))
-    spec = parse_iso(load_json(args.iso))
-    if spec.source_cone != cone:
-        raise ParseError("iso source cone does not match the cone file")
-    report = run_full_battery(cone, spec, args.samples, args.seed)
+    report = run_full_battery(cone, parse_iso(load_json(args.iso)), args.samples, args.seed)
     return report, report["exit_code"]
 
 
 def _tolerance(args) -> psd_mod.PsdTolerance:
-    """The validated --tol override, which each psd command builds first."""
+    """The validated --tol override; main checks it before any psd command."""
     return psd_mod.DEFAULT_TOL if args.tol is None else psd_mod.PsdTolerance(args.tol, args.tol)
 
 
 def _cmd_psd_witness(args):
-    _tolerance(args)  # the witness reads no tolerance, but a bad --tol still exits 2
     x = _unit(_floats(_parse_vec_arg(args.x, args.n), args.x), args.x,
               "witness direction cannot be zero")
     w = psd_mod.engagement_witness(x)
@@ -427,7 +427,6 @@ def _cmd_psd_conj(args):
 
 
 def _cmd_psd_approx(args):
-    _tolerance(args)
     a = _parse_matrix_arg(args.a, args.n)
     rows = psd_mod.infsup_approx(a, k_max=args.kmax, seed=args.seed)
     return {
@@ -436,65 +435,59 @@ def _cmd_psd_approx(args):
     }, EXIT_OK
 
 
-# One row per exact command: (name, help, positional file arguments, handler).
+# The options every command takes, then one row per command: (path, help,
+# handler, arguments), each argument a (name, add_argument keywords) pair.
+# A row without handler is a group whose subcommands follow it.
+_COMMON = [
+    ("--seed", {"type": int, "default": 0, "help": "seed for all sampling"}),
+    ("--samples", {"type": int, "default": 10000, "help": "sampling count"}),
+    ("--tol", {"type": float, "help": "tolerance override (psd)"}),
+    ("--out", {"help": "write the JSON report to this path"}),
+    ("--summary", {"action": "store_true",
+                   "help": "also print a human-readable summary to stderr"}),
+]
+_CONE = ("cone", {})
+_REQUIRED = {"required": True}
+_SIZE = ("--n", {"type": int})
 _COMMANDS = [
-    ("extreme-rays", "normalized extreme generators and facets", ["cone"], _cmd_extreme_rays),
-    ("classify", "engaged/disengaged report plus hypothesis verdict", ["cone"], _cmd_classify),
-    ("hypothesis", "linearity-theorem hypothesis verdict", ["cone"], _cmd_hypothesis),
-    ("supremum", "least upper bound of a point set", ["cone", "points"], _cmd_bound),
-    ("infimum", "greatest lower bound of a point set", ["cone", "points"], _cmd_bound),
-    ("evalexpr", "evaluate an inf-sup expression", ["cone", "expr"], _cmd_evalexpr),
-    ("unitnorm", "order-unit norm |x|_u", ["cone"], _cmd_unitnorm),
-    ("check-iso", "full order-isomorphism battery", ["cone", "iso"], _cmd_check_iso),
+    ("extreme-rays", "normalized extreme generators and facets", _cmd_extreme_rays, [_CONE]),
+    ("classify", "engaged/disengaged report plus hypothesis verdict", _cmd_classify, [_CONE]),
+    ("hypothesis", "linearity-theorem hypothesis verdict", _cmd_hypothesis, [_CONE]),
+    ("supremum", "least upper bound of a point set", _cmd_bound, [_CONE, ("points", {})]),
+    ("infimum", "greatest lower bound of a point set", _cmd_bound, [_CONE, ("points", {})]),
+    ("evalexpr", "evaluate an inf-sup expression", _cmd_evalexpr, [_CONE, ("expr", {})]),
+    ("unitnorm", "order-unit norm |x|_u", _cmd_unitnorm,
+     [_CONE, ("-u", {"required": True, "help": "order unit, e.g. '1,1' or 'e1'"}),
+      ("-x", {"required": True, "help": "vector to measure"})]),
+    ("check-iso", "full order-isomorphism battery", _cmd_check_iso, [_CONE, ("iso", {})]),
+    ("psd", "PSD cone demonstrations", None, []),
+    ("psd witness", "engagement identity P_x = P_y + P_z - P_w", _cmd_psd_witness,
+     [("--n", {"type": int, "required": True}), ("--x", _REQUIRED)]),
+    ("psd supcheck", "identity-as-supremum consistency check", _cmd_psd_supcheck,
+     [_SIZE, ("--b", _REQUIRED)]),
+    ("psd conj", "conjugation isomorphism T_A(Q)", _cmd_psd_conj,
+     [_SIZE, ("--a", _REQUIRED), ("--q", _REQUIRED)]),
+    ("psd approx", "inf/sup convergence table (CSV)", _cmd_psd_approx,
+     [_SIZE, ("--a", _REQUIRED), ("--kmax", {"type": int, "default": 16})]),
 ]
 
 
 @cache
 def _build_parser() -> argparse.ArgumentParser:
     """The conelab parser, built once per process: parsing does not change
-    it, and each subcommand's handler is bound when it is built."""
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="seed for all sampling")
-    common.add_argument("--samples", type=int, default=10000, help="sampling count")
-    common.add_argument("--tol", type=float, default=None, help="tolerance override (psd)")
-    common.add_argument("--out", default=None, help="write the JSON report to this path")
-    common.add_argument("--summary", action="store_true",
-                        help="also print a human-readable summary to stderr")
-
-    p = argparse.ArgumentParser(prog="conelab",
-                                description="exact cone order laboratory")
-    sub = p.add_subparsers(dest="command", required=True)
-    for name, help_text, positionals, handler in _COMMANDS:
-        s = sub.add_parser(name, parents=[common], help=help_text)
-        for arg in positionals:
-            s.add_argument(arg)
-        s.set_defaults(handler=handler)
-    s = sub.choices["unitnorm"]
-    s.add_argument("-u", required=True, help="order unit, e.g. '1,1' or 'e1'")
-    s.add_argument("-x", required=True, help="vector to measure")
-
-    s = sub.add_parser("psd", help="PSD cone demonstrations")
-    ps = s.add_subparsers(dest="psd_command", required=True)
-    w = ps.add_parser("witness", parents=[common],
-                      help="engagement identity P_x = P_y + P_z - P_w")
-    w.add_argument("--n", type=int, required=True)
-    w.add_argument("--x", required=True)
-    w.set_defaults(handler=_cmd_psd_witness)
-    sc = ps.add_parser("supcheck", parents=[common],
-                       help="identity-as-supremum consistency check")
-    sc.add_argument("--n", type=int, default=None)
-    sc.add_argument("--b", required=True)
-    sc.set_defaults(handler=_cmd_psd_supcheck)
-    cj = ps.add_parser("conj", parents=[common], help="conjugation isomorphism T_A(Q)")
-    cj.add_argument("--n", type=int, default=None)
-    cj.add_argument("--a", required=True)
-    cj.add_argument("--q", required=True)
-    cj.set_defaults(handler=_cmd_psd_conj)
-    ap = ps.add_parser("approx", parents=[common], help="inf/sup convergence table (CSV)")
-    ap.add_argument("--n", type=int, default=None)
-    ap.add_argument("--a", required=True)
-    ap.add_argument("--kmax", type=int, default=16)
-    ap.set_defaults(handler=_cmd_psd_approx)
+    it, and each command's handler and report name are bound when it is
+    built."""
+    p = argparse.ArgumentParser(prog="conelab", description="exact cone order laboratory")
+    groups = {"": p.add_subparsers(dest="command", required=True)}
+    for path, help_text, handler, arguments in _COMMANDS:
+        group, _, name = path.rpartition(" ")
+        s = groups[group].add_parser(name, help=help_text)
+        if handler is None:
+            groups[path] = s.add_subparsers(dest=f"{name}_command", required=True)
+            continue
+        for arg, keywords in _COMMON + arguments:
+            s.add_argument(arg, **keywords)
+        s.set_defaults(handler=handler, report_name=path.replace(" ", "-"))
     return p
 
 
@@ -514,11 +507,14 @@ def _emit(args, text: str) -> bool:
 
 
 def _check_counts(args):
-    """A battery that runs no samples must not pass, so counts are checked first."""
+    """A battery that runs no samples must not pass, so counts are checked
+    first, and then a psd command's --tol."""
     if args.samples < 1:
         raise ParseError(f"--samples must be at least 1, got {args.samples}")
     if getattr(args, "kmax", 1) < 1:
         raise ParseError(f"--kmax must be at least 1, got {args.kmax}")
+    if args.command == "psd":
+        _tolerance(args)
 
 
 def main(argv=None) -> int:
@@ -546,7 +542,7 @@ def main(argv=None) -> int:
         print(f"conelab: invalid value: {exc}", file=sys.stderr)
         return EXIT_PARSE
 
-    command = f"psd-{args.psd_command}" if args.command == "psd" else args.command
+    command = args.report_name
     report = {**payload, "command": command, "seed": args.seed, "samples": args.samples}
     if args.out and "csv" in report:
         if not _emit(args, report.pop("csv")):

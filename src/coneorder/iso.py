@@ -720,8 +720,8 @@ def make_product_lift(cone: PolyhedralCone, ray_index: int,
     """Order-isomorphism acting as ray_map on a disengaged ray coordinate and
     as ``sub`` on the complementary subcone."""
     split = disengaged_split(cone, ray_index)
-    if not ray_map.fixes_zero():
-        raise ValueError("ray map must fix 0")
+    if not _fixes_zero_monotone(ray_map):
+        raise ValueError("ray map must be odd-power, affine or piecewise-linear, fixing 0")
     if sub.source_cone != split.subcone:
         raise NotConeMap("sub iso is not defined on the split subcone")
     if sub._bases != (None, None):

@@ -37,6 +37,8 @@ _HALF_FLOAT_MAX = sys.float_info.max / 2
 # would leave the float range; at or below it they run unscaled.
 _RESCALE_PEAK = 2.0 ** 500
 _MAX_SWEEPS = 50
+# A Cholesky pivot at most this times the peak entry counts as zero.
+_PIVOT_TOL = 1e-14
 
 
 @dataclass(frozen=True)
@@ -97,6 +99,12 @@ def _as_array(m) -> np.ndarray:
     return SymMatrix(m).array
 
 
+def _leads_negative(v) -> bool:
+    """The sign convention of eigenvectors and witness directions: v is
+    flipped when its first entry above 1e-12 in size is negative."""
+    return next((c for c in v if abs(c) > 1e-12), 1.0) < 0
+
+
 def _rescale_exponent(peak: float) -> int:
     """0 for a peak entry up to _RESCALE_PEAK; above it, the even k with
     1 <= peak / 2**k < 4.  Dividing by an even power of two divides square
@@ -120,7 +128,7 @@ def eigh_jacobi(a) -> tuple[np.ndarray, np.ndarray]:
     """
     # Python floats, not numpy scalars: a square past the float range is a
     # silent inf, which keeps the sweep going instead of warning.
-    m = np.array(_as_array(a) if isinstance(a, SymMatrix) else a, dtype=float).tolist()
+    m = np.asarray(a.array if isinstance(a, SymMatrix) else a, dtype=float).tolist()
     n = len(m)
     v = [[float(i == j) for j in range(n)] for i in range(n)]
     norm = math.hypot(*(x for row in m for x in row))
@@ -167,10 +175,8 @@ def eigh_jacobi(a) -> tuple[np.ndarray, np.ndarray]:
     evals = evals[order]
     vecs = vecs[:, order]
     for j in range(n):
-        col = vecs[:, j]
-        lead = next((c for c in col if abs(c) > 1e-12), 1.0)
-        if lead < 0:
-            vecs[:, j] = -col
+        if _leads_negative(vecs[:, j]):
+            vecs[:, j] = -vecs[:, j]
     return evals, vecs
 
 
@@ -182,9 +188,9 @@ def lambda_max(m) -> float:
     return float(eigh_jacobi(m)[0][-1])
 
 
-def _psd_cholesky(m: np.ndarray, pivot_tol: float) -> bool:
+def _psd_cholesky(m: np.ndarray) -> bool:
     """Semidefinite-aware Cholesky feasibility: True iff m is PSD up to
-    pivot_tol on the diagonal."""
+    _PIVOT_TOL on the diagonal."""
     a = np.array(m, dtype=float)
     n = a.shape[0]
     peak = float(np.max(np.abs(a)))
@@ -195,12 +201,12 @@ def _psd_cholesky(m: np.ndarray, pivot_tol: float) -> bool:
     scale = max(1.0, peak)
     for k in range(n):
         d = a[k, k]
-        if d < -pivot_tol * scale:
+        if d < -_PIVOT_TOL * scale:
             return False
-        if d <= pivot_tol * scale:
+        if d <= _PIVOT_TOL * scale:
             # semidefinite pivot: the rest of the row must vanish too
             if k + 1 < n and float(np.max(np.abs(a[k, k + 1:]))) > (
-                math.sqrt(max(d, 0.0) * scale) + pivot_tol * scale
+                math.sqrt(max(d, 0.0) * scale) + _PIVOT_TOL * scale
             ):
                 return False
             a[k, k:] = 0.0
@@ -222,7 +228,7 @@ def psd_leq(a, b, tol: float = DEFAULT_TOL.eig_tol) -> bool:
     if a.shape != b.shape:
         raise DimensionMismatch("matrices must have the same size")
     diff = b - a + tol * np.eye(a.shape[0])
-    return _psd_cholesky(diff, 1e-14)
+    return _psd_cholesky(diff)
 
 
 def _check_unit(x: np.ndarray) -> None:
@@ -270,8 +276,7 @@ def engagement_witness(x) -> EngagementWitness:
     e[j] = 1.0
     u = e - x[j] * x
     w = u / float(np.linalg.norm(u))
-    lead = next((c for c in w if abs(c) > 1e-12), 1.0)
-    if lead < 0:
+    if _leads_negative(w):
         w = -w
     y = (x + w) / math.sqrt(2.0)
     z = (x - w) / math.sqrt(2.0)

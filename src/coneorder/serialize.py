@@ -247,7 +247,7 @@ def parse_points(obj) -> list[tuple[Fraction, ...]]:
 def parse_matrix(obj) -> SymMatrix:
     """Matrix file: {"n": n, "rows": [[...float...]]}."""
     _reject_unknown(obj, {"n", "rows"}, "matrix")
-    n = _field(obj, "n", "matrix")
+    n = _field(obj, "n", "matrix", int)
     rows = _field(obj, "rows", "matrix", list)
     if len(rows) != n:
         raise ParseError("'rows' must be an n x n array")

@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 import coneorder.cli as cli_mod
 from coneorder.cli import main, run_full_battery
 from coneorder.cones import cone_from_generators, interval_cone, orthant, square_cone
-from coneorder.errors import OutOfDomain
+from coneorder.errors import OutOfDomain, ParseError
 from coneorder.iso import (
     AffineMap,
     DiagonalIso,
@@ -298,8 +298,14 @@ class TestCheckIso:
         assert rep["verdict"] == "nonlinear"
 
     def test_cone_file_must_match_iso_source(self, files, capsys):
-        code, _, _ = run(capsys, "check-iso", files["square"], files["ident2"])
+        code, _, err = run(capsys, "check-iso", files["square"], files["ident2"])
         assert code == 2
+        assert err == "conelab: parse error: iso source cone does not match the cone file\n"
+
+    def test_battery_refuses_a_cone_other_than_the_source(self):
+        # The library call checks its cone argument as the CLI does.
+        with pytest.raises(ParseError, match="iso source cone does not match the cone file"):
+            run_full_battery(square_cone(), identity_iso(orthant(2)), 100, 0)
 
     def test_byte_identical_reports_for_fixed_seed(self, files, capsys):
         _, out1, _ = run(capsys, "check-iso", files["orthant2"], files["cube"],
@@ -923,6 +929,33 @@ def test_negative_kmax_exit_2(files, capsys, kmax):
                          "--kmax", kmax)
     assert code == 2 and out == ""
     assert "--kmax" in err
+
+
+def _matrix_file(tmp_path, name, n, rows):
+    path = tmp_path / name
+    path.write_text(json.dumps({"n": n, "rows": rows}))
+    return str(path)
+
+
+@pytest.mark.parametrize("argv, message", [
+    # --q must have the size of --a, and is refused before any product
+    (["conj", "--a", "diag:1,2", "--q", "{eye3}"], "is 3 x 3, expected 2 x 2"),
+    # with --n, a matrix file of another size is refused, as an inline one is
+    (["supcheck", "--n", "3", "--b", "{eye2}"], "is 2 x 2, expected 3 x 3"),
+    (["approx", "--n", "3", "--a", "{eye2}"], "is 2 x 2, expected 3 x 3"),
+    (["conj", "--n", "3", "--a", "{eye2}", "--q", "eye"], "is 2 x 2, expected 3 x 3"),
+    (["supcheck", "--n", "2", "--b", "diag:1,2,3"], "'diag:1,2,3' is 3 x 3, expected 2 x 2"),
+    # a matrix file's "n" is an int, as a cone's "dim" is
+    (["supcheck", "--b", "{float_n}"], "'n' of matrix must be a JSON int"),
+])
+def test_matrix_of_the_wrong_size_exit_2(capsys, tmp_path, argv, message):
+    files = {"eye3": _matrix_file(tmp_path, "eye3.json", 3, np.eye(3).tolist()),
+             "eye2": _matrix_file(tmp_path, "eye2.json", 2, np.eye(2).tolist()),
+             "float_n": _matrix_file(tmp_path, "float_n.json", 2.0, np.eye(2).tolist())}
+    code, out, err = run(capsys, "psd", *[a.format(**files) for a in argv], "--samples", "5")
+    assert code == 2 and out == ""
+    assert err.startswith("conelab: parse error:") and message in err
+    assert "matmul" not in err
 
 
 @pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])

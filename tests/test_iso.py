@@ -91,6 +91,17 @@ def V(*xs):
     return as_vec(xs)
 
 
+class Doubling(MonotoneBijection):
+    """A strictly increasing bijection fixing 0, but not one of the three
+    kinds the certificates know, so no accepted spec could hold it."""
+
+    def _eval_ints(self, n, d):
+        return 2 * n, d
+
+    def _invert_ints(self, n, d):
+        return n, 2 * d
+
+
 def cube_iso():
     # orthant(2).generators is sorted: ((0,1),(1,0)); cube the (1,0) coordinate
     return make_diagonal_iso(orthant(2), [V(0, 1), V(1, 0)],
@@ -249,15 +260,6 @@ class TestDiagonalIso:
             make_diagonal_iso(orthant(2), [V(1), V(0, 1)], [IDENTITY_MAP] * 2)
 
     def test_custom_scalar_kind_is_refused(self):
-        # A strictly increasing bijection fixing 0, but not one of the three
-        # kinds the certificate knows, so no accepted spec could hold it.
-        class Doubling(MonotoneBijection):
-            def _eval_ints(self, n, d):
-                return 2 * n, d
-
-            def _invert_ints(self, n, d):
-                return n, 2 * d
-
         assert Doubling().fixes_zero()
         with pytest.raises(ValueError, match="odd-power, affine or piecewise-linear"):
             make_diagonal_iso(orthant(2), [V(1, 0), V(0, 1)], [Doubling(), IDENTITY_MAP])
@@ -398,6 +400,13 @@ class TestProductLift:
         t2 = vec_scale(Fraction(1, 2), V(1, 1))
         image = eval_iso(spec, t2)
         assert image == V(1, 1)
+
+    @pytest.mark.parametrize("ray_map", [Doubling(), AffineMap(Fraction(1), Fraction(1))])
+    def test_ray_map_refused_as_in_diagonal_iso(self, ray_map):
+        # One fixes-0 rule for both constructors: a custom kind, which the
+        # lift's certificate never proves, or a map moving 0.
+        with pytest.raises(ValueError, match="odd-power, affine or piecewise-linear"):
+            make_product_lift(orthant(2), 0, ray_map, identity_iso(orthant(1)))
 
     def test_engaged_ray_refused(self):
         with pytest.raises(RayIsEngaged):

@@ -133,6 +133,70 @@ def test_every_command_has_a_golden_report():
     assert commands - golden == set()
 
 
+# The options every leaf subcommand takes, in order: (option strings,
+# required, default, type, help).  A subcommand group takes only -h.
+_COMMON = [
+    (("-h", "--help"), False, argparse.SUPPRESS, None, "show this help message and exit"),
+    (("--seed",), False, 0, int, "seed for all sampling"),
+    (("--samples",), False, 10000, int, "sampling count"),
+    (("--tol",), False, None, float, "tolerance override (psd)"),
+    (("--out",), False, None, None, "write the JSON report to this path"),
+    (("--summary",), False, False, None, "also print a human-readable summary to stderr"),
+]
+_CONE = ("cone", True, None, None, None)
+
+# Every subcommand path in the order conelab lists it: (path, help, the
+# arguments after the common ones, or None for a group).  A positional
+# argument is named by its dest.
+PARSER_SURFACE = [
+    (("extreme-rays",), "normalized extreme generators and facets", [_CONE]),
+    (("classify",), "engaged/disengaged report plus hypothesis verdict", [_CONE]),
+    (("hypothesis",), "linearity-theorem hypothesis verdict", [_CONE]),
+    (("supremum",), "least upper bound of a point set",
+     [_CONE, ("points", True, None, None, None)]),
+    (("infimum",), "greatest lower bound of a point set",
+     [_CONE, ("points", True, None, None, None)]),
+    (("evalexpr",), "evaluate an inf-sup expression", [_CONE, ("expr", True, None, None, None)]),
+    (("unitnorm",), "order-unit norm |x|_u",
+     [_CONE, (("-u",), True, None, None, "order unit, e.g. '1,1' or 'e1'"),
+      (("-x",), True, None, None, "vector to measure")]),
+    (("check-iso",), "full order-isomorphism battery", [_CONE, ("iso", True, None, None, None)]),
+    (("psd",), "PSD cone demonstrations", None),
+    (("psd", "witness"), "engagement identity P_x = P_y + P_z - P_w",
+     [(("--n",), True, None, int, None), (("--x",), True, None, None, None)]),
+    (("psd", "supcheck"), "identity-as-supremum consistency check",
+     [(("--n",), False, None, int, None), (("--b",), True, None, None, None)]),
+    (("psd", "conj"), "conjugation isomorphism T_A(Q)",
+     [(("--n",), False, None, int, None), (("--a",), True, None, None, None),
+      (("--q",), True, None, None, None)]),
+    (("psd", "approx"), "inf/sup convergence table (CSV)",
+     [(("--n",), False, None, int, None), (("--a",), True, None, None, None),
+      (("--kmax",), False, 16, int, None)]),
+]
+
+
+def _surface(parser, path=()):
+    """(path, help, arguments) of every subcommand below parser, depth first
+    in the order they were added."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            helps = {a.dest: a.help for a in action._choices_actions}
+            for name, child in action.choices.items():
+                args = [(tuple(a.option_strings) or a.dest, a.required, a.default, a.type, a.help)
+                        for a in child._actions
+                        if not isinstance(a, argparse._SubParsersAction)]
+                yield path + (name,), helps[name], args
+                yield from _surface(child, path + (name,))
+
+
+def test_parser_surface_is_pinned():
+    # Every subcommand, option, default, type and help line of conelab, so a
+    # change to how the parser is built cannot change what it accepts.
+    want = [(path, help_text, _COMMON[:1] if own is None else _COMMON + own)
+            for path, help_text, own in PARSER_SURFACE]
+    assert list(_surface(_build_parser())) == want
+
+
 def test_no_unused_imports_in_src():
     # A name imported into a module of src/ is used there, re-exported by a
     # package __init__.py, or marked "# noqa: F401" on its import line.
