@@ -37,6 +37,7 @@ from .iso import (
     IsoReport,
     IsoSpec,
     _check_samples,
+    affine_span,
     check_additivity,
     check_affine_on,
     check_order_iso_sampled,
@@ -180,6 +181,14 @@ def run_full_battery(cone: PolyhedralCone, spec: IsoSpec, samples: int, seed: in
     target apex is noted in the "affine" section as "NotConeMap" unless an
     error is noted there already.
 
+    A certified affine spec (``IsoSpec._certified_affine``) satisfies every
+    identity by linearity, so its stages write the sections the checks
+    would without evaluating them: every half-line, parallelogram and
+    additivity configuration passed, every g_r entry colinear, basepoint
+    independent and the identity, the fit exact and a cone-based map
+    homogeneous.  The affine-fit points are still drawn and pass the span
+    test of ``affine_span``, and the apex is still evaluated.
+
     The verdict is read off the finished sections by one rule: the report
     is a violation (exit 4) when the sampled battery found a violation, a
     half-line failed, a parallelogram or additivity configuration failed, a
@@ -204,6 +213,7 @@ def run_full_battery(cone: PolyhedralCone, spec: IsoSpec, samples: int, seed: in
     if not src.pointed:
         raise NotPointed("the verification battery needs a pointed source cone")
     gens = src._gen_ints
+    certified = spec._certified_affine()
     report: dict = {"seed": seed, "samples": samples, "exact": spec.exact}
 
     # A certified spec passes every sample, so its battery report is known
@@ -247,15 +257,17 @@ def run_full_battery(cone: PolyhedralCone, spec: IsoSpec, samples: int, seed: in
 
     lams = [Fraction(0), Fraction(1, 2), Fraction(1), Fraction(2)]
     hl = report["halfline"] = {"checked": len(gens)}
-    failures = [i for i, r in enumerate(gens)
-                if not attempt(hl, "error", halfline_image_check, spec,
-                               point(rng_for(seed, "hl", i)), r, lams)]
+    failures = [] if certified else [
+        i for i, r in enumerate(gens)
+        if not attempt(hl, "error", halfline_image_check, spec,
+                       point(rng_for(seed, "hl", i)), r, lams)]
     hl.update(passed=len(gens) - len(failures), failures=failures)
 
     n_cfg = max(5, min(50, samples // 100)) if len(gens) >= 2 else 0
-    par = report["parallelogram"] = {"checked": n_cfg, "passed": 0, "witness": None}
-    add = report["additivity"] = {"checked": n_cfg, "passed": 0, "witness": None}
-    for i in range(n_cfg):
+    passed = n_cfg if certified else 0
+    par = report["parallelogram"] = {"checked": n_cfg, "passed": passed, "witness": None}
+    add = report["additivity"] = {"checked": n_cfg, "passed": passed, "witness": None}
+    for i in range(0 if certified else n_cfg):
         rng = rng_for(seed, "par", i)
         x = point(rng)
         ri, si = rng.sample(range(len(gens)), 2)
@@ -272,9 +284,12 @@ def run_full_battery(cone: PolyhedralCone, spec: IsoSpec, samples: int, seed: in
     g_report = report["g_r"] = []
     g_lams = [Fraction(0), Fraction(1, 2), Fraction(1), Fraction(2), Fraction(3)]
     for ray in classify_engaged(src):
-        basepoints = [point(rng_for(seed, "gr", ray.ray_index, t)) for t in range(3)]
         entry = {"ray_index": ray.ray_index, "engaged": ray.engaged}
         g_report.append(entry)
+        if certified:
+            entry.update(colinear=True, basepoint_independent=True, identity=True)
+            continue
+        basepoints = [point(rng_for(seed, "gr", ray.ray_index, t)) for t in range(3)]
         rows = attempt(entry, "error", extract_g_r, spec, ray.generator, basepoints, g_lams)
         entry["colinear"] = rows is not None
         if rows is None:
@@ -289,16 +304,20 @@ def run_full_battery(cone: PolyhedralCone, spec: IsoSpec, samples: int, seed: in
 
     pts = list(dict.fromkeys(point(rng_for(seed, "aff", t)) for t in range(4 * src.dim + 12)))
     aff = report["affine"] = {}
-    fit = attempt(aff, "error", check_affine_on, spec, pts)
-    # Every cone-based map sends the apex to the apex, and a map can be
-    # affine on the sampled points yet not there: a product lift bending
-    # its ray coordinate at t = 1 fits t + 1 when no sample has t < 1.
-    if fit is not None and fit.affine and a not in pts:
-        fit = attempt(aff, "error", check_affine_on, spec, pts + [a])
-    if fit is None:
-        aff.update(affine=None, max_residual=None)
+    if certified:
+        affine_span(src, pts)
+        aff.update(affine=True, max_residual="0")
     else:
-        aff.update(affine=fit.affine, max_residual=fmt_rational(fit.max_residual))
+        fit = attempt(aff, "error", check_affine_on, spec, pts)
+        # Every cone-based map sends the apex to the apex, and a map can be
+        # affine on the sampled points yet not there: a product lift bending
+        # its ray coordinate at t = 1 fits t + 1 when no sample has t < 1.
+        if fit is not None and fit.affine and a not in pts:
+            fit = attempt(aff, "error", check_affine_on, spec, pts + [a])
+        if fit is None:
+            aff.update(affine=None, max_residual=None)
+        else:
+            aff.update(affine=fit.affine, max_residual=fmt_rational(fit.max_residual))
     # An order-isomorphism of a + K onto a' + K' sends the least element a to
     # the least element a'.  The sampled stages compare differences, so they
     # miss a map that moves it; one exact forward evaluation at a decides it.
@@ -307,10 +326,10 @@ def run_full_battery(cone: PolyhedralCone, spec: IsoSpec, samples: int, seed: in
 
     report["homogeneous"] = None
     if spec._bases == (None, None):
-        hom_samples = [point(rng_for(seed, "hom", t)) for t in range(8)]
-        report["homogeneous"] = attempt(report, "homogeneous_error",
-                                        check_positively_homogeneous, spec, hom_samples,
-                                        [Fraction(1, 2), Fraction(2), Fraction(3)])
+        report["homogeneous"] = certified or attempt(
+            report, "homogeneous_error", check_positively_homogeneous, spec,
+            [point(rng_for(seed, "hom", t)) for t in range(8)],
+            [Fraction(1, 2), Fraction(2), Fraction(3)])
 
     if (report["battery"]["verdict"] == "Violation" or hl["failures"]
             or any(s["passed"] < s["checked"] for s in (par, add))
@@ -508,13 +527,16 @@ def _emit(args, text: str) -> bool:
 
 def _check_counts(args):
     """A battery that runs no samples must not pass, so counts are checked
-    first, and then a psd command's --tol."""
+    first, and then a psd command's --tol and --n, before any vector or
+    matrix of that size is built."""
     if args.samples < 1:
         raise ParseError(f"--samples must be at least 1, got {args.samples}")
     if getattr(args, "kmax", 1) < 1:
         raise ParseError(f"--kmax must be at least 1, got {args.kmax}")
     if args.command == "psd":
         _tolerance(args)
+        if args.n is not None:
+            psd_mod.check_size(args.n)
 
 
 def main(argv=None) -> int:

@@ -414,6 +414,20 @@ class IsoSpec:
     def _certify(self) -> bool:
         return False
 
+    def _affine(self) -> bool:
+        """Whether the map is affine by its construction: a matrix, a
+        translate of one, or a chain of such maps."""
+        return False
+
+    def _certified_affine(self) -> bool:
+        """Whether the spec is certified and affine.  Its certificate then
+        proves x -> a' + L(x - a) with L K = K', so every identity of the
+        check-iso battery holds by linearity: half-lines go to half-lines
+        along extreme rays L r, parallelogram and additivity hold, g_r is
+        the identity at every basepoint, the map is positively homogeneous
+        on a cone and exactly affine."""
+        return self._affine() and self._certified()
+
     def eval(self, x) -> Vec:
         """Exact image of x; OutOfDomain outside the source domain."""
         return _fractions(self._eval_ints(scaled_ints(self.source_cone._check_dim(as_vec(x)))))
@@ -466,6 +480,9 @@ class LinearIso(IsoSpec):
                 and all(tgt._in_cone(self._fwd.apply(g)) for g in src._gen_ints)
                 and all(src._in_cone(self._bwd.apply(h)) for h in tgt._gen_ints))
 
+    def _affine(self):
+        return True
+
     eval = IsoSpec.eval
     invert = IsoSpec.invert
 
@@ -484,6 +501,9 @@ class AffineIso(IsoSpec):
 
     def _certify(self):
         return self.inner._certified()
+
+    def _affine(self):
+        return self.inner._affine()
 
     eval = IsoSpec.eval
     invert = IsoSpec.invert
@@ -654,6 +674,9 @@ class ComposeIso(IsoSpec):
 
     def _certify(self):
         return all(p._certified() for p in self.parts)
+
+    def _affine(self):
+        return all(p._affine() for p in self.parts)
 
     eval = IsoSpec.eval
     invert = IsoSpec.invert
@@ -1030,6 +1053,32 @@ class AffineFit:
         return tuple(out)
 
 
+def affine_span(cone: PolyhedralCone, points, image=None):
+    """The span test of an affine fit, which reads the points alone.
+
+    Returns (pts, den, images, red, sel): the points as integers over one
+    den; their images under ``image``, a spec's ``_eval_ints``, as integers
+    over one den (None without ``image``); and one elimination of the
+    differences from the first point (one common scale leaves the reduced
+    form alone), whose pivots sel pick an affinely independent subset and
+    whose column j holds difference j's coordinates over it.
+
+    DegenerateSpan for fewer than two points, and then for fewer than k + 2
+    points of affine dimension k, so that at least one point cross-validates
+    a fit.  The images are taken between the two tests: where the spec is
+    undefined at a point of a set of two or more, that error comes first.
+    """
+    pts, den = _scaled(cone, points)
+    if len(pts) < 2:
+        raise DegenerateSpan("need at least two points")
+    images = None if image is None else _common([image((p, den)) for p in pts])
+    red, sel = rref(transpose([list(map(sub, p, pts[0])) for p in pts[1:]]))
+    k = len(sel)
+    if len(pts) < k + 2:
+        raise DegenerateSpan(f"need at least {k + 2} points for affine dimension {k}")
+    return pts, den, images, red, sel
+
+
 def check_affine_on(spec: IsoSpec, points) -> AffineFit:
     """Fit the unique affine map through an affinely independent subset of the
     points and measure exact residuals at the rest.  Forward images are exact
@@ -1038,22 +1087,12 @@ def check_affine_on(spec: IsoSpec, points) -> AffineFit:
 
     The fit lives in the affine hull of the supplied points, so restricting
     to a low-dimensional stratum (for example the engaged span) works
-    without the points spanning the ambient space.  Needs at least k + 2
-    points where k is the affine dimension of the point set, so at least
-    one point cross-validates the fit.
+    without the points spanning the ambient space.  The points must pass
+    the span test of ``affine_span``.
     """
-    pts, den = _scaled(spec.source_cone, points)
-    if len(pts) < 2:
-        raise DegenerateSpan("need at least two points")
-    images, iden = _common([spec._eval_ints((p, den)) for p in pts])
+    pts, den, (images, iden), red, sel = affine_span(spec.source_cone, points, spec._eval_ints)
     p0, y0 = pts[0], images[0]
-    # One elimination of the integer differences (one common scale leaves
-    # the reduced form alone): the pivots pick the basis, and column j of
-    # the reduced matrix holds difference j's coordinates over it.
-    red, sel = rref(transpose([list(map(sub, p, p0)) for p in pts[1:]]))
     k = len(sel)
-    if len(pts) < k + 2:
-        raise DegenerateSpan(f"need at least {k + 2} points for affine dimension {k}")
 
     steps = [list(map(sub, images[i + 1], y0)) for i in sel]
     basis_set = {0} | {i + 1 for i in sel}

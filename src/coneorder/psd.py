@@ -56,6 +56,13 @@ class PsdTolerance:
 DEFAULT_TOL = PsdTolerance()
 
 
+def check_size(n: int) -> None:
+    """DimensionMismatch unless MIN_N <= n <= MAX_N, the sizes every psd
+    routine supports."""
+    if not MIN_N <= n <= MAX_N:
+        raise DimensionMismatch(f"supported sizes are {MIN_N} <= n <= {MAX_N}")
+
+
 class SymMatrix:
     """Dense symmetric float64 matrix, 2 <= n <= 8.
 
@@ -70,8 +77,7 @@ class SymMatrix:
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise DimensionMismatch("square matrix required")
         n = a.shape[0]
-        if not MIN_N <= n <= MAX_N:
-            raise DimensionMismatch(f"supported sizes are {MIN_N} <= n <= {MAX_N}")
+        check_size(n)
         peak = float(np.max(np.abs(a)))
         if not math.isfinite(peak):
             raise ValueError("matrix entries must be finite")
@@ -268,8 +274,7 @@ def engagement_witness(x) -> EngagementWitness:
     """
     x = np.asarray(x, dtype=float)
     n = x.shape[0]
-    if n < MIN_N:
-        raise DimensionMismatch("need dimension at least 2")
+    check_size(n)
     _check_unit(x)
     j = int(np.argmin(np.abs(x)))
     e = np.zeros(n)

@@ -152,6 +152,12 @@ def expr_to_json(e: InfSupExpr) -> dict:
     return {e.kind: [expr_to_json(c) for c in e.children]}
 
 
+# An odd power multiplies the digits of its argument by the exponent, and
+# far above this one, reports hit the interpreter's limit on the digits of
+# an int printed in decimal.
+MAX_ODD_POWER = 999
+
+
 def parse_bijection(obj) -> MonotoneBijection:
     key, val = _single_key(obj, "bijection")
     if key == "affine":
@@ -165,7 +171,10 @@ def parse_bijection(obj) -> MonotoneBijection:
             raise ParseError("each breakpoint must be a [t, value] pair")
         return PiecewiseLinearMap(tuple(bps))
     if key == "odd_power":
-        return OddPowerMap(_typed(val, int, "odd_power exponent"))
+        exponent = _typed(val, int, "odd_power exponent")
+        if exponent > MAX_ODD_POWER:
+            raise ParseError(f"odd_power exponent {exponent} exceeds the limit {MAX_ODD_POWER}")
+        return OddPowerMap(exponent)
     raise ParseError(f"unknown bijection kind {key!r}")
 
 

@@ -17,7 +17,9 @@ from coneorder.cli import main, run_full_battery
 from coneorder.cones import cone_from_generators, interval_cone, orthant, square_cone
 from coneorder.errors import OutOfDomain, ParseError
 from coneorder.iso import (
+    AffineIso,
     AffineMap,
+    ComposeIso,
     DiagonalIso,
     GRow,
     IsoReport,
@@ -36,7 +38,7 @@ from coneorder.iso import (
 from coneorder.linalg import as_vec
 from coneorder.order import classify_engaged, disengaged_split
 from coneorder.sampling import random_pointed_cone, rng_for
-from coneorder.serialize import MAX_EXPR_DEPTH, canonical_dumps, vec_to_json
+from coneorder.serialize import MAX_EXPR_DEPTH, MAX_ODD_POWER, canonical_dumps, vec_to_json
 
 from test_acceptance import PWL_DOUBLING, _criterion_3_cones, cone_automorphism_candidates
 
@@ -661,10 +663,12 @@ class TestCertifiedBattery:
                                     "error": "OutOfDomain"}
         canonical_dumps(report)
         # Homogeneity runs on its own sample points; an undefined point there
-        # is noted next to the (undecided) verdict.
+        # is noted next to the (undecided) verdict.  The identity's stages
+        # are forced to run, not read off its certificate.
         def undefined(*args):
             raise OutOfDomain("point outside the apexed source domain")
         monkeypatch.setattr(cli_mod, "check_positively_homogeneous", undefined)
+        monkeypatch.setattr(IsoSpec, "_certified_affine", lambda self: False)
         report = run_full_battery(o2, identity_iso(o2), 300, 0)
         assert (report["homogeneous"], report["homogeneous_error"]) == (None, "OutOfDomain")
         assert (report["verdict"], report["exit_code"]) == ("violation", 4)
@@ -683,13 +687,87 @@ class TestCertifiedBattery:
         assert canonical_dumps(report).encode("utf-8") == golden
 
 
+# The identity stages of run_full_battery, by their names in coneorder.cli
+STAGES = ("halfline_image_check", "check_parallelogram", "check_additivity",
+          "extract_g_r", "check_affine_on", "check_positively_homogeneous")
+
+
+def _stage_calls(monkeypatch, cone, spec, samples, seed):
+    """(report, {stage: calls}) of one run_full_battery."""
+    entered = dict.fromkeys(STAGES, 0)
+    with monkeypatch.context() as m:
+        for name in STAGES:
+            def shim(*args, _name=name, _orig=getattr(cli_mod, name)):
+                entered[_name] += 1
+                return _orig(*args)
+            m.setattr(cli_mod, name, shim)
+        report = run_full_battery(cone, spec, samples, seed)
+    return report, entered
+
+
+def _every_stage(cone, spec):
+    """The stages run_full_battery runs on spec: parallelogram and additivity
+    need two generators, and homogeneity a cone-based spec."""
+    stages = set(STAGES)
+    if len(cone._gen_ints) < 2:
+        stages -= {"check_parallelogram", "check_additivity"}
+    if spec._bases != (None, None):
+        stages.discard("check_positively_homogeneous")
+    return stages
+
+
+class TestCertifiedAffineStages:
+    """A certified linear map, an affine translate of one or a chain of such
+    maps has its identity sections written by its certificate; every other
+    spec runs the stages."""
+
+    def test_certificate_writes_the_sections_the_stages_would(self, monkeypatch):
+        # Keeps the cross-check the stages give the certificate: the report
+        # bytes equal those with the stages forced to run.  300 and 2000
+        # samples give 5 and 20 parallelogram and additivity configurations.
+        affine = [(i, cone, spec) for i, (cone, spec) in enumerate(_certified_corpus())
+                  if spec._certified_affine()]
+        assert {type(spec) for _, _, spec in affine} == {LinearIso, AffineIso, ComposeIso}
+        assert any(spec._bases != (None, None) for _, _, spec in affine)
+        for samples in (300, 2000):
+            for i, cone, spec in affine:
+                report, entered = _stage_calls(monkeypatch, cone, spec, samples, i)
+                assert not any(entered.values()), (i, entered)
+                with monkeypatch.context() as m:
+                    m.setattr(IsoSpec, "_certified_affine", lambda self: False)
+                    forced = run_full_battery(cone, spec, samples, i)
+                assert canonical_dumps(report) == canonical_dumps(forced), i
+
+    @pytest.mark.parametrize("kind", ["bad_inverse", "leaves_target", "misses_target",
+                                      "compose"])
+    def test_forged_linear_specs_run_every_stage(self, monkeypatch, kind):
+        cone, spec = TestCertifiedBattery._forged(kind)
+        assert spec._affine() and not spec._certified_affine()
+        report, entered = _stage_calls(monkeypatch, cone, spec, 300, 0)
+        assert {name for name, calls in entered.items() if calls} == set(STAGES)
+        assert report["verdict"] == "violation"
+
+    def test_certified_maps_that_are_not_affine_run_every_stage(self, monkeypatch):
+        others = [(i, cone, spec) for i, (cone, spec) in enumerate(_certified_corpus())
+                  if not spec._certified_affine()]
+        assert {type(spec) for _, _, spec in others} == {
+            DiagonalIso, ProductLiftIso, AffineIso, ComposeIso}
+        for i, cone, spec in others:
+            assert spec._certified()
+            _, entered = _stage_calls(monkeypatch, cone, spec, 300, i)
+            assert {name for name, calls in entered.items() if calls} == _every_stage(
+                cone, spec), i
+
+
 class TestVerdictRule:
     """run_full_battery reads its verdict off the finished sections: a failed
     or undefined identity is a violation (exit 4); a map that is not
     homogeneous, or not affine, is not (a non-affine fit is nonlinear, exit
     1).  Each case replaces
     one stage's check, by its name in coneorder.cli, on the identity of the
-    square cone, whose report is otherwise "affine", exit 0."""
+    square cone, whose report is otherwise "affine", exit 0.  The identity
+    is certified affine, so every case forces its stages to run instead of
+    reading them off the certificate."""
 
     # a failing return value for each identity whose failure is a violation;
     # every ray of the square cone is engaged, so a g_r value other than lam
@@ -700,6 +778,10 @@ class TestVerdictRule:
         "check_additivity": False,
         "extract_g_r": [GRow(Fraction(1), (0, 0, 1), Fraction(2))],
     }
+
+    @pytest.fixture(autouse=True)
+    def _forced_stages(self, monkeypatch):
+        monkeypatch.setattr(IsoSpec, "_certified_affine", lambda self: False)
 
     @staticmethod
     def _verdict(spec=None):
@@ -966,6 +1048,16 @@ def test_bad_tol_exit_2(files, capsys, tol):
     assert "tolerances must be finite and positive" in err
 
 
+@pytest.mark.parametrize("n", ["1", "9", str(10**6)])
+def test_witness_of_an_unsupported_size_exit_2(capsys, n):
+    # the sizes every other psd command supports, refused before any
+    # n-vector is built
+    code, out, err = run(capsys, "psd", "witness", "--n", n, "--x", "e1")
+    assert code == 2 and out == ""
+    assert err == ("conelab: input error (DimensionMismatch): "
+                   "supported sizes are 2 <= n <= 8\n")
+
+
 def test_witness_refuses_the_tol_it_does_not_read(files, capsys):
     code, out, err = run(capsys, "psd", "witness", "--n", "2", "--x", "e1", "--tol", "0")
     assert code == 2 and out == ""
@@ -981,6 +1073,25 @@ def test_out_flag_writes_report(files, capsys, tmp_path):
 
 ORTHANT1 = {"dim": 1, "generators": [["1"]]}
 LINEAR1 = {"linear": {"matrix": [["1"]], "source": ORTHANT1, "target": ORTHANT1}}
+
+
+@pytest.mark.parametrize("exponent, code", [(MAX_ODD_POWER, 1), (MAX_ODD_POWER + 2, 2)])
+def test_odd_power_exponent_limit(files, capsys, tmp_path, exponent, code):
+    # Far above the limit, a report runs into the interpreter's limit on
+    # the digits of a printed int (exponent 9999 here), after minutes of
+    # work for exponent 1000001.
+    o2 = {"dim": 2, "generators": [["1", "0"], ["0", "1"]]}
+    iso = tmp_path / "power.json"
+    iso.write_text(json.dumps({"diagonal": {
+        "source": o2, "target_frame": o2["generators"],
+        "maps": [{"odd_power": exponent}, {"odd_power": 1}]}}))
+    got, out, err = run(capsys, "check-iso", files["orthant2"], str(iso), "--samples", "10")
+    assert got == code
+    if code == 2:
+        assert out == "" and err == (f"conelab: parse error: odd_power exponent {exponent} "
+                                     f"exceeds the limit {MAX_ODD_POWER}\n")
+    else:
+        assert json.loads(out)["verdict"] == "nonlinear"
 
 
 @pytest.mark.parametrize("iso, field", [

@@ -187,6 +187,14 @@ class TestEngagementWitness:
         w = engagement_witness(np.array([0.0, 1.0]))
         assert w.residual <= 1e-10
 
+    @pytest.mark.parametrize("n", [1, 9])
+    def test_refuses_the_sizes_sym_matrix_refuses(self, n):
+        x = np.zeros(n)
+        x[0] = 1.0
+        for build in (engagement_witness, lambda x: SymMatrix(np.outer(x, x))):
+            with pytest.raises(DimensionMismatch, match="supported sizes are 2 <= n <= 8"):
+                build(x)
+
     def test_random_trials_residual_bound(self):
         rng = np.random.default_rng(4)
         for _ in range(200):

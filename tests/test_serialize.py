@@ -19,6 +19,7 @@ from coneorder.linalg import as_vec
 from coneorder.order import eval_infsup, inf_expr, leaf, sup_expr
 from coneorder.psd import SymMatrix
 from coneorder.serialize import (
+    MAX_ODD_POWER,
     bijection_to_json,
     canonical_dumps,
     cone_to_json,
@@ -110,6 +111,12 @@ class TestBijectionFiles:
     def test_unknown_kind(self):
         with pytest.raises(ParseError):
             parse_bijection({"cubic": 3})
+
+    def test_odd_power_exponent_is_bounded(self):
+        assert parse_bijection({"odd_power": MAX_ODD_POWER}) == OddPowerMap(MAX_ODD_POWER)
+        for exponent in (MAX_ODD_POWER + 2, 1000001):
+            with pytest.raises(ParseError, match=f"exceeds the limit {MAX_ODD_POWER}"):
+                parse_bijection({"odd_power": exponent})
 
     @pytest.mark.parametrize("obj", [
         {"affine": {}},

@@ -51,10 +51,13 @@ IDENTITIES = ("halfline_image_check", "check_parallelogram", "check_additivity",
 def test_battery_calls_each_identity_through_its_cli_name(monkeypatch):
     # The tracer's iso.identities and iso.affine_fit spans wrap these names
     # and their aliases in coneorder.cli; a battery that bypassed them would
-    # leave those spans empty.
+    # leave those spans empty.  The identity is certified affine, so its
+    # stages are forced to run instead of being read off its certificate.
     import coneorder.cli as cli
     from coneorder.cones import square_cone
-    from coneorder.iso import identity_iso
+    from coneorder.iso import IsoSpec, identity_iso
+
+    monkeypatch.setattr(IsoSpec, "_certified_affine", lambda self: False)
 
     entered = dict.fromkeys(IDENTITIES, 0)
     for name in IDENTITIES:
