@@ -1,13 +1,14 @@
 """Polyhedral cones over exact rationals.
 
 A cone is carried in double description: a generator (V) side and a facet
-(H) side.  A build runs the incremental double description method of
-Motzkin once, from the given side to the other, and reads the given side's
-minimal list off the tight sets of its vectors against the result, as
-bitmasks.  A second pass runs only where that reading does not hold: when
-the cone built from generators has lineality, or the cone built from facets
-is not generating.  All arithmetic is exact, so the induced partial order
-x <= y iff y - x in C has no tolerance anywhere.
+(H) side.  One routine builds a cone from either side, since the facets of
+a cone generate its dual: it runs the incremental double description
+method of Motzkin once, from the given side to the other, and reads the
+given side's minimal list off the tight sets of its vectors against the
+result, as bitmasks.  A second pass runs only where that reading does not
+hold: when the cone built from generators has lineality, or the cone built
+from facets is not generating.  All arithmetic is exact, so the induced
+partial order x <= y iff y - x in C has no tolerance anywhere.
 
 A build runs on primitive int tuples from the normalized input to the
 canonical lists: the double description returns its rays as ints, and the
@@ -73,6 +74,16 @@ def double_description(dim: int, constraints, start=None
     counts the rays tight on every constraint of the common set, stopping
     at three: both rays of the pair are, so the pair is adjacent exactly
     when the count is two.
+
+    Since that test is exact, no ray comes out of a step twice, and a step
+    concatenates the kept rays (positive, then zero) and the new ones as
+    they are.  A new ray lies inside the edge between its two adjacent
+    parents, which lie strictly on either side of the hyperplane, so it is
+    no old ray.  Distinct edges meet only in a common extreme ray, which is
+    off the hyperplane, so they meet it in distinct rays.  A lineality step
+    moves every ray along the same lineality vector z, which keeps rays that
+    differ modulo the lineality space distinct, and leaves them all tight,
+    while <h, z> > 0 sets z apart from all of them.
 
     The rays and the lineality basis are the same for every order of the
     constraints, up to the order of the rays; the order only changes how
@@ -143,15 +154,8 @@ def double_description(dim: int, constraints, start=None
                     continue
                 new_rays.append(_combine(rays[q], vals[p], vals[q], rays[p]))
                 new_tight.append(common | bit)
-        keep_rays = [rays[j] for j in pos] + [rays[j] for j in zer]
-        keep_tight = [tight[j] for j in pos] + [tight[j] | bit for j in zer]
-        seen = set()
-        rays, tight = [], []
-        for r, t in zip(keep_rays + new_rays, keep_tight + new_tight):
-            if r not in seen:
-                seen.add(r)
-                rays.append(r)
-                tight.append(t)
+        rays = [rays[j] for j in pos] + [rays[j] for j in zer] + new_rays
+        tight = [tight[j] for j in pos] + [tight[j] | bit for j in zer] + new_tight
 
     return [tuple(Fraction(a, l[f]) for a in l) for l, f in zip(lineality, free)], rays
 
@@ -396,6 +400,27 @@ def _rays(dim: int, vectors, what: str) -> list[tuple[int, ...]]:
     return sorted({primitive(vi) for vi in scaled if any(vi)})
 
 
+def _build(dim: int, vectors, what: str) -> tuple:
+    """(minimal, other, pointed, dual_pointed) for the cone K = cone(vectors):
+    K's minimal canonical list, the canonical list of the other side, which
+    generates the dual cone K*, and whether K and K* have no lineality.
+
+    The generator side passes generators: K is the cone and the other side
+    its facets.  The facet side passes facet normals: K is the dual cone,
+    which is pointed exactly when the cone is generating.  One DD pass gives
+    the other side's canonical list, which depends only on K, so it serves
+    K's minimal list too: that list is read off the tight masks of the
+    given vectors, and a second pass runs only when K has lineality.
+    """
+    given = _rays(dim, vectors, what)
+    other, dual_pointed = _dual(dim, given)
+    minimal = _extreme_by_masks(given, other)
+    pointed = minimal is not None
+    if not pointed:
+        minimal = _dual(dim, other)[0]
+    return minimal, other, pointed, dual_pointed
+
+
 def cone_from_generators(dim: int, gens) -> PolyhedralCone:
     """Cone spanned by the given vectors.
 
@@ -403,16 +428,7 @@ def cone_from_generators(dim: int, gens) -> PolyhedralCone:
     {0}.  Redundant (non-extreme) generators are eliminated, so the stored
     generator list of a pointed cone is exactly its extreme rays.
     """
-    seen = _rays(dim, gens, "generator")
-    # One DD pass gives the canonical facets, which depend only on the cone,
-    # so they are also those of the minimal generators.  The extreme rays
-    # are read off the facets tight at each vector of seen; a second pass
-    # runs only when the cone has lineality.
-    facets, generating = _dual(dim, seen)
-    generators = _extreme_by_masks(seen, facets)
-    pointed = generators is not None
-    if not pointed:
-        generators = _dual(dim, facets)[0]
+    generators, facets, pointed, generating = _build(dim, gens, "generator")
     return PolyhedralCone(dim, generators, facets, pointed, generating)
 
 
@@ -422,14 +438,7 @@ def cone_from_facets(dim: int, facets) -> PolyhedralCone:
     Zero normals impose no constraint and are dropped; an empty list gives
     the whole space (flagged non-pointed).
     """
-    system = _rays(dim, facets, "facet normal")
-    # The mirror of cone_from_generators: cone(system) is the dual cone, and
-    # it is pointed exactly when the cone is generating.
-    generators, pointed = _dual(dim, system)
-    facets = _extreme_by_masks(system, generators)
-    generating = facets is not None
-    if not generating:
-        facets = _dual(dim, generators)[0]
+    facets, generators, generating, pointed = _build(dim, facets, "facet normal")
     return PolyhedralCone(dim, generators, facets, pointed, generating)
 
 

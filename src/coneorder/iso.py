@@ -747,6 +747,9 @@ def make_product_lift(cone: PolyhedralCone, ray_index: int,
         raise ValueError("ray map must be odd-power, affine or piecewise-linear, fixing 0")
     if sub.source_cone != split.subcone:
         raise NotConeMap("sub iso is not defined on the split subcone")
+    if sub.target_cone.dim != cone.dim - 1:
+        raise DimensionMismatch(
+            f"sub iso target has dimension {sub.target_cone.dim}, expected {cone.dim - 1}")
     if sub._bases != (None, None):
         raise ValueError("sub iso of a product lift must be cone-based")
     tgt_gens = [split.ray] + [split.unsplit(ZERO, k) for k in sub.target_cone._gen_ints]

@@ -10,8 +10,6 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-import numpy as np
-
 from .cones import PolyhedralCone, cone_from_facets, cone_from_generators
 from .errors import ParseError
 from .iso import (
@@ -261,7 +259,7 @@ def parse_matrix(obj) -> SymMatrix:
     if len(rows) != n:
         raise ParseError("'rows' must be an n x n array")
     try:
-        return SymMatrix(np.asarray(rows, dtype=float))
+        return SymMatrix(rows)
     except (ValueError, TypeError, OverflowError) as exc:
         raise ParseError(f"bad matrix rows: {exc}") from exc
 

@@ -1132,6 +1132,24 @@ def test_ragged_diagonal_frame_exit_2(files, capsys):
     assert "DimensionMismatch" in err
 
 
+def test_product_lift_into_the_wrong_dimension_exit_2(files, capsys):
+    # The sub maps the 2-dim split subcone of orthant(3) into Q^3, not Q^2:
+    # no lift of Q^3 is described, however the extra coordinate is read.
+    iso = {"product_lift": {
+        "cone": {"dim": 3, "generators": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]},
+        "ray_index": 0,
+        "ray_map": {"odd_power": 1},
+        "sub": {"diagonal": {"source": {"dim": 2, "generators": [["1", "0"], ["0", "1"]]},
+                             "target_frame": [["1", "0", "0"], ["0", "1", "0"]],
+                             "maps": [{"odd_power": 1}, {"odd_power": 1}]}}}}
+    path = files["tmp"] / "lift3.json"
+    path.write_text(json.dumps(iso))
+    code, out, err = run(capsys, "check-iso", files["orthant3"], str(path))
+    assert code == 2 and out == ""
+    assert err == ("conelab: input error (DimensionMismatch): "
+                   "sub iso target has dimension 3, expected 2\n")
+
+
 def test_unwritable_out_exit_2(files, capsys, tmp_path):
     target = tmp_path / "missing" / "r.json"
     code, out, err = run(capsys, "classify", files["square"], "--out", str(target))

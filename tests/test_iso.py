@@ -416,6 +416,13 @@ class TestProductLift:
         with pytest.raises(NotConeMap):
             make_product_lift(orthant(3), 0, OddPowerMap(3), identity_iso(orthant(1)))
 
+    def test_sub_iso_into_the_wrong_dimension_refused(self):
+        o3 = orthant(3)
+        sub = make_diagonal_iso(disengaged_split(o3, 0).subcone, [V(1, 0, 0), V(0, 1, 0)],
+                                [IDENTITY_MAP] * 2)
+        with pytest.raises(DimensionMismatch, match="target has dimension 3, expected 2$"):
+            make_product_lift(o3, 0, OddPowerMap(3), sub)
+
     def test_dimension_one_refused(self):
         with pytest.raises(DimensionMismatch, match="dimension >= 2, got 1$"):
             make_product_lift(orthant(1), 0, OddPowerMap(3), identity_iso(orthant(1)))
