@@ -82,6 +82,14 @@ EXIT_NOT_PD = 6
 # check-iso reports the first SHOWN_PAIRS violation pairs of each kind.
 SHOWN_PAIRS = 5
 _VERDICT_EXIT = {"violation": EXIT_VIOLATION, "affine": EXIT_OK, "nonlinear": EXIT_NEGATIVE}
+# The errors main turns into an exit code, first match first: (class, exit
+# code, stderr prefix), "{}" in a prefix standing for the error's class name.
+_ERROR_EXITS = [(ParseError, EXIT_PARSE, "parse error: "),
+                (NotPointed, EXIT_NOT_POINTED, ""),
+                (NotPositiveDefinite, EXIT_NOT_PD, ""),
+                (UndefinedLattice, EXIT_UNDEFINED, ""),
+                (ConeOrderError, EXIT_PARSE, "input error ({}): "),
+                (ValueError, EXIT_PARSE, "invalid value: ")]
 
 
 def _parse_vec_arg(text: str, n: int):
@@ -296,9 +304,9 @@ def run_full_battery(cone: PolyhedralCone, spec: IsoSpec, samples: int, seed: in
             continue
         by_lam: dict = {}
         for row in rows:
-            by_lam.setdefault(row.lam, []).append(row.value)
-        indep = all(len(set(vals)) == 1 for vals in by_lam.values())
-        ident = all(all(v == lam for v in vals) for lam, vals in by_lam.items())
+            by_lam.setdefault(row.lam, set()).add(row.value)
+        indep = all(len(vals) == 1 for vals in by_lam.values())
+        ident = all(vals == {lam} for lam, vals in by_lam.items())
         entry["basepoint_independent"] = indep
         entry["identity"] = ident if ray.engaged or indep else None
 
@@ -528,7 +536,8 @@ def _emit(args, text: str) -> bool:
 def _check_counts(args):
     """A battery that runs no samples must not pass, so counts are checked
     first, and then a psd command's --tol and --n, before any vector or
-    matrix of that size is built."""
+    matrix of that size is built, and the --seed of the psd commands that
+    seed numpy, which takes no negative seed."""
     if args.samples < 1:
         raise ParseError(f"--samples must be at least 1, got {args.samples}")
     if getattr(args, "kmax", 1) < 1:
@@ -537,6 +546,8 @@ def _check_counts(args):
         _tolerance(args)
         if args.n is not None:
             psd_mod.check_size(args.n)
+        if args.psd_command in ("supcheck", "approx") and args.seed < 0:
+            raise ParseError(f"--seed must be non-negative, got {args.seed}")
 
 
 def main(argv=None) -> int:
@@ -545,24 +556,10 @@ def main(argv=None) -> int:
     try:
         _check_counts(args)
         payload, code = args.handler(args)
-    except ParseError as exc:
-        print(f"conelab: parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except NotPointed as exc:
-        print(f"conelab: {exc}", file=sys.stderr)
-        return EXIT_NOT_POINTED
-    except NotPositiveDefinite as exc:
-        print(f"conelab: {exc}", file=sys.stderr)
-        return EXIT_NOT_PD
-    except UndefinedLattice as exc:
-        print(f"conelab: {exc}", file=sys.stderr)
-        return EXIT_UNDEFINED
-    except ConeOrderError as exc:
-        print(f"conelab: input error ({type(exc).__name__}): {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except ValueError as exc:
-        print(f"conelab: invalid value: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    except (ConeOrderError, ValueError) as exc:
+        code, prefix = next((c, p) for cls, c, p in _ERROR_EXITS if isinstance(exc, cls))
+        print(f"conelab: {prefix.format(type(exc).__name__)}{exc}", file=sys.stderr)
+        return code
 
     command = args.report_name
     report = {**payload, "command": command, "seed": args.seed, "samples": args.samples}

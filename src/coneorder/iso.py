@@ -831,8 +831,8 @@ def check_order_iso_sampled(spec: IsoSpec, n: int = 10000, seed: int = 0, *,
     Every spec kind runs on scaled integer vectors from draw to verdict:
     points are integer cone points shifted by the apex, images and
     preimages are the spec's ``_eval_ints``/``_invert_ints``, and an order
-    test x <= y is one ``_in_cone`` test of ``_minus(y, x)``, which
-    cross-multiplies the denominators, as do exact round trips.  An
+    test x <= y is one ``_in_cone`` test of ``_minus(y, x)``, and an exact
+    round trip holds when ``_minus`` of its two ends is zero.  An
     inexact spec's source order test takes floats n / d, which equal
     float(Fraction(n, d)) bit for bit.  Fractions are built only for a
     recorded violation.  tests/oracles.py keeps the Fraction battery this
@@ -850,8 +850,7 @@ def check_order_iso_sampled(spec: IsoSpec, n: int = 10000, seed: int = 0, *,
             return src._in_cone(_minus(y, x)[0])
 
         def round_trip(x1, x2, r2):
-            (xi, xd), (ri, rd) = x2, r2
-            return [c * xd for c in ri] == [c * rd for c in xi]
+            return not any(_minus(r2, x2)[0])
     else:
         def src_leq(x, y):
             return _leq_tol(src, [c / x[1] for c in x[0]], [c / y[1] for c in y[0]])
@@ -919,10 +918,12 @@ def check_order_iso_sampled(spec: IsoSpec, n: int = 10000, seed: int = 0, *,
 # Exact identities
 #
 # Like the battery, the identities run on scaled integers: their vector
-# arguments are scaled over one denominator, every point they evaluate is
-# one integer combination of those (x + lam*r is one axpy), and images are
-# compared by cross-multiplying their denominators.  Fractions are built
-# only for what a function returns.
+# arguments are scaled over one denominator, and every point they evaluate
+# is one integer combination of those (x + lam*r is one axpy).  Images are
+# compared through the scaled-vector helpers alone: a difference of two
+# images is ``_minus``, the multiple of one difference that another is is
+# ``_ratio``, and the ray through a difference is ``primitive``.  Fractions
+# are built only for what a function returns.
 
 
 def _scaled(cone: PolyhedralCone, vectors) -> tuple[list[tuple[int, ...]], int]:
@@ -941,6 +942,16 @@ def _common(images: list[Scaled]) -> tuple[list[list[int]], int]:
     """Scaled vectors as integers over the lcm of their denominators."""
     den = lcm(*[d for _, d in images])
     return [v if d == den else [c * (den // d) for c in v] for v, d in images], den
+
+
+def _ratio(u: Scaled, v: Scaled) -> Fraction | None:
+    """The exact c with u = c*v, for scaled vectors u and nonzero v; None
+    when u is no multiple of v."""
+    (ui, ud), (vi, vd) = u, v
+    j = next(k for k, c in enumerate(vi) if c)
+    if any(a * vi[j] != b * ui[j] for a, b in zip(ui, vi)):
+        return None
+    return Fraction(ui[j] * vd, vi[j] * ud)
 
 
 def _signed_extreme(cone: PolyhedralCone, vi) -> tuple[int, ...]:
@@ -1012,22 +1023,17 @@ def extract_g_r(spec: IsoSpec, r, basepoints, lambdas) -> list[GRow]:
     f = spec._eval_ints
     rows: list[GRow] = []
     for xi in xs:
-        fx, fd = f((xi, den))
-        y1, yd = f((list(map(add, xi, ri)), den))
-        # f(x + r) - f(x) over yd*fd
-        d0 = [b * fd - a * yd for a, b in zip(fx, y1)]
-        j = next((k for k, c in enumerate(d0) if c), None)
-        if j is None:
+        fx = f((xi, den))
+        d0 = _minus(f((list(map(add, xi, ri)), den)), fx)
+        if not any(d0[0]):
             raise NotColinear("f(x + r) equals f(x); map cannot be injective")
         basepoint = _fractions((xi, den))
         for lam in lambdas:
             lam = frac(lam)
-            y, hd = f(_axpy(xi, lam, ri, den))
-            # f(x + lam*r) - f(x) over hd*fd, so g = d1[j]*yd / (d0[j]*hd)
-            d1 = [b * fd - a * hd for a, b in zip(fx, y)]
-            if any(a * d0[j] != d1[j] * b for a, b in zip(d1, d0)):
+            g = _ratio(_minus(f(_axpy(xi, lam, ri, den)), fx), d0)
+            if g is None:
                 raise NotColinear("difference vectors are not parallel")
-            rows.append(GRow(lam, basepoint, Fraction(d1[j] * yd, d0[j] * hd)))
+            rows.append(GRow(lam, basepoint, g))
     return rows
 
 
@@ -1123,12 +1129,8 @@ def check_positively_homogeneous(spec: IsoSpec, samples, scalars) -> bool:
         (ui,), ud = _scaled(spec.source_cone, [u])
         fu, fd = f((ui, ud))
         for lam in scalars:
-            lam = frac(lam)
-            p, q = lam.numerator, lam.denominator
-            y, yd = f(([p * c for c in ui], q * ud))
-            # y / yd == p*fu / (q*fd)
-            qf, py = q * fd, p * yd
-            if any(b * qf != a * py for a, b in zip(fu, y)):
+            p, q = frac(lam).as_integer_ratio()
+            if any(_minus(f(([p * c for c in ui], q * ud)), ([p * c for c in fu], q * fd))[0]):
                 return False
     return True
 
@@ -1140,25 +1142,16 @@ def halfline_image_check(spec: IsoSpec, apex, r, lambdas) -> bool:
     (ai, ri), den = _scaled(src, [apex, r])
     _signed_extreme(src, ri)
     f = spec._eval_ints
-    base, bd = f((ai, den))
-    direction = None
+    base = f((ai, den))
+    ray = None
     for lam in lambdas:
         lam = frac(lam)
-        y, yd = f(_axpy(ai, lam, ri, den))
-        # f(apex + lam*r) - f(apex) over yd*bd
-        diff = [b * bd - a * yd for a, b in zip(base, y)]
+        diff = _minus(f(_axpy(ai, lam, ri, den)), base)[0]
         if not any(diff):
             if lam != 0:
                 return False
-            continue
-        if direction is None:
-            direction = diff
-            j = next(k for k, c in enumerate(diff) if c)
-            continue
-        # diff = c * direction with c >= 0, cross-multiplied at coordinate j
-        dj, ej = diff[j], direction[j]
-        if dj * ej < 0 or any(a * ej != dj * b for a, b in zip(diff, direction)):
+        elif ray is None:
+            ray = primitive(diff)
+        elif primitive(diff) != ray:
             return False
-    if direction is None:
-        return True
-    return tgt._in_cone(direction) and tgt._extreme_ray(direction) is not None
+    return ray is None or tgt._in_cone(ray) and tgt._extreme_ray(ray) is not None

@@ -37,10 +37,11 @@ from coneorder.iso import (
 )
 from coneorder.linalg import as_vec
 from coneorder.order import classify_engaged, disengaged_split
-from coneorder.sampling import random_pointed_cone, rng_for
+from coneorder.sampling import cone_point_ints, random_pointed_cone, rng_for
 from coneorder.serialize import MAX_EXPR_DEPTH, MAX_ODD_POWER, canonical_dumps, vec_to_json
 
 from test_acceptance import PWL_DOUBLING, _criterion_3_cones, cone_automorphism_candidates
+from test_iso import HalflineKink
 
 
 @pytest.fixture()
@@ -847,6 +848,31 @@ class TestVerdictRule:
         assert (report["verdict"], report["exit_code"]) == ("nonlinear", 1)
 
 
+class TestStoppingOrder:
+    """A stage notes the first exception its check raises, so a check that
+    stops at its first failure notes none where the spec is undefined only
+    behind that failure.  The kinked half-line starts at the point the stage
+    draws, as run_full_battery draws it, on orthant(1)."""
+
+    SEED = 3
+
+    def test_halfline_section_notes_no_error(self):
+        o1 = orthant(1)
+        apex = cone_point_ints(o1, rng_for(self.SEED, "hl", 0))
+        spec = HalflineKink(o1, apex, [1], Fraction(1, 2), [Fraction(-1, 2)])
+        report = run_full_battery(o1, spec, 300, self.SEED)
+        assert report["halfline"] == {"checked": 1, "passed": 0, "failures": [0]}
+        assert report["verdict"] == "violation"
+
+    def test_g_r_section_notes_not_colinear(self):
+        o1 = orthant(1)
+        base = cone_point_ints(o1, rng_for(self.SEED, "gr", 0, 0))
+        spec = HalflineKink(o1, base, [1], 1, [-1])
+        report = run_full_battery(o1, spec, 300, self.SEED)
+        assert report["g_r"] == [{"ray_index": 0, "engaged": False, "colinear": False,
+                                  "error": "NotColinear"}]
+
+
 class TestPsdCommands:
     def test_witness(self, files, capsys):
         code, out, _ = run(capsys, "psd", "witness", "--n", "3", "--x", "e1")
@@ -1011,6 +1037,24 @@ def test_negative_kmax_exit_2(files, capsys, kmax):
                          "--kmax", kmax)
     assert code == 2 and out == ""
     assert "--kmax" in err
+
+
+@pytest.mark.parametrize("argv", [["supcheck", "--n", "2", "--b", "eye"],
+                                  ["approx", "--n", "2", "--a", "diag:2,1", "--kmax", "2"]])
+def test_negative_seed_of_a_seeded_psd_command_exit_2(capsys, argv):
+    # numpy takes no negative seed; the flag is refused by name before it
+    # reaches numpy, whose own message does not name it
+    code, out, err = run(capsys, "psd", *argv, "--seed", "-1")
+    assert (code, out) == (2, "")
+    assert err == "conelab: parse error: --seed must be non-negative, got -1\n"
+    assert run(capsys, "psd", *argv, "--seed", "0")[0] == 0
+
+
+def test_negative_seed_elsewhere_is_accepted(files, capsys):
+    assert run(capsys, "psd", "witness", "--n", "2", "--x", "e1", "--seed", "-1")[0] == 0
+    assert run(capsys, "psd", "conj", "--a", "diag:1,2", "--q", "eye", "--n", "2",
+               "--seed", "-1")[0] == 0
+    assert run(capsys, "classify", files["square"], "--seed", "-1")[0] == 0
 
 
 def _matrix_file(tmp_path, name, n, rows):

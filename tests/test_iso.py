@@ -29,6 +29,7 @@ from coneorder.iso import (
     DiagonalIso,
     IDENTITY_MAP,
     IsoReport,
+    IsoSpec,
     LinearIso,
     MonotoneBijection,
     OddPowerMap,
@@ -60,6 +61,7 @@ from coneorder.linalg import (
     transpose,
     vec_add,
     vec_scale,
+    vec_sub,
 )
 from coneorder.order import classify_engaged, disengaged_split
 from coneorder.sampling import (
@@ -100,6 +102,31 @@ class Doubling(MonotoneBijection):
 
     def _invert_ints(self, n, d):
         return n, 2 * d
+
+
+class HalflineKink(IsoSpec):
+    """The identity of a cone, except on one half-line p + lam*r: the point
+    at lam = ``at`` goes to p + at*r + shift, and from lam = 2 on the spec is
+    undefined.  An identity that stops at its first failure meets the kink
+    and never the undefined points behind it."""
+
+    def __init__(self, cone, p, r, at, shift):
+        super().__init__(cone, cone, True)
+        self.p, self.r, self.at, self.shift = as_vec(p), as_vec(r), Fraction(at), as_vec(shift)
+
+    def _forward(self, x):
+        v = tuple(Fraction(c, x[1]) for c in x[0])
+        d = vec_sub(v, self.p)
+        lam = next(a / b for a, b in zip(d, self.r) if b)
+        if lam >= 0 and d == vec_scale(lam, self.r):
+            if lam >= 2:
+                raise OutOfDomain("undefined from lam = 2 on")
+            if lam == self.at:
+                return scaled_ints(vec_add(v, self.shift))
+        return x
+
+    def _backward(self, y):
+        return y
 
 
 def cube_iso():
@@ -1263,3 +1290,28 @@ class TestHalflineImages:
     def test_not_extreme_error(self):
         with pytest.raises(NotExtreme):
             halfline_image_check(identity_iso(orthant(2)), V(0, 0), V(1, 1), [Fraction(1)])
+
+
+class TestStoppingOrder:
+    """An identity stops at its first failure, so a later point where the
+    spec is undefined is never evaluated: run_full_battery notes the first
+    exception a check raises, so this order is part of its report."""
+
+    P, R = V(1, 1), V(1, 0)
+
+    @pytest.mark.parametrize("shift", [V(0, 1), V(Fraction(-1, 2), 0)], ids=["bend", "stall"])
+    @pytest.mark.parametrize("lams", [[0, Fraction(1, 2), 1, 2], [0, 1, Fraction(1, 2), 2]])
+    def test_halfline_fails_before_an_undefined_point(self, shift, lams):
+        # the image of P + R/2 leaves the half-line, off its ray or back to
+        # f(P); the spec is undefined at P + 2R
+        spec = HalflineKink(orthant(2), self.P, self.R, Fraction(1, 2), shift)
+        with pytest.raises(OutOfDomain):
+            spec.eval(vec_add(self.P, vec_scale(2, self.R)))
+        assert halfline_image_check(spec, self.P, self.R, [0, 1]) is True
+        assert halfline_image_check(spec, self.P, self.R, [Fraction(l) for l in lams]) is False
+
+    def test_not_colinear_wins_over_a_later_undefined_point(self):
+        # f(P + R) = f(P): NotColinear, raised before any lam is evaluated
+        spec = HalflineKink(orthant(2), self.P, self.R, 1, vec_scale(-1, self.R))
+        with pytest.raises(NotColinear, match=r"^f\(x \+ r\) equals f\(x\)"):
+            extract_g_r(spec, self.R, [self.P], [Fraction(2)])

@@ -306,3 +306,27 @@ def test_all_lists_the_public_names_the_package_imports():
                 for a in node.names]
     public = [name for name in imported if not name.startswith("_") and name != "lp"]
     assert sorted(coneorder.__all__) == sorted(public)
+
+
+def test_every_mutant_applies_exactly_once():
+    # tests/mutants.py runs out of tier-1; here its table is kept from
+    # rotting: each old text occurs exactly once under src/, in the row's
+    # file, and each listed test names a test function of a test file.
+    from mutants import MUTANTS
+
+    root = Path(__file__).resolve().parent.parent
+    texts = {path: path.read_text() for path in sorted((root / "src").rglob("*.py"))}
+    stale = []
+    for m in MUTANTS:
+        here = texts[root / "src" / "coneorder" / m.file].count(m.old)
+        if here != 1 or sum(t.count(m.old) for t in texts.values()) != 1 or m.new == m.old:
+            stale.append(m.name)
+        for node_id in m.tests:
+            path, *names = node_id.split("[")[0].split("::")
+            scope = ast.parse((root / path).read_text()).body
+            for name in names:
+                scope = next((n.body for n in scope if getattr(n, "name", None) == name), [])
+            if not (m.tests and scope and names[-1].startswith("test_")):
+                stale.append(f"{m.name}: {node_id}")
+    assert len({m.name for m in MUTANTS}) == len(MUTANTS)
+    assert stale == []
