@@ -921,9 +921,9 @@ def check_order_iso_sampled(spec: IsoSpec, n: int = 10000, seed: int = 0, *,
 # arguments are scaled over one denominator, and every point they evaluate
 # is one integer combination of those (x + lam*r is one axpy).  Images are
 # compared through the scaled-vector helpers alone: a difference of two
-# images is ``_minus``, the multiple of one difference that another is is
-# ``_ratio``, and the ray through a difference is ``primitive``.  Fractions
-# are built only for what a function returns.
+# images is ``_minus``, ``_ratio`` gives the c with one difference equal to
+# c times another, and the ray through a difference is ``primitive``.
+# Fractions are built only for what a function returns.
 
 
 def _scaled(cone: PolyhedralCone, vectors) -> tuple[list[tuple[int, ...]], int]:
