@@ -200,11 +200,13 @@ def run_full_battery(cone: PolyhedralCone, spec: IsoSpec, samples: int, seed: in
     The verdict is read off the finished sections by one rule: the report
     is a violation (exit 4) when the sampled battery found a violation, a
     half-line failed, a parallelogram or additivity configuration failed, a
-    g_r entry is not colinear or is engaged and lacks a basepoint-
-    independent identity, the "affine" section notes an error, or the
-    report has a ``homogeneous_error``.  Otherwise it is "affine" (exit 0)
-    when the fit is exact and "nonlinear" (exit 1) when it is not; a map
-    that is not homogeneous, or not affine, is no violation.
+    g_r entry is not colinear or is engaged and not the identity, the
+    "affine" section notes an error, or the report has a
+    ``homogeneous_error``.  Otherwise it is "affine" (exit 0) when the fit
+    is exact and "nonlinear" (exit 1) when it is not; a map that is not
+    homogeneous, or not affine, is no violation.  An engaged entry's
+    identity holds only when every basepoint gave g = lam, so it implies
+    basepoint independence.
 
     The whole battery stays on integers: points are drawn with
     ``cone_point_ints`` (the draws of ``cone_point``), shifted by the apex,
@@ -341,8 +343,7 @@ def run_full_battery(cone: PolyhedralCone, spec: IsoSpec, samples: int, seed: in
 
     if (report["battery"]["verdict"] == "Violation" or hl["failures"]
             or any(s["passed"] < s["checked"] for s in (par, add))
-            or any(not e["colinear"] or e["engaged"]
-                   and not (e["basepoint_independent"] and e["identity"]) for e in g_report)
+            or any(not e["colinear"] or e["engaged"] and not e["identity"] for e in g_report)
             or "error" in aff or "homogeneous_error" in report):
         verdict = "violation"
     else:

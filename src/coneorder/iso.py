@@ -835,8 +835,9 @@ def check_order_iso_sampled(spec: IsoSpec, n: int = 10000, seed: int = 0, *,
     round trip holds when ``_minus`` of its two ends is zero.  An
     inexact spec's source order test takes floats n / d, which equal
     float(Fraction(n, d)) bit for bit.  Fractions are built only for a
-    recorded violation.  tests/oracles.py keeps the Fraction battery this
-    replaced; both make the same draws and give the same report.
+    recorded violation, one of the first ``limit`` of its side.
+    tests/oracles.py keeps the Fraction battery this replaced; both make the
+    same draws and give the same report.
     """
     _check_samples(n)
     if limit is not None and limit < 1:
@@ -907,11 +908,12 @@ def check_order_iso_sampled(spec: IsoSpec, n: int = 10000, seed: int = 0, *,
         hit = run_index(i, rng)
         if hit is not None:
             side, (p, q) = hit
-            found[side].append((_fractions(p), _fractions(q)))
-            if limit is not None and min(map(len, found)) >= limit:
-                break
+            if limit is None or len(found[side]) < limit:
+                found[side].append((_fractions(p), _fractions(q)))
+                if limit is not None and min(map(len, found)) >= limit:
+                    break
     verdict = "Violation" if found[0] or found[1] else "PassedSampling"
-    return IsoReport(tuple(found[0][:limit]), tuple(found[1][:limit]), n, verdict)
+    return IsoReport(tuple(found[0]), tuple(found[1]), n, verdict)
 
 
 # ---------------------------------------------------------------------------

@@ -8,11 +8,13 @@ rank-one projections, conjugation by the square root of a positive definite
 matrix is a linear order-isomorphism, and arbitrary PSD matrices are
 approximated by monotone inf/sup families.
 
-Eigendecompositions use cyclic Jacobi rotations implemented here; numpy is
-used only as array plumbing.  The order predicate is decided through a
-semidefinite-aware Cholesky factorization of the shifted difference, which
-tests lambda_min(B - A) >= -tol exactly as stated but much cheaper than a
-full eigendecomposition.
+Eigendecompositions use cyclic Jacobi rotations implemented here.  The order
+predicate is decided through a semidefinite-aware Cholesky factorization of
+the shifted difference (Higham 1990), which tests lambda_min(B - A) >= -tol
+exactly as stated but much cheaper than a full eigendecomposition.  Both
+run on Python floats: at 2 <= n <= 8 a numpy call costs more than the
+arithmetic it does.  numpy holds the matrices and makes the seeded draws,
+the norms and the matrix products whose bits reach a report.
 """
 from __future__ import annotations
 
@@ -194,33 +196,39 @@ def lambda_max(m) -> float:
     return float(eigh_jacobi(m)[0][-1])
 
 
-def _psd_cholesky(m: np.ndarray) -> bool:
-    """Semidefinite-aware Cholesky feasibility: True iff m is PSD up to
-    _PIVOT_TOL on the diagonal."""
-    a = np.array(m, dtype=float)
-    n = a.shape[0]
-    peak = float(np.max(np.abs(a)))
+def _psd_cholesky(m: list[list[float]]) -> bool:
+    """Semidefinite-aware Cholesky feasibility: True iff m, a list of rows of
+    Python floats, is PSD up to _PIVOT_TOL on the diagonal.
+
+    Only the upper triangle is factored, each row held from its diagonal
+    entry on.  Every entry goes through the float operations, in the order,
+    of the numpy row-operation form in tests/oracles.py.
+    """
+    peak = max(max(map(abs, row)) for row in m)
     e = _rescale_exponent(peak)
     if e:
-        a = np.ldexp(a, -e)
         peak = math.ldexp(peak, -e)
+        rows = [[math.ldexp(x, -e) for x in row[j:]] for j, row in enumerate(m)]
+    else:
+        rows = [row[j:] for j, row in enumerate(m)]
     scale = max(1.0, peak)
-    for k in range(n):
-        d = a[k, k]
-        if d < -_PIVOT_TOL * scale:
+    lim = _PIVOT_TOL * scale
+    for k in range(len(rows)):
+        row = rows[k]  # as the steps before k left it
+        d = row[0]
+        if d < -lim:
             return False
-        if d <= _PIVOT_TOL * scale:
+        if d <= lim:
             # semidefinite pivot: the rest of the row must vanish too
-            if k + 1 < n and float(np.max(np.abs(a[k, k + 1:]))) > (
-                math.sqrt(max(d, 0.0) * scale) + _PIVOT_TOL * scale
-            ):
+            bound = math.sqrt(max(d, 0.0) * scale) + lim
+            if any(abs(x) > bound for x in row[1:]):
                 return False
-            a[k, k:] = 0.0
             continue
-        a[k, k] = math.sqrt(d)
-        a[k, k + 1:] /= a[k, k]
-        for j in range(k + 1, n):
-            a[j, j:] -= a[k, j] * a[k, j:]
+        r = math.sqrt(d)
+        tail = [x / r for x in row[1:]]
+        for i, c in enumerate(tail):
+            j = k + 1 + i
+            rows[j] = [x - c * y for x, y in zip(rows[j], tail[i:])]
     return True
 
 
@@ -229,12 +237,15 @@ def psd_leq(a, b, tol: float = DEFAULT_TOL.eig_tol) -> bool:
 
     Decided through the shifted Cholesky predicate, which is equivalent to
     the eigenvalue statement: m + tol*I is PSD iff lambda_min(m) >= -tol.
+    A tol that is not finite is a ValueError: a NaN would pass every pair.
     """
+    if not math.isfinite(tol):
+        raise ValueError(f"tol must be finite, got {tol!r}")
     a, b = _as_array(a), _as_array(b)
     if a.shape != b.shape:
         raise DimensionMismatch("matrices must have the same size")
     diff = b - a + tol * np.eye(a.shape[0])
-    return _psd_cholesky(diff)
+    return _psd_cholesky(diff.tolist())
 
 
 def _check_unit(x: np.ndarray) -> None:
@@ -327,8 +338,17 @@ def identity_sup_check(n: int, b, m: int = 10000, seed: int = 0,
         nrm = float(np.linalg.norm(v))
         if nrm > 1e-12:
             samples.append(v / nrm)
+    # psd_leq(np.outer(x, x), b) entry by entry, with b validated once: the
+    # products p * q are np.outer's, and they are exactly symmetric, so the
+    # symmetrization SymMatrix would apply leaves them unchanged
+    rows = b.tolist()
+    eig_tol = tol.eig_tol
     for x in samples:
-        if not psd_leq(np.outer(x, x), b, tol.eig_tol):
+        xs = x.tolist()
+        diff = [[bij - p * q for bij, q in zip(brow, xs)] for brow, p in zip(rows, xs)]
+        for i in range(n):
+            diff[i][i] += eig_tol
+        if not _psd_cholesky(diff):
             return SupCheckVerdict(NOT_UPPER_BOUND, float(lam_min[0]), len(samples), x)
     if float(lam_min[0]) >= 1.0 - tol.cmp_tol:
         return SupCheckVerdict(CONSISTENT, float(lam_min[0]), len(samples))

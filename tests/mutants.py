@@ -50,6 +50,8 @@ class Mutant:
 _ISO = "tests/test_iso.py::"
 _CLI = "tests/test_cli.py::"
 _CONES = "tests/test_cones.py::"
+_PSD = "tests/test_psd.py::"
+_FORGED = _CLI + "TestCertifiedBattery::test_forged_specs_keep_their_sampled_report"
 _DIAGONAL = (_CLI + "TestCertifiedBattery::test_forged_specs_keep_their_sampled_report",
              _CLI + "TestCertifiedBattery::test_certified_reports_equal_sampled_reports",
              _ISO + "TestDiagonalIso::test_every_accepted_spec_is_certified")
@@ -106,6 +108,57 @@ MUTANTS = [
     Mutant("odd-powers-refused", "iso.py",
            "type(m) in (OddPowerMap, AffineMap, PiecewiseLinearMap)",
            "type(m) in (AffineMap, PiecewiseLinearMap)", _DIAGONAL),
+    # The certificates of the linear, product-lift and composed kinds.
+    Mutant("linear-inverse-unchecked", "iso.py",
+           "        return (src.dim == tgt.dim and _inverse_pair(self._fwd, self._bwd, src.dim)\n",
+           "        return (src.dim == tgt.dim\n",
+           (_FORGED + "[bad_inverse-Violation]",)),
+    Mutant("linear-image-of-a-generator-unchecked", "iso.py",
+           "                and all(tgt._in_cone(self._fwd.apply(g)) for g in src._gen_ints)\n",
+           "", (_FORGED + "[leaves_target-Violation]",)),
+    Mutant("linear-preimage-of-a-generator-unchecked", "iso.py",
+           "                and all(src._in_cone(self._bwd.apply(h)) for h in tgt._gen_ints))",
+           ")", (_FORGED + "[misses_target-Violation]",)),
+    Mutant("lift-ray-map-unchecked", "iso.py",
+           "        return (_fixes_zero_monotone(self.ray_map)\n"
+           "                and self.target_cone.dim == dim\n",
+           "        return (self.target_cone.dim == dim\n",
+           (_FORGED + "[moved_zero_lift-PassedSampling]",)),
+    Mutant("lift-apexed-sub-certifies", "iso.py",
+           "                and sub._bases == (None, None)\n", "",
+           (_CLI + "TestCertifiedBattery::test_lift_over_an_apexed_sub_does_not_certify",)),
+    Mutant("lift-projection-unchecked", "iso.py",
+           "                and _inverse_pair(self._proj, self._unsplit, dim)\n", "",
+           (_FORGED + "[non_inverse_projection_lift-Violation]",)),
+    Mutant("lift-source-split-unchecked", "iso.py",
+           "                and self._splits(self.source_cone, sub.source_cone)\n", "",
+           (_FORGED + "[unsplit_source_lift-Violation]",)),
+    Mutant("lift-target-split-unchecked", "iso.py",
+           "                and self._splits(self.target_cone, sub.target_cone)\n", "",
+           (_FORGED + "[unsplit_target_lift-Violation]",)),
+    Mutant("lift-sub-uncertified", "iso.py",
+           "                and sub._certified())", ")",
+           (_FORGED + "[forged_sub_lift-Violation]",)),
+    Mutant("splits-accepts-a-negative-ray-coordinate", "iso.py",
+           "            if t < 0 or not subcone._in_cone(w):",
+           "            if not subcone._in_cone(w):",
+           (_FORGED + "[negative_ray_coordinate_lift-Violation]",)),
+    Mutant("splits-accepts-any-sub-coordinates", "iso.py",
+           "            if t < 0 or not subcone._in_cone(w):", "            if t < 0:",
+           (_FORGED + "[negative_sub_coordinate_lift-Violation]",)),
+    Mutant("splits-skips-the-ray", "iso.py",
+           "        return (cone._in_cone(self._unsplit.apply([1, *zeros]))\n"
+           "                and all(", "        return (all(",
+           (_FORGED + "[unsplit_source_lift-Violation]",
+            _FORGED + "[unsplit_target_lift-Violation]")),
+    Mutant("splits-skips-the-subcone-generators", "iso.py",
+           "                and all(cone._in_cone(self._unsplit.apply([0, *k]))"
+           " for k in subcone._gen_ints))", ")",
+           (_FORGED + "[missing_sub_generator_lift-Violation]",)),
+    Mutant("composition-certified-if-any-part-is", "iso.py",
+           "        return all(p._certified() for p in self.parts)",
+           "        return any(p._certified() for p in self.parts)",
+           (_FORGED + "[compose-Violation]",)),
     # The certified affine shortcut of run_full_battery (BENCH_33).
     Mutant("certified-affine-without-certificate", "iso.py",
            "        return self._affine() and self._certified()",
@@ -131,9 +184,6 @@ MUTANTS = [
             "test_certificate_writes_the_sections_the_stages_would",)),
     # The one verdict rule of run_full_battery (BENCH_30), each clause
     # dropped in turn, the apex check and the battery's one stopping rule.
-    # The rule's "basepoint_independent and" is left out: an engaged entry's
-    # identity holds only when every basepoint gives lam, so dropping it
-    # changes no verdict.
     Mutant("verdict-ignores-the-sampled-battery", "cli.py",
            "    if (report[\"battery\"][\"verdict\"] == \"Violation\" or hl[\"failures\"]",
            "    if (hl[\"failures\"]",
@@ -148,8 +198,7 @@ MUTANTS = [
            "any(not e[\"colinear\"] or e[\"engaged\"]", "any(e[\"engaged\"]",
            (_CLI + "TestVerdictRule::test_an_undefined_identity_is_a_violation",)),
     Mutant("verdict-ignores-g-r-identity", "cli.py",
-           "            or any(not e[\"colinear\"] or e[\"engaged\"]\n"
-           "                   and not (e[\"basepoint_independent\"] and e[\"identity\"])"
+           "            or any(not e[\"colinear\"] or e[\"engaged\"] and not e[\"identity\"]"
            " for e in g_report)\n",
            "            or any(not e[\"colinear\"] for e in g_report)\n",
            (_CLI + "TestVerdictRule::test_a_failing_identity_is_a_violation",)),
@@ -168,6 +217,19 @@ MUTANTS = [
            "min(map(len, found)) >= limit", "max(map(len, found)) >= limit",
            (_ISO + "TestSampledBatteryIntegerPath::test_limit_stops_drawing_once_both_lists_are_full",
             _ISO + "TestSampledBatteryIntegerPath::test_limit_keeps_verdict_and_first_pairs")),
+    # The psd order's semidefinite Cholesky on lists of floats.
+    Mutant("cholesky-skips-the-semidefinite-row-test", "psd.py",
+           "            if any(abs(x) > bound for x in row[1:]):\n"
+           "                return False\n", "",
+           (_PSD + "TestLoewnerOrder::test_zero_pivot_with_a_nonzero_row_is_not_psd",
+            _PSD + "TestCholeskyKernel::test_matches_numpy_reference")),
+    Mutant("cholesky-negative-pivot-at-minus-the-tolerance", "psd.py",
+           "        if d < -lim:", "        if d <= -lim:",
+           (_PSD + "TestLoewnerOrder::test_a_pivot_at_minus_the_tolerance_counts_as_zero",)),
+    Mutant("cholesky-skips-the-rescaling", "psd.py",
+           "    e = _rescale_exponent(peak)\n", "    e = 0\n",
+           (_PSD + "TestLoewnerOrder::test_rescaled_semidefinite_pivot_checks_its_row",
+            _PSD + "TestCholeskyKernel::test_matches_numpy_reference")),
     # The double description without its duplicate-ray filter (BENCH_34).
     Mutant("dd-repeats-a-new-ray", "cones.py",
            "        rays = [rays[j] for j in pos] + [rays[j] for j in zer] + new_rays\n"

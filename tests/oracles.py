@@ -13,7 +13,9 @@ exact simplex instead of the facet walk, total order through the Fraction
 cone.leq of each pair instead of one common denominator, engagement through one linear
 solve per ray instead of one row reduction per cone, a disengaged split through a
 greedy basis and one inverse per split instead of that same reduction, eigendecompositions
-through numpy's LAPACK instead of the in-repo Jacobi sweep, and iso specs
+through numpy's LAPACK instead of the in-repo Jacobi sweep, the Loewner
+order's semidefinite Cholesky through numpy row operations instead of lists of
+Python floats, and iso specs
 and their sampled battery through the per-kind Fraction formulas instead of
 the integer cores (the float order test through float() of each Fraction
 facet entry instead of the integer normals), and the check-iso identities
@@ -25,6 +27,7 @@ it checks.
 """
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from itertools import combinations
 from operator import mul
@@ -86,6 +89,18 @@ from coneorder.order import (
     DisengagedSplit,
     ExtremeRayReport,
     SeparatingFunctional,
+)
+from coneorder.psd import (
+    CONSISTENT,
+    DEFAULT_TOL,
+    INCONSISTENT,
+    NOT_UPPER_BOUND,
+    SupCheckVerdict,
+    _PIVOT_TOL,
+    _as_array,
+    _rescale_exponent,
+    eigh_jacobi,
+    psd_leq,
 )
 from coneorder.sampling import cone_point, incomparable_pair, rng_for
 
@@ -679,6 +694,61 @@ def disengaged_split_reference(cone, ray_index) -> DisengagedSplit:
 
 def eigh_oracle(a):
     return np.linalg.eigh(np.asarray(a, dtype=float))
+
+
+def psd_cholesky_reference(m) -> bool:
+    """psd._psd_cholesky on a numpy array, row operation by row operation:
+    the pivot rule and the rescaling are the same, each step a numpy slice
+    operation instead of a Python float loop."""
+    a = np.array(m, dtype=float)
+    n = a.shape[0]
+    peak = float(np.max(np.abs(a)))
+    e = _rescale_exponent(peak)
+    if e:
+        a = np.ldexp(a, -e)
+        peak = math.ldexp(peak, -e)
+    scale = max(1.0, peak)
+    for k in range(n):
+        d = a[k, k]
+        if d < -_PIVOT_TOL * scale:
+            return False
+        if d <= _PIVOT_TOL * scale:
+            # semidefinite pivot: the rest of the row must vanish too
+            if k + 1 < n and float(np.max(np.abs(a[k, k + 1:]))) > (
+                math.sqrt(max(d, 0.0) * scale) + _PIVOT_TOL * scale
+            ):
+                return False
+            a[k, k:] = 0.0
+            continue
+        a[k, k] = math.sqrt(d)
+        a[k, k + 1:] /= a[k, k]
+        for j in range(k + 1, n):
+            a[j, j:] -= a[k, j] * a[k, j:]
+    return True
+
+
+def identity_sup_check_reference(n: int, b, m: int = 10000, seed: int = 0,
+                                 tol=DEFAULT_TOL) -> SupCheckVerdict:
+    """psd.identity_sup_check with each sample tested by the public psd_leq
+    on np.outer(x, x), which validates b again for every sample."""
+    b = _as_array(b)
+    if b.shape[0] != n:
+        raise DimensionMismatch("matrix size does not match n")
+    rng = np.random.default_rng(seed)
+    lam_min, vecs = eigh_jacobi(b)
+    bottom = vecs[:, 0]
+    samples = [bottom]
+    for _ in range(m):
+        v = rng.normal(size=n)
+        nrm = float(np.linalg.norm(v))
+        if nrm > 1e-12:
+            samples.append(v / nrm)
+    for x in samples:
+        if not psd_leq(np.outer(x, x), b, tol.eig_tol):
+            return SupCheckVerdict(NOT_UPPER_BOUND, float(lam_min[0]), len(samples), x)
+    if float(lam_min[0]) >= 1.0 - tol.cmp_tol:
+        return SupCheckVerdict(CONSISTENT, float(lam_min[0]), len(samples))
+    return SupCheckVerdict(INCONSISTENT, float(lam_min[0]), len(samples), bottom)
 
 
 def frac_vec(*xs):

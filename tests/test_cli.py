@@ -576,9 +576,20 @@ class TestCertifiedBattery:
             return o2, DiagonalIso(o2, [(1, 0), (2, 0)], [PWL_DOUBLING] * 2, g, o2)
         if kind == "moved_zero_diagonal":  # t -> t + 1 on one coordinate
             return o2, DiagonalIso(o2, g, [AffineMap(1, 1), PWL_DOUBLING], g, o2)
+        if kind == "non_inverse_projection_lift":  # split coordinates doubled
+            doubled = replace(split, projection=[[2 * c for c in r] for r in split.projection])
+            return o2, ProductLiftIso(o2, 0, PWL_DOUBLING, flat, doubled, o2)
         # a source or target cone that is not R+ ray (+) subcone in the split
-        # coordinates
+        # coordinates, where the ray is (0, 1) and the subcone's generator
+        # (1, 0): without the ray, with a generator at t < 0 or at w < 0, or
+        # without the subcone's generator
         wedge = cone_from_generators(2, [(1, 0), (1, 1)])
+        unsplit = {"negative_ray_coordinate_lift": [(0, 1), (1, -1)],
+                   "negative_sub_coordinate_lift": [(-1, 1), (1, 0)],
+                   "missing_sub_generator_lift": [(0, 1), (1, 1)]}
+        if kind in unsplit:
+            cone = cone_from_generators(2, unsplit[kind])
+            return cone, ProductLiftIso(cone, 0, PWL_DOUBLING, flat, split, o2)
         if kind == "unsplit_source_lift":
             return wedge, ProductLiftIso(wedge, 0, PWL_DOUBLING, flat, split, o2)
         return o2, ProductLiftIso(o2, 0, PWL_DOUBLING, flat, split, wedge)
@@ -591,8 +602,12 @@ class TestCertifiedBattery:
         # differences, so it sees no violation; the apex check of
         # run_full_battery refutes it (test_moved_apex_is_a_violation)
         ("moved_zero_lift", "PassedSampling"),
+        ("non_inverse_projection_lift", "Violation"),
         ("unsplit_source_lift", "Violation"),
         ("unsplit_target_lift", "Violation"),
+        ("negative_ray_coordinate_lift", "Violation"),
+        ("negative_sub_coordinate_lift", "Violation"),
+        ("missing_sub_generator_lift", "Violation"),
         ("partial_frame_diagonal", "Violation"), ("non_simplicial_diagonal", "Violation"),
         ("non_generator_frame", "Violation"), ("negated_frame", "Violation"),
         ("duplicated_frame", "Violation"),

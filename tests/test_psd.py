@@ -15,6 +15,7 @@ from coneorder.psd import (
     NOT_UPPER_BOUND,
     PsdTolerance,
     SymMatrix,
+    _psd_cholesky,
     conjugation_iso,
     eigh_jacobi,
     engagement_witness,
@@ -26,7 +27,7 @@ from coneorder.psd import (
     rank_one_projection,
 )
 
-from oracles import eigh_oracle
+from oracles import eigh_oracle, identity_sup_check_reference, psd_cholesky_reference
 
 
 def random_sym(rng, n):
@@ -150,6 +151,75 @@ class TestLoewnerOrder:
         assert psd_leq(np.zeros((2, 2)), np.diag([1.0, 0.0]))
         assert not psd_leq(np.diag([0.0, 1e-3]), np.zeros((2, 2)))
 
+    def test_zero_pivot_with_a_nonzero_row_is_not_psd(self):
+        # the semidefinite pivot's row test: [[0, 1], [1, 1]] has a zero
+        # pivot, and its next pivot is positive, but it is indefinite
+        m = np.array([[0.0, 1.0], [1.0, 1.0]])
+        assert not psd_leq(np.zeros((2, 2)), m, 0.0)
+        assert not _psd_cholesky(m.tolist())
+
+    def test_a_pivot_at_minus_the_tolerance_counts_as_zero(self):
+        # -_PIVOT_TOL * scale itself is a semidefinite pivot, not a negative one
+        m = [[-1e-14, 0.0], [0.0, 1.0]]
+        assert _psd_cholesky(m) and psd_cholesky_reference(m)
+        assert psd_leq(np.diag([1e-14, 0.0]), np.diag([0.0, 1.0]), 0.0)
+        assert not _psd_cholesky([[-2e-14, 0.0], [0.0, 1.0]])
+
+    def test_rescaled_semidefinite_pivot_checks_its_row(self):
+        # above 2**500 the matrix is factored divided by a power of two; a
+        # pivot below _PIVOT_TOL * scale times scale itself would overflow
+        # the row bound to inf and let this indefinite matrix through
+        big = 2.0 ** 1000
+        m = np.array([[1e-15 * big, big], [big, big]])
+        assert not psd_leq(np.zeros((2, 2)), m)
+        assert psd_leq(np.zeros((2, 2)), np.array([[big, big], [big, big]]))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_tol_refused(self, bad):
+        # a NaN tol passed every pair, and an infinite one warned in tol * I
+        with pytest.raises(ValueError, match="tol must be finite"):
+            psd_leq(np.eye(2), np.zeros((2, 2)), bad)
+
+
+def _kernel_cases(rng, count):
+    """count seeded symmetric matrices, n = 2..8, of six kinds in turn:
+    positive definite, rank-deficient PSD, rank-deficient shifted by
+    +-1e-12 of its trace, indefinite, PSD with one pivot set to zero or just
+    above it (a semidefinite pivot over a nonzero row), and one of the
+    others rescaled by 2**k for 500 <= k < 1000."""
+    for i in range(count):
+        n = int(rng.integers(2, 9))
+        kind = i % 6
+        if kind == 5:
+            kind = int(rng.integers(0, 5))
+            scale = 2.0 ** int(rng.integers(500, 1000))
+        else:
+            scale = 1.0
+        if kind == 3:
+            g = rng.normal(size=(n, n))
+            m = (g + g.T) / 2
+        else:
+            g = rng.normal(size=(n, n if kind in (0, 4) else int(rng.integers(0, n))))
+            m = g @ g.T
+        if kind == 2:
+            m = m + float(rng.choice([-1e-12, 1e-12])) * np.trace(m) * np.eye(n)
+        elif kind == 4:
+            k = int(rng.integers(0, n))
+            m[k, k] = float(rng.choice([0.0, 1e-15 * np.max(np.abs(m))]))
+        yield m * scale
+
+
+class TestCholeskyKernel:
+    """The list-of-floats factorization against the numpy one it replaced."""
+
+    def test_matches_numpy_reference(self):
+        outcomes = {True: 0, False: 0}
+        for m in _kernel_cases(np.random.default_rng(36), 20000):
+            want = psd_cholesky_reference(m)
+            assert _psd_cholesky(m.tolist()) == want, m.tolist()
+            outcomes[want] += 1
+        assert min(outcomes.values()) > 5000
+
 
 class TestRankOneProjection:
     def test_examples(self):
@@ -270,6 +340,27 @@ class TestIdentitySupCheck:
             b = np.eye(n) + noise @ noise.T  # identity plus PSD noise
             v = identity_sup_check(n, b, m=40, seed=int(rng.integers(0, 10**6)))
             assert v.verdict == CONSISTENT
+
+    def test_equals_a_loop_through_psd_leq(self):
+        # the sample loop tests b - x x^T + tol*I on lists, validating b
+        # once; it must report what testing each sample through the public
+        # psd_leq reports, witness bytes included
+        rng = np.random.default_rng(7)
+        verdicts = set()
+        for n in range(2, 9):
+            noise = random_sym(rng, n)
+            for b in (np.eye(n), 1.5 * np.eye(n), np.eye(n) + noise @ noise.T,
+                      np.eye(n) + 0.2 * noise, np.diag(np.linspace(0.5, 2.0, n))):
+                for seed in (0, 1, 2):
+                    got = identity_sup_check(n, b, m=60, seed=seed)
+                    want = identity_sup_check_reference(n, b, m=60, seed=seed)
+                    assert (got.verdict, got.lambda_min, got.samples) == (
+                        want.verdict, want.lambda_min, want.samples)
+                    assert (got.witness is None) == (want.witness is None)
+                    if got.witness is not None:
+                        assert got.witness.tobytes() == want.witness.tobytes()
+                    verdicts.add(got.verdict)
+        assert verdicts == {CONSISTENT, NOT_UPPER_BOUND}
 
 
 class TestConjugation:
