@@ -124,6 +124,12 @@ MUTANTS = [
            "                and self.target_cone.dim == dim\n",
            "        return (self.target_cone.dim == dim\n",
            (_FORGED + "[moved_zero_lift-PassedSampling]",)),
+    Mutant("lift-target-dimension-unchecked", "iso.py",
+           "                and self.target_cone.dim == dim\n", "",
+           (_CLI + "TestCertifiedBattery::test_lift_of_the_wrong_dimension_does_not_certify",)),
+    Mutant("lift-sub-dimension-unchecked", "iso.py",
+           "                and sub.source_cone.dim == sub.target_cone.dim == dim - 1\n", "",
+           (_CLI + "TestCertifiedBattery::test_lift_of_the_wrong_dimension_does_not_certify",)),
     Mutant("lift-apexed-sub-certifies", "iso.py",
            "                and sub._bases == (None, None)\n", "",
            (_CLI + "TestCertifiedBattery::test_lift_over_an_apexed_sub_does_not_certify",)),

@@ -660,6 +660,18 @@ class TestCertifiedBattery:
         assert sub._certified() and not spec._certified()
         assert check_order_iso_sampled(spec, 300, 0, limit=5).verdict == "Violation"
 
+    def test_lift_of_the_wrong_dimension_does_not_certify(self):
+        # _splits reads the split coordinates of each generator, which do
+        # not show a target or sub cone of the wrong dimension
+        o2, o3 = orthant(2), orthant(3)
+        split = disengaged_split(o2, 0)
+        flat = identity_iso(split.subcone)
+        for target in (orthant(1), o3):
+            assert not ProductLiftIso(o2, 0, PWL_DOUBLING, flat, split, target)._certified()
+        assert not ProductLiftIso(o2, 0, PWL_DOUBLING, identity_iso(o2), split, o2)._certified()
+        assert not ProductLiftIso(o3, 0, PWL_DOUBLING, identity_iso(orthant(1)),
+                                  disengaged_split(o3, 0), o3)._certified()
+
     def test_identity_stages_report_an_undefined_spec_as_a_violation(self, monkeypatch):
         # The lift above is undefined at some cone points: the halfline,
         # additivity and affine-fit stages note the exception in their

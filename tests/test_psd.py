@@ -166,9 +166,9 @@ class TestLoewnerOrder:
         assert not _psd_cholesky([[-2e-14, 0.0], [0.0, 1.0]])
 
     def test_rescaled_semidefinite_pivot_checks_its_row(self):
-        # above 2**500 the matrix is factored divided by a power of two; a
-        # pivot below _PIVOT_TOL * scale times scale itself would overflow
-        # the row bound to inf and let this indefinite matrix through
+        # above 2**500 the matrix is factored divided by a power of two;
+        # unscaled, the pivot times scale overflows, so the row bound is inf
+        # and this indefinite matrix would pass
         big = 2.0 ** 1000
         m = np.array([[1e-15 * big, big], [big, big]])
         assert not psd_leq(np.zeros((2, 2)), m)
