@@ -81,6 +81,8 @@ EXIT_NOT_PD = 6
 
 # check-iso reports the first SHOWN_PAIRS violation pairs of each kind.
 SHOWN_PAIRS = 5
+# psd approx holds its whole table and CSV in memory, one row per k.
+MAX_KMAX = 10000
 _VERDICT_EXIT = {"violation": EXIT_VIOLATION, "affine": EXIT_OK, "nonlinear": EXIT_NEGATIVE}
 # The errors main turns into an exit code, first match first: (class, exit
 # code, stderr prefix), "{}" in a prefix standing for the error's class name.
@@ -541,8 +543,8 @@ def _check_counts(args):
     seed numpy, which takes no negative seed."""
     if args.samples < 1:
         raise ParseError(f"--samples must be at least 1, got {args.samples}")
-    if getattr(args, "kmax", 1) < 1:
-        raise ParseError(f"--kmax must be at least 1, got {args.kmax}")
+    if not 1 <= getattr(args, "kmax", 1) <= MAX_KMAX:
+        raise ParseError(f"--kmax must be from 1 to {MAX_KMAX}, got {args.kmax}")
     if args.command == "psd":
         _tolerance(args)
         if args.n is not None:

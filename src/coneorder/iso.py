@@ -249,8 +249,6 @@ class OddPowerMap(MonotoneBijection):
 
     def _invert_ints(self, n, d):
         k = self.exponent
-        if k == 1:
-            return n, d
         # Perfect powers are recognised on the reduced fraction only.
         g = gcd(n, d)
         p, q = abs(n) // g, d // g
@@ -275,14 +273,19 @@ def _fixes_zero_monotone(m: MonotoneBijection) -> bool:
 
 class _IntMatrix:
     """Rational matrix as integer rows over a common denominator, made by
-    ``linalg.scaled_rows``: applied to integers x it gives rows·x over den."""
+    ``linalg.scaled_rows``: applied to integers x it gives rows·x over den,
+    and to x of the wrong length DimensionMismatch.  A matrix with no rows
+    maps every x to []."""
 
-    __slots__ = ("den", "rows")
+    __slots__ = ("cols", "den", "rows")
 
     def __init__(self, matrix: Matrix):
         self.rows, self.den = scaled_rows(matrix)
+        self.cols = len(self.rows[0]) if self.rows else 0
 
     def apply(self, xi) -> list[int]:
+        if len(xi) != self.cols and self.rows:
+            raise DimensionMismatch(f"vector of length {len(xi)} for {self.cols} columns")
         return [sum(map(mul, row, xi)) for row in self.rows]
 
 
@@ -349,9 +352,10 @@ class IsoSpec:
     it against K (OutOfDomain off it), applies the kind's ``_forward`` and
     shifts the image by a'; ``_invert_ints`` mirrors it with ``_backward``.
     A kind implements only those two maps between the cones, on scaled
-    vectors.  Every kind binds the Fraction wrappers ``eval``/``invert`` in
-    its own namespace, so they can be replaced (traced, stubbed) for one
-    kind alone.
+    vectors.  Every subclass gets the Fraction wrappers ``eval``/``invert``
+    in its own namespace, its own definitions or else the ones it inherits,
+    bound by ``__init_subclass__``, so they can be replaced (traced,
+    stubbed) for one kind alone.
 
     A kind may also implement ``_certify``: an integer proof, re-checked on
     the spec's own integer data, that it is an order-isomorphism of its
@@ -360,6 +364,10 @@ class IsoSpec:
     and its float inverse.  Then no sample of ``check_order_iso_sampled``
     can record a violation against it.
     """
+
+    def __init_subclass__(cls):
+        for name in ("eval", "invert"):
+            setattr(cls, name, getattr(cls, name))
 
     def __init__(self, source: PolyhedralCone, target: PolyhedralCone, exact: bool,
                  source_base=None, target_base=None):
@@ -483,9 +491,6 @@ class LinearIso(IsoSpec):
     def _affine(self):
         return True
 
-    eval = IsoSpec.eval
-    invert = IsoSpec.invert
-
 
 class AffineIso(IsoSpec):
     """f(x) = target_base + inner(x - source_base) between apexed domains."""
@@ -504,9 +509,6 @@ class AffineIso(IsoSpec):
 
     def _affine(self):
         return self.inner._affine()
-
-    eval = IsoSpec.eval
-    invert = IsoSpec.invert
 
 
 def _diagonal(x: Scaled, coords: _FrameCoords, maps, frame: _IntMatrix) -> Scaled:
@@ -575,9 +577,6 @@ class DiagonalIso(IsoSpec):
                 and _simplicial_frame(self.source_frame, self._src_coords, self.source_cone, n)
                 and _simplicial_frame(self.target_frame, self._tgt_coords, self.target_cone, n))
 
-    eval = IsoSpec.eval
-    invert = IsoSpec.invert
-
 
 class ProductLiftIso(IsoSpec):
     """f(t*r + w) = ray_map(t)*r + sub(w) in the coordinates of a
@@ -637,9 +636,6 @@ class ProductLiftIso(IsoSpec):
         return (cone._in_cone(self._unsplit.apply([1, *zeros]))
                 and all(cone._in_cone(self._unsplit.apply([0, *k])) for k in subcone._gen_ints))
 
-    eval = IsoSpec.eval
-    invert = IsoSpec.invert
-
 
 class ComposeIso(IsoSpec):
     """The parts applied in order; each part checks its own domain, so the
@@ -677,9 +673,6 @@ class ComposeIso(IsoSpec):
 
     def _affine(self):
         return all(p._affine() for p in self.parts)
-
-    eval = IsoSpec.eval
-    invert = IsoSpec.invert
 
 
 # ---------------------------------------------------------------------------
@@ -825,7 +818,8 @@ def check_order_iso_sampled(spec: IsoSpec, n: int = 10000, seed: int = 0, *,
     lists hold ``limit`` pairs, and the first ``limit`` of each are kept;
     these, and the verdict, are those of all n samples, since later samples
     only append.  ``samples_run`` stays n, the samples the verdict covers,
-    not the samples drawn.  None draws all n; a limit below 1 is a
+    not the samples drawn.  None means n, which draws all n samples, since
+    one side can hold no more than n pairs; a limit below 1 is a
     ValueError, since it would keep no pair of a violating spec.
 
     Every spec kind runs on scaled integer vectors from draw to verdict:
@@ -840,7 +834,8 @@ def check_order_iso_sampled(spec: IsoSpec, n: int = 10000, seed: int = 0, *,
     same draws and give the same report.
     """
     _check_samples(n)
-    if limit is not None and limit < 1:
+    limit = n if limit is None else limit
+    if limit < 1:
         raise ValueError(f"limit must be at least 1, got {limit}")
     src, tgt = spec.source_cone, spec.target_cone
     a, b = spec._bases
@@ -908,9 +903,9 @@ def check_order_iso_sampled(spec: IsoSpec, n: int = 10000, seed: int = 0, *,
         hit = run_index(i, rng)
         if hit is not None:
             side, (p, q) = hit
-            if limit is None or len(found[side]) < limit:
+            if len(found[side]) < limit:
                 found[side].append((_fractions(p), _fractions(q)))
-                if limit is not None and min(map(len, found)) >= limit:
+                if min(map(len, found)) >= limit:
                     break
     verdict = "Violation" if found[0] or found[1] else "PassedSampling"
     return IsoReport(tuple(found[0]), tuple(found[1]), n, verdict)

@@ -46,6 +46,7 @@ from .linalg import (
     primitive,
     scaled_ints,
     scaled_rows,
+    transpose,
     unit_vec,
     vec_add,
     vec_neg,
@@ -430,7 +431,9 @@ class DisengagedSplit:
     coordinate is the multiple of the ray, the rest are coordinates in the
     basis of W = span of the other extreme generators, where ``subcone``
     lives.  ``basis`` lists the inverse images (ray first, then the basis of
-    W) as columns of projection^{-1}.
+    W) as columns of projection^{-1}.  ``split`` and ``unsplit`` are the two
+    exact Fraction products; a vector of the wrong length, w included, is a
+    ValueError.
     """
 
     ray: Vec
@@ -443,13 +446,7 @@ class DisengagedSplit:
         return c[0], c[1:]
 
     def unsplit(self, t, w) -> Vec:
-        out = list(vec_scale(t, self.basis[0])) if t else [ZERO] * len(self.basis[0])
-        for coeff, b in zip(w, self.basis[1:]):
-            if coeff:
-                for i, bi in enumerate(b):
-                    if bi:
-                        out[i] += coeff * bi
-        return tuple(out)
+        return mat_vec(transpose(self.basis), (t, *w))
 
 
 def disengaged_split(cone: PolyhedralCone, ray_index: int) -> DisengagedSplit:

@@ -410,6 +410,9 @@ def infsup_approx(a, k_max: int = 16, seed: int = 0) -> list[ConvergenceRow]:
     construction and reach zero once the chain fills the space.  The
     schedule (which projections enter at step k) is a reporting choice; any
     nested chain exhibits the same monotone convergence.
+
+    Rows 1..min(k_max, n) are computed, each from I - P_k formed once;
+    V_n is the whole space, so rows n+1..k_max repeat row n with their own k.
     """
     a = _as_array(a)
     n = a.shape[0]
@@ -422,8 +425,9 @@ def infsup_approx(a, k_max: int = 16, seed: int = 0) -> list[ConvergenceRow]:
         nrm = float(np.linalg.norm(v))
         if nrm > 1e-8:
             dirs.append(v / nrm)
+    ident = np.eye(n)
     try:
-        s = conjugation_iso(a + np.eye(n)).sqrt
+        s = conjugation_iso(a + ident).sqrt
     except NotPositiveDefinite:
         if psd_leq(np.zeros((n, n)), a):
             raise ValueError("A + I is not positive definite in float precision: "
@@ -431,12 +435,9 @@ def infsup_approx(a, k_max: int = 16, seed: int = 0) -> list[ConvergenceRow]:
         raise
     rows: list[ConvergenceRow] = []
     basis = np.zeros((n, 0))
-    for k in range(1, k_max + 1):
-        if k <= n:
-            basis = np.column_stack([basis, dirs[k - 1]])
-        p = basis @ basis.T
-        ident = np.eye(n)
-        d_k = lambda_max(s @ (ident - p) @ s)
-        e_k = lambda_max(ident - p)
-        rows.append(ConvergenceRow(k, max(d_k, 0.0), max(e_k, 0.0)))
-    return rows
+    for k in range(1, min(k_max, n) + 1):
+        basis = np.column_stack([basis, dirs[k - 1]])
+        rest = ident - basis @ basis.T
+        rows.append(ConvergenceRow(k, max(lambda_max(s @ rest @ s), 0.0),
+                                   max(lambda_max(rest), 0.0)))
+    return rows + [ConvergenceRow(k, rows[-1].d_k, rows[-1].e_k) for k in range(n + 1, k_max + 1)]

@@ -110,8 +110,7 @@ def cone_to_json(cone: PolyhedralCone) -> dict:
 
 def cone_report(cone: PolyhedralCone) -> dict:
     return {
-        "dim": cone.dim,
-        "generators": [vec_to_json(g) for g in cone.generators],
+        **cone_to_json(cone),
         "facets": [vec_to_json(f) for f in cone.facets],
         "pointed": cone.pointed,
         "generating": cone.generating,

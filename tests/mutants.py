@@ -236,6 +236,34 @@ MUTANTS = [
            "    e = _rescale_exponent(peak)\n", "    e = 0\n",
            (_PSD + "TestLoewnerOrder::test_rescaled_semidefinite_pivot_checks_its_row",
             _PSD + "TestCholeskyKernel::test_matches_numpy_reference")),
+    # The inf/sup table computed up to row n and padded with row n.
+    Mutant("approx-pads-with-row-1", "psd.py",
+           "ConvergenceRow(k, rows[-1].d_k, rows[-1].e_k)",
+           "ConvergenceRow(k, rows[0].d_k, rows[0].e_k)",
+           (_PSD + "TestInfSupApprox::test_equals_a_table_computed_row_by_row",)),
+    Mutant("approx-stops-a-row-early", "psd.py",
+           "    for k in range(1, min(k_max, n) + 1):\n",
+           "    for k in range(1, min(k_max, n)):\n",
+           (_PSD + "TestInfSupApprox::test_equals_a_table_computed_row_by_row",)),
+    Mutant("kmax-uncapped", "cli.py",
+           "    if not 1 <= getattr(args, \"kmax\", 1) <= MAX_KMAX:\n",
+           "    if not 1 <= getattr(args, \"kmax\", 1):\n",
+           (_CLI + "test_kmax_above_the_cap_exit_2",)),
+    # The wrapper bindings of the iso kinds and the length check of their
+    # integer matrices.
+    Mutant("kinds-bind-only-eval", "iso.py",
+           "        for name in (\"eval\", \"invert\"):\n",
+           "        for name in (\"eval\",):\n",
+           (_ISO + "TestWrapperBindings::test_a_subclass_gets_both_wrappers",
+            "tests/test_tooling.py::test_every_iso_kind_binds_and_is_traced")),
+    Mutant("int-matrix-takes-any-length", "iso.py",
+           "        if len(xi) != self.cols and self.rows:\n"
+           "            raise DimensionMismatch(f\"vector of length {len(xi)}"
+           " for {self.cols} columns\")\n",
+           "",
+           (_ISO + "TestIntMatrix::test_vector_of_the_wrong_length_refused",
+            _ISO + "TestProductLift::"
+            "test_direct_lift_with_a_sub_of_the_wrong_dimension_refuses_to_evaluate")),
     # The double description without its duplicate-ray filter (BENCH_34).
     Mutant("dd-repeats-a-new-ray", "cones.py",
            "        rays = [rays[j] for j in pos] + [rays[j] for j in zer] + new_rays\n"

@@ -15,7 +15,8 @@ solve per ray instead of one row reduction per cone, a disengaged split through 
 greedy basis and one inverse per split instead of that same reduction, eigendecompositions
 through numpy's LAPACK instead of the in-repo Jacobi sweep, the Loewner
 order's semidefinite Cholesky through numpy row operations instead of lists of
-Python floats, and iso specs
+Python floats, the inf/sup table through every row up to k_max instead of
+the rows up to n, and iso specs
 and their sampled battery through the per-kind Fraction formulas instead of
 the integer cores (the float order test through float() of each Fraction
 facet entry instead of the integer normals), and the check-iso identities
@@ -95,11 +96,14 @@ from coneorder.psd import (
     DEFAULT_TOL,
     INCONSISTENT,
     NOT_UPPER_BOUND,
+    ConvergenceRow,
     SupCheckVerdict,
     _PIVOT_TOL,
     _as_array,
     _rescale_exponent,
+    conjugation_iso,
     eigh_jacobi,
+    lambda_max,
     psd_leq,
 )
 from coneorder.sampling import cone_point, incomparable_pair, rng_for
@@ -749,6 +753,36 @@ def identity_sup_check_reference(n: int, b, m: int = 10000, seed: int = 0,
     if float(lam_min[0]) >= 1.0 - tol.cmp_tol:
         return SupCheckVerdict(CONSISTENT, float(lam_min[0]), len(samples))
     return SupCheckVerdict(INCONSISTENT, float(lam_min[0]), len(samples), bottom)
+
+
+def infsup_approx_reference(a, k_max: int = 16, seed: int = 0) -> list[ConvergenceRow]:
+    """psd.infsup_approx as it was before it stopped at row n: every row
+    k = 1..k_max is computed, those past n too, with a fresh identity and
+    I - P_k formed twice a step.  It keeps no guard for an A + I that is
+    not positive definite."""
+    a = _as_array(a)
+    n = a.shape[0]
+    rng = np.random.default_rng(seed)
+    dirs: list[np.ndarray] = []
+    while len(dirs) < n:
+        v = rng.normal(size=n)
+        for u in dirs:
+            v = v - np.dot(u, v) * u
+        nrm = float(np.linalg.norm(v))
+        if nrm > 1e-8:
+            dirs.append(v / nrm)
+    s = conjugation_iso(a + np.eye(n)).sqrt
+    rows: list[ConvergenceRow] = []
+    basis = np.zeros((n, 0))
+    for k in range(1, k_max + 1):
+        if k <= n:
+            basis = np.column_stack([basis, dirs[k - 1]])
+        p = basis @ basis.T
+        ident = np.eye(n)
+        d_k = lambda_max(s @ (ident - p) @ s)
+        e_k = lambda_max(ident - p)
+        rows.append(ConvergenceRow(k, max(d_k, 0.0), max(e_k, 0.0)))
+    return rows
 
 
 def frac_vec(*xs):

@@ -1066,6 +1066,15 @@ def test_negative_kmax_exit_2(files, capsys, kmax):
     assert "--kmax" in err
 
 
+def test_kmax_above_the_cap_exit_2(files, capsys):
+    # refused before a matrix is parsed or a row of the table is held
+    kmax = cli_mod.MAX_KMAX + 1
+    code, out, err = run(capsys, "psd", "approx", "--a", "diag:1,1", "--n", "2",
+                         "--kmax", str(kmax))
+    assert (code, out) == (2, "")
+    assert f"--kmax must be from 1 to {cli_mod.MAX_KMAX}, got {kmax}" in err
+
+
 @pytest.mark.parametrize("argv", [["supcheck", "--n", "2", "--b", "eye"],
                                   ["approx", "--n", "2", "--a", "diag:2,1", "--kmax", "2"]])
 def test_negative_seed_of_a_seeded_psd_command_exit_2(capsys, argv):

@@ -34,6 +34,7 @@ from coneorder.iso import (
     MonotoneBijection,
     OddPowerMap,
     PiecewiseLinearMap,
+    ProductLiftIso,
     check_additivity,
     check_affine_on,
     check_order_iso_sampled,
@@ -50,6 +51,7 @@ from coneorder.iso import (
     make_linear_iso,
     make_product_lift,
     _FrameCoords,
+    _IntMatrix,
     _signed_extreme,
 )
 from coneorder.linalg import (
@@ -177,6 +179,9 @@ class TestMonotoneBijections:
         assert abs(float(approx) ** 3 - 2) < 1e-9   # flagged approximate
         assert not m.exact
         assert OddPowerMap(1).exact
+        # the exponent 1 takes the general path, which reduces n/d first
+        assert OddPowerMap(1)._invert_ints(-6, 4) == (-3, 2)
+        assert OddPowerMap(1).invert(Fraction(5, 7)) == Fraction(5, 7)
         with pytest.raises(ValueError):
             OddPowerMap(2)
         with pytest.raises(ValueError):
@@ -406,6 +411,42 @@ class TestFrameCoords:
         _check_frame_coords(frame, dim, points)
 
 
+class TestWrapperBindings:
+    # The library's kinds: tests/test_tooling.py, which also reads the tracer.
+    def test_a_subclass_gets_both_wrappers(self):
+        assert vars(HalflineKink)["eval"] is IsoSpec.eval
+        assert vars(HalflineKink)["invert"] is IsoSpec.invert
+
+    def test_a_kind_keeps_its_own_wrapper_and_passes_it_on(self):
+        class OwnEval(HalflineKink):
+            def eval(self, x):
+                return "own"
+
+        class Heir(OwnEval):
+            pass
+
+        for cls in (OwnEval, Heir):
+            assert vars(cls)["eval"] is vars(OwnEval)["eval"]
+            assert vars(cls)["invert"] is IsoSpec.invert
+        spec = Heir(orthant(2), V(0, 0), V(1, 0), 1, V(0, 0))
+        assert spec.eval(V(1, 1)) == "own"
+        assert spec.invert(V(1, 1)) == V(1, 1)
+
+
+class TestIntMatrix:
+    M = [V(1, Fraction(1, 2)), V(0, 3)]
+
+    def test_rows_over_the_common_denominator(self):
+        m = _IntMatrix(self.M)
+        assert (m.rows, m.den, m.cols) == ([(2, 1), (0, 6)], 2, 2)
+        assert m.apply([2, 4]) == [8, 24]
+
+    @pytest.mark.parametrize("xi", [[], [1], [1, 2, 3]], ids=["empty", "short", "long"])
+    def test_vector_of_the_wrong_length_refused(self, xi):
+        with pytest.raises(DimensionMismatch, match=f"length {len(xi)} for 2 columns"):
+            _IntMatrix(self.M).apply(xi)
+
+
 class TestProductLift:
     def test_orthant_lift_nonlinear(self):
         spec = make_product_lift(orthant(3), 0, OddPowerMap(3), identity_iso(orthant(2)))
@@ -453,6 +494,18 @@ class TestProductLift:
     def test_dimension_one_refused(self):
         with pytest.raises(DimensionMismatch, match="dimension >= 2, got 1$"):
             make_product_lift(orthant(1), 0, OddPowerMap(3), identity_iso(orthant(1)))
+
+    def test_direct_lift_with_a_sub_of_the_wrong_dimension_refuses_to_evaluate(self):
+        # Past make_product_lift's checks: orthant(3) splits into a ray and
+        # two sub coordinates, which a sub on orthant(1) cannot take.  The
+        # certificate's dimension tests fail first; eval refuses the
+        # shape instead of truncating the sub coordinates.
+        o3 = orthant(3)
+        pwl = PiecewiseLinearMap(((Fraction(0), Fraction(0)), (Fraction(1), Fraction(2))))
+        spec = ProductLiftIso(o3, 0, pwl, identity_iso(orthant(1)), disengaged_split(o3, 0), o3)
+        assert not spec._certified()
+        with pytest.raises(DimensionMismatch):
+            spec.eval(V(1, 2, 3))
 
 
 class TestComposeAndAffine:

@@ -751,6 +751,13 @@ class TestDisengagedSplit:
                 assert split.unsplit(tx, wx) == x
                 pairs += 1
 
+    @pytest.mark.parametrize("w", [(1,), (1, 2, 3)], ids=["short", "long"])
+    def test_unsplit_refuses_w_of_the_wrong_length(self, w):
+        split = disengaged_split(orthant(3), 0)
+        assert split.unsplit(*split.split(V(1, 2, 3))) == V(1, 2, 3)
+        with pytest.raises(ValueError):
+            split.unsplit(1, w)
+
 
 class TestOrderUnitNorm:
     def test_examples(self):

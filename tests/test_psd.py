@@ -27,7 +27,12 @@ from coneorder.psd import (
     rank_one_projection,
 )
 
-from oracles import eigh_oracle, identity_sup_check_reference, psd_cholesky_reference
+from oracles import (
+    eigh_oracle,
+    identity_sup_check_reference,
+    infsup_approx_reference,
+    psd_cholesky_reference,
+)
 
 
 def random_sym(rng, n):
@@ -449,6 +454,26 @@ class TestInfSupApprox:
         grid = [np.array([math.cos(t), math.sin(t)]) for t in np.linspace(0, math.pi, 181)]
         oracle = max(float(u @ (np.eye(2) - p1) @ u) for u in grid)
         assert rows[0].e_k == pytest.approx(oracle, abs=1e-3)
+
+    def test_equals_a_table_computed_row_by_row(self):
+        # The reference computes every row, those past n too; its table for
+        # k_max = 16 holds the table of every smaller k_max as a prefix.
+        # Rows are compared as the CSV prints them, repr of each float.
+        rng = np.random.default_rng(2026)
+        mismatches = []
+        for n in range(2, 9):
+            for scale in (1e-3, 1e-1, 1.0, 1e1, 1e3):
+                for _ in range(2):
+                    g = rng.normal(size=(n, int(rng.integers(1, n + 1))))
+                    a, seed = scale * (g @ g.T), int(rng.integers(1 << 31))
+                    want = [(r.k, repr(r.d_k), repr(r.e_k))
+                            for r in infsup_approx_reference(a, 16, seed)]
+                    for k_max in {1, 2, n - 1, n, n + 1, 12, 16}:
+                        got = [(r.k, repr(r.d_k), repr(r.e_k))
+                               for r in infsup_approx(a, k_max, seed)]
+                        if got != want[:k_max]:
+                            mismatches.append((n, scale, seed, k_max))
+        assert mismatches == []
 
 
 def test_tolerances_validated():

@@ -16,10 +16,16 @@ from coneorder.cli import _build_parser
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
 
-def test_every_tracer_target_resolves():
+def _tracer():
+    """perfbench/tracer.py, loaded from its file."""
     spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
+    return tracer
+
+
+def test_every_tracer_target_resolves():
+    tracer = _tracer()
     missing = []
     for modname, attr, _span in tracer._INSTRUMENT:
         mod = importlib.import_module(modname)
@@ -31,6 +37,21 @@ def test_every_tracer_target_resolves():
         if not found:
             missing.append(f"{modname}.{attr}")
     assert tracer._INSTRUMENT
+    assert missing == []
+
+
+def test_every_iso_kind_binds_and_is_traced():
+    # The tracer wraps each kind's eval/invert in the kind's own namespace;
+    # a kind it does not name would run untraced without any error.
+    import coneorder.iso as iso
+
+    traced = {attr for modname, attr, _span in _tracer()._INSTRUMENT if modname == iso.__name__}
+    kinds = [cls for cls in vars(iso).values() if isinstance(cls, type)
+             and issubclass(cls, iso.IsoSpec) and cls is not iso.IsoSpec
+             and cls.__module__ == iso.__name__]
+    assert kinds
+    missing = [f"{cls.__name__}.{meth}" for cls in kinds for meth in ("eval", "invert")
+               if meth not in vars(cls) or f"{cls.__name__}.{meth}" not in traced]
     assert missing == []
 
 
