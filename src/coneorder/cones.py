@@ -277,7 +277,12 @@ class PolyhedralCone:
         return tuple(x)
 
     def _in_cone(self, zi) -> bool:
-        """<h, z> >= 0 for every facet normal h; zi are integers on the ray of z."""
+        """<h, z> >= 0 for every facet normal h; zi are integers on the ray of z.
+
+        zi must have length dim: each row is zipped with it unchecked, so a
+        shorter or longer vector is judged on the coordinates it shares
+        with the normals.  Every public entry checks the length first (see
+        ``_check_dim``), and this loop, the hottest of check-iso, does not."""
         for row in self._facet_ints:
             if sum(map(mul, row, zi)) < 0:
                 return False
@@ -288,7 +293,7 @@ class PolyhedralCone:
         return self._in_cone(scaled_ints(self._check_dim(x))[0])
 
     def _leq_ints(self, xi, yi) -> bool:
-        """x <= y for integer vectors on a common scale."""
+        """x <= y for integer vectors of length dim on a common scale."""
         return self._in_cone(list(map(sub, yi, xi)))
 
     def leq(self, x, y) -> bool:

@@ -59,9 +59,7 @@ from .linalg import (
     rref_transform,
     scaled_ints,
     scaled_rows,
-    solve,
     transpose,
-    vec_sub,
     zero_vec,
 )
 from .order import DisengagedSplit, disengaged_split
@@ -139,45 +137,53 @@ def _affine_ints(slope: Fraction, intercept: Fraction) -> tuple[int, int, int]:
     return a, b, c
 
 
-@dataclass(frozen=True)
-class AffineMap(MonotoneBijection):
-    slope: Fraction
-    intercept: Fraction = ZERO
-
-    def __post_init__(self):
-        object.__setattr__(self, "slope", frac(self.slope))
-        object.__setattr__(self, "intercept", frac(self.intercept))
-        if self.slope <= 0:
-            raise ValueError("affine bijection needs a positive slope")
-        object.__setattr__(self, "_abc", _affine_ints(self.slope, self.intercept))
-
-    def _eval_ints(self, n, d):
-        a, b, c = self._abc
-        return a * n + b * d, c * d
-
-    def _invert_ints(self, n, d):
-        a, b, c = self._abc
-        return c * n - b * d, a * d
-
-
-IDENTITY_MAP = AffineMap(Fraction(1), ZERO)
-
-
 def _piece(n: int, d: int, knots: list[int], kden: int) -> int:
-    """Which piece of a piecewise-linear map holds n/d, for knots/kden
-    strictly increasing: 0 left of the first knot (inclusive), len(knots)
-    right of the last (inclusive), else k for the first segment
-    [knots[k-1], knots[k]] that holds it."""
+    """Which piece of a piecewise-affine map holds n/d, for knots/kden
+    strictly increasing: 0 without knots or left of the first knot
+    (inclusive), len(knots) right of the last (inclusive), else k for the
+    first segment [knots[k-1], knots[k]] that holds it."""
     t = n * kden
-    if t <= knots[0] * d:
+    if not knots or t <= knots[0] * d:
         return 0
     if t >= knots[-1] * d:
         return len(knots)
     return next(k for k in range(1, len(knots)) if t <= knots[k] * d)
 
 
+class _AffinePieces(MonotoneBijection):
+    """A map made of affine pieces (a, b, c) in ``_pieces``, as
+    ``_affine_ints`` gives them: piece ``_piece`` of the knots ``_xs``
+    forward and of their images ``_ys`` backward."""
+
+    def _eval_ints(self, n, d):
+        a, b, c = self._pieces[_piece(n, d, *self._xs)]
+        return a * n + b * d, c * d
+
+    def _invert_ints(self, n, d):
+        a, b, c = self._pieces[_piece(n, d, *self._ys)]
+        return c * n - b * d, a * d
+
+
 @dataclass(frozen=True)
-class PiecewiseLinearMap(MonotoneBijection):
+class AffineMap(_AffinePieces):
+    slope: Fraction
+    intercept: Fraction = ZERO
+    # its one piece, over no knots
+    _xs = _ys = ([], 1)
+
+    def __post_init__(self):
+        object.__setattr__(self, "slope", frac(self.slope))
+        object.__setattr__(self, "intercept", frac(self.intercept))
+        if self.slope <= 0:
+            raise ValueError("affine bijection needs a positive slope")
+        object.__setattr__(self, "_pieces", (_affine_ints(self.slope, self.intercept),))
+
+
+IDENTITY_MAP = AffineMap(Fraction(1), ZERO)
+
+
+@dataclass(frozen=True)
+class PiecewiseLinearMap(_AffinePieces):
     """Rational piecewise-linear bijection through the given breakpoints.
 
     Beyond the first and last breakpoint the map continues with slope 1,
@@ -204,14 +210,6 @@ class PiecewiseLinearMap(MonotoneBijection):
             _affine_ints(s, y0 - s * x0) for s, (x0, y0) in zip(slopes, ends)))
         object.__setattr__(self, "_xs", scaled_ints([x for x, _ in bps]))
         object.__setattr__(self, "_ys", scaled_ints([y for _, y in bps]))
-
-    def _eval_ints(self, n, d):
-        a, b, c = self._pieces[_piece(n, d, *self._xs)]
-        return a * n + b * d, c * d
-
-    def _invert_ints(self, n, d):
-        a, b, c = self._pieces[_piece(n, d, *self._ys)]
-        return c * n - b * d, a * d
 
 
 def _int_nth_root(m: int, k: int) -> int | None:
@@ -1045,18 +1043,6 @@ class AffineFit:
     base_image: Vec
     basis_images: tuple[Vec, ...]
     witness: Vec | None = None
-
-    def predict(self, p: Vec) -> Vec:
-        diffs = [vec_sub(q, self.base_point) for q in self.basis_points]
-        t = solve(transpose(diffs), vec_sub(as_vec(p), self.base_point)) if diffs else ()
-        if t is None:
-            raise DegenerateSpan("point outside the affine hull of the fit")
-        out = list(self.base_image)
-        for tj, img in zip(t, self.basis_images):
-            if tj:
-                for i, c in enumerate(vec_sub(img, self.base_image)):
-                    out[i] += tj * c
-        return tuple(out)
 
 
 def affine_span(cone: PolyhedralCone, points, image=None):

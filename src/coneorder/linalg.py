@@ -16,20 +16,36 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
+from .errors import ParseError
+
 Vec = tuple[Fraction, ...]
 Matrix = tuple[Vec, ...]
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
+# A rational string builds ints with about as many digits as its length
+# plus its decimal exponent ("1e999999999" is a 10^9-digit power of ten).
+# Both are bounded by the interpreter's default limit on the digits of an
+# int converted to or from a string; no report could print more anyway.
+MAX_RATIONAL_DIGITS = 4300
+
 
 def frac(x) -> Fraction:
-    """Coerce ints, strings like '3/4', and Fractions; floats are refused."""
-    if isinstance(x, Fraction):
+    """Coerce ints, strings like '3/4', '-2' or '1.5e-3', and Fractions;
+    floats are refused.  ParseError for a string longer than
+    MAX_RATIONAL_DIGITS or with an exponent beyond it."""
+    # Fraction's metaclass is ABCMeta, so isinstance(x, Fraction) is slow
+    # when it fails; the strings of an input file do not take that test.
+    if type(x) is Fraction:
         return x
-    if isinstance(x, int):
-        return Fraction(x)
     if isinstance(x, str):
+        _, e, exp = x.lower().partition("e")
+        if len(x) > MAX_RATIONAL_DIGITS or e and abs(int(exp)) > MAX_RATIONAL_DIGITS:
+            raise ParseError(f"a rational string may have at most {MAX_RATIONAL_DIGITS} "
+                             f"characters and an exponent of at most {MAX_RATIONAL_DIGITS}")
+        return Fraction(x)
+    if isinstance(x, (int, Fraction)):
         return Fraction(x)
     raise TypeError(f"exact rational expected, got {type(x).__name__}")
 

@@ -90,9 +90,8 @@ def _bound_row(h, den: int, bound: int, upper: bool) -> tuple[int, ...]:
     """The homogenized row of <h, z> >= bound / den (lower: <=) in integers:
     (den*h, -bound), negated for lower bounds, a positive multiple of the
     Fraction row, which leaves the double description unchanged."""
-    if upper:
-        return tuple(den * c for c in h) + (-bound,)
-    return tuple(-den * c for c in h) + (bound,)
+    s = 1 if upper else -1
+    return tuple(s * den * c for c in h) + (-s * bound,)
 
 
 def _bound_rows(cone: PolyhedralCone, points, upper: bool) -> list[tuple[int, ...]]:

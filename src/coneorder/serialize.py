@@ -29,18 +29,18 @@ from .iso import (
     make_linear_iso,
     make_product_lift,
 )
+from .linalg import frac
 from .order import InfSupExpr, inf_expr, leaf, sup_expr
 from .psd import SymMatrix
 
 
 def parse_rational(x) -> Fraction:
+    """A JSON int or rational string, read by ``linalg.frac``."""
     if isinstance(x, bool):
         raise ParseError(f"expected a rational, got {x!r}")
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
+    if isinstance(x, (int, str)):
         try:
-            return Fraction(x)
+            return frac(x)
         except (ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"bad rational {x!r}") from exc
     if isinstance(x, float):
@@ -91,12 +91,21 @@ def _single_key(obj, what: str):
     return next(iter(obj.items()))
 
 
+# A cone builds dim x dim exact matrices (a lineality basis, an
+# elimination) even from no generators, so a short file must not name a
+# huge dim.  Every test and benchmark cone has dim at most 7.
+MAX_DIM = 256
+
+
 def parse_cone(obj) -> PolyhedralCone:
-    """Cone file: {"dim": d, "generators": [...]} or {"dim": d, "facets": [...]}."""
+    """Cone file: {"dim": d, "generators": [...]} or {"dim": d, "facets": [...]},
+    with 1 <= d <= MAX_DIM."""
     _reject_unknown(obj, {"dim", "generators", "facets"}, "cone")
     dim = _field(obj, "dim", "cone", int)
     if dim < 1:
         raise ParseError("cone needs a positive integer 'dim'")
+    if dim > MAX_DIM:
+        raise ParseError(f"cone dim {dim} exceeds the limit {MAX_DIM}")
     has_g = "generators" in obj
     if has_g == ("facets" in obj):
         raise ParseError("cone needs exactly one of 'generators' or 'facets'")
@@ -187,8 +196,22 @@ def bijection_to_json(m: MonotoneBijection) -> dict:
     raise TypeError(f"unknown bijection {type(m).__name__}")
 
 
+# Checking a spec recurses a few frames per nesting level (a certified
+# composition certifies its parts in a generator), so the depth is bounded
+# well inside the interpreter's default recursion limit of 1000; a spec
+# nested this deep still runs check-iso to the end.
+MAX_ISO_DEPTH = 100
+
+
 def parse_iso(obj) -> IsoSpec:
-    """Iso spec file mirroring the kind tree; validated on construction."""
+    """Iso spec file mirroring the kind tree, validated on construction, with
+    at most MAX_ISO_DEPTH specs on any path from the root to a leaf spec."""
+    return _parse_iso(obj, MAX_ISO_DEPTH)
+
+
+def _parse_iso(obj, depth_left: int) -> IsoSpec:
+    if depth_left == 0:
+        raise ParseError(f"iso spec nests more than {MAX_ISO_DEPTH} specs deep")
     key, val = _single_key(obj, "iso spec")
     if key == "linear":
         what = "linear iso"
@@ -199,7 +222,7 @@ def parse_iso(obj) -> IsoSpec:
     if key == "affine":
         what = "affine iso"
         _reject_unknown(val, {"linear", "source_base", "target_base"}, what)
-        return make_affine_iso(parse_iso(_field(val, "linear", what)),
+        return make_affine_iso(_parse_iso(_field(val, "linear", what), depth_left - 1),
                                parse_vec(_field(val, "source_base", what)),
                                parse_vec(_field(val, "target_base", what)))
     if key == "diagonal":
@@ -214,11 +237,11 @@ def parse_iso(obj) -> IsoSpec:
         ray_index = _field(val, "ray_index", what, int)
         return make_product_lift(parse_cone(_field(val, "cone", what)), ray_index,
                                  parse_bijection(_field(val, "ray_map", what)),
-                                 parse_iso(_field(val, "sub", what)))
+                                 _parse_iso(_field(val, "sub", what), depth_left - 1))
     if key == "compose":
         if not isinstance(val, list) or not val:
             raise ParseError("compose needs a nonempty list of specs")
-        return compose_isos(*[parse_iso(p) for p in val])
+        return compose_isos(*[_parse_iso(p, depth_left - 1) for p in val])
     raise ParseError(f"unknown iso kind {key!r}")
 
 
@@ -276,7 +299,7 @@ def load_json(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     except RecursionError as exc:
         raise ParseError(f"cannot read {path}: JSON nested too deep") from exc

@@ -51,6 +51,8 @@ _ISO = "tests/test_iso.py::"
 _CLI = "tests/test_cli.py::"
 _CONES = "tests/test_cones.py::"
 _PSD = "tests/test_psd.py::"
+_ORDER = "tests/test_order.py::"
+_SERIALIZE = "tests/test_serialize.py::"
 _FORGED = _CLI + "TestCertifiedBattery::test_forged_specs_keep_their_sampled_report"
 _DIAGONAL = (_CLI + "TestCertifiedBattery::test_forged_specs_keep_their_sampled_report",
              _CLI + "TestCertifiedBattery::test_certified_reports_equal_sampled_reports",
@@ -264,6 +266,48 @@ MUTANTS = [
            (_ISO + "TestIntMatrix::test_vector_of_the_wrong_length_refused",
             _ISO + "TestProductLift::"
             "test_direct_lift_with_a_sub_of_the_wrong_dimension_refuses_to_evaluate")),
+    # The one evaluator of affine pieces and the one signed bound row.
+    Mutant("piece-without-its-no-knots-guard", "iso.py",
+           "    if not knots or t <= knots[0] * d:\n", "    if t <= knots[0] * d:\n",
+           (_ISO + "TestMonotoneBijections::test_affine_map",)),
+    Mutant("lower-bound-row-unsigned", "order.py",
+           "    s = 1 if upper else -1\n", "    s = 1\n",
+           (_ORDER + "TestSupremumInfimum::test_infimum_examples",)),
+    # The input limits: each off by one toward accepting limit + 1, and
+    # each guard removed.
+    Mutant("rational-length-limit-off-by-one", "linalg.py",
+           "len(x) > MAX_RATIONAL_DIGITS", "len(x) > MAX_RATIONAL_DIGITS + 1",
+           (_SERIALIZE + "TestRationals::test_string_length_and_exponent_are_bounded",
+            _CLI + "TestInputLimits::test_rational_string")),
+    Mutant("rational-exponent-limit-off-by-one", "linalg.py",
+           "abs(int(exp)) > MAX_RATIONAL_DIGITS:", "abs(int(exp)) > MAX_RATIONAL_DIGITS + 1:",
+           (_SERIALIZE + "TestRationals::test_string_length_and_exponent_are_bounded",
+            _CLI + "TestInputLimits::test_rational_string")),
+    Mutant("rational-limit-removed", "linalg.py",
+           "        if len(x) > MAX_RATIONAL_DIGITS or e and abs(int(exp)) > MAX_RATIONAL_DIGITS:\n",
+           "        if False:\n",
+           (_SERIALIZE + "TestRationals::test_string_length_and_exponent_are_bounded",
+            _CLI + "TestInputLimits::test_rational_string")),
+    Mutant("dim-limit-off-by-one", "serialize.py",
+           "    if dim > MAX_DIM:\n", "    if dim > MAX_DIM + 1:\n",
+           (_SERIALIZE + "test_cone_dim_is_bounded", _CLI + "TestInputLimits::test_cone_dim")),
+    Mutant("dim-limit-removed", "serialize.py",
+           "    if dim > MAX_DIM:\n", "    if False:\n",
+           (_SERIALIZE + "test_cone_dim_is_bounded", _CLI + "TestInputLimits::test_cone_dim")),
+    Mutant("iso-depth-limit-off-by-one", "serialize.py",
+           "    if depth_left == 0:\n        raise ParseError(f\"iso spec",
+           "    if depth_left == -1:\n        raise ParseError(f\"iso spec",
+           (_SERIALIZE + "test_iso_depth_counts_every_nesting_kind",
+            _CLI + "TestInputLimits::test_iso_depth")),
+    Mutant("iso-depth-limit-removed", "serialize.py",
+           "    if depth_left == 0:\n        raise ParseError(f\"iso spec",
+           "    if False:\n        raise ParseError(f\"iso spec",
+           (_SERIALIZE + "test_iso_depth_counts_every_nesting_kind",
+            _CLI + "TestInputLimits::test_iso_depth")),
+    Mutant("load-json-reads-decode-errors-as-values", "serialize.py",
+           "    except (OSError, ValueError) as exc:\n",
+           "    except (OSError, json.JSONDecodeError) as exc:\n",
+           (_CLI + "TestInputLimits::test_unreadable_file",)),
     # The double description without its duplicate-ray filter (BENCH_34).
     Mutant("dd-repeats-a-new-ray", "cones.py",
            "        rays = [rays[j] for j in pos] + [rays[j] for j in zer] + new_rays\n"

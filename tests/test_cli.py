@@ -35,10 +35,17 @@ from coneorder.iso import (
     make_diagonal_iso,
     make_product_lift,
 )
-from coneorder.linalg import as_vec
+from coneorder.linalg import MAX_RATIONAL_DIGITS, as_vec
 from coneorder.order import classify_engaged, disengaged_split
 from coneorder.sampling import cone_point_ints, random_pointed_cone, rng_for
-from coneorder.serialize import MAX_EXPR_DEPTH, MAX_ODD_POWER, canonical_dumps, vec_to_json
+from coneorder.serialize import (
+    MAX_DIM,
+    MAX_EXPR_DEPTH,
+    MAX_ISO_DEPTH,
+    MAX_ODD_POWER,
+    canonical_dumps,
+    vec_to_json,
+)
 
 from test_acceptance import PWL_DOUBLING, _criterion_3_cones, cone_automorphism_candidates
 from test_iso import HalflineKink
@@ -1172,6 +1179,64 @@ def test_odd_power_exponent_limit(files, capsys, tmp_path, exponent, code):
                                      f"exceeds the limit {MAX_ODD_POWER}\n")
     else:
         assert json.loads(out)["verdict"] == "nonlinear"
+
+
+class TestInputLimits:
+    """A short file that would make conelab build a huge int or matrix, or
+    recurse past the interpreter's limit, is a parse error that names its
+    limit.  Only limit + 1 is tried: without its guard each case still ends
+    fast, in a report or another error."""
+
+    @staticmethod
+    def _limit_error(capsys, *argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "") and "Traceback" not in err
+        return err
+
+    @pytest.mark.parametrize("entry", [f"1e{MAX_RATIONAL_DIGITS + 1}",
+                                       f"1E-{MAX_RATIONAL_DIGITS + 1}",
+                                       "1" * (MAX_RATIONAL_DIGITS + 1)],
+                             ids=["exponent", "negative-exponent", "length"])
+    def test_rational_string(self, files, capsys, entry):
+        path = files["tmp"] / "big.json"
+        path.write_text(json.dumps({"dim": 2, "generators": [[entry, "1"], ["0", "1"]]}))
+        err = self._limit_error(capsys, "classify", str(path))
+        assert err == (f"conelab: parse error: a rational string may have at most "
+                       f"{MAX_RATIONAL_DIGITS} characters and an exponent of at most "
+                       f"{MAX_RATIONAL_DIGITS}\n")
+
+    def test_cone_dim(self, files, capsys):
+        path = files["tmp"] / "wide.json"
+        path.write_text(json.dumps({"dim": MAX_DIM + 1, "generators": []}))
+        err = self._limit_error(capsys, "classify", str(path))
+        assert err == f"conelab: parse error: cone dim {MAX_DIM + 1} exceeds the limit {MAX_DIM}\n"
+
+    @pytest.mark.parametrize("depth", [MAX_ISO_DEPTH, MAX_ISO_DEPTH + 1])
+    def test_iso_depth(self, files, capsys, depth):
+        # a certified composition recurses deepest: it certifies its parts
+        # in a generator, three frames a level
+        o2 = {"dim": 2, "generators": [["1", "0"], ["0", "1"]]}
+        spec = {"linear": {"matrix": [["1", "0"], ["0", "1"]], "source": o2, "target": o2}}
+        for _ in range(depth - 1):
+            spec = {"compose": [spec]}
+        path = files["tmp"] / "deep.json"
+        path.write_text(json.dumps(spec))
+        argv = ("check-iso", files["orthant2"], str(path), "--samples", "10")
+        if depth == MAX_ISO_DEPTH:
+            code, out, _ = run(capsys, *argv)
+            assert code == 0 and json.loads(out)["verdict"] == "affine"
+        else:
+            err = self._limit_error(capsys, *argv)
+            assert err == f"conelab: parse error: iso spec nests more than {MAX_ISO_DEPTH} specs deep\n"
+
+    @pytest.mark.parametrize("content", [b'{"dim": 2, "generators": [["\xff", "1"]]}',
+                                         b'{"dim": 2, "generators": [[1' + b"0" * 4300 + b', 1]]}'],
+                             ids=["not-utf-8", "int-over-4300-digits"])
+    def test_unreadable_file(self, files, capsys, content):
+        path = files["tmp"] / "unreadable.json"
+        path.write_bytes(content)
+        err = self._limit_error(capsys, "classify", str(path))
+        assert err.startswith(f"conelab: parse error: cannot read {path}: ")
 
 
 @pytest.mark.parametrize("iso, field", [

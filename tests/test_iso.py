@@ -65,7 +65,16 @@ from coneorder.linalg import (
     vec_scale,
     vec_sub,
 )
-from coneorder.order import classify_engaged, disengaged_split
+from coneorder.order import (
+    classify_engaged,
+    disengaged_split,
+    extreme_halfline_check,
+    infimum,
+    interval_sample,
+    is_totally_ordered,
+    order_unit_norm,
+    supremum,
+)
 from coneorder.sampling import (
     cone_point,
     incomparable_pair,
@@ -1320,7 +1329,7 @@ class TestAffineAndHomogeneity:
             pts = [zero] + [cone_point(spec.source_cone, rng) for _ in range(15)]
             fit = check_affine_on(spec, pts)
             assert fit.affine and fit.max_residual == 0
-            assert fit.predict(zero) == V(*([0] * spec.target_cone.dim))
+            assert fit.base_point == zero and fit.base_image == V(*([0] * spec.target_cone.dim))
 
 
 class TestHalflineImages:
@@ -1368,3 +1377,75 @@ class TestStoppingOrder:
         spec = HalflineKink(orthant(2), self.P, self.R, 1, vec_scale(-1, self.R))
         with pytest.raises(NotColinear, match=r"^f\(x \+ r\) equals f\(x\)"):
             extract_g_r(spec, self.R, [self.P], [Fraction(2)])
+
+
+
+def _vector_entries():
+    """Every public entry that takes a caller's vector, as a function of the
+    vector v put into one of its vector arguments, over orthant(3)."""
+    c = orthant(3)
+    f = identity_iso(c)
+    apexed = make_affine_iso(identity_iso(c), (1, 1, 1), (2, 2, 2))
+    g, e1, e2, u = V(1, 2, 3), V(1, 0, 0), V(0, 1, 0), V(1, 1, 1)
+    lams = [Fraction(1), Fraction(2)]
+    return {
+        "contains": lambda v: c.contains(v),
+        "leq-x": lambda v: c.leq(v, g),
+        "leq-y": lambda v: c.leq(g, v),
+        "tight_facets": lambda v: c.tight_facets(v),
+        "is_extreme_vector": lambda v: c.is_extreme_vector(v),
+        "caratheodory_decompose": lambda v: c.caratheodory_decompose(v),
+        "interval_sample-x": lambda v: interval_sample(c, v, g, 2),
+        "interval_sample-y": lambda v: interval_sample(c, g, v, 2),
+        "is_totally_ordered": lambda v: is_totally_ordered(c, [g, v]),
+        "extreme_halfline_check-apex": lambda v: extreme_halfline_check(c, v, e1),
+        "extreme_halfline_check-direction": lambda v: extreme_halfline_check(c, g, v),
+        "order_unit_norm-u": lambda v: order_unit_norm(c, v, g),
+        "order_unit_norm-x": lambda v: order_unit_norm(c, u, v),
+        "supremum": lambda v: supremum(c, [g, v]),
+        "infimum": lambda v: infimum(c, [g, v]),
+        "in_source": lambda v: f.in_source(v),
+        "in_target": lambda v: f.in_target(v),
+        "eval": lambda v: f.eval(v),
+        "invert": lambda v: f.invert(v),
+        "apexed-in_source": lambda v: apexed.in_source(v),
+        "apexed-in_target": lambda v: apexed.in_target(v),
+        "apexed-eval": lambda v: apexed.eval(v),
+        "apexed-invert": lambda v: apexed.invert(v),
+        "halfline-apex": lambda v: halfline_image_check(f, v, e1, lams),
+        "halfline-r": lambda v: halfline_image_check(f, g, v, lams),
+        "parallelogram-x": lambda v: check_parallelogram(f, v, e1, e2),
+        "parallelogram-s": lambda v: check_parallelogram(f, g, e1, v),
+        "additivity-x": lambda v: check_additivity(f, v, [e1]),
+        "additivity-s": lambda v: check_additivity(f, g, [e1, v]),
+        "g_r-r": lambda v: extract_g_r(f, v, [g], lams),
+        "g_r-basepoint": lambda v: extract_g_r(f, e1, [v], lams),
+        "homogeneity": lambda v: check_positively_homogeneous(f, [v], lams),
+        "affine_fit": lambda v: check_affine_on(f, [g, e1, e2, u, V(0, 0, 1), v]),
+    }
+
+
+_VECTOR_ENTRIES = _vector_entries()
+
+
+class TestWrongLengthVectors:
+    """PolyhedralCone._in_cone zips each facet row with its vector unchecked,
+    so every public entry that takes a caller's vector refuses a wrong
+    length itself, in each of its vector arguments."""
+
+    @pytest.mark.parametrize("name", list(_VECTOR_ENTRIES))
+    @pytest.mark.parametrize("v", [V(1, 2), V(1, 2, 3, 4)], ids=["short", "long"])
+    def test_refused(self, name, v):
+        with pytest.raises(DimensionMismatch):
+            _VECTOR_ENTRIES[name](v)
+
+    @pytest.mark.parametrize("name", list(_VECTOR_ENTRIES))
+    def test_right_length_gets_past_the_check(self, name):
+        # the entry is well formed: a vector of length 3 meets no
+        # DimensionMismatch, though it may be refused for what it is
+        try:
+            _VECTOR_ENTRIES[name](V(1, 1, 2))
+        except DimensionMismatch:
+            pytest.fail(f"{name} refused a vector of the right length")
+        except ConeOrderError:
+            pass

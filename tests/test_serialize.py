@@ -15,10 +15,12 @@ from coneorder.iso import (
     make_diagonal_iso,
     make_product_lift,
 )
-from coneorder.linalg import as_vec
+from coneorder.linalg import MAX_RATIONAL_DIGITS, as_vec, frac
 from coneorder.order import eval_infsup, inf_expr, leaf, sup_expr
 from coneorder.psd import SymMatrix
 from coneorder.serialize import (
+    MAX_DIM,
+    MAX_ISO_DEPTH,
     MAX_ODD_POWER,
     bijection_to_json,
     canonical_dumps,
@@ -54,6 +56,25 @@ class TestRationals:
         with pytest.raises(ParseError):
             parse_rational("1/0")
 
+    def test_decimal_and_exponent_forms(self):
+        assert parse_rational("1.5e-3") == Fraction(3, 2000)
+        assert parse_rational(" -2.5 ") == Fraction(-5, 2)
+        assert parse_rational("1e400") == 10 ** 400
+
+    @pytest.mark.parametrize("text", [f"1e{MAX_RATIONAL_DIGITS + 1}",
+                                      f"-3E-{MAX_RATIONAL_DIGITS + 1}",
+                                      "1/" + "3" * (MAX_RATIONAL_DIGITS - 1)],
+                             ids=["exponent", "negative-exponent", "length"])
+    def test_string_length_and_exponent_are_bounded(self, text):
+        # one reader for the CLI and the library: both name the limit
+        for read in (parse_rational, frac, lambda t: as_vec([t])):
+            with pytest.raises(ParseError, match=f"at most {MAX_RATIONAL_DIGITS} characters"):
+                read(text)
+
+    def test_strings_at_the_limit_are_read(self):
+        assert parse_rational(f"1e-{MAX_RATIONAL_DIGITS}") == Fraction(1, 10 ** MAX_RATIONAL_DIGITS)
+        assert parse_rational("1/" + "3" * (MAX_RATIONAL_DIGITS - 2)).numerator == 1
+
     def test_format(self):
         assert fmt_rational(Fraction(4, 2)) == "2"
         assert fmt_rational(Fraction(-3, 7)) == "-3/7"
@@ -81,6 +102,26 @@ class TestConeFiles:
             parse_cone({"dim": 2, "generators": [["1", "0"]], "extra": 1})
         with pytest.raises(ParseError):
             parse_cone({"dim": 0, "generators": []})
+
+
+def test_cone_dim_is_bounded():
+    assert parse_cone({"dim": MAX_DIM, "facets": []}).dim == MAX_DIM
+    with pytest.raises(ParseError, match=f"cone dim {MAX_DIM + 1} exceeds the limit {MAX_DIM}"):
+        parse_cone({"dim": MAX_DIM + 1, "facets": []})
+
+
+def test_iso_depth_counts_every_nesting_kind():
+    o1 = {"dim": 1, "generators": [["1"]]}
+    spec = {"linear": {"matrix": [["1"]], "source": o1, "target": o1}}
+    wrappers = [lambda s: {"compose": [s]},
+                lambda s: {"affine": {"linear": s, "source_base": ["0"], "target_base": ["0"]}}]
+    for k in range(MAX_ISO_DEPTH - 2):
+        spec = wrappers[k % 2](spec)
+    spec = {"product_lift": {"cone": {"dim": 2, "generators": [["1", "1"], ["-1", "1"]]},
+                             "ray_index": 1, "ray_map": {"affine": {"slope": "2"}}, "sub": spec}}
+    assert parse_iso(spec).source_cone.dim == 2
+    with pytest.raises(ParseError, match=f"nests more than {MAX_ISO_DEPTH} specs deep"):
+        parse_iso({"compose": [spec]})
 
 
 class TestExprFiles:

@@ -352,3 +352,32 @@ def test_every_mutant_applies_exactly_once():
                 stale.append(f"{m.name}: {node_id}")
     assert len({m.name for m in MUTANTS}) == len(MUTANTS)
     assert stale == []
+
+
+def test_code_line_counter_on_a_fixture():
+    # tests/codelines.py is the count that CHANGES.md quotes for src/
+    from codelines import code_lines
+
+    fixture = '''"""Module docstring,
+over two lines."""
+import os  # a comment after code
+
+# a comment line
+
+
+def f(a,
+      b):
+    """One-line docstring."""
+    x = """not a docstring,
+    a string over two lines"""
+    return [a, b,
+            x]
+
+
+class C:
+    """Class docstring."""
+
+    y = 1
+'''
+    # import, def (2 lines), the x string (2), the return (2), class, y
+    assert code_lines(fixture) == 9
