@@ -59,6 +59,7 @@ from .order import (
 from .sampling import cone_point_ints, rng_for
 from .serialize import (
     canonical_dumps,
+    cone_key,
     cone_report,
     fmt_rational,
     load_json,
@@ -411,8 +412,11 @@ def _cmd_unitnorm(args):
 
 
 def _cmd_check_iso(args):
-    cone = parse_cone(load_json(args.cone))
-    report = run_full_battery(cone, parse_iso(load_json(args.iso)), args.samples, args.seed)
+    cone_obj = load_json(args.cone)
+    cone = parse_cone(cone_obj)
+    # the spec's cone fields that repeat the cone file reuse its cone
+    spec = parse_iso(load_json(args.iso), {cone_key(cone_obj): cone})
+    report = run_full_battery(cone, spec, args.samples, args.seed)
     return report, report["exit_code"]
 
 

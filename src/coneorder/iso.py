@@ -815,8 +815,15 @@ def check_order_iso_sampled(spec: IsoSpec, n: int = 10000, seed: int = 0, *,
     ``limit`` is the one stopping rule: drawing stops once both violation
     lists hold ``limit`` pairs, and the first ``limit`` of each are kept;
     these, and the verdict, are those of all n samples, since later samples
-    only append.  ``samples_run`` stays n, the samples the verdict covers,
-    not the samples drawn.  None means n, which draws all n samples, since
+    only append.  Once one list is full, a sample still makes every draw,
+    so later samples draw the same values, but skips each evaluation whose
+    only possible outcome is a pair for that list: mode 1 (incomparable
+    source pairs) when the forward list is full, and mode 2 (comparable
+    target pairs) and the inverse step of mode 0 (comparable source pairs)
+    when the inverse list is full.  Mode 0's forward checks always run,
+    since a forward violation ends its sample before the inverse step.
+    ``samples_run`` stays n, the samples the verdict covers, not the
+    samples drawn.  None means n, which draws all n samples, since
     one side can hold no more than n pairs; a limit below 1 is a
     ValueError, since it would keep no pair of a violating spec.
 
@@ -852,9 +859,11 @@ def check_order_iso_sampled(spec: IsoSpec, n: int = 10000, seed: int = 0, *,
         def round_trip(x1, x2, r2):
             return src_leq(x1, r2)
 
-    def run_index(i, rng):
+    def run_index(i, rng, fwd_full, inv_full):
         """(0, source pair) for a forward violation, (1, target pair) for an
-        inverse one, None when sample i holds."""
+        inverse one, None when sample i holds.  An evaluation whose only
+        possible outcome is a pair for a full list is skipped, and its
+        draws are still made."""
         mode = i % 3
         if mode == 0:
             x1 = _plus((cone_point_ints(src, rng), 1), a)
@@ -866,6 +875,8 @@ def check_order_iso_sampled(spec: IsoSpec, n: int = 10000, seed: int = 0, *,
             # y2 in the target domain is implied by y1 in it plus y2 - y1 in K
             if not tgt._in_cone(_minus(y1, b)[0]) or not tgt._in_cone(_minus(y2, y1)[0]):
                 return 0, (x1, x2)
+            if inv_full:
+                return None
             try:
                 r2 = inv(y2)
             except OutOfDomain:
@@ -874,7 +885,7 @@ def check_order_iso_sampled(spec: IsoSpec, n: int = 10000, seed: int = 0, *,
                 return 1, (y1, y2)
         elif mode == 1:
             pair = incomparable_pair_ints(src, rng)
-            if pair is None:
+            if pair is None or fwd_full:
                 return None
             x1, x2 = _plus((pair[0], 1), a), _plus((pair[1], 1), a)
             try:
@@ -886,6 +897,8 @@ def check_order_iso_sampled(spec: IsoSpec, n: int = 10000, seed: int = 0, *,
         else:
             y1 = _plus((cone_point_ints(tgt, rng), 1), b)
             y2 = _plus(y1, (cone_point_ints(tgt, rng), 1))
+            if inv_full:
+                return None
             try:
                 r1, r2 = inv(y1), inv(y2)
             except OutOfDomain:
@@ -898,7 +911,7 @@ def check_order_iso_sampled(spec: IsoSpec, n: int = 10000, seed: int = 0, *,
     for i in range(n):
         if i % _CHUNK == 0:
             rng = rng_for(seed, "battery", i // _CHUNK)
-        hit = run_index(i, rng)
+        hit = run_index(i, rng, len(found[0]) >= limit, len(found[1]) >= limit)
         if hit is not None:
             side, (p, q) = hit
             if len(found[side]) < limit:

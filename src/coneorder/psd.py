@@ -155,27 +155,28 @@ def eigh_jacobi(a) -> tuple[np.ndarray, np.ndarray]:
             break
         for p in range(n - 1):
             for r in range(p + 1, n):
-                apr = m[p][r]
+                mp, mr = m[p], m[r]
+                apr = mp[r]
                 if apr == 0.0:
                     continue
-                theta = (m[r][r] - m[p][p]) / (2.0 * apr)
+                theta = (mr[r] - mp[p]) / (2.0 * apr)
                 t = 1.0 / (abs(theta) + math.sqrt(theta * theta + 1.0))
                 if theta < 0.0:
                     t = -t
                 c = 1.0 / math.sqrt(t * t + 1.0)
                 s = t * c
+                for row in m:
+                    mkp, mkr = row[p], row[r]
+                    row[p] = c * mkp - s * mkr
+                    row[r] = s * mkp + c * mkr
                 for k in range(n):
-                    mkp, mkr = m[k][p], m[k][r]
-                    m[k][p] = c * mkp - s * mkr
-                    m[k][r] = s * mkp + c * mkr
-                for k in range(n):
-                    mpk, mrk = m[p][k], m[r][k]
-                    m[p][k] = c * mpk - s * mrk
-                    m[r][k] = s * mpk + c * mrk
-                for k in range(n):
-                    vkp, vkr = v[k][p], v[k][r]
-                    v[k][p] = c * vkp - s * vkr
-                    v[k][r] = s * vkp + c * vkr
+                    mpk, mrk = mp[k], mr[k]
+                    mp[k] = c * mpk - s * mrk
+                    mr[k] = s * mpk + c * mrk
+                for row in v:
+                    vkp, vkr = row[p], row[r]
+                    row[p] = c * vkp - s * vkr
+                    row[r] = s * vkp + c * vkr
     # a product past the float range is inf, as a Python float, without a warning
     evals = np.array([m[i][i] * 2.0 ** e for i in range(n)])
     vecs = np.array(v)

@@ -29,7 +29,7 @@ from .iso import (
     make_linear_iso,
     make_product_lift,
 )
-from .linalg import frac
+from .linalg import MAX_RATIONAL_DIGITS, frac
 from .order import InfSupExpr, inf_expr, leaf, sup_expr
 from .psd import SymMatrix
 
@@ -49,7 +49,13 @@ def parse_rational(x) -> Fraction:
 
 
 def fmt_rational(q: Fraction) -> str:
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+    """"p/q", or "p" for an integer; a ValueError that names the limit when
+    p or q has more digits than the interpreter prints."""
+    try:
+        return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+    except ValueError as exc:
+        raise ValueError(f"a report value has more than {MAX_RATIONAL_DIGITS} digits "
+                         "(linalg.MAX_RATIONAL_DIGITS)") from exc
 
 
 def parse_vec(obj) -> tuple[Fraction, ...]:
@@ -203,13 +209,37 @@ def bijection_to_json(m: MonotoneBijection) -> dict:
 MAX_ISO_DEPTH = 100
 
 
-def parse_iso(obj) -> IsoSpec:
+def cone_key(obj) -> str:
+    """The text that identifies a cone JSON object to ``parse_iso``.
+
+    JSON text, not ``==``: 2 == 2.0 == True in Python, and a cone with
+    "dim": 2.0 or a true entry must still be refused, not read as the cone
+    with 2 or 1.  RecursionError for an object nested past the stack."""
+    return json.dumps(obj, sort_keys=True)
+
+
+def parse_iso(obj, cones: dict[str, PolyhedralCone] | None = None) -> IsoSpec:
     """Iso spec file mirroring the kind tree, validated on construction, with
-    at most MAX_ISO_DEPTH specs on any path from the root to a leaf spec."""
-    return _parse_iso(obj, MAX_ISO_DEPTH)
+    at most MAX_ISO_DEPTH specs on any path from the root to a leaf spec.
+
+    Each distinct cone JSON in the spec is built once per call: the cone
+    fields are read through a table from ``cone_key`` to built cone, which
+    ``cones`` seeds with cones the caller has built already."""
+    return _parse_iso(obj, MAX_ISO_DEPTH, dict(cones or {}))
 
 
-def _parse_iso(obj, depth_left: int) -> IsoSpec:
+def _cone(obj, cones: dict[str, PolyhedralCone]) -> PolyhedralCone:
+    """parse_cone(obj), built only when its key is not in the table."""
+    try:
+        key = cone_key(obj)
+    except RecursionError:  # far too deep to be a cone: parse_cone says why
+        return parse_cone(obj)
+    if key not in cones:
+        cones[key] = parse_cone(obj)
+    return cones[key]
+
+
+def _parse_iso(obj, depth_left: int, cones: dict[str, PolyhedralCone]) -> IsoSpec:
     if depth_left == 0:
         raise ParseError(f"iso spec nests more than {MAX_ISO_DEPTH} specs deep")
     key, val = _single_key(obj, "iso spec")
@@ -217,31 +247,31 @@ def _parse_iso(obj, depth_left: int) -> IsoSpec:
         what = "linear iso"
         _reject_unknown(val, {"matrix", "source", "target"}, what)
         matrix = [parse_vec(r) for r in _field(val, "matrix", what, list)]
-        return make_linear_iso(matrix, parse_cone(_field(val, "source", what)),
-                               parse_cone(_field(val, "target", what)))
+        return make_linear_iso(matrix, _cone(_field(val, "source", what), cones),
+                               _cone(_field(val, "target", what), cones))
     if key == "affine":
         what = "affine iso"
         _reject_unknown(val, {"linear", "source_base", "target_base"}, what)
-        return make_affine_iso(_parse_iso(_field(val, "linear", what), depth_left - 1),
+        return make_affine_iso(_parse_iso(_field(val, "linear", what), depth_left - 1, cones),
                                parse_vec(_field(val, "source_base", what)),
                                parse_vec(_field(val, "target_base", what)))
     if key == "diagonal":
         what = "diagonal iso"
         _reject_unknown(val, {"source", "target_frame", "maps"}, what)
-        return make_diagonal_iso(parse_cone(_field(val, "source", what)),
+        return make_diagonal_iso(_cone(_field(val, "source", what), cones),
                                  [parse_vec(w) for w in _field(val, "target_frame", what, list)],
                                  [parse_bijection(m) for m in _field(val, "maps", what, list)])
     if key == "product_lift":
         what = "product lift"
         _reject_unknown(val, {"cone", "ray_index", "ray_map", "sub"}, what)
         ray_index = _field(val, "ray_index", what, int)
-        return make_product_lift(parse_cone(_field(val, "cone", what)), ray_index,
+        return make_product_lift(_cone(_field(val, "cone", what), cones), ray_index,
                                  parse_bijection(_field(val, "ray_map", what)),
-                                 _parse_iso(_field(val, "sub", what), depth_left - 1))
+                                 _parse_iso(_field(val, "sub", what), depth_left - 1, cones))
     if key == "compose":
         if not isinstance(val, list) or not val:
             raise ParseError("compose needs a nonempty list of specs")
-        return compose_isos(*[_parse_iso(p, depth_left - 1) for p in val])
+        return compose_isos(*[_parse_iso(p, depth_left - 1, cones) for p in val])
     raise ParseError(f"unknown iso kind {key!r}")
 
 

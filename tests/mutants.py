@@ -225,6 +225,29 @@ MUTANTS = [
            "min(map(len, found)) >= limit", "max(map(len, found)) >= limit",
            (_ISO + "TestSampledBatteryIntegerPath::test_limit_stops_drawing_once_both_lists_are_full",
             _ISO + "TestSampledBatteryIntegerPath::test_limit_keeps_verdict_and_first_pairs")),
+    # The battery's skip of evaluations only a full list could use, and
+    # check-iso's one build per distinct cone JSON.
+    Mutant("skip-fires-one-pair-early", "iso.py",
+           "run_index(i, rng, len(found[0]) >= limit, len(found[1]) >= limit)",
+           "run_index(i, rng, len(found[0]) >= limit - 1, len(found[1]) >= limit - 1)",
+           (_ISO + "TestSampledBatteryIntegerPath::"
+            "test_a_full_forward_list_skips_the_samples_it_cannot_use",)),
+    Mutant("mode-0-skips-forward-checks-on-a-full-list", "iso.py",
+           "            if not tgt._in_cone(_minus(y1, b)[0]) or not tgt._in_cone(_minus(y2, y1)[0]):\n",
+           "            if not fwd_full and (not tgt._in_cone(_minus(y1, b)[0])\n"
+           "                                 or not tgt._in_cone(_minus(y2, y1)[0])):\n",
+           (_ISO + "TestSampledBatteryIntegerPath::"
+            "test_a_full_forward_list_skips_the_samples_it_cannot_use",)),
+    Mutant("reuse-key-reads-2.0-as-2", "serialize.py",
+           "    return json.dumps(obj, sort_keys=True)\n",
+           "    return json.dumps(json.loads(json.dumps(obj), parse_float=lambda t: int(float(t))),\n"
+           "                      sort_keys=True)\n",
+           (_CLI + "TestConeReuse::test_a_python_equal_cone_of_other_json_types_is_refused",)),
+    Mutant("reuse-key-unguarded-past-the-stack", "serialize.py",
+           "    try:\n        key = cone_key(obj)\n    except RecursionError:",
+           "    key = cone_key(obj)\n    if False:",
+           (_CLI + "TestConeReuse::"
+            "test_a_cone_nested_as_deep_as_the_reader_accepts_is_a_parse_error",)),
     # The psd order's semidefinite Cholesky on lists of floats.
     Mutant("cholesky-skips-the-semidefinite-row-test", "psd.py",
            "            if any(abs(x) > bound for x in row[1:]):\n"

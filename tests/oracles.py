@@ -13,7 +13,8 @@ exact simplex instead of the facet walk, total order through the Fraction
 cone.leq of each pair instead of one common denominator, engagement through one linear
 solve per ray instead of one row reduction per cone, a disengaged split through a
 greedy basis and one inverse per split instead of that same reduction, eigendecompositions
-through numpy's LAPACK instead of the in-repo Jacobi sweep, the Loewner
+through numpy's LAPACK instead of the in-repo Jacobi sweep (and that sweep itself
+through m[k][p] indexing instead of bound rows, for equal bytes), the Loewner
 order's semidefinite Cholesky through numpy row operations instead of lists of
 Python floats, the inf/sup table through every row up to k_max instead of
 the rows up to n, and iso specs
@@ -98,8 +99,12 @@ from coneorder.psd import (
     NOT_UPPER_BOUND,
     ConvergenceRow,
     SupCheckVerdict,
+    SymMatrix,
+    _MAX_SWEEPS,
     _PIVOT_TOL,
+    _RESCALE_PEAK,
     _as_array,
+    _leads_negative,
     _rescale_exponent,
     conjugation_iso,
     eigh_jacobi,
@@ -698,6 +703,59 @@ def disengaged_split_reference(cone, ray_index) -> DisengagedSplit:
 
 def eigh_oracle(a):
     return np.linalg.eigh(np.asarray(a, dtype=float))
+
+
+def eigh_jacobi_reference(a) -> tuple[np.ndarray, np.ndarray]:
+    """psd.eigh_jacobi with every entry read and written as m[k][p]: the
+    same float operations in the same order, so the same bytes."""
+    m = np.asarray(a.array if isinstance(a, SymMatrix) else a, dtype=float).tolist()
+    n = len(m)
+    v = [[float(i == j) for j in range(n)] for i in range(n)]
+    norm = math.hypot(*(x for row in m for x in row))
+    e = _rescale_exponent(max(abs(x) for row in m for x in row)) if norm > _RESCALE_PEAK else 0
+    if e:
+        m = [[math.ldexp(x, -e) for x in row] for row in m]
+        norm = math.hypot(*(x for row in m for x in row))
+    norm = max(norm, 1e-300)
+    for _ in range(_MAX_SWEEPS):
+        off = 0.0
+        for i in range(n - 1):
+            for j in range(i + 1, n):
+                off += m[i][j] * m[i][j]
+        if math.sqrt(2.0 * off) < 1e-14 * norm:
+            break
+        for p in range(n - 1):
+            for r in range(p + 1, n):
+                apr = m[p][r]
+                if apr == 0.0:
+                    continue
+                theta = (m[r][r] - m[p][p]) / (2.0 * apr)
+                t = 1.0 / (abs(theta) + math.sqrt(theta * theta + 1.0))
+                if theta < 0.0:
+                    t = -t
+                c = 1.0 / math.sqrt(t * t + 1.0)
+                s = t * c
+                for k in range(n):
+                    mkp, mkr = m[k][p], m[k][r]
+                    m[k][p] = c * mkp - s * mkr
+                    m[k][r] = s * mkp + c * mkr
+                for k in range(n):
+                    mpk, mrk = m[p][k], m[r][k]
+                    m[p][k] = c * mpk - s * mrk
+                    m[r][k] = s * mpk + c * mrk
+                for k in range(n):
+                    vkp, vkr = v[k][p], v[k][r]
+                    v[k][p] = c * vkp - s * vkr
+                    v[k][r] = s * vkp + c * vkr
+    evals = np.array([m[i][i] * 2.0 ** e for i in range(n)])
+    vecs = np.array(v)
+    order = np.argsort(evals, kind="stable")
+    evals = evals[order]
+    vecs = vecs[:, order]
+    for j in range(n):
+        if _leads_negative(vecs[:, j]):
+            vecs[:, j] = -vecs[:, j]
+    return evals, vecs
 
 
 def psd_cholesky_reference(m) -> bool:

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import coneorder.cli as cli_mod
+import coneorder.cones as cones_mod
 from coneorder.cli import main, run_full_battery
 from coneorder.cones import cone_from_generators, interval_cone, orthant, square_cone
 from coneorder.errors import OutOfDomain, ParseError
@@ -1181,6 +1182,77 @@ def test_odd_power_exponent_limit(files, capsys, tmp_path, exponent, code):
         assert json.loads(out)["verdict"] == "nonlinear"
 
 
+O2 = {"dim": 2, "generators": [["1", "0"], ["0", "1"]]}
+
+
+class TestConeReuse:
+    """check-iso builds each distinct cone JSON of a run once: a cone field
+    of the spec that repeats the cone file, or another field, shares its
+    cone.  Repeats are told apart by JSON text, not by Python equality."""
+
+    @pytest.mark.parametrize("matrix, target, builds", [
+        ([["1", "0"], ["0", "1"]], {"generators": O2["generators"], "dim": 2}, 1),
+        ([["1", "1"], ["0", "1"]], {"dim": 2, "generators": [["1", "0"], ["1", "1"]]}, 2),
+    ], ids=["identity", "unimodular"])
+    def test_each_distinct_cone_is_built_once(self, files, capsys, monkeypatch,
+                                              matrix, target, builds):
+        # files["orthant2"] holds O2; key order does not make a cone distinct
+        path = files["tmp"] / "iso.json"
+        path.write_text(json.dumps({"linear": {"matrix": matrix, "source": O2,
+                                               "target": target}}))
+        calls = []
+        real = cones_mod._build
+        monkeypatch.setattr(cones_mod, "_build", lambda *a: calls.append(a) or real(*a))
+        code, out, _ = run(capsys, "check-iso", files["orthant2"], str(path), "--samples", "10")
+        assert code == 0 and json.loads(out)["verdict"] == "affine"
+        assert len(calls) == builds
+
+    @pytest.mark.parametrize("source, message", [
+        ({"dim": 2.0, "generators": [[1, 0], [0, 1]]}, "'dim' of cone must be a JSON int"),
+        ({"dim": 2, "generators": [[True, 0], [0, 1]]}, "expected a rational, got True"),
+    ], ids=["float-dim", "true-entry"])
+    def test_a_python_equal_cone_of_other_json_types_is_refused(self, files, capsys,
+                                                                source, message):
+        # 2 == 2.0 and 1 == True: read as the cone file's cone, these
+        # sources would pass the checks that refuse them
+        ints = {"dim": 2, "generators": [[1, 0], [0, 1]]}
+        cone, iso = files["tmp"] / "ints.json", files["tmp"] / "iso.json"
+        cone.write_text(json.dumps(ints))
+        iso.write_text(json.dumps({"linear": {"matrix": [[1, 0], [0, 1]], "source": source,
+                                              "target": ints}}))
+        code, out, err = run(capsys, "check-iso", str(cone), str(iso))
+        assert (code, out, err) == (2, "", f"conelab: parse error: {message}\n")
+
+    def test_a_cone_nested_as_deep_as_the_reader_accepts_is_a_parse_error(self, files, capsys,
+                                                                           monkeypatch):
+        # The key's encoder nests as deep as the reader did on the deepest
+        # file the reader accepts, and a frame deeper under a wrapper of
+        # parse_iso, such as a tracer's: it then runs out of stack, and the
+        # cone gets parse_cone's error
+        path = files["tmp"] / "deep.json"
+
+        def check_iso(depth):
+            generators = "[" * depth + "]" * depth
+            path.write_text('{"linear": {"matrix": [["1"]], "source": {"dim": 1, "generators": '
+                            + generators + '}, "target": {"dim": 1, "generators": [["1"]]}}}')
+            code, out, err = run(capsys, "check-iso", files["orthant2"], str(path))
+            assert (code, out) == (2, "") and "Traceback" not in err
+            return err
+
+        lo, hi = 3, 5000  # the reader accepts depth lo and refuses depth hi
+        assert "nested too deep" in check_iso(hi)
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if "nested too deep" in check_iso(mid):
+                hi = mid
+            else:
+                lo = mid
+        assert check_iso(lo) == "conelab: parse error: expected a rational, got list\n"
+        real = cli_mod.parse_iso
+        monkeypatch.setattr(cli_mod, "parse_iso", lambda *args: real(*args))
+        assert check_iso(lo) == "conelab: parse error: expected a rational, got list\n"
+
+
 class TestInputLimits:
     """A short file that would make conelab build a huge int or matrix, or
     recurse past the interpreter's limit, is a parse error that names its
@@ -1228,6 +1300,15 @@ class TestInputLimits:
         else:
             err = self._limit_error(capsys, *argv)
             assert err == f"conelab: parse error: iso spec nests more than {MAX_ISO_DEPTH} specs deep\n"
+
+    def test_report_value(self, files, capsys):
+        # the exponent limit admits 10**4300, whose 4301 digits no report prints
+        path = files["tmp"] / "wide_entry.json"
+        path.write_text(json.dumps({"dim": 2, "generators": [[f"1e{MAX_RATIONAL_DIGITS}", "1"],
+                                                             ["0", "1"]]}))
+        err = self._limit_error(capsys, "classify", str(path))
+        assert err == (f"conelab: invalid value: a report value has more than "
+                       f"{MAX_RATIONAL_DIGITS} digits (linalg.MAX_RATIONAL_DIGITS)\n")
 
     @pytest.mark.parametrize("content", [b'{"dim": 2, "generators": [["\xff", "1"]]}',
                                          b'{"dim": 2, "generators": [[1' + b"0" * 4300 + b', 1]]}'],

@@ -825,6 +825,38 @@ class TestSampledBatteryIntegerPath:
         assert got == IsoReport(full.order_preserving_violations[:5],
                                 full.inverse_violations[:5], 40 * 256, "Violation")
 
+    def test_a_full_forward_list_skips_the_samples_it_cannot_use(self, monkeypatch):
+        # A diagonal map over three of the square's four generators breaks
+        # the order on 88 of 600 samples, and its round trips fail on one:
+        # the forward list fills first and the inverse list never does, so
+        # drawing runs to the end.  Past the fifth forward pair, incomparable
+        # pairs are still drawn but no longer mapped.
+        sq = square_cone()
+        frame = [sq.generators[i] for i in (0, 1, 3)]
+        doubling = PiecewiseLinearMap(((Fraction(0), Fraction(0)), (Fraction(1), Fraction(2))))
+        spec = DiagonalIso(sq, frame, [doubling, OddPowerMap(3), doubling], frame, sq)
+        want = battery_reference(spec, 600, 0)
+        assert len(want.order_preserving_violations) > 5 > len(want.inverse_violations) > 0
+        calls = []
+
+        def counted(self, x):
+            calls.append(x)
+            return IsoSpec._eval_ints(self, x)
+
+        monkeypatch.setattr(DiagonalIso, "_eval_ints", counted)
+        got = check_order_iso_sampled(spec, 600, 0, limit=5)
+        skipping = len(calls)
+        calls.clear()
+        assert check_order_iso_sampled(spec, 600, 0) == want
+        assert skipping < 0.75 * len(calls)
+        assert got == IsoReport(want.order_preserving_violations[:5], want.inverse_violations,
+                                600, "Violation")
+        # every limit keeps the first pairs, those found after a skip began too
+        for limit in range(1, 7):
+            got = check_order_iso_sampled(spec, 600, 0, limit=limit)
+            assert got.order_preserving_violations == want.order_preserving_violations[:limit]
+            assert got.inverse_violations == want.inverse_violations[:limit]
+
     def test_limit_below_one_is_refused(self):
         # The shear above violates within a few samples.  A limit of 0 would
         # stop after the first sample, often before any violation, and read

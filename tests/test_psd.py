@@ -28,6 +28,7 @@ from coneorder.psd import (
 )
 
 from oracles import (
+    eigh_jacobi_reference,
     eigh_oracle,
     identity_sup_check_reference,
     infsup_approx_reference,
@@ -118,6 +119,19 @@ class TestJacobiEigendecomposition:
         w_big, q_big = eigh_jacobi(SymMatrix(a * scale))
         assert np.allclose(w_big / scale, w, rtol=1e-12, atol=1e-12 * np.max(np.abs(w)))
         assert np.allclose(q_big, q, atol=1e-10)
+
+    def test_bytes_equal_the_indexed_reference(self):
+        # the sweep on bound rows makes the float operations of the indexed
+        # sweep in the same order: random matrices, matrices rescaled above
+        # 2**500, and diagonal ones, which no rotation touches
+        rng = np.random.default_rng(39)
+        for n in range(2, 9):
+            for _ in range(40):
+                a = random_sym(rng, n)
+                for m in (a, a * 2.0 ** 520, np.diag(np.diag(a))):
+                    w, q = eigh_jacobi(m)
+                    w_ref, q_ref = eigh_jacobi_reference(m)
+                    assert w.tobytes() == w_ref.tobytes() and q.tobytes() == q_ref.tobytes()
 
 
 class TestLoewnerOrder:
