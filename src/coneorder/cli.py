@@ -34,6 +34,7 @@ from .errors import (
     UndefinedLattice,
 )
 from .iso import (
+    AFFINE,
     IsoReport,
     IsoSpec,
     _check_samples,
@@ -192,13 +193,15 @@ def run_full_battery(cone: PolyhedralCone, spec: IsoSpec, samples: int, seed: in
     target apex is noted in the "affine" section as "NotConeMap" unless an
     error is noted there already.
 
-    A certified affine spec (``IsoSpec._certified_affine``) satisfies every
-    identity by linearity, so its stages write the sections the checks
-    would without evaluating them: every half-line, parallelogram and
-    additivity configuration passed, every g_r entry colinear, basepoint
-    independent and the identity, the fit exact and a cone-based map
-    homogeneous.  The affine-fit points are still drawn and pass the span
-    test of ``affine_span``, and the apex is still evaluated.
+    A spec whose certificate proves it affine (``IsoSpec._certified`` is
+    ``AFFINE``) satisfies every identity by linearity, so its stages write
+    the sections the checks would without evaluating them: every
+    half-line, parallelogram and additivity configuration passed, every
+    g_r entry colinear, basepoint independent and the identity, the fit
+    exact and a cone-based map homogeneous.  The affine-fit points are
+    still drawn and pass the span test of ``affine_span``, and the apex is
+    still evaluated.  A certified spec that proves less, ``ISO``, skips
+    only the sampled battery.
 
     The verdict is read off the finished sections by one rule: the report
     is a violation (exit 4) when the sampled battery found a violation, a
@@ -226,13 +229,14 @@ def run_full_battery(cone: PolyhedralCone, spec: IsoSpec, samples: int, seed: in
     if not src.pointed:
         raise NotPointed("the verification battery needs a pointed source cone")
     gens = src._gen_ints
-    certified = spec._certified_affine()
+    proof = spec._certified()
+    proved_affine = proof == AFFINE
     report: dict = {"seed": seed, "samples": samples, "exact": spec.exact}
 
     # A certified spec passes every sample, so its battery report is known
     # without drawing; any other spec draws until the pairs the report
     # shows are settled.  samples_run is the n samples the verdict covers.
-    if spec._certified():
+    if proof:
         battery = IsoReport((), (), samples, "PassedSampling")
     else:
         battery = check_order_iso_sampled(spec, samples, seed, limit=SHOWN_PAIRS)
@@ -270,17 +274,17 @@ def run_full_battery(cone: PolyhedralCone, spec: IsoSpec, samples: int, seed: in
 
     lams = [Fraction(0), Fraction(1, 2), Fraction(1), Fraction(2)]
     hl = report["halfline"] = {"checked": len(gens)}
-    failures = [] if certified else [
+    failures = [] if proved_affine else [
         i for i, r in enumerate(gens)
         if not attempt(hl, "error", halfline_image_check, spec,
                        point(rng_for(seed, "hl", i)), r, lams)]
     hl.update(passed=len(gens) - len(failures), failures=failures)
 
     n_cfg = max(5, min(50, samples // 100)) if len(gens) >= 2 else 0
-    passed = n_cfg if certified else 0
+    passed = n_cfg if proved_affine else 0
     par = report["parallelogram"] = {"checked": n_cfg, "passed": passed, "witness": None}
     add = report["additivity"] = {"checked": n_cfg, "passed": passed, "witness": None}
-    for i in range(0 if certified else n_cfg):
+    for i in range(0 if proved_affine else n_cfg):
         rng = rng_for(seed, "par", i)
         x = point(rng)
         ri, si = rng.sample(range(len(gens)), 2)
@@ -299,7 +303,7 @@ def run_full_battery(cone: PolyhedralCone, spec: IsoSpec, samples: int, seed: in
     for ray in classify_engaged(src):
         entry = {"ray_index": ray.ray_index, "engaged": ray.engaged}
         g_report.append(entry)
-        if certified:
+        if proved_affine:
             entry.update(colinear=True, basepoint_independent=True, identity=True)
             continue
         basepoints = [point(rng_for(seed, "gr", ray.ray_index, t)) for t in range(3)]
@@ -317,7 +321,7 @@ def run_full_battery(cone: PolyhedralCone, spec: IsoSpec, samples: int, seed: in
 
     pts = list(dict.fromkeys(point(rng_for(seed, "aff", t)) for t in range(4 * src.dim + 12)))
     aff = report["affine"] = {}
-    if certified:
+    if proved_affine:
         affine_span(src, pts)
         aff.update(affine=True, max_residual="0")
     else:
@@ -339,7 +343,7 @@ def run_full_battery(cone: PolyhedralCone, spec: IsoSpec, samples: int, seed: in
 
     report["homogeneous"] = None
     if spec._bases == (None, None):
-        report["homogeneous"] = certified or attempt(
+        report["homogeneous"] = proved_affine or attempt(
             report, "homogeneous_error", check_positively_homogeneous, spec,
             [point(rng_for(seed, "hom", t)) for t in range(8)],
             [Fraction(1, 2), Fraction(2), Fraction(3)])

@@ -276,6 +276,21 @@ class PolyhedralCone:
             raise DimensionMismatch(f"expected length {self.dim}, got {len(x)}")
         return tuple(x)
 
+    def _scaled(self, vectors) -> tuple[list[tuple[int, ...]], int]:
+        """Vectors of the cone's space as integers over one common den > 0,
+        the one reader of a vector the library scales to integers.
+
+        Entries may be ints or Fractions, or anything ``frac`` reads, such as
+        '1/2' (a float is a TypeError); a vector of the wrong length is
+        DimensionMismatch, before its entries are read.  Ints and Fractions
+        are read directly, and only an entry without a denominator sends the
+        vectors through ``as_vec``."""
+        vecs = [self._check_dim(v) for v in vectors]
+        try:
+            return scaled_rows(vecs)
+        except AttributeError:
+            return scaled_rows([as_vec(v) for v in vecs])
+
     def _in_cone(self, zi) -> bool:
         """<h, z> >= 0 for every facet normal h; zi are integers on the ray of z.
 
@@ -290,7 +305,7 @@ class PolyhedralCone:
 
     def contains(self, x) -> bool:
         """Exact membership: <h, x> >= 0 for every facet normal h."""
-        return self._in_cone(scaled_ints(self._check_dim(x))[0])
+        return self._in_cone(self._scaled([x])[0][0])
 
     def _leq_ints(self, xi, yi) -> bool:
         """x <= y for integer vectors of length dim on a common scale."""
@@ -298,12 +313,12 @@ class PolyhedralCone:
 
     def leq(self, x, y) -> bool:
         """The induced partial order: x <= y iff y - x in C."""
-        (xi, yi), _ = scaled_rows([self._check_dim(x), self._check_dim(y)])
+        (xi, yi), _ = self._scaled([x, y])
         return self._leq_ints(xi, yi)
 
     def tight_facets(self, x) -> list[int]:
         """Indices of facets satisfied with equality at x (x must be in C)."""
-        xi = scaled_ints(self._check_dim(x))[0]
+        (xi,), _ = self._scaled([x])
         if not self._in_cone(xi):
             raise NotInCone("point is outside the cone")
         return [i for i, row in enumerate(self._facet_ints) if not sum(map(mul, row, xi))]
@@ -319,7 +334,7 @@ class PolyhedralCone:
 
     def is_extreme_vector(self, r) -> bool:
         """True iff r, a nonzero vector of the cone, spans an extreme ray."""
-        ri = scaled_ints(self._check_dim(r))[0]
+        (ri,), _ = self._scaled([r])
         if not any(ri) or not self._in_cone(ri):
             raise NotInCone("extreme test needs a nonzero vector inside the cone")
         return self._extreme_ray(ri) is not None
@@ -346,10 +361,9 @@ class PolyhedralCone:
         later generators lie in the smaller face, whose generators all come
         after g, so the terms come out in generator order.
         """
-        x = self._check_dim(x)
+        (xi,), den = self._scaled([x])
         if not self.pointed:
             raise NotPointed("decomposition needs a pointed cone")
-        xi, den = scaled_ints(x)
         # vals / den are the facet values of the remainder of x.
         vals = [sum(map(mul, h, xi)) for h in self._facet_ints]
         if any(v < 0 for v in vals):

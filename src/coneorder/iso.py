@@ -11,14 +11,13 @@ their constructive certificate instead.
 Every kind and every scalar bijection has one implementation, on scaled
 integers: a vector is a pair (ints, den) of Python ints with den > 0, as
 ``linalg.scaled_ints`` makes it, and a scalar a pair (n, d).  ``eval`` and
-``invert`` scale their input, run that core and return Fractions.  The
-apexed domain is ``IsoSpec``'s for every kind: it shifts by the apex and
-makes the one membership test, and a kind supplies only its map between
-the cones.  The
-whole check-iso battery stays on the pairs: the sampled battery from draw
-to verdict, and the half-line, parallelogram, additivity, g_r, homogeneity
-and affine-fit identities from their scaled arguments to the Fractions
-they return.
+``invert`` scale their input through ``PolyhedralCone._scaled``, run that
+core and return Fractions.  The apexed domain is ``IsoSpec``'s for every
+kind: it shifts by the apex and makes the one membership test, and a kind
+supplies only its map between the cones.  The whole check-iso battery
+stays on the pairs: the sampled battery from draw to verdict, and the
+half-line, parallelogram, additivity, g_r, homogeneity and affine-fit
+identities from their scaled arguments to the Fractions they return.
 
 Two numeric regimes coexist: affine and piecewise-linear components are
 exact rationals end to end, odd-power components have exact forward
@@ -69,6 +68,10 @@ from .sampling import cone_point, cone_point_ints, incomparable_pair_ints, rng_f
 
 # A vector as scaled integers: (ints, den) stands for ints / den, den > 0.
 Scaled = tuple[list[int], int]
+
+# What a spec's certificate proves (``IsoSpec._certified``), False for
+# nothing: an order-isomorphism, or an affine order-isomorphism.
+ISO, AFFINE = 1, 2
 
 
 def _fractions(v: Scaled) -> Vec:
@@ -357,10 +360,11 @@ class IsoSpec:
 
     A kind may also implement ``_certify``: an integer proof, re-checked on
     the spec's own integer data, that it is an order-isomorphism of its
-    source domain onto its target domain.  The proof is about the map, not
-    about its inverse's arithmetic: an odd-power part keeps ``exact`` False
-    and its float inverse.  Then no sample of ``check_order_iso_sampled``
-    can record a violation against it.
+    source domain onto its target domain, and what more it proves (see
+    ``_certified``).  The proof is about the map, not about its inverse's
+    arithmetic: an odd-power part keeps ``exact`` False and its float
+    inverse.  Then no sample of ``check_order_iso_sampled`` can record a
+    violation against it.
     """
 
     def __init_subclass__(cls):
@@ -407,40 +411,34 @@ class IsoSpec:
             raise OutOfDomain("point outside the target domain")
         return _plus(self._backward(z), a)
 
-    def _certified(self) -> bool:
-        """Whether ``_certify`` holds, computed once per spec.  A certified
-        spec is proved an order-isomorphism, which is all a caller may
-        assume: it is exact only if ``exact`` says so, and only then are its
-        round trips identities."""
+    def _certified(self) -> int:
+        """What ``_certify`` proves, computed once per spec: False, ISO or
+        AFFINE.  ISO proves an order-isomorphism, which is all a caller may
+        assume of it: it is exact only if ``exact`` says so, and only then
+        are its round trips identities.  AFFINE, proved by a certified
+        linear map, a translate of one or a chain of such maps, proves
+        x -> a' + L(x - a) with L K = K' besides, so every identity of the
+        check-iso battery holds by linearity: half-lines go to half-lines
+        along extreme rays L r, parallelogram and additivity hold, g_r is
+        the identity at every basepoint, the map is positively homogeneous
+        on a cone and exactly affine."""
         cert = self.__dict__.get("_cert")
         if cert is None:
             cert = self._cert = self._certify()
         return cert
 
-    def _certify(self) -> bool:
+    def _certify(self) -> int:
         return False
-
-    def _affine(self) -> bool:
-        """Whether the map is affine by its construction: a matrix, a
-        translate of one, or a chain of such maps."""
-        return False
-
-    def _certified_affine(self) -> bool:
-        """Whether the spec is certified and affine.  Its certificate then
-        proves x -> a' + L(x - a) with L K = K', so every identity of the
-        check-iso battery holds by linearity: half-lines go to half-lines
-        along extreme rays L r, parallelogram and additivity hold, g_r is
-        the identity at every basepoint, the map is positively homogeneous
-        on a cone and exactly affine."""
-        return self._affine() and self._certified()
 
     def eval(self, x) -> Vec:
         """Exact image of x; OutOfDomain outside the source domain."""
-        return _fractions(self._eval_ints(scaled_ints(self.source_cone._check_dim(as_vec(x)))))
+        (xi,), den = self.source_cone._scaled([x])
+        return _fractions(self._eval_ints((xi, den)))
 
     def invert(self, y) -> Vec:
         """Exact preimage (approximate for odd-power components, see exact)."""
-        return _fractions(self._invert_ints(scaled_ints(self.target_cone._check_dim(as_vec(y)))))
+        (yi,), den = self.target_cone._scaled([y])
+        return _fractions(self._invert_ints((yi, den)))
 
 
 def _base(cone: PolyhedralCone, base, which: str) -> Vec:
@@ -455,7 +453,8 @@ def _base(cone: PolyhedralCone, base, which: str) -> Vec:
 
 def _in_domain(cone: PolyhedralCone, base: Scaled | None, x) -> bool:
     """x in base + cone, for base scaled (None for zero)."""
-    return cone._in_cone(_minus(scaled_ints(cone._check_dim(as_vec(x))), base)[0])
+    (xi,), den = cone._scaled([x])
+    return cone._in_cone(_minus((xi, den), base)[0])
 
 
 class LinearIso(IsoSpec):
@@ -484,10 +483,8 @@ class LinearIso(IsoSpec):
         src, tgt = self.source_cone, self.target_cone
         return (src.dim == tgt.dim and _inverse_pair(self._fwd, self._bwd, src.dim)
                 and all(tgt._in_cone(self._fwd.apply(g)) for g in src._gen_ints)
-                and all(src._in_cone(self._bwd.apply(h)) for h in tgt._gen_ints))
-
-    def _affine(self):
-        return True
+                and all(src._in_cone(self._bwd.apply(h)) for h in tgt._gen_ints)
+                and AFFINE)
 
 
 class AffineIso(IsoSpec):
@@ -504,9 +501,6 @@ class AffineIso(IsoSpec):
 
     def _certify(self):
         return self.inner._certified()
-
-    def _affine(self):
-        return self.inner._affine()
 
 
 def _diagonal(x: Scaled, coords: _FrameCoords, maps, frame: _IntMatrix) -> Scaled:
@@ -573,7 +567,8 @@ class DiagonalIso(IsoSpec):
         n = len(self.maps)
         return (all(map(_fixes_zero_monotone, self.maps))
                 and _simplicial_frame(self.source_frame, self._src_coords, self.source_cone, n)
-                and _simplicial_frame(self.target_frame, self._tgt_coords, self.target_cone, n))
+                and _simplicial_frame(self.target_frame, self._tgt_coords, self.target_cone, n)
+                and ISO)
 
 
 class ProductLiftIso(IsoSpec):
@@ -620,7 +615,7 @@ class ProductLiftIso(IsoSpec):
                 and _inverse_pair(self._proj, self._unsplit, dim)
                 and self._splits(self.source_cone, sub.source_cone)
                 and self._splits(self.target_cone, sub.target_cone)
-                and sub._certified())
+                and sub._certified() and ISO)
 
     def _splits(self, cone: PolyhedralCone, subcone: PolyhedralCone) -> bool:
         """cone = {unsplit(t, w) : t >= 0, w in subcone}: every generator
@@ -667,10 +662,8 @@ class ComposeIso(IsoSpec):
     _backward = _invert_ints
 
     def _certify(self):
-        return all(p._certified() for p in self.parts)
-
-    def _affine(self):
-        return all(p._affine() for p in self.parts)
+        # a chain proves the least that its parts prove
+        return min(p._certified() for p in self.parts)
 
 
 # ---------------------------------------------------------------------------
@@ -926,24 +919,13 @@ def check_order_iso_sampled(spec: IsoSpec, n: int = 10000, seed: int = 0, *,
 # Exact identities
 #
 # Like the battery, the identities run on scaled integers: their vector
-# arguments are scaled over one denominator, and every point they evaluate
-# is one integer combination of those (x + lam*r is one axpy).  Images are
+# arguments are scaled over one denominator by the source cone's
+# ``_scaled``, and every point they evaluate is one integer combination of
+# those (x + lam*r is one axpy).  Images are
 # compared through the scaled-vector helpers alone: a difference of two
 # images is ``_minus``, ``_ratio`` gives the c with one difference equal to
 # c times another, and the ray through a difference is ``primitive``.
 # Fractions are built only for what a function returns.
-
-
-def _scaled(cone: PolyhedralCone, vectors) -> tuple[list[tuple[int, ...]], int]:
-    """Vectors of the cone's space as integers over one common den > 0.
-
-    Entries may be ints or Fractions, or anything ``frac`` reads, such as
-    '1/2'; a vector of the wrong length is DimensionMismatch."""
-    vecs = [cone._check_dim(v) for v in vectors]
-    try:
-        return scaled_rows(vecs)
-    except AttributeError:
-        return scaled_rows([as_vec(v) for v in vecs])
 
 
 def _common(images: list[Scaled]) -> tuple[list[list[int]], int]:
@@ -990,7 +972,7 @@ def check_additivity(spec: IsoSpec, x, s_list) -> bool:
     """Exact test of f(x + sum s_i) - f(x) == sum (f(x + s_i) - f(x)) for
     extreme vectors s_i on pairwise distinct rays."""
     src = spec.source_cone
-    (xi, *ss), den = _scaled(src, [x, *s_list])
+    (xi, *ss), den = src._scaled([x, *s_list])
     rays = [_signed_extreme(src, s) for s in ss]
     for i in range(len(rays)):
         for j in range(i + 1, len(rays)):
@@ -1026,7 +1008,7 @@ def extract_g_r(spec: IsoSpec, r, basepoints, lambdas) -> list[GRow]:
     a non-isomorphism.
     """
     src = spec.source_cone
-    (ri, *xs), den = _scaled(src, [r, *basepoints])
+    (ri, *xs), den = src._scaled([r, *basepoints])
     _signed_extreme(src, ri)
     f = spec._eval_ints
     rows: list[GRow] = []
@@ -1073,7 +1055,7 @@ def affine_span(cone: PolyhedralCone, points, image=None):
     a fit.  The images are taken between the two tests: where the spec is
     undefined at a point of a set of two or more, that error comes first.
     """
-    pts, den = _scaled(cone, points)
+    pts, den = cone._scaled(points)
     if len(pts) < 2:
         raise DegenerateSpan("need at least two points")
     images = None if image is None else _common([image((p, den)) for p in pts])
@@ -1122,7 +1104,7 @@ def check_positively_homogeneous(spec: IsoSpec, samples, scalars) -> bool:
     """Exact test of f(lam * u) == lam * f(u) over all sample/scalar pairs."""
     f = spec._eval_ints
     for u in samples:
-        (ui,), ud = _scaled(spec.source_cone, [u])
+        (ui,), ud = spec.source_cone._scaled([u])
         fu, fd = f((ui, ud))
         for lam in scalars:
             p, q = frac(lam).as_integer_ratio()
@@ -1135,7 +1117,7 @@ def halfline_image_check(spec: IsoSpec, apex, r, lambdas) -> bool:
     """True iff the images of apex + lam*r lie on one half-line from f(apex)
     whose direction is extreme in the target cone."""
     src, tgt = spec.source_cone, spec.target_cone
-    (ai, ri), den = _scaled(src, [apex, r])
+    (ai, ri), den = src._scaled([apex, r])
     _signed_extreme(src, ri)
     f = spec._eval_ints
     base = f((ai, den))

@@ -76,14 +76,12 @@ class SupResult:
         return self.outcome == EXISTS
 
 
-def _bound_table(cone: PolyhedralCone, points, upper: bool):
-    """(pts, den, vals, bounds) for the upper (lower) bounds of the points:
-    the points scaled to integers pts by one common denominator den,
-    vals[k][j] = <h_j, pts[k]> for the facet normals h_j, and bounds[j] the
-    max (lower bounds: min) of vals[.][j]."""
-    pts, den = scaled_rows(points)
+def _bound_table(cone: PolyhedralCone, pts, upper: bool):
+    """(vals, bounds) for the upper (lower) bounds of the integer points
+    pts: vals[k][j] = <h_j, pts[k]> for the facet normals h_j, and
+    bounds[j] the max (lower bounds: min) of vals[.][j]."""
     vals = [[sum(map(mul, h, p)) for h in cone._facet_ints] for p in pts]
-    return pts, den, vals, list(map(max if upper else min, zip(*vals)))
+    return vals, list(map(max if upper else min, zip(*vals)))
 
 
 def _bound_row(h, den: int, bound: int, upper: bool) -> tuple[int, ...]:
@@ -92,13 +90,6 @@ def _bound_row(h, den: int, bound: int, upper: bool) -> tuple[int, ...]:
     Fraction row, which leaves the double description unchanged."""
     s = 1 if upper else -1
     return tuple(s * den * c for c in h) + (-s * bound,)
-
-
-def _bound_rows(cone: PolyhedralCone, points, upper: bool) -> list[tuple[int, ...]]:
-    """One homogenized constraint per facet h for the upper bounds z of the
-    points, <h, z> >= max <h, p> (lower bounds: <h, z> <= min <h, p>)."""
-    _, den, _, bounds = _bound_table(cone, points, upper)
-    return [_bound_row(h, den, b, upper) for h, b in zip(cone._facet_ints, bounds)]
 
 
 def _vertices(dim: int, rows) -> tuple[list[Vec], list[Vec], list[Vec]]:
@@ -121,9 +112,11 @@ def _vertices(dim: int, rows) -> tuple[list[Vec], list[Vec], list[Vec]]:
             [tuple(map(Fraction, r[:dim])) for r in rays if not r[dim]])
 
 
-def _bound_vertices(cone: PolyhedralCone, points, upper: bool) -> tuple[int, list[Vec]]:
+def _bound_vertices(cone: PolyhedralCone, pts, den: int, upper: bool) -> tuple[int, list[Vec]]:
     """The number of vertices of the set U of upper (lower) bounds of the
-    points, and its (at most) two lexicographically smallest vertices.
+    points pts / den, for integer points pts over one den > 0 as
+    ``PolyhedralCone._scaled`` gives them, and its (at most) two
+    lexicographically smallest vertices.
 
     U is the intersection of the translates p + C (lower: p - C), and its
     homogenization {(z, t) : t >= 0, <h, z> >= t * max <h, p>} is found by
@@ -143,7 +136,7 @@ def _bound_vertices(cone: PolyhedralCone, points, upper: bool) -> tuple[int, lis
     vertices z / t are compared as integer keys over the lcm of the t
     values, and only the returned ones are built as Fractions."""
     dim, facets = cone.dim, cone._facet_ints
-    pts, den, vals, bounds = _bound_table(cone, points, upper)
+    vals, bounds = _bound_table(cone, pts, upper)
     attained = [sum(map(eq, row, bounds)) for row in vals]
     k = attained.index(max(attained))
     rows = [_bound_row(h, den, b, upper)
@@ -168,12 +161,12 @@ def _bound_vertices(cone: PolyhedralCone, points, upper: bool) -> tuple[int, lis
 
 def _extremum(cone: PolyhedralCone, points, upper: bool) -> SupResult:
     """Shared body of supremum (upper=True) and infimum (upper=False)."""
-    pts = [cone._check_dim(as_vec(p)) for p in points]
+    pts, den = cone._scaled(points)
     if not pts:
         raise ValueError(f"{'supremum' if upper else 'infimum'} needs at least one point")
     if not cone.pointed:
         raise NotPointed(f"{'suprema' if upper else 'infima'} are computed for pointed cones only")
-    count, smallest = _bound_vertices(cone, pts, upper=upper)
+    count, smallest = _bound_vertices(cone, pts, den, upper)
     if not count:
         return SupResult(NO_UPPER_BOUND)
     if count == 1:
@@ -205,14 +198,18 @@ def interval_sample(cone: PolyhedralCone, x, y, n: int, seed: int = 0) -> list[V
     in steps of 1/1024, of each lineality direction, so every draw lies in
     [x, y], degenerate intervals such as a segment [0, r] included.
     """
-    x, y = cone._check_dim(as_vec(x)), cone._check_dim(as_vec(y))
-    if not cone.leq(x, y):
+    (xi, yi), xy_den = cone._scaled([x, y])
+    if not cone._leq_ints(xi, yi):
         raise NotComparable("interval [x, y] needs x <= y")
     if n <= 0:
         return []
     d = cone.dim
-    pairs = zip(_bound_rows(cone, [x], True), _bound_rows(cone, [y], False))
-    verts, free_dirs, recession = _vertices(d, [row for pair in pairs for row in pair])
+    # <h, z> >= <h, x> and <h, z> <= <h, y> for each facet h, over x and
+    # y's one denominator
+    bounds = [row for h in cone._facet_ints
+              for row in (_bound_row(h, xy_den, sum(map(mul, h, xi)), True),
+                          _bound_row(h, xy_den, sum(map(mul, h, yi)), False))]
+    verts, free_dirs, recession = _vertices(d, bounds)
     if recession:
         raise InternalInconsistency("order interval with unbounded recession")
     rows, scale = scaled_rows(verts + free_dirs)
@@ -233,7 +230,7 @@ def interval_sample(cone: PolyhedralCone, x, y, n: int, seed: int = 0) -> list[V
 
 def is_totally_ordered(cone: PolyhedralCone, points) -> bool:
     """True iff every pair of the points is comparable, tested on one scale."""
-    rows, _ = scaled_rows([cone._check_dim(as_vec(p)) for p in points])
+    rows, _ = cone._scaled(points)
     leq = cone._leq_ints
     return all(leq(p, q) or leq(q, p) for p, q in combinations(rows, 2))
 
@@ -535,7 +532,7 @@ def order_unit_norm(cone: PolyhedralCone, u, x) -> Fraction:
     |<h, x>| / <h, u> over the facets; that closed form is returned exactly,
     from u and x on one integer scale, which cancels in each ratio.
     """
-    (ui, xi), _ = scaled_rows([cone._check_dim(as_vec(u)), cone._check_dim(as_vec(x))])
+    (ui, xi), _ = cone._scaled([u, x])
     best = ZERO
     for h in cone._facet_ints:
         hu = sum(map(mul, h, ui))

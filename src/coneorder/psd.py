@@ -10,9 +10,12 @@ approximated by monotone inf/sup families.
 
 Eigendecompositions use cyclic Jacobi rotations implemented here.  The order
 predicate is decided through a semidefinite-aware Cholesky factorization of
-the shifted difference (Higham 1990), which tests lambda_min(B - A) >= -tol
-exactly as stated but much cheaper than a full eigendecomposition.  Both
-run on Python floats: at 2 <= n <= 8 a numpy call costs more than the
+the shifted difference (Higham 1990), much cheaper than a full
+eigendecomposition.  It tests lambda_min(B - A) >= -tol up to a slack: a
+pivot within 1e-14 times max(1, the largest entry) of zero counts as zero,
+so with an entry of 1e10 a pair whose lambda_min(B - A) is -1e-6 is
+ordered.  identity_sup_check's INCONSISTENT verdict is the check that
+catches that slack.  Both run on Python floats: at 2 <= n <= 8 a numpy call costs more than the
 arithmetic it does.  numpy holds the matrices and makes the seeded draws,
 the norms and the matrix products whose bits reach a report.
 """
@@ -234,10 +237,14 @@ def _psd_cholesky(m: list[list[float]]) -> bool:
 
 
 def psd_leq(a, b, tol: float = DEFAULT_TOL.eig_tol) -> bool:
-    """Loewner order test: True iff lambda_min(b - a) >= -tol.
+    """Loewner order test: lambda_min(b - a) >= -tol, up to the pivot slack.
 
-    Decided through the shifted Cholesky predicate, which is equivalent to
-    the eigenvalue statement: m + tol*I is PSD iff lambda_min(m) >= -tol.
+    Decided through the shifted Cholesky predicate on m + tol*I, m = b - a,
+    which is PSD iff lambda_min(m) >= -tol.  A pivot within _PIVOT_TOL
+    times max(1, the largest entry of m + tol*I) of zero counts as zero, so
+    a pair can be ordered although lambda_min(m) is below -tol by about that
+    much: psd_leq(diag(1, 0), diag(0.999999, 1e10)) is True, with
+    lambda_min(m) = -1e-6.
     A tol that is not finite is a ValueError: a NaN would pass every pair.
     """
     if not math.isfinite(tol):
@@ -324,8 +331,11 @@ def identity_sup_check(n: int, b, m: int = 10000, seed: int = 0,
     vectors (the bottom eigenvector of b is always included, which makes the
     upper-bound screen decisive).  If b dominates all of them, b must be
     above the identity: lambda_min(b) >= 1 - cmp_tol gives CONSISTENT, and a
-    smaller lambda_min would falsify the supremum identity and is reported
-    INCONSISTENT (unreachable by construction).
+    smaller lambda_min is reported INCONSISTENT.  With exact arithmetic it
+    would falsify the supremum identity; here it is psd_leq's pivot slack
+    showing, which the eigenvalue test catches: b = diag(0.999999, 1e10)
+    dominates every sampled projection up to the slack, and its lambda_min
+    is 0.999999.
     """
     b = _as_array(b)
     if b.shape[0] != n:

@@ -276,6 +276,15 @@ def _parse_iso(obj, depth_left: int, cones: dict[str, PolyhedralCone]) -> IsoSpe
 
 
 def iso_to_json(spec: IsoSpec) -> dict:
+    """The iso spec file of spec, which ``parse_iso`` reads back as the same
+    map.  The file keeps a linear spec's matrix alone, and a diagonal's maps
+    and target frame over its source cone's generators, so a ValueError
+    names the reason for a spec that ``make_linear_iso`` or
+    ``make_diagonal_iso`` would not rebuild: a linear or diagonal spec that
+    is not certified, or a diagonal whose source frame is not its source
+    cone's ``generators``."""
+    if isinstance(spec, (LinearIso, DiagonalIso)) and not spec._certified():
+        raise ValueError(f"{type(spec).__name__} is not certified; parse_iso would not rebuild it")
     if isinstance(spec, LinearIso):
         return {"linear": {"matrix": [vec_to_json(r) for r in spec.matrix],
                            "source": cone_to_json(spec.source_cone),
@@ -285,6 +294,8 @@ def iso_to_json(spec: IsoSpec) -> dict:
                            "source_base": vec_to_json(spec.source_base),
                            "target_base": vec_to_json(spec.target_base)}}
     if isinstance(spec, DiagonalIso):
+        if spec.source_frame != spec.source_cone.generators:
+            raise ValueError("DiagonalIso source frame is not its source cone's generators")
         return {"diagonal": {"source": cone_to_json(spec.source_cone),
                              "target_frame": [vec_to_json(w) for w in spec.target_frame],
                              "maps": [bijection_to_json(m) for m in spec.maps]}}

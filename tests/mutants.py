@@ -106,7 +106,7 @@ MUTANTS = [
            " self.source_cone, n)\n", "", _DIAGONAL),
     Mutant("diagonal-target-frame-unchecked", "iso.py",
            "                and _simplicial_frame(self.target_frame, self._tgt_coords,"
-           " self.target_cone, n))", ")", _DIAGONAL),
+           " self.target_cone, n)\n", "", _DIAGONAL),
     Mutant("odd-powers-refused", "iso.py",
            "type(m) in (OddPowerMap, AffineMap, PiecewiseLinearMap)",
            "type(m) in (AffineMap, PiecewiseLinearMap)", _DIAGONAL),
@@ -119,8 +119,8 @@ MUTANTS = [
            "                and all(tgt._in_cone(self._fwd.apply(g)) for g in src._gen_ints)\n",
            "", (_FORGED + "[leaves_target-Violation]",)),
     Mutant("linear-preimage-of-a-generator-unchecked", "iso.py",
-           "                and all(src._in_cone(self._bwd.apply(h)) for h in tgt._gen_ints))",
-           ")", (_FORGED + "[misses_target-Violation]",)),
+           "                and all(src._in_cone(self._bwd.apply(h)) for h in tgt._gen_ints)\n",
+           "", (_FORGED + "[misses_target-Violation]",)),
     Mutant("lift-ray-map-unchecked", "iso.py",
            "        return (_fixes_zero_monotone(self.ray_map)\n"
            "                and self.target_cone.dim == dim\n",
@@ -145,7 +145,7 @@ MUTANTS = [
            "                and self._splits(self.target_cone, sub.target_cone)\n", "",
            (_FORGED + "[unsplit_target_lift-Violation]",)),
     Mutant("lift-sub-uncertified", "iso.py",
-           "                and sub._certified())", ")",
+           "                and sub._certified() and ISO)", "                and ISO)",
            (_FORGED + "[forged_sub_lift-Violation]",)),
     Mutant("splits-accepts-a-negative-ray-coordinate", "iso.py",
            "            if t < 0 or not subcone._in_cone(w):",
@@ -163,30 +163,28 @@ MUTANTS = [
            "                and all(cone._in_cone(self._unsplit.apply([0, *k]))"
            " for k in subcone._gen_ints))", ")",
            (_FORGED + "[missing_sub_generator_lift-Violation]",)),
-    Mutant("composition-certified-if-any-part-is", "iso.py",
-           "        return all(p._certified() for p in self.parts)",
-           "        return any(p._certified() for p in self.parts)",
-           (_FORGED + "[compose-Violation]",)),
-    # The certified affine shortcut of run_full_battery (BENCH_33).
-    Mutant("certified-affine-without-certificate", "iso.py",
-           "        return self._affine() and self._certified()",
-           "        return self._affine()",
-           (_CLI + "TestCertifiedAffineStages::test_forged_linear_specs_run_every_stage",
-            _CLI + "TestCheckIso::test_forged_rational_linear_report_matches_golden_bytes")),
-    Mutant("affine-translate-always-affine", "iso.py",
-           "        return self.inner._affine()", "        return True",
-           (_CLI + "TestCertifiedAffineStages::"
-            "test_certified_maps_that_are_not_affine_run_every_stage",)),
-    Mutant("composition-affine-if-any-part-is", "iso.py",
-           "        return all(p._affine() for p in self.parts)",
-           "        return any(p._affine() for p in self.parts)",
+    # What a certificate proves (ISO or AFFINE), which decides the certified
+    # affine shortcut of run_full_battery (BENCH_33, BENCH_40).
+    Mutant("composition-proves-the-most-of-its-parts", "iso.py",
+           "        return min(p._certified() for p in self.parts)",
+           "        return max(p._certified() for p in self.parts)",
+           (_FORGED + "[compose-Violation]",
+            _CLI + "TestCertifiedAffineStages::"
+            "test_certified_maps_that_are_not_affine_run_every_stage")),
+    Mutant("linear-proves-only-iso", "iso.py",
+           "                and AFFINE)", "                and ISO)",
            (_CLI + "TestCertifiedAffineStages::"
             "test_certificate_writes_the_sections_the_stages_would",)),
+    Mutant("affine-translate-proves-affine", "iso.py",
+           "        return self.inner._certified()",
+           "        return self.inner._certified() and AFFINE",
+           (_CLI + "TestCertifiedAffineStages::"
+            "test_certified_maps_that_are_not_affine_run_every_stage",)),
     Mutant("shortcut-skips-the-span-test", "cli.py",
            "        affine_span(src, pts)\n", "        pass\n",
            (_CLI + "TestCheckIso::test_trivial_cone_identity_is_a_degenerate_span",)),
     Mutant("shortcut-evaluates-homogeneity", "cli.py",
-           "report[\"homogeneous\"] = certified or attempt(",
+           "report[\"homogeneous\"] = proved_affine or attempt(",
            "report[\"homogeneous\"] = attempt(",
            (_CLI + "TestCertifiedAffineStages::"
             "test_certificate_writes_the_sections_the_stages_would",)),
@@ -274,6 +272,13 @@ MUTANTS = [
            "    if not 1 <= getattr(args, \"kmax\", 1) <= MAX_KMAX:\n",
            "    if not 1 <= getattr(args, \"kmax\", 1):\n",
            (_CLI + "test_kmax_above_the_cap_exit_2",)),
+    # The one reader of a cone-space vector scaled to integers.
+    Mutant("scaled-reads-no-strings", "cones.py",
+           "        except AttributeError:\n"
+           "            return scaled_rows([as_vec(v) for v in vecs])\n",
+           "        except AttributeError:\n            raise\n",
+           (_CONES + "TestMembershipAndOrder::"
+            "test_queries_read_rational_strings_and_refuse_floats",)),
     # The wrapper bindings of the iso kinds and the length check of their
     # integer matrices.
     Mutant("kinds-bind-only-eval", "iso.py",
@@ -327,6 +332,10 @@ MUTANTS = [
            "    if False:\n        raise ParseError(f\"iso spec",
            (_SERIALIZE + "test_iso_depth_counts_every_nesting_kind",
             _CLI + "TestInputLimits::test_iso_depth")),
+    Mutant("iso-file-keeps-a-permuted-frame", "serialize.py",
+           "        if spec.source_frame != spec.source_cone.generators:\n",
+           "        if False:\n",
+           (_SERIALIZE + "TestIsoFiles::test_a_permuted_source_frame_is_refused",)),
     Mutant("load-json-reads-decode-errors-as-values", "serialize.py",
            "    except (OSError, ValueError) as exc:\n",
            "    except (OSError, json.JSONDecodeError) as exc:\n",

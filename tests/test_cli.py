@@ -18,6 +18,8 @@ from coneorder.cli import main, run_full_battery
 from coneorder.cones import cone_from_generators, interval_cone, orthant, square_cone
 from coneorder.errors import OutOfDomain, ParseError
 from coneorder.iso import (
+    AFFINE,
+    ISO,
     AffineIso,
     AffineMap,
     ComposeIso,
@@ -166,6 +168,10 @@ GOLDEN_RUNS = [
     ("diag1_half.psd-supcheck", ["psd", "supcheck", "--n", "2", "--b", "diag:1,0.5",
                                  "--samples", "50"], 1,
      "conelab psd-supcheck: NOT_UPPER_BOUND (exit 1)"),
+    # psd_leq's pivot slack, caught by the eigenvalue test
+    ("diag_slack.psd-supcheck", ["psd", "supcheck", "--b", "diag:0.999999,1e10",
+                                 "--samples", "50"], 1,
+     "conelab psd-supcheck: INCONSISTENT (exit 1)"),
     ("diag4_1.psd-conj", ["psd", "conj", "--n", "2", "--a", "diag:4,1", "--q", "proj:e1"], 0,
      "conelab psd-conj: ok (exit 0)"),
     ("diag2_1.psd-approx", ["psd", "approx", "--n", "2", "--a", "diag:2,1", "--kmax", "3"], 0,
@@ -704,7 +710,7 @@ class TestCertifiedBattery:
         def undefined(*args):
             raise OutOfDomain("point outside the apexed source domain")
         monkeypatch.setattr(cli_mod, "check_positively_homogeneous", undefined)
-        monkeypatch.setattr(IsoSpec, "_certified_affine", lambda self: False)
+        _prove_at_most_iso(monkeypatch)
         report = run_full_battery(o2, identity_iso(o2), 300, 0)
         assert (report["homogeneous"], report["homogeneous_error"]) == (None, "OutOfDomain")
         assert (report["verdict"], report["exit_code"]) == ("violation", 4)
@@ -741,6 +747,14 @@ def _stage_calls(monkeypatch, cone, spec, samples, seed):
     return report, entered
 
 
+def _prove_at_most_iso(m):
+    """Make no spec prove more than ISO: a certified spec still skips the
+    sampled battery, and its identity stages run instead of being written
+    from its certificate."""
+    proves = IsoSpec._certified
+    m.setattr(IsoSpec, "_certified", lambda self: min(proves(self), ISO))
+
+
 def _every_stage(cone, spec):
     """The stages run_full_battery runs on spec: parallelogram and additivity
     need two generators, and homogeneity a cone-based spec."""
@@ -762,7 +776,7 @@ class TestCertifiedAffineStages:
         # bytes equal those with the stages forced to run.  300 and 2000
         # samples give 5 and 20 parallelogram and additivity configurations.
         affine = [(i, cone, spec) for i, (cone, spec) in enumerate(_certified_corpus())
-                  if spec._certified_affine()]
+                  if spec._certified() == AFFINE]
         assert {type(spec) for _, _, spec in affine} == {LinearIso, AffineIso, ComposeIso}
         assert any(spec._bases != (None, None) for _, _, spec in affine)
         for samples in (300, 2000):
@@ -770,7 +784,7 @@ class TestCertifiedAffineStages:
                 report, entered = _stage_calls(monkeypatch, cone, spec, samples, i)
                 assert not any(entered.values()), (i, entered)
                 with monkeypatch.context() as m:
-                    m.setattr(IsoSpec, "_certified_affine", lambda self: False)
+                    _prove_at_most_iso(m)
                     forced = run_full_battery(cone, spec, samples, i)
                 assert canonical_dumps(report) == canonical_dumps(forced), i
 
@@ -778,18 +792,18 @@ class TestCertifiedAffineStages:
                                       "compose"])
     def test_forged_linear_specs_run_every_stage(self, monkeypatch, kind):
         cone, spec = TestCertifiedBattery._forged(kind)
-        assert spec._affine() and not spec._certified_affine()
+        assert not spec._certified()
         report, entered = _stage_calls(monkeypatch, cone, spec, 300, 0)
         assert {name for name, calls in entered.items() if calls} == set(STAGES)
         assert report["verdict"] == "violation"
 
     def test_certified_maps_that_are_not_affine_run_every_stage(self, monkeypatch):
         others = [(i, cone, spec) for i, (cone, spec) in enumerate(_certified_corpus())
-                  if not spec._certified_affine()]
+                  if spec._certified() != AFFINE]
         assert {type(spec) for _, _, spec in others} == {
             DiagonalIso, ProductLiftIso, AffineIso, ComposeIso}
         for i, cone, spec in others:
-            assert spec._certified()
+            assert spec._certified() == ISO
             _, entered = _stage_calls(monkeypatch, cone, spec, 300, i)
             assert {name for name, calls in entered.items() if calls} == _every_stage(
                 cone, spec), i
@@ -817,7 +831,7 @@ class TestVerdictRule:
 
     @pytest.fixture(autouse=True)
     def _forced_stages(self, monkeypatch):
-        monkeypatch.setattr(IsoSpec, "_certified_affine", lambda self: False)
+        _prove_at_most_iso(monkeypatch)
 
     @staticmethod
     def _verdict(spec=None):
@@ -1251,6 +1265,40 @@ class TestConeReuse:
         real = cli_mod.parse_iso
         monkeypatch.setattr(cli_mod, "parse_iso", lambda *args: real(*args))
         assert check_iso(lo) == "conelab: parse error: expected a rational, got list\n"
+
+
+_O1 = {"dim": 1, "generators": [["1"]]}
+_O2 = {"dim": 2, "generators": [["1", "0"], ["0", "1"]]}
+_O3 = {"dim": 3, "generators": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]}
+_ID1 = {"linear": {"matrix": [["1"]], "source": _O1, "target": _O1}}
+_ID2 = {"linear": {"matrix": [["1", "0"], ["0", "1"]], "source": _O2, "target": _O2}}
+_DOUBLE = {"affine": {"slope": "2"}}
+
+
+@pytest.mark.parametrize("spec, error", [
+    ({"compose": []}, "parse error: compose needs a nonempty list of specs"),
+    ({"foo": 1}, "parse error: unknown iso kind 'foo'"),
+    ({"product_lift": {"cone": _O3, "ray_index": 7, "ray_map": _DOUBLE, "sub": _ID2}},
+     "invalid value: ray index 7 out of range"),
+    ({"affine": {"linear": {"affine": {"linear": _ID2, "source_base": ["1", "1"],
+                                       "target_base": ["1", "1"]}},
+                 "source_base": ["0", "1"], "target_base": ["0", "1"]}},
+     "invalid value: inner spec of an affine translate must be cone-based"),
+    ({"product_lift": {"cone": _O2, "ray_index": 0, "ray_map": _DOUBLE,
+                       "sub": {"affine": {"linear": _ID1, "source_base": ["1"],
+                                          "target_base": ["1"]}}}},
+     "invalid value: sub iso of a product lift must be cone-based"),
+    ({"linear": {"matrix": [["1", "0", "0"], ["0", "1", "0"]], "source": _O3, "target": _O2}},
+     "input error (NotConeMap): invertible linear maps need equal dimensions"),
+    ({"diagonal": {"source": {"dim": 2, "generators": []}, "target_frame": [], "maps": []}},
+     "input error (NotSimplicial): the trivial cone has no generator frame"),
+], ids=["empty-compose", "unknown-kind", "ray-index", "apexed-inner", "apexed-sub",
+        "unequal-dims", "trivial-diagonal"])
+def test_refused_iso_spec_is_one_error_line(files, capsys, spec, error):
+    path = files["tmp"] / "refused.json"
+    path.write_text(json.dumps(spec))
+    code, out, err = run(capsys, "check-iso", files["orthant2"], str(path))
+    assert (code, out, err) == (2, "", f"conelab: {error}\n")
 
 
 class TestInputLimits:

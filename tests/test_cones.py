@@ -162,6 +162,30 @@ class TestMembershipAndOrder:
         assert square_cone().leq(V(1, 1, 1), V(0, 0, 2))
         assert not o2.leq(V(1, 0), V(0, 1))
 
+    @pytest.mark.parametrize("query, args, answer", [
+        ("contains", [("1/2", "-1/3", "1/2")], True),
+        ("contains", [("3/2", 0, "1")], False),
+        ("leq", [("1/2", "0", "1/2"), ("1/2", "1/2", "3/2")], True),
+        ("leq", [("1/2", "1/2", "3/2"), ("1/2", "0", "1/2")], False),
+        ("tight_facets", [("1/2", "1/2", "1/2")], [0, 1]),
+        ("is_extreme_vector", [("1/2", "1/2", "1/2")], True),
+        ("is_extreme_vector", [("0", "0", "1/2")], False),
+        ("caratheodory_decompose", [("1/2", "1/3", "1")],
+         [(Fraction(1, 4), V(-1, -1, 1)), (Fraction(1, 12), V(1, -1, 1)),
+          (Fraction(2, 3), V(1, 1, 1))]),
+    ])
+    def test_queries_read_rational_strings_and_refuse_floats(self, query, args, answer):
+        # Every query reads its vectors through PolyhedralCone._scaled: a
+        # string as linalg.frac reads it, a float as a TypeError, and a
+        # vector of the wrong length as DimensionMismatch before its entries.
+        method = getattr(square_cone(), query)
+        assert method(*args) == method(*[as_vec(v) for v in args]) == answer
+        floats = [tuple(float(Fraction(c)) for c in v) for v in args]
+        with pytest.raises(TypeError, match="exact rational expected"):
+            method(*floats)
+        with pytest.raises(DimensionMismatch):
+            method(*[v + (0.5,) for v in floats])
+
     def test_order_axioms_on_random_triples(self):
         rng = rng_for(7, "axioms")
         for trial in range(30):

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import coneorder.iso as iso_mod
 from coneorder.cones import (
     PolyhedralCone,
     cone_from_generators,
@@ -856,6 +857,40 @@ class TestSampledBatteryIntegerPath:
             got = check_order_iso_sampled(spec, 600, 0, limit=limit)
             assert got.order_preserving_violations == want.order_preserving_violations[:limit]
             assert got.inverse_violations == want.inverse_violations[:limit]
+
+    def test_a_mode_0_preimage_outside_the_source_is_an_inverse_violation(self, monkeypatch):
+        # The identity claimed with the inverse diag(3, 1, 1): the preimage
+        # of a mode-0 image y2 can leave the square cone, and the chain's
+        # first part then refuses it with OutOfDomain, an inverse violation
+        # of the sample.  Mode 0 inverts right after its forward
+        # evaluations, mode 2 right after its draws.
+        sq = square_cone()
+        eye = [V(1, 0, 0), V(0, 1, 0), V(0, 0, 1)]
+        spec = compose_isos(identity_iso(sq), LinearIso(eye, sq, sq, inverse=[
+            V(3, 0, 0), V(0, 1, 0), V(0, 0, 1)]))
+        events = []
+
+        def logged(kind, real):
+            def call(*args):
+                try:
+                    out = real(*args)
+                except OutOfDomain:
+                    events.append((kind, True))
+                    raise
+                events.append((kind, False))
+                return out
+            return call
+
+        monkeypatch.setattr("coneorder.iso.cone_point_ints",
+                            logged("draw", iso_mod.cone_point_ints))
+        spec._eval_ints = logged("eval", spec._eval_ints)
+        spec._invert_ints = logged("invert", spec._invert_ints)
+        got = check_order_iso_sampled(spec, 300, 0)
+        assert got.verdict == "Violation" and not got.order_preserving_violations
+        assert sum(1 for (k0, _), (k1, refused) in zip(events, events[1:])
+                   if (k0, k1, refused) == ("eval", "invert", True)) == 16
+        monkeypatch.undo()
+        assert got == battery_reference(spec, 300, 0)
 
     def test_limit_below_one_is_refused(self):
         # The shear above violates within a few samples.  A limit of 0 would

@@ -83,6 +83,14 @@ def V(*xs):
     return as_vec(xs)
 
 
+def bound_rows(cone, pts, den: int, upper: bool):
+    """One homogenized row per facet h for the upper bounds z of the integer
+    points pts / den, <h, z> >= max <h, p> (lower bounds: <h, z> <= min
+    <h, p>), as interval_sample writes them for x and y."""
+    _, bounds = order_mod._bound_table(cone, pts, upper)
+    return [order_mod._bound_row(h, den, b, upper) for h, b in zip(cone._facet_ints, bounds)]
+
+
 class TestSupremumInfimum:
     def test_orthant_componentwise_max(self):
         res = supremum(orthant(2), [V(1, 0), V(0, 1)])
@@ -196,10 +204,11 @@ class TestSupremumInfimum:
             seen["dim1"] += dim == 1
             seen["single"] += len(pts) == 1
             seen["repeated"] += len(set(pts)) < len(pts)
+            ints, den = cone._scaled(pts)
             for upper in (True, False):
-                verts, lin, _ = order_mod._vertices(dim, order_mod._bound_rows(cone, pts, upper))
+                verts, lin, _ = order_mod._vertices(dim, bound_rows(cone, ints, den, upper))
                 assert not lin
-                count, smallest = order_mod._bound_vertices(cone, pts, upper)
+                count, smallest = order_mod._bound_vertices(cone, ints, den, upper)
                 assert (count, smallest) == (len(verts), verts[:2])
                 assert all(type(c) is Fraction for v in smallest for c in v)
                 seen[("empty", "exists")[count] if count < 2 else "no_least"] += 1
@@ -293,6 +302,9 @@ class TestIntervalSampling:
         # and recession directions must come out the same.  Rows: upper and
         # lower bounds of 1-4 points on pointed cones, and the interleaved
         # interval rows of interval_sample on pointed and non-pointed cones.
+        # interval_sample writes x's and y's rows over their one
+        # denominator; rows over each point's own denominator are positive
+        # multiples of those, and give the same output.
         checked = {"bounds": 0, "pointed": 0, "non_pointed": 0, "recession": 0}
         for i in range(240):
             rng = rng_for(i, "vertices-order")
@@ -308,12 +320,16 @@ class TestIntervalSampling:
             if kind == "bounds":
                 pts = [vec_add(shift, cone_point(cone, rng, coeff_max=2))
                        for _ in range(rng.randint(1, 4))]
-                rows = order_mod._bound_rows(cone, pts, rng.random() < 0.5)
+                rows = bound_rows(cone, *cone._scaled(pts), rng.random() < 0.5)
             else:
                 y = vec_add(shift, cone_point(cone, rng, coeff_max=2))
-                pairs = zip(order_mod._bound_rows(cone, [shift], True),
-                            order_mod._bound_rows(cone, [y], False))
+                (xi, yi), den = cone._scaled([shift, y])
+                pairs = zip(bound_rows(cone, [xi], den, True), bound_rows(cone, [yi], den, False))
                 rows = [row for pair in pairs for row in pair]
+                pairs = zip(bound_rows(cone, *cone._scaled([shift]), True),
+                            bound_rows(cone, *cone._scaled([y]), False))
+                own = [row for pair in pairs for row in pair]
+                assert order_mod._vertices(dim, own) == order_mod._vertices(dim, rows)
             verts, lin, recession = order_mod._vertices(dim, rows)
             lin_r, rays_r = double_description_reference(dim + 1, rows + [unit_vec(dim + 1, dim)])
             assert verts == sorted(tuple(c / r[dim] for c in r[:dim]) for r in rays_r if r[dim])

@@ -360,6 +360,19 @@ class TestIdentitySupCheck:
             v = identity_sup_check(n, b, m=40, seed=int(rng.integers(0, 10**6)))
             assert v.verdict == CONSISTENT
 
+    def test_inconsistent_catches_the_pivot_slack_of_psd_leq(self):
+        # A pivot within 1e-14 * 1e10 = 1e-4 of zero counts as zero, so
+        # diag(0.999999, 1e10) dominates the projection on e1 by psd_leq
+        # although lambda_min of the difference is -1e-6, far below -tol;
+        # it dominates every sampled projection, and the eigenvalue test
+        # then reports the slack as INCONSISTENT.
+        b = np.diag([0.999999, 1e10])
+        assert psd_leq(np.diag([1.0, 0.0]), b)
+        assert lambda_min(b - np.diag([1.0, 0.0])) < -1e-7
+        v = identity_sup_check(2, b, m=50, seed=0)
+        assert (v.verdict, v.lambda_min, v.samples) == (INCONSISTENT, 0.999999, 51)
+        assert v.witness.tolist() == [1.0, 0.0]
+
     def test_equals_a_loop_through_psd_leq(self):
         # the sample loop tests b - x x^T + tol*I on lists, validating b
         # once; it must report what testing each sample through the public

@@ -6,6 +6,9 @@ from coneorder.cones import interval_cone, orthant, square_cone
 from coneorder.errors import ParseError
 from coneorder.iso import (
     IDENTITY_MAP,
+    AffineMap,
+    DiagonalIso,
+    LinearIso,
     OddPowerMap,
     PiecewiseLinearMap,
     compose_isos,
@@ -205,6 +208,38 @@ class TestIsoFiles:
 
         with pytest.raises(NotSimplicial):
             parse_iso(bad)
+
+    def test_a_permuted_source_frame_is_refused(self):
+        # The file keeps the maps but no source frame, and parse_iso takes
+        # the generators (0, 1), (1, 0) as the frame: written out, this
+        # certified spec would read back as (1, 2) -> (4, 1).
+        o2 = orthant(2)
+        e = [(1, 0), (0, 1)]
+        spec = DiagonalIso(o2, e, [AffineMap(2), OddPowerMap(3)], e, o2)
+        assert spec._certified() and spec.eval((1, 2)) == (2, 8)
+        with pytest.raises(ValueError, match="source frame is not its source cone's generators"):
+            iso_to_json(spec)
+
+    @pytest.mark.parametrize("kind", ["forged_inverse", "shear", "partial_frame"])
+    def test_an_uncertified_linear_or_diagonal_spec_is_refused(self, kind):
+        # A forged inverse would be written as the matrix alone and read back
+        # as a different, certified spec; the shear and the partial frame
+        # would be written as files that parse_iso refuses.
+        sq, o2 = square_cone(), orthant(2)
+        eye = [as_vec(r) for r in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
+        spec = {
+            "forged_inverse": lambda: LinearIso(eye, sq, sq, inverse=[[2 * c for c in r]
+                                                                      for r in eye]),
+            "shear": lambda: LinearIso([(1, 1), (0, 1)], o2, o2),
+            "partial_frame": lambda: DiagonalIso(sq, sq.generators[:3], [IDENTITY_MAP] * 3,
+                                                 sq.generators[:3], sq),
+        }[kind]()
+        assert not spec._certified()
+        with pytest.raises(ValueError, match="is not certified"):
+            iso_to_json(spec)
+        # wrapped in the other kinds, it is refused the same way
+        with pytest.raises(ValueError, match="is not certified"):
+            iso_to_json(compose_isos(identity_iso(spec.source_cone), spec))
 
 
 class TestMatrixFiles:

@@ -76,9 +76,10 @@ def test_battery_calls_each_identity_through_its_cli_name(monkeypatch):
     # stages are forced to run instead of being read off its certificate.
     import coneorder.cli as cli
     from coneorder.cones import square_cone
-    from coneorder.iso import IsoSpec, identity_iso
+    from coneorder.iso import ISO, IsoSpec, identity_iso
 
-    monkeypatch.setattr(IsoSpec, "_certified_affine", lambda self: False)
+    proves = IsoSpec._certified
+    monkeypatch.setattr(IsoSpec, "_certified", lambda self: min(proves(self), ISO))
 
     entered = dict.fromkeys(IDENTITIES, 0)
     for name in IDENTITIES:
