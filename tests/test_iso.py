@@ -889,7 +889,6 @@ class TestSampledBatteryIntegerPath:
         assert got.verdict == "Violation" and not got.order_preserving_violations
         assert sum(1 for (k0, _), (k1, refused) in zip(events, events[1:])
                    if (k0, k1, refused) == ("eval", "invert", True)) == 16
-        monkeypatch.undo()
         assert got == battery_reference(spec, 300, 0)
 
     def test_limit_below_one_is_refused(self):
