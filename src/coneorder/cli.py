@@ -122,10 +122,10 @@ def _floats(values, text: str) -> np.ndarray:
 
 
 def _unit(v: np.ndarray, text: str, zero_message: str) -> np.ndarray:
-    """v scaled to norm 1; a zero vector, or one whose norm overflows the
-    float range, is a parse error."""
+    """v scaled to norm 1, by the psd library's norm; a zero vector, or one
+    whose norm overflows the float range, is a parse error."""
     with np.errstate(over="ignore"):
-        nrm = float(np.linalg.norm(v))
+        nrm = psd_mod._norm(v)
     if nrm == 0:
         raise ParseError(zero_message)
     if not np.isfinite(nrm):

@@ -15,9 +15,14 @@ eigendecomposition.  It tests lambda_min(B - A) >= -tol up to a slack: a
 pivot within 1e-14 times max(1, the largest entry) of zero counts as zero,
 so with an entry of 1e10 a pair whose lambda_min(B - A) is -1e-6 is
 ordered.  identity_sup_check's INCONSISTENT verdict is the check that
-catches that slack.  Both run on Python floats: at 2 <= n <= 8 a numpy call costs more than the
-arithmetic it does.  numpy holds the matrices and makes the seeded draws,
-the norms and the matrix products whose bits reach a report.
+catches that slack.
+
+At 2 <= n <= 8 a numpy call costs more than the arithmetic it does, so the
+Jacobi sweep and the factorization run on Python floats, and the other
+repeated paths use array methods and broadcasts instead of numpy's
+functions.  numpy holds the matrices and makes the seeded draws and the
+matrix products whose bits reach a report; a norm is _norm, the float
+operations of np.linalg.norm.
 """
 from __future__ import annotations
 
@@ -83,11 +88,9 @@ class SymMatrix:
             raise DimensionMismatch("square matrix required")
         n = a.shape[0]
         check_size(n)
-        peak = float(np.max(np.abs(a)))
-        if not math.isfinite(peak):
-            raise ValueError("matrix entries must be finite")
+        peak = _finite_peak(a)
         scale = max(1.0, peak)
-        if float(np.max(np.abs(a - a.T))) >= 1e-14 * scale:
+        if float(np.abs(a - a.T).max()) >= 1e-14 * scale:
             raise NotSymmetric("asymmetry exceeds 1e-14 relative tolerance")
         if peak > _HALF_FLOAT_MAX:
             # a + a.T below would overflow
@@ -97,11 +100,38 @@ class SymMatrix:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "array", sym)
 
+    @classmethod
+    def _exact(cls, sym: np.ndarray) -> SymMatrix:
+        """The SymMatrix of sym, an exactly symmetric float array of a
+        supported size that nothing else holds.  SymMatrix(sym) would check
+        the same entries and symmetrize them to the same bits; only the
+        finiteness check can refuse it, so only that one runs."""
+        _finite_peak(sym)
+        sym.flags.writeable = False
+        m = object.__new__(cls)
+        object.__setattr__(m, "n", sym.shape[0])
+        object.__setattr__(m, "array", sym)
+        return m
+
     def __setattr__(self, name, value):
         raise AttributeError("SymMatrix is immutable")
 
     def __repr__(self):
         return f"SymMatrix(n={self.n})"
+
+
+def _finite_peak(a: np.ndarray) -> float:
+    """The largest entry of a in size; ValueError unless it is finite."""
+    peak = float(np.abs(a).max())
+    if not math.isfinite(peak):
+        raise ValueError("matrix entries must be finite")
+    return peak
+
+
+def _norm(v: np.ndarray) -> float:
+    """The Euclidean norm of a 1-D float array: sqrt(v . v), the float
+    operations of np.linalg.norm without its dispatch."""
+    return math.sqrt(v.dot(v))
 
 
 def _as_array(m) -> np.ndarray:
@@ -208,7 +238,7 @@ def _psd_cholesky(m: list[list[float]]) -> bool:
     entry on.  Every entry goes through the float operations, in the order,
     of the numpy row-operation form in tests/oracles.py.
     """
-    peak = max(max(map(abs, row)) for row in m)
+    peak = max(max(map(max, m)), -min(map(min, m)))
     e = _rescale_exponent(peak)
     if e:
         peak = math.ldexp(peak, -e)
@@ -252,13 +282,22 @@ def psd_leq(a, b, tol: float = DEFAULT_TOL.eig_tol) -> bool:
     a, b = _as_array(a), _as_array(b)
     if a.shape != b.shape:
         raise DimensionMismatch("matrices must have the same size")
-    diff = b - a + tol * np.eye(a.shape[0])
-    return _psd_cholesky(diff.tolist())
+    return _shifted_psd((b - a).tolist(), tol)
+
+
+def _shifted_psd(m: list[list[float]], tol: float) -> bool:
+    """_psd_cholesky of m + tol*I, with tol added to the diagonal of m in
+    place.  Only the diagonal changes: off it, tol*I would add 0.0, which
+    at most turns a -0.0 into 0.0, and no sign of a zero reaches the
+    verdict."""
+    for i, row in enumerate(m):
+        row[i] += tol
+    return _psd_cholesky(m)
 
 
 def _check_unit(x: np.ndarray) -> None:
     """NotUnit unless |x| is within 1e-12 of 1."""
-    nrm = float(np.linalg.norm(x))
+    nrm = _norm(x)
     if not (1 - 1e-12 <= nrm <= 1 + 1e-12):
         raise NotUnit(f"|x| = {nrm!r} is not within 1e-12 of 1")
 
@@ -292,21 +331,23 @@ def engagement_witness(x) -> EngagementWitness:
     P_w leaves exactly P_x.
     """
     x = np.asarray(x, dtype=float)
-    n = x.shape[0]
-    check_size(n)
+    check_size(x.shape[0])
     _check_unit(x)
-    j = int(np.argmin(np.abs(x)))
-    e = np.zeros(n)
-    e[j] = 1.0
-    u = e - x[j] * x
-    w = u / float(np.linalg.norm(u))
-    if _leads_negative(w):
+    size = np.abs(x).tolist()
+    j = size.index(min(size))  # the first smallest, as np.argmin
+    # e_j - x[j] x without e_j: where p = x[j] x[i] is zero, 0.0 - p is the
+    # +0.0 that e_i - p gives, and -p would be -0.0
+    u = 0.0 - x[j] * x
+    u[j] += 1.0
+    w = u / _norm(u)
+    if _leads_negative(w.tolist()):
         w = -w
     y = (x + w) / math.sqrt(2.0)
     z = (x - w) / math.sqrt(2.0)
-    px = np.outer(x, x)
-    combo = np.outer(y, y) + np.outer(z, z) - np.outer(w, w)
-    residual = float(np.linalg.norm(px - combo))
+    # the broadcasts make np.outer's products
+    px = x[:, None] * x
+    combo = y[:, None] * y + z[:, None] * z - w[:, None] * w
+    residual = _norm((px - combo).ravel())
     return EngagementWitness(y=y, z=z, w=w, residual=residual)
 
 
@@ -346,20 +387,17 @@ def identity_sup_check(n: int, b, m: int = 10000, seed: int = 0,
     samples = [bottom]
     for _ in range(m):
         v = rng.normal(size=n)
-        nrm = float(np.linalg.norm(v))
+        nrm = _norm(v)
         if nrm > 1e-12:
             samples.append(v / nrm)
     # psd_leq(np.outer(x, x), b) entry by entry, with b validated once: the
     # products p * q are np.outer's, and they are exactly symmetric, so the
     # symmetrization SymMatrix would apply leaves them unchanged
     rows = b.tolist()
-    eig_tol = tol.eig_tol
     for x in samples:
         xs = x.tolist()
         diff = [[bij - p * q for bij, q in zip(brow, xs)] for brow, p in zip(rows, xs)]
-        for i in range(n):
-            diff[i][i] += eig_tol
-        if not _psd_cholesky(diff):
+        if not _shifted_psd(diff, tol.eig_tol):
             return SupCheckVerdict(NOT_UPPER_BOUND, float(lam_min[0]), len(samples), x)
     if float(lam_min[0]) >= 1.0 - tol.cmp_tol:
         return SupCheckVerdict(CONSISTENT, float(lam_min[0]), len(samples))
@@ -385,11 +423,13 @@ class ConjugationMap:
 def _congruence(s: np.ndarray, q: np.ndarray) -> SymMatrix:
     """s q s for symmetric s and q.  The float product is symmetric only up
     to rounding, so it is symmetrized here instead of being checked like
-    outside input; a product past the float range is still refused by
-    SymMatrix as non-finite."""
+    outside input.  The average is exactly symmetric, and a finite one has
+    no entry above half the float range, so SymMatrix._exact holds it with
+    only the finiteness check: a product past the float range is refused as
+    non-finite."""
     with np.errstate(over="ignore", invalid="ignore"):
         m = s @ q @ s
-        return SymMatrix((m + m.T) / 2)
+        return SymMatrix._exact((m + m.T) / 2)
 
 
 def conjugation_iso(a, tol: PsdTolerance = DEFAULT_TOL) -> ConjugationMap:
@@ -433,7 +473,7 @@ def infsup_approx(a, k_max: int = 16, seed: int = 0) -> list[ConvergenceRow]:
         v = rng.normal(size=n)
         for u in dirs:
             v = v - np.dot(u, v) * u
-        nrm = float(np.linalg.norm(v))
+        nrm = _norm(v)
         if nrm > 1e-8:
             dirs.append(v / nrm)
     ident = np.eye(n)

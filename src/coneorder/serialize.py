@@ -277,13 +277,15 @@ def _parse_iso(obj, depth_left: int, cones: dict[str, PolyhedralCone]) -> IsoSpe
 
 def iso_to_json(spec: IsoSpec) -> dict:
     """The iso spec file of spec, which ``parse_iso`` reads back as the same
-    map.  The file keeps a linear spec's matrix alone, and a diagonal's maps
-    and target frame over its source cone's generators, so a ValueError
-    names the reason for a spec that ``make_linear_iso`` or
-    ``make_diagonal_iso`` would not rebuild: a linear or diagonal spec that
-    is not certified, or a diagonal whose source frame is not its source
-    cone's ``generators``."""
-    if isinstance(spec, (LinearIso, DiagonalIso)) and not spec._certified():
+    map.  The file keeps a linear spec's matrix alone, a diagonal's maps and
+    target frame over its source cone's generators, and a product lift's
+    cone, ray index, ray map and sub, from which ``make_product_lift``
+    recomputes the split and the target.  So a ValueError names the reason
+    for a spec that ``make_linear_iso``, ``make_diagonal_iso`` or
+    ``make_product_lift`` would not rebuild: a linear, diagonal or product
+    lift spec that is not certified, or a diagonal whose source frame is not
+    its source cone's ``generators``."""
+    if isinstance(spec, (LinearIso, DiagonalIso, ProductLiftIso)) and not spec._certified():
         raise ValueError(f"{type(spec).__name__} is not certified; parse_iso would not rebuild it")
     if isinstance(spec, LinearIso):
         return {"linear": {"matrix": [vec_to_json(r) for r in spec.matrix],

@@ -259,6 +259,29 @@ MUTANTS = [
            "    e = _rescale_exponent(peak)\n", "    e = 0\n",
            (_PSD + "TestLoewnerOrder::test_rescaled_semidefinite_pivot_checks_its_row",
             _PSD + "TestCholeskyKernel::test_matches_numpy_reference")),
+    # The psd paths without numpy's per-call overhead, each against the
+    # numpy form it replaced.
+    Mutant("psd-leq-skips-its-diagonal-shift", "psd.py",
+           "        row[i] += tol\n", "        pass\n",
+           (_PSD + "TestLoewnerOrder::test_zero_pivot_in_last_position",
+            _PSD + "TestFastPathBits::test_psd_leq_equals_the_eye_shift")),
+    Mutant("exact-symmetric-skips-the-finiteness-check", "psd.py",
+           "        _finite_peak(sym)\n", "",
+           (_CLI + "TestPsdCommands::test_overflow_is_named_without_warnings",
+            _PSD + "TestFastPathBits::test_congruence_bytes_and_overflow_messages")),
+    Mutant("witness-negates-instead-of-subtracting-from-zero", "psd.py",
+           "    u = 0.0 - x[j] * x\n", "    u = -x[j] * x\n",
+           (_CLI + "test_command_report_matches_golden_bytes[e1.psd-witness]",
+            _PSD + "TestFastPathBits::test_e1_witness_keeps_positive_zeros")),
+    Mutant("witness-takes-the-last-smallest-coordinate", "psd.py",
+           "    j = size.index(min(size))",
+           "    j = len(size) - 1 - size[::-1].index(min(size))",
+           (_PSD + "TestFastPathBits::test_ties_take_the_first_smallest_coordinate",
+            _PSD + "TestFastPathBits::test_engagement_witness_bytes")),
+    Mutant("witness-residual-of-the-first-row", "psd.py",
+           "    residual = _norm((px - combo).ravel())\n",
+           "    residual = _norm((px - combo)[0])\n",
+           (_PSD + "TestFastPathBits::test_engagement_witness_bytes",)),
     # The inf/sup table computed up to row n and padded with row n.
     Mutant("approx-pads-with-row-1", "psd.py",
            "ConvergenceRow(k, rows[-1].d_k, rows[-1].e_k)",

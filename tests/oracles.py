@@ -17,7 +17,9 @@ through numpy's LAPACK instead of the in-repo Jacobi sweep (and that sweep itsel
 through m[k][p] indexing instead of bound rows, for equal bytes), the Loewner
 order's semidefinite Cholesky through numpy row operations instead of lists of
 Python floats, the inf/sup table through every row up to k_max instead of
-the rows up to n, and iso specs
+the rows up to n, the psd fast paths (norms, the shifted order test, the
+engagement witness and the congruence image) through the numpy functions
+they replaced, and iso specs
 and their sampled battery through the per-kind Fraction formulas instead of
 the integer cores (the float order test through float() of each Fraction
 facet entry instead of the integer normals), and the check-iso identities
@@ -98,14 +100,17 @@ from coneorder.psd import (
     INCONSISTENT,
     NOT_UPPER_BOUND,
     ConvergenceRow,
+    EngagementWitness,
     SupCheckVerdict,
     SymMatrix,
     _MAX_SWEEPS,
     _PIVOT_TOL,
     _RESCALE_PEAK,
     _as_array,
+    _check_unit,
     _leads_negative,
     _rescale_exponent,
+    check_size,
     conjugation_iso,
     eigh_jacobi,
     lambda_max,
@@ -811,6 +816,50 @@ def identity_sup_check_reference(n: int, b, m: int = 10000, seed: int = 0,
     if float(lam_min[0]) >= 1.0 - tol.cmp_tol:
         return SupCheckVerdict(CONSISTENT, float(lam_min[0]), len(samples))
     return SupCheckVerdict(INCONSISTENT, float(lam_min[0]), len(samples), bottom)
+
+
+def norm_reference(v) -> float:
+    """psd._norm as np.linalg.norm."""
+    return float(np.linalg.norm(v))
+
+
+def psd_leq_reference(a, b, tol: float = DEFAULT_TOL.eig_tol) -> bool:
+    """psd.psd_leq with the shift added as the matrix tol * np.eye(n)."""
+    a, b = _as_array(a), _as_array(b)
+    if a.shape != b.shape:
+        raise DimensionMismatch("matrices must have the same size")
+    diff = b - a + tol * np.eye(a.shape[0])
+    return psd_cholesky_reference(diff)
+
+
+def engagement_witness_reference(x) -> EngagementWitness:
+    """psd.engagement_witness through np.argmin, np.outer, np.linalg.norm
+    and the basis vector e_j."""
+    x = np.asarray(x, dtype=float)
+    n = x.shape[0]
+    check_size(n)
+    _check_unit(x)
+    j = int(np.argmin(np.abs(x)))
+    e = np.zeros(n)
+    e[j] = 1.0
+    u = e - x[j] * x
+    w = u / float(np.linalg.norm(u))
+    if _leads_negative(w):
+        w = -w
+    y = (x + w) / math.sqrt(2.0)
+    z = (x - w) / math.sqrt(2.0)
+    px = np.outer(x, x)
+    combo = np.outer(y, y) + np.outer(z, z) - np.outer(w, w)
+    residual = float(np.linalg.norm(px - combo))
+    return EngagementWitness(y=y, z=z, w=w, residual=residual)
+
+
+def congruence_reference(s: np.ndarray, q: np.ndarray) -> SymMatrix:
+    """psd._congruence with the symmetrized product validated and
+    symmetrized again by the public SymMatrix constructor."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        m = s @ q @ s
+        return SymMatrix((m + m.T) / 2)
 
 
 def infsup_approx_reference(a, k_max: int = 16, seed: int = 0) -> list[ConvergenceRow]:

@@ -1,6 +1,9 @@
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
@@ -197,6 +200,43 @@ def test_summary_line(capsys, golden, argv, code, summary):
     got, out, err = run(capsys, *_data_argv(argv), "--summary")
     assert out.encode("utf-8") == (DATA / f"{golden}.report.json").read_bytes()
     assert got == code and err == summary + "\n"
+
+
+# Runs each argv list read from stdin through cli.main in this one process
+# and writes [exit code, stdout, stderr] of each as JSON.
+_GOLDEN_SCRIPT = """
+import io, json, sys
+from contextlib import redirect_stderr, redirect_stdout
+sys.path.insert(0, sys.argv[1])
+from coneorder.cli import main
+results = []
+for argv in json.load(sys.stdin):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    results.append([code, out.getvalue(), err.getvalue()])
+json.dump(results, sys.stdout)
+"""
+
+
+def test_golden_bytes_do_not_depend_on_the_hash_seed():
+    # str hashes, and so the order of a set or dict of strings, change with
+    # PYTHONHASHSEED; two fresh processes must write every golden report.
+    argvs = [_data_argv(argv) for _, argv, _, _ in GOLDEN_RUNS]
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    procs = [subprocess.Popen([sys.executable, "-c", _GOLDEN_SCRIPT, src],
+                              stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                              stderr=subprocess.PIPE, text=True,
+                              env={**os.environ, "PYTHONHASHSEED": seed,
+                                   "OPENBLAS_NUM_THREADS": "1"})
+             for seed in ("0", "4242")]
+    outputs = [proc.communicate(json.dumps(argvs), timeout=120) for proc in procs]
+    for proc, (out, err) in zip(procs, outputs):
+        assert proc.returncode == 0, err
+        got = [(code, report.encode("utf-8"), stderr) for code, report, stderr in json.loads(out)]
+        want = [(code, (DATA / f"{golden}.report.json").read_bytes(), "")
+                for golden, _, code, _ in GOLDEN_RUNS]
+        assert got == want
 
 
 def test_approx_out_matches_golden_bytes(capsys, tmp_path):

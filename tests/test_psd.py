@@ -15,6 +15,8 @@ from coneorder.psd import (
     NOT_UPPER_BOUND,
     PsdTolerance,
     SymMatrix,
+    _congruence,
+    _norm,
     _psd_cholesky,
     conjugation_iso,
     eigh_jacobi,
@@ -28,11 +30,15 @@ from coneorder.psd import (
 )
 
 from oracles import (
+    congruence_reference,
     eigh_jacobi_reference,
     eigh_oracle,
+    engagement_witness_reference,
     identity_sup_check_reference,
     infsup_approx_reference,
+    norm_reference,
     psd_cholesky_reference,
+    psd_leq_reference,
 )
 
 
@@ -238,6 +244,106 @@ class TestCholeskyKernel:
             assert _psd_cholesky(m.tolist()) == want, m.tolist()
             outcomes[want] += 1
         assert min(outcomes.values()) > 5000
+
+
+def _unit_cases(rng, n, count):
+    """count seeded unit vectors of size n, four kinds in turn: gaussian,
+    small integers with exact zeros of either sign, a signed basis vector,
+    and nonzero small integers, whose sizes tie."""
+    for i in range(count):
+        kind = i % 4
+        if kind == 0:
+            x = rng.normal(size=n)
+        elif kind == 2:
+            x = np.zeros(n)
+            x[rng.integers(n)] = rng.choice([-1.0, 1.0])
+        else:
+            x = rng.integers(0 if kind == 1 else 1, 4, size=n) * rng.choice([-1.0, 1.0], n)
+            if not x.any():
+                x[rng.integers(n)] = 1.0
+        yield x / np.linalg.norm(x)
+
+
+class TestFastPathBits:
+    """Each psd fast path against the numpy form it replaced, in bytes."""
+
+    def test_norm_is_np_linalg_norm(self):
+        rng = np.random.default_rng(41)
+        for n in range(2, 9):
+            for i in range(200):
+                # sizes from subnormal squares to squares past the float range
+                with np.errstate(over="ignore"):
+                    v = rng.normal(size=n) * 2.0 ** int(rng.integers(-1060, 1020))
+                    m = rng.normal(size=(n, n)) * 2.0 ** int(rng.integers(-530, 520))
+                    assert repr(_norm(v)) == repr(norm_reference(v))
+                    assert repr(_norm(m.ravel())) == repr(norm_reference(m))
+
+    def test_engagement_witness_bytes(self):
+        rng = np.random.default_rng(41)
+        for n in range(2, 9):
+            for x in _unit_cases(rng, n, 200):
+                got, want = engagement_witness(x), engagement_witness_reference(x)
+                for v, v_ref in ((got.y, want.y), (got.z, want.z), (got.w, want.w)):
+                    assert v.tobytes() == v_ref.tobytes(), x.tolist()
+                assert repr(got.residual) == repr(want.residual)
+
+    def test_e1_witness_keeps_positive_zeros(self):
+        w = engagement_witness(np.array([1.0, 0.0, 0.0])).w
+        assert [math.copysign(1.0, c) for c in w] == [1.0, 1.0, 1.0]
+
+    def test_ties_take_the_first_smallest_coordinate(self):
+        # |x| ties at coordinates 1 and 2: the plane is spanned by x and e_1
+        x = np.array([2.0, -1.0, 1.0]) / math.sqrt(6.0)
+        w = engagement_witness(x).w
+        assert w[1] != 0.0 and w[2] != 0.0 and abs(w[1]) > abs(w[2])
+
+    def test_psd_leq_equals_the_eye_shift(self):
+        rng = np.random.default_rng(41)
+        outcomes = {True: 0, False: 0}
+        for n in range(2, 9):
+            for i in range(200):
+                tol = [1e-10, 0.0, 1e-9, 1e-3][i % 4]
+                a = random_sym(rng, n)
+                if i % 5 == 4:
+                    # diagonal pairs whose difference has -0.0 off the diagonal
+                    a = np.diag(np.diag(a))
+                    b = np.diag(rng.normal(size=n)) + np.where(np.eye(n) == 1, 0.0, -0.0)
+                else:
+                    # a difference whose lambda_min is at or near -tol
+                    q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+                    lams = np.abs(rng.normal(size=n))
+                    lams[0] = -tol * (1.0 + float(rng.choice([-1e-3, 0.0, 1e-3, 1.0])))
+                    b = a + q @ np.diag(lams) @ q.T
+                want = psd_leq_reference(a, b, tol)
+                assert psd_leq(a, b, tol) == want
+                outcomes[want] += 1
+        assert min(outcomes.values()) > 300
+
+    def test_congruence_bytes_and_overflow_messages(self):
+        rng = np.random.default_rng(41)
+        refused = 0
+        for n in range(2, 9):
+            for i in range(200):
+                g = rng.normal(size=(n, n))
+                s = conjugation_iso(np.eye(n) + g @ g.T).sqrt * [1.0, 2.0 ** 500, 1e154][i % 3]
+                q = random_sym(rng, n) * [1.0, 1e300, 3e307][i // 3 % 3]
+                try:
+                    want = congruence_reference(s, q)
+                except ValueError as exc:
+                    with pytest.raises(ValueError) as got:
+                        _congruence(s, q)
+                    assert str(got.value) == str(exc)
+                    refused += 1
+                    continue
+                got = _congruence(s, q)
+                assert got.n == want.n and got.array.tobytes() == want.array.tobytes()
+                assert not got.array.flags.writeable
+        assert 200 < refused < 7 * 200 - 200
+        # the conj rows of the command-line overflow test
+        for a, q in ((np.diag([4.0, 4.0]), np.diag([3e307, 3e307])),
+                     (np.diag([1e300, 1.0]), np.diag([1e300, 1.0]))):
+            with pytest.raises(ValueError, match="^matrix entries must be finite$"):
+                conjugation_iso(a).apply(q)
 
 
 class TestRankOneProjection:

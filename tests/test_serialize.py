@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from coneorder.iso import (
     LinearIso,
     OddPowerMap,
     PiecewiseLinearMap,
+    ProductLiftIso,
     compose_isos,
     eval_iso,
     identity_iso,
@@ -19,7 +21,7 @@ from coneorder.iso import (
     make_product_lift,
 )
 from coneorder.linalg import MAX_RATIONAL_DIGITS, as_vec, frac
-from coneorder.order import eval_infsup, inf_expr, leaf, sup_expr
+from coneorder.order import disengaged_split, eval_infsup, inf_expr, leaf, sup_expr
 from coneorder.psd import SymMatrix
 from coneorder.serialize import (
     MAX_DIM,
@@ -240,6 +242,25 @@ class TestIsoFiles:
         # wrapped in the other kinds, it is refused the same way
         with pytest.raises(ValueError, match="is not certified"):
             iso_to_json(compose_isos(identity_iso(spec.source_cone), spec))
+
+
+    def test_an_uncertified_product_lift_is_refused(self):
+        # The file keeps the cone, ray index, ray map and sub, and
+        # make_product_lift recomputes the split: written out, this lift over
+        # a split whose projection is doubled would read back as the
+        # certified map (1, 2) -> (1, 3).
+        o2 = orthant(2)
+        split = disengaged_split(o2, 0)
+        doubled = replace(split, projection=tuple(tuple(2 * c for c in row)
+                                                  for row in split.projection))
+        pwl = PiecewiseLinearMap(((Fraction(0), Fraction(0)), (Fraction(1), Fraction(2))))
+        spec = ProductLiftIso(o2, 0, pwl, identity_iso(split.subcone), doubled, o2)
+        assert not spec._certified() and spec.eval((1, 2)) == (2, 5)
+        with pytest.raises(ValueError, match="ProductLiftIso is not certified"):
+            iso_to_json(spec)
+        # the lift over the split make_product_lift computes is written
+        honest = make_product_lift(o2, 0, pwl, identity_iso(split.subcone))
+        assert parse_iso(iso_to_json(honest)).eval((1, 2)) == honest.eval((1, 2)) == (1, 3)
 
 
 class TestMatrixFiles:
