@@ -339,11 +339,6 @@ class PolyhedralCone:
             raise NotInCone("extreme test needs a nonzero vector inside the cone")
         return self._extreme_ray(ri) is not None
 
-    def extreme_rays(self) -> tuple[Vec, ...]:
-        if not self.pointed:
-            raise NotPointed("non-pointed cones have no extreme rays")
-        return self.generators
-
     def caratheodory_decompose(self, x) -> list[tuple[Fraction, Vec]]:
         """Write x in C as an exact positive combination of at most dim
         extreme generators with a linearly independent support, in

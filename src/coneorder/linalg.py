@@ -58,10 +58,6 @@ def vec_add(u: Vec, v: Vec) -> Vec:
     return tuple(a + b for a, b in zip(u, v, strict=True))
 
 
-def vec_sub(u: Vec, v: Vec) -> Vec:
-    return tuple(a - b for a, b in zip(u, v, strict=True))
-
-
 def vec_scale(c, v: Vec) -> Vec:
     c = frac(c)
     return tuple(c * a for a in v)

@@ -12,7 +12,7 @@ import zlib
 from fractions import Fraction
 
 from .cones import PolyhedralCone
-from .linalg import Vec, as_vec, identity_matrix
+from .linalg import Vec, identity_matrix
 
 # Rejection sampling of incomparable pairs: coefficient bound of each point
 # and number of tries.
@@ -29,10 +29,6 @@ def rng_for(seed: int, *salt) -> random.Random:
     mixed = (int(seed) + 1) * 0x9E3779B97F4A7C15
     mixed ^= zlib.crc32(repr(salt).encode())
     return random.Random(mixed & 0xFFFFFFFFFFFFFFFF)
-
-
-def rand_int_vec(rng: random.Random, dim: int, bound: int = 3) -> Vec:
-    return as_vec(rng.randint(-bound, bound) for _ in range(dim))
 
 
 def cone_point_ints(cone: PolyhedralCone, rng: random.Random, coeff_max: int = 4) -> list[int]:
@@ -106,21 +102,3 @@ def unimodular_matrix(rng: random.Random, n: int):
         rows[i], rows[j] = rows[j], rows[i]
     return tuple(tuple(r) for r in rows)
 
-
-def random_pointed_cone(rng: random.Random, dim: int, n_gens: int,
-                        bound: int = 3, require_generating: bool = False) -> PolyhedralCone:
-    """Random pointed cone from integer generators, resampled until pointed."""
-    from .cones import cone_from_generators
-
-    if require_generating:
-        n_gens = max(n_gens, dim)
-    while True:
-        gens = [rand_int_vec(rng, dim, bound) for _ in range(n_gens)]
-        if all(all(c == 0 for c in g) for g in gens):
-            continue
-        cone = cone_from_generators(dim, gens)
-        if not cone.pointed or not cone._gen_ints:
-            continue
-        if require_generating and not cone.generating:
-            continue
-        return cone

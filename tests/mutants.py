@@ -324,6 +324,11 @@ MUTANTS = [
     Mutant("lower-bound-row-unsigned", "order.py",
            "    s = 1 if upper else -1\n", "    s = 1\n",
            (_ORDER + "TestSupremumInfimum::test_infimum_examples",)),
+    # The bound DD's row schedule, which no output shows (BENCH_42).
+    Mutant("bound-rows-shallowest-first", "order.py",
+           "    cut.sort(key=lambda c: c[0] * (norms_lcm // c[1]), reverse=True)\n",
+           "    cut.sort(key=lambda c: c[0] * (norms_lcm // c[1]))\n",
+           (_ORDER + "TestSupremumInfimum::test_bound_rows_reach_the_dd_deepest_first",)),
     # The input limits: each off by one toward accepting limit + 1, and
     # each guard removed.
     Mutant("rational-length-limit-off-by-one", "linalg.py",

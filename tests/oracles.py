@@ -84,7 +84,6 @@ from coneorder.linalg import (
     vec_dot,
     vec_neg,
     vec_scale,
-    vec_sub,
     zero_vec,
 )
 from coneorder.lp import positive_combination
@@ -117,6 +116,34 @@ from coneorder.psd import (
     psd_leq,
 )
 from coneorder.sampling import cone_point, incomparable_pair, rng_for
+
+
+def vec_sub(u, v) -> tuple:
+    """u - v entrywise, for vectors of one length."""
+    return tuple(a - b for a, b in zip(u, v, strict=True))
+
+
+def rand_int_vec(rng, dim: int, bound: int = 3) -> tuple:
+    """A vector of dim Fractions, each an integer drawn from [-bound, bound]."""
+    return as_vec(rng.randint(-bound, bound) for _ in range(dim))
+
+
+def random_pointed_cone(rng, dim: int, n_gens: int, bound: int = 3,
+                        require_generating: bool = False) -> PolyhedralCone:
+    """Random pointed cone from integer generators, resampled until pointed
+    (and generating, when asked), with at least one generator."""
+    if require_generating:
+        n_gens = max(n_gens, dim)
+    while True:
+        gens = [rand_int_vec(rng, dim, bound) for _ in range(n_gens)]
+        if all(all(c == 0 for c in g) for g in gens):
+            continue
+        cone = cone_from_generators(dim, gens)
+        if not cone.pointed or not cone._gen_ints:
+            continue
+        if require_generating and not cone.generating:
+            continue
+        return cone
 
 
 def normalize_ray(v) -> tuple:

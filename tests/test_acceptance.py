@@ -62,9 +62,9 @@ from coneorder.psd import (
     infsup_approx,
     psd_leq,
 )
-from coneorder.sampling import cone_point, random_pointed_cone, rng_for, unimodular_matrix
+from coneorder.sampling import cone_point, rng_for, unimodular_matrix
 
-from oracles import bound_vertices_bruteforce, eigh_oracle, normalize_ray
+from oracles import bound_vertices_bruteforce, eigh_oracle, normalize_ray, random_pointed_cone
 
 PWL_DOUBLING = PiecewiseLinearMap(((Fraction(0), Fraction(0)), (Fraction(1), Fraction(2))))
 

@@ -43,7 +43,7 @@ from coneorder.iso import (
 )
 from coneorder.linalg import MAX_RATIONAL_DIGITS, as_vec
 from coneorder.order import classify_engaged, disengaged_split
-from coneorder.sampling import cone_point_ints, random_pointed_cone, rng_for
+from coneorder.sampling import cone_point_ints, rng_for
 from coneorder.serialize import (
     MAX_DIM,
     MAX_EXPR_DEPTH,
@@ -53,6 +53,7 @@ from coneorder.serialize import (
     vec_to_json,
 )
 
+from oracles import random_pointed_cone
 from test_acceptance import PWL_DOUBLING, _criterion_3_cones, cone_automorphism_candidates
 from test_iso import HalflineKink
 

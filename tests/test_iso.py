@@ -64,7 +64,6 @@ from coneorder.linalg import (
     transpose,
     vec_add,
     vec_scale,
-    vec_sub,
 )
 from coneorder.order import (
     classify_engaged,
@@ -80,7 +79,6 @@ from coneorder.sampling import (
     cone_point,
     incomparable_pair,
     incomparable_pair_ints,
-    random_pointed_cone,
     rng_for,
     unimodular_matrix,
 )
@@ -96,8 +94,10 @@ from oracles import (
     invert_reference,
     normalize_ray,
     parallelogram_reference,
+    random_pointed_cone,
     signed_extreme_reference,
     solve_reference,
+    vec_sub,
 )
 
 

@@ -1,5 +1,6 @@
 import json
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -33,7 +34,6 @@ from coneorder.linalg import (
     vec_dot,
     vec_neg,
     vec_scale,
-    vec_sub,
     zero_vec,
 )
 from coneorder.iso import IDENTITY_MAP, identity_iso, make_product_lift
@@ -59,8 +59,6 @@ from coneorder.order import (
 )
 from coneorder.sampling import (
     cone_point,
-    rand_int_vec,
-    random_pointed_cone,
     rng_for,
     unimodular_matrix,
 )
@@ -76,6 +74,9 @@ from oracles import (
     is_bound_vertex,
     is_totally_ordered_reference,
     normalize_ray,
+    rand_int_vec,
+    random_pointed_cone,
+    vec_sub,
 )
 
 
@@ -170,9 +171,11 @@ class TestSupremumInfimum:
         # bounds.  Cases: generating and non-generating pointed cones (the
         # latter mostly with empty U), the trivial cone in dims 1-3, dim 1,
         # single and repeated points, rational coordinates and coordinates
-        # near 1e20.
+        # near 1e20 and near 10^400, past the float range, where a float
+        # anywhere in the row schedule raises OverflowError.
         seen = dict.fromkeys(("generating", "non_generating", "trivial", "dim1", "single",
-                              "repeated", "huge", "empty", "exists", "no_least"), 0)
+                              "repeated", "huge", "past_float", "empty", "exists",
+                              "no_least"), 0)
         for i in range(360):
             rng = rng_for(i, "bound-vertices-warm")
             kind = ("generating", "non_generating", "trivial")[i % 3]
@@ -199,6 +202,9 @@ class TestSupremumInfimum:
             if i % 7 == 0:
                 pts = [vec_scale(10 ** 20 + rng.randint(0, 9), p) for p in pts]
                 seen["huge"] += 1
+            elif i % 7 == 1:
+                pts = [vec_scale(10 ** 400 + rng.randint(0, 9), p) for p in pts]
+                seen["past_float"] += 1
             assert cone.pointed and (kind == "generating") == cone.generating
             seen[kind] += 1
             seen["dim1"] += dim == 1
@@ -213,6 +219,73 @@ class TestSupremumInfimum:
                 assert all(type(c) is Fraction for v in smallest for c in v)
                 seen[("empty", "exists")[count] if count < 2 else "no_least"] += 1
         assert min(seen.values()) >= 15, seen
+
+    def test_bound_rows_reach_the_dd_deepest_first(self, monkeypatch):
+        # _bound_vertices gives the DD the rows the start point p* (the
+        # first point attaining the bound on the most facets) does not
+        # attain, deepest first: by p*'s max-norm distance |b - <h, p*>| /
+        # |h|_1 to the row's hyperplane, ties in facet order.  The DD's
+        # output does not depend on that order, so only its input shows it.
+        calls = []
+
+        def recording(dim, rows, start=None, _dd=order_mod.double_description):
+            calls.append(list(rows))
+            return _dd(dim, rows, start)
+
+        def schedule(cone, pts, upper):
+            """The facet indices in the order the DD must get their rows,
+            and each one's depth, from the points as Fractions."""
+            vals = [[vec_dot(h, p) for h in cone.facets] for p in pts]
+            bounds = [(max if upper else min)(col) for col in zip(*vals)]
+            attained = [sum(v == b for v, b in zip(row, bounds)) for row in vals]
+            star = vals[attained.index(max(attained))]
+            depth = {j: abs(b - v) / sum(map(abs, h))
+                     for j, (h, v, b) in enumerate(zip(cone.facets, star, bounds)) if v != b}
+            return sorted(depth, key=lambda j: -depth[j]), depth
+
+        def check(cone, pts, upper):
+            order, depth = schedule(cone, pts, upper)
+            rows = bound_rows(cone, *cone._scaled(pts), upper)
+            calls.clear()
+            (supremum if upper else infimum)(cone, pts)
+            assert calls == [[rows[j] for j in order]]
+            return order, depth
+
+        monkeypatch.setattr(order_mod, "double_description", recording)
+        # A hexagon cone whose facet normals have l1 norms 7 and 3.  Upper
+        # bounds: rows 0 and 3 tie at depth 7/7 = 3/3 = 1 below row 1 at
+        # 13/7; lower bounds: rows 2 and 5 tie below row 4.
+        hexagon = cone_from_generators(3, [(2, 0, 1), (1, 2, 1), (-1, 2, 1),
+                                           (-2, 0, 1), (-1, -2, 1), (1, -2, 1)])
+        assert [sum(map(abs, h)) for h in hexagon._facet_ints] == [7, 7, 3, 3, 7, 7]
+        pts = [V(3, -2, 2), V(-2, 1, 2)]
+        assert check(hexagon, pts, True)[0] == [1, 0, 3]
+        assert check(hexagon, pts, False)[0] == [4, 2, 5]
+        # Then random cones and points, and on every fourth case those two
+        # points scaled and translated, which keeps both ties.
+        seen = dict.fromkeys(("upper", "lower", "reordered", "tie", "tie_unequal_norms"), 0)
+        for i in range(160):
+            rng = rng_for(i, "bound-row-schedule")
+            if i % 4 == 1:
+                cone, lam = hexagon, Fraction(rng.randint(1, 9), rng.randint(1, 9))
+                shift = as_vec(Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(3))
+                case = [vec_add(vec_scale(lam, p), shift) for p in pts]
+            else:
+                dim = 2 + i % 4
+                cone = random_pointed_cone(rng, dim, rng.randint(dim, dim + 4), bound=2,
+                                           require_generating=True)
+                case = [as_vec(Fraction(rng.randint(-4, 4), rng.choice((1, 1, 2)))
+                               for _ in range(dim)) for _ in range(rng.randint(2, 4))]
+            for upper in (True, False):
+                order, depth = check(cone, case, upper)
+                seen["upper" if upper else "lower"] += len(order) > 1
+                seen["reordered"] += order != sorted(order)
+                ties = [(j, k) for j, k in combinations(order, 2) if depth[j] == depth[k]]
+                seen["tie"] += bool(ties)
+                seen["tie_unequal_norms"] += any(
+                    sum(map(abs, cone._facet_ints[j])) != sum(map(abs, cone._facet_ints[k]))
+                    for j, k in ties)
+        assert min(seen.values()) >= 10, seen
 
 
 class TestIntervalSampling:
